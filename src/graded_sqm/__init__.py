@@ -1,20 +1,19 @@
 """Graded supersymmetric quantum mechanics models, verified exactly.
 
 The package builds the model families of Z2^n-graded supersymmetric
-quantum mechanics as tensor operators (exact monomial Clifford factor times
-a formal ladder block), checks every defining relation of the graded
+quantum mechanics as tensor operators (exact Pauli-string Clifford factor
+times a formal ladder block), checks every defining relation of the graded
 algebra with zero tolerance, and reports rank, spectral degeneracy and
 orbit structure.
 """
 
 from .clifford import (
-    MonomialOperator,
+    PauliOperator,
     anticommutes,
     big_gamma,
     commutes,
     gamma,
     gamma_tilde,
-    mul,
     proportional,
 )
 from .grading import (
@@ -37,10 +36,6 @@ from .models import (
     build_from_selector,
     build_maximal,
     build_minimal,
-    build_n4_cl10,
-    build_n4_cl12,
-    build_n5_cl26,
-    build_n5_cl28,
     build_next,
     hermitizing_phase,
     minimal_phase_exponent,
@@ -56,7 +51,6 @@ from .sqm_block import (
     realize,
 )
 from .verify import (
-    ClosureSizeError,
     OrbitReport,
     RankReport,
     RelationReport,
@@ -67,7 +61,7 @@ from .verify import (
     check_centrality,
     check_defining_relations,
     count_generated_operators,
-    monomial_set_rank,
+    pauli_rank,
     orbit_decomposition,
     spectrum,
 )

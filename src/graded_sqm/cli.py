@@ -21,7 +21,6 @@ from .grading import census
 from .models import ModelSpec, ModelSpecError, build
 from .sqm_block import FockRealization, GridRealization, NumericRealization
 from .verify import (
-    ClosureSizeError,
     central_rank,
     check_centrality,
     check_defining_relations,
@@ -238,12 +237,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--model is required (flag or config)")
     fmt = _merge(args, "format", "markdown")
     out = _merge(args, "out", None)
-    jobs = int(_merge(args, "jobs", 1))
     model = build(ModelSpec.parse(selector))
 
     sections: dict[str, object] = {}
-    sections["defining_relations"] = check_defining_relations(model, jobs=jobs)
-    sections["centrality"] = check_centrality(model, jobs=jobs)
+    sections["defining_relations"] = check_defining_relations(model)
+    sections["centrality"] = check_centrality(model)
     if _merge(args, "rank", False, _as_bool):
         sections["rank"] = central_rank(model)
     if _merge(args, "orbits", False, _as_bool):
@@ -346,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rank", action="store_true", help="add the central-rank report")
     p_verify.add_argument("--orbits", action="store_true", help="add the orbit report")
     p_verify.add_argument("--counts", action="store_true", help="add the generated-operator count")
-    p_verify.add_argument("--jobs", type=int, default=None, help="parallel workers for pair checks")
+    p_verify.add_argument(
+        "--jobs", type=int, default=None,
+        help="accepted and ignored (as is the config key jobs); removed in the next release",
+    )
     _add_realization(p_verify)
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -366,8 +367,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args._config = load_config(args.config) if args.config else {}
         return args.func(args)
-    except (ModelSpecError, ClosureSizeError, ValueError, OSError) as exc:
+    except (ModelSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,17 +1,19 @@
-"""Exact monomial-matrix arithmetic and gamma-matrix generators.
+"""Exact Pauli-string arithmetic and gamma-matrix generators.
 
-Every operator in the Clifford factor of the models is a signed-phase
-permutation matrix: one nonzero entry per row and column, with value a power
-of i.  Such a matrix is stored as a permutation plus a per-row phase
-exponent, which makes products, adjoints and equality O(dim) exact integer
-work even at dimension 2**15.  Dense complex matrices appear only as test
-oracles, never here.
+Every operator in the Clifford factor of the models is a Pauli string
+i**k * X**x * Z**z on m qubits: the bits of ``x`` and ``z`` say on which
+tensor factors a sigma_1 and a sigma_3 act, and ``k`` is a phase exponent
+mod 4.  Bit order follows ``np.kron``: the first tensor factor is the most
+significant bit.  Products, adjoints, equality and commutation are O(1)
+integer operations on (x, z, k) whatever the dimension 2**m, following the
+binary (symplectic) representation of Aaronson & Gottesman
+(quant-ph/0406196).  Dense complex matrices appear only through
+:meth:`PauliOperator.to_dense`, the bridge to the tests' numpy oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -29,119 +31,112 @@ def phase_exponent(scalar: complex) -> int:
         raise ValueError(f"{scalar!r} is not a power of i") from None
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialOperator:
-    """Signed-phase permutation matrix.
+@dataclass(frozen=True)
+class PauliOperator:
+    """The Pauli string i**k * X**x * Z**z on m qubits, dimension 2**m.
 
-    Row r has its sole nonzero entry in column ``perm[r]`` with value
-    i**phase[r].  Instances are immutable; all operations return fresh
-    values.
+    As a matrix it sends basis vector c to i**k * (-1)**|z & c| times basis
+    vector c ^ x.  Single-qubit codes: sigma_1 = (x=1, z=0, k=0),
+    sigma_3 = (0, 1, 0), sigma_2 = (1, 1, 1).  Instances are immutable and
+    ``k`` is stored mod 4, so equality is equality of the matrices.
     """
 
-    perm: np.ndarray  # int32 bijection of 0..dim-1
-    phase: np.ndarray  # int8 exponents mod 4
+    m: int
+    x: int
+    z: int
+    k: int = 0
 
     def __post_init__(self) -> None:
-        perm = np.asarray(self.perm, dtype=np.int32)
-        phase = np.asarray(self.phase, dtype=np.int8)
-        if perm.shape != phase.shape or perm.ndim != 1:
-            raise ValueError("perm and phase must be 1-d arrays of equal length")
-        perm.setflags(write=False)
-        phase.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phase", phase)
+        if self.m < 0:
+            raise ValueError(f"qubit count must be >= 0, got {self.m}")
+        for bits in (self.x, self.z):
+            if bits < 0 or bits >> self.m:
+                raise ValueError(f"{bits} is not a bit string on {self.m} qubits")
+        object.__setattr__(self, "k", self.k % 4)
 
     @classmethod
-    def identity(cls, dim: int) -> "MonomialOperator":
-        return cls(np.arange(dim, dtype=np.int32), np.zeros(dim, dtype=np.int8))
+    def identity(cls, dim: int) -> "PauliOperator":
+        m = dim.bit_length() - 1
+        if dim < 1 or dim != 1 << m:
+            raise ValueError(f"dimension {dim} is not a power of two")
+        return cls(m, 0, 0)
 
     @property
     def dim(self) -> int:
-        return len(self.perm)
+        return 1 << self.m
 
-    def assert_valid(self) -> None:
-        if not np.array_equal(np.sort(self.perm), np.arange(self.dim)):
-            raise ValueError("perm is not a bijection")
-
-    def __matmul__(self, other: "MonomialOperator") -> "MonomialOperator":
-        if self.dim != other.dim:
+    def _check_dim(self, other: "PauliOperator") -> None:
+        if self.m != other.m:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return MonomialOperator(
-            other.perm[self.perm],
-            (self.phase + other.phase[self.perm]) % 4,
-        )
 
-    def adjoint(self) -> "MonomialOperator":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.dim, dtype=np.int32)
-        ph = np.empty_like(self.phase)
-        ph[self.perm] = (-self.phase) % 4
-        return MonomialOperator(inv, ph)
+    def __matmul__(self, other: "PauliOperator") -> "PauliOperator":
+        if not isinstance(other, PauliOperator):
+            return NotImplemented
+        self._check_dim(other)
+        # Z**z1 X**x2 = (-1)**|z1 & x2| X**x2 Z**z1
+        k = self.k + other.k + 2 * (self.z & other.x).bit_count()
+        return PauliOperator(self.m, self.x ^ other.x, self.z ^ other.z, k)
 
-    def scale(self, exponent: int) -> "MonomialOperator":
+    def adjoint(self) -> "PauliOperator":
+        # (X**x Z**z)^dagger = Z**z X**x = (-1)**|x & z| X**x Z**z
+        return PauliOperator(self.m, self.x, self.z, -self.k + 2 * (self.x & self.z).bit_count())
+
+    def scale(self, exponent: int) -> "PauliOperator":
         """Multiply by i**exponent."""
-        return MonomialOperator(self.perm, (self.phase + exponent) % 4)
+        return PauliOperator(self.m, self.x, self.z, self.k + exponent)
 
-    def __mul__(self, scalar: complex) -> "MonomialOperator":
+    def __mul__(self, scalar: complex) -> "PauliOperator":
         return self.scale(phase_exponent(scalar))
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "MonomialOperator":
+    def __neg__(self) -> "PauliOperator":
         return self.scale(2)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonomialOperator):
-            return NotImplemented
-        return np.array_equal(self.perm, other.perm) and np.array_equal(
-            self.phase, other.phase
+    def kron(self, other: "PauliOperator") -> "PauliOperator":
+        return PauliOperator(
+            self.m + other.m,
+            self.x << other.m | other.x,
+            self.z << other.m | other.z,
+            self.k + other.k,
         )
 
-    def kron(self, other: "MonomialOperator") -> "MonomialOperator":
-        d2 = other.dim
-        perm = (self.perm[:, None] * d2 + other.perm[None, :]).ravel()
-        phase = ((self.phase[:, None] + other.phase[None, :]) % 4).ravel()
-        return MonomialOperator(perm.astype(np.int32), phase.astype(np.int8))
+    def commutation_parity(self, other: "PauliOperator") -> int:
+        """0 if the two strings commute, 1 if they anticommute."""
+        self._check_dim(other)
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) & 1
 
     def is_hermitian(self) -> bool:
         return self == self.adjoint()
 
     def scalar_of_identity(self) -> complex | None:
         """The scalar c with self == c * identity, if any."""
-        if not np.array_equal(self.perm, np.arange(self.dim)):
+        if self.x or self.z:
             return None
-        if not np.all(self.phase == self.phase[0]):
-            return None
-        return PHASES[int(self.phase[0])]
+        return PHASES[self.k]
+
+    def _row_columns_and_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column and phase exponent of the sole nonzero entry of each row."""
+        rows = np.arange(self.dim, dtype=np.int64)
+        cols = rows ^ self.x
+        signs = np.zeros(self.dim, dtype=np.int64)
+        for bit in range(self.m):
+            signs ^= (cols >> bit) & (self.z >> bit) & 1
+        return cols, (self.k + 2 * signs) % 4
 
     def to_dense(self) -> np.ndarray:
+        cols, phases = self._row_columns_and_phases()
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        out[np.arange(self.dim), self.perm] = np.asarray(PHASES)[self.phase]
+        out[np.arange(self.dim), cols] = np.asarray(PHASES)[phases]
         return out
 
     def triples(self) -> list[tuple[int, int, int]]:
         """Debug serialization: (row, col, phase exponent), row-major."""
-        return [(r, int(self.perm[r]), int(self.phase[r])) for r in range(self.dim)]
-
-    def __repr__(self) -> str:
-        return f"MonomialOperator(dim={self.dim})"
+        cols, phases = self._row_columns_and_phases()
+        return [(r, int(cols[r]), int(phases[r])) for r in range(self.dim)]
 
 
-def _pauli(k: int) -> MonomialOperator:
-    perm, phase = {
-        0: ([0, 1], [0, 0]),  # identity
-        1: ([1, 0], [0, 0]),  # sigma_1
-        2: ([1, 0], [3, 1]),  # sigma_2
-        3: ([0, 1], [0, 2]),  # sigma_3
-    }[k]
-    return MonomialOperator(np.array(perm, dtype=np.int32), np.array(phase, dtype=np.int8))
-
-
-def _pauli_chain(codes: list[int]) -> MonomialOperator:
-    return reduce(lambda x, y: x.kron(y), (_pauli(c) for c in codes))
-
-
-def gamma(j: int, m: int) -> MonomialOperator:
+def gamma(j: int, m: int) -> PauliOperator:
     """Generator j of the 2m-generator Clifford algebra, dimension 2**m.
 
     gamma_1 is a pure sigma_1 tensor chain; for j >= 2 a sigma_3 factor sits
@@ -149,46 +144,47 @@ def gamma(j: int, m: int) -> MonomialOperator:
     """
     if not 1 <= j <= m:
         raise ValueError(f"index {j} out of range 1..{m}")
-    if j == 1:
-        return _pauli_chain([1] * m)
-    return _pauli_chain([1] * (m - j + 1) + [3] + [0] * (j - 2))
+    return PauliOperator(m, _leading_ones(j, m), 0 if j == 1 else 1 << (j - 2))
 
 
-def gamma_tilde(j: int, m: int) -> MonomialOperator:
+def gamma_tilde(j: int, m: int) -> PauliOperator:
     """Generator j+m of the same algebra: sigma_2 after m-j sigma_1 factors.
 
-    Has its nonzero entries at the same positions as gamma(j, m).
+    Has the same x bits, so its nonzero entries sit at the same positions,
+    as gamma(j, m).
     """
     if not 1 <= j <= m:
         raise ValueError(f"index {j} out of range 1..{m}")
-    return _pauli_chain([1] * (m - j) + [2] + [0] * (j - 1))
+    return PauliOperator(m, _leading_ones(j, m), 1 << (j - 1), 1)
 
 
-def big_gamma(j: int, m: int) -> MonomialOperator:
-    """i * gamma_j * gamma_tilde_j: diagonal, hermitian, squares to identity."""
-    return (gamma(j, m) @ gamma_tilde(j, m)).scale(1)
+def big_gamma(j: int, m: int) -> PauliOperator:
+    """i * gamma_j * gamma_tilde_j: diagonal, hermitian, squares to identity.
+
+    The sigma_1 factors cancel and the sigma_3 and sigma_2 factors leave
+    -Z on the one or two tensor factors they occupy.
+    """
+    if not 1 <= j <= m:
+        raise ValueError(f"index {j} out of range 1..{m}")
+    return PauliOperator(m, 0, (3 << (j - 2)) if j > 1 else 1, 2)
 
 
-def mul(x: MonomialOperator, y: MonomialOperator) -> MonomialOperator:
-    """Exact product; phases composed mod 4."""
-    return x @ y
+def _leading_ones(j: int, m: int) -> int:
+    # sigma_1 on the first m-j+1 tensor factors, i.e. the top m-j+1 bits
+    return ((1 << (m - j + 1)) - 1) << (j - 1)
 
 
-def proportional(x: MonomialOperator, y: MonomialOperator) -> complex | None:
+def proportional(x: PauliOperator, y: PauliOperator) -> complex | None:
     """The scalar i**k with x == i**k * y, or None if no such scalar exists."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if not np.array_equal(x.perm, y.perm):
+    x._check_dim(y)
+    if (x.x, x.z) != (y.x, y.z):
         return None
-    diff = (x.phase - y.phase) % 4
-    if not np.all(diff == diff[0]):
-        return None
-    return PHASES[int(diff[0])]
+    return PHASES[(x.k - y.k) % 4]
 
 
-def commutes(x: MonomialOperator, y: MonomialOperator) -> bool:
-    return x @ y == y @ x
+def commutes(x: PauliOperator, y: PauliOperator) -> bool:
+    return x.commutation_parity(y) == 0
 
 
-def anticommutes(x: MonomialOperator, y: MonomialOperator) -> bool:
-    return x @ y == -(y @ x)
+def anticommutes(x: PauliOperator, y: PauliOperator) -> bool:
+    return x.commutation_parity(y) == 1

@@ -1,7 +1,7 @@
 """Model families of graded supersymmetric quantum mechanics.
 
 Every family realizes the full graded algebra {H, Q_a, Z_ab} as tensor
-operators: an exact monomial Clifford factor times a formal 2x2 ladder
+operators: an exact Pauli-string Clifford factor times a formal 2x2 ladder
 block.  The minimal family uses the smallest Clifford algebra (two block
 types distinguish the last degree component), the next-to-minimal and
 maximal families use a single supercharge block with per-degree generator
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .clifford import MonomialOperator, big_gamma, gamma, gamma_tilde
+from .clifford import PauliOperator, big_gamma, gamma, gamma_tilde
 from .grading import (
     MAX_RANK,
     DegreeVector,
@@ -41,9 +41,9 @@ class ModelSpecError(ValueError):
 
 @dataclass(frozen=True)
 class GradedOperator:
-    """Tensor operator: monomial Clifford factor x formal ladder block."""
+    """Tensor operator: Pauli-string Clifford factor x formal ladder block."""
 
-    clifford: MonomialOperator
+    clifford: PauliOperator
     block: SqmBlock
     degree: DegreeVector
     role: str
@@ -196,12 +196,12 @@ def minimal_phase_exponent(a: DegreeVector) -> int:
     return hermitizing_phase(a, a.n - 1)
 
 
-def _gamma_word(bits: tuple[int, ...], m: int) -> MonomialOperator:
+def _gamma_word(bits: tuple[int, ...], m: int) -> PauliOperator:
     ops = [gamma(j, m) for j in range(1, len(bits) + 1) if bits[j - 1]]
-    return reduce(lambda x, y: x @ y, ops, MonomialOperator.identity(1 << m))
+    return reduce(lambda x, y: x @ y, ops, PauliOperator.identity(1 << m))
 
 
-def _check_generator(g: MonomialOperator, what: str) -> None:
+def _check_generator(g: PauliOperator, what: str) -> None:
     assert g.is_hermitian(), f"{what} is not hermitian"
     assert (g @ g).scalar_of_identity() == 1, f"{what} does not square to identity"
 
@@ -214,7 +214,7 @@ def _ordered_degrees(spec: ModelSpec) -> list[DegreeVector]:
 
 
 def _assemble_product_family(
-    spec: ModelSpec, degrees: list[DegreeVector], gens: list[MonomialOperator]
+    spec: ModelSpec, degrees: list[DegreeVector], gens: list[PauliOperator]
 ) -> Model:
     """Families of the form Q_a = G_a x qblock, Z_ab = c * G_a G_b x hblock."""
     qb, hb, _ = canonical_blocks()
@@ -235,7 +235,7 @@ def _assemble_product_family(
                 (a, b),
             )
     ham = GradedOperator(
-        MonomialOperator.identity(gens[0].dim), hb, DegreeVector.zero(spec.n), HAMILTONIAN
+        PauliOperator.identity(gens[0].dim), hb, DegreeVector.zero(spec.n), HAMILTONIAN
     )
     return Model(spec, tuple(degrees), ham, supercharges, centrals)
 
@@ -255,7 +255,7 @@ def build_minimal(n: int, ordering: str = "default") -> Model:
     iqs = (qb @ sb) * 1j
     hs = hb @ sb
 
-    factors: dict[DegreeVector, MonomialOperator] = {}
+    factors: dict[DegreeVector, PauliOperator] = {}
     for a in degrees:
         x = _gamma_word(a.bits[:m], m).scale(minimal_phase_exponent(a))
         _check_generator(x, f"generator for degree {a}")
@@ -276,7 +276,7 @@ def build_minimal(n: int, ordering: str = "default") -> Model:
                 block = hs * ((-1) ** b.bits[-1] * 1j**d)
             centrals[(a, b)] = GradedOperator(cliff, block, a + b, CENTRAL, (a, b))
     ham = GradedOperator(
-        MonomialOperator.identity(1 << m), hb, DegreeVector.zero(n), HAMILTONIAN
+        PauliOperator.identity(1 << m), hb, DegreeVector.zero(n), HAMILTONIAN
     )
     return Model(spec, tuple(degrees), ham, supercharges, centrals)
 
@@ -294,7 +294,7 @@ def build_next(n: int, ordering: str = "default") -> Model:
     gens = []
     for a in degrees:
         if a == ones:
-            gens.append(MonomialOperator.identity(1 << n))
+            gens.append(PauliOperator.identity(1 << n))
         else:
             gens.append(_gamma_word(a.bits, n).scale(hermitizing_phase(a, n)))
     return _assemble_product_family(spec, degrees, gens)
@@ -317,12 +317,12 @@ def build_maximal(n: int, ordering: str = "default") -> Model:
 
     gens = [gamma(1, mp)]
     for k in range(2, M):
-        g = MonomialOperator.identity(dim)
+        g = PauliOperator.identity(dim)
         for j in range(1, k):
             if dot(degrees[j - 1], degrees[k - 1]):
                 g = g @ involutions[j - 1]
         gens.append(g @ gamma(k, mp))
-    last = MonomialOperator.identity(dim)
+    last = PauliOperator.identity(dim)
     for j in range(1, M):
         if not dot(degrees[j - 1], degrees[M - 1]):
             last = last @ involutions[j - 1]
@@ -330,11 +330,11 @@ def build_maximal(n: int, ordering: str = "default") -> Model:
     return _assemble_product_family(spec, degrees, gens)
 
 
-def _product(*ops: MonomialOperator) -> MonomialOperator:
+def _product(*ops: PauliOperator) -> PauliOperator:
     return reduce(lambda x, y: x @ y, ops)
 
 
-def _n4cl12_generators() -> list[MonomialOperator]:
+def _n4cl12_generators() -> list[PauliOperator]:
     m = 6
     g = [None] + [gamma(j, m) for j in range(1, m + 1)]
     gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
@@ -351,7 +351,7 @@ def _n4cl12_generators() -> list[MonomialOperator]:
     ]
 
 
-def _n4cl10_generators() -> list[MonomialOperator]:
+def _n4cl10_generators() -> list[PauliOperator]:
     m = 5
     g = [None] + [gamma(j, m) for j in range(1, m + 1)]
     gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
@@ -368,7 +368,7 @@ def _n4cl10_generators() -> list[MonomialOperator]:
     ]
 
 
-def _n5cl28_generators() -> list[MonomialOperator]:
+def _n5cl28_generators() -> list[PauliOperator]:
     m = 14
     g = [None] + [gamma(j, m) for j in range(1, m + 1)]
     gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
@@ -393,7 +393,7 @@ def _n5cl28_generators() -> list[MonomialOperator]:
     ]
 
 
-def _n5cl26_generators() -> list[MonomialOperator]:
+def _n5cl26_generators() -> list[PauliOperator]:
     m = 13
     g = [None] + [gamma(j, m) for j in range(1, m + 1)]
     gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
@@ -431,22 +431,6 @@ def build_custom(family: str) -> Model:
     spec = ModelSpec(family, CUSTOM_FAMILY_RANKS[family])
     degrees = _ordered_degrees(spec)
     return _assemble_product_family(spec, degrees, _CUSTOM_TABLES[family]())
-
-
-def build_n4_cl12() -> Model:
-    return build_custom("n4cl12")
-
-
-def build_n4_cl10() -> Model:
-    return build_custom("n4cl10")
-
-
-def build_n5_cl28() -> Model:
-    return build_custom("n5cl28")
-
-
-def build_n5_cl26() -> Model:
-    return build_custom("n5cl26")
 
 
 def build(spec: ModelSpec) -> Model:

@@ -1,24 +1,22 @@
 """Exact verification engine for built models.
 
-All algebraic checks are exact: Clifford factors are compared through
-monomial integer arithmetic and ladder blocks through free word sums, so a
-passing check has zero residual by construction, not small residual.  Rank
-questions are decided over exact Gaussian-rational arithmetic.  Floating
-point appears only where spectra are genuinely numeric.
+Every Clifford factor is a Pauli string (see :mod:`graded_sqm.clifford`)
+and every ladder block a free word matrix, so all algebraic checks are
+exact: a passing check has zero residual by construction, not small
+residual.  Distinct Pauli strings are linearly independent, which turns
+zero tests, ranks, orbits and operator closures into closed forms over
+GF(2), the two-element field (Dehaene & De Moor, quant-ph/0304125).
+Floating point appears only where spectra are genuinely numeric.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import PHASES, MonomialOperator, phase_exponent, proportional
+from .clifford import PHASES, PauliOperator
 from .grading import DegreeVector, bracket_kind, bracket_sign, dot
 from .models import GradedOperator, Model
 from .sqm_block import (
@@ -30,14 +28,9 @@ from .sqm_block import (
 )
 
 MAX_SPECTRUM_DIM = 1 << 20
-MAX_CLOSURE_SIZE = 1 << 18
 
 FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
-
-
-class ClosureSizeError(RuntimeError):
-    """Operator closure exceeded the configured size guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,85 +40,34 @@ class ClosureSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TensorTerm:
-    mono: MonomialOperator
+    clifford: PauliOperator
     block: SqmBlock
 
 
 class TensorSum:
-    """Formal sum of (monomial x block) tensor operators.
+    """Formal sum of (Pauli string x block) tensor operators.
 
     Supports one question, asked exactly: is the sum the zero operator?
-    Rows of the Clifford factors are grouped by their column-collision
-    pattern and phase signature, so the number of symbolic block checks is
-    tiny regardless of dimension.
+    Distinct Pauli strings are linearly independent, so the sum vanishes
+    exactly when, for each string, the blocks of the terms carrying it,
+    weighted by their phases, add up to the zero block.
     """
 
     def __init__(self, terms: Iterable[TensorTerm]):
         self.terms = [t for t in terms if not t.block.is_zero()]
-        dims = {t.mono.dim for t in self.terms}
+        dims = {t.clifford.dim for t in self.terms}
         if len(dims) > 1:
             raise ValueError(f"mixed clifford dimensions in tensor sum: {sorted(dims)}")
 
     def residual(self) -> str | None:
         """None if the sum is exactly zero, else a short description."""
-        if not self.terms:
-            return None
-        k = len(self.terms)
-        if k == 1:
-            return f"single nonzero term {self.terms[0].block!r}"
-        if k == 2:
-            return self._residual_pair()
-        dim = self.terms[0].mono.dim
-        perms = [t.mono.perm for t in self.terms]
-        phases = [t.mono.phase for t in self.terms]
-
-        # code[t] = first term index whose column agrees with term t, rowwise
-        code = np.empty((k, dim), dtype=np.int8)
-        for t in range(k):
-            code[t] = t
-            for tp in range(t):
-                hit = (perms[tp] == perms[t]) & (code[t] == t)
-                code[t][hit] = tp
-
-        if (k**k) * (4**k) < (1 << 62):
-            sig = np.zeros(dim, dtype=np.int64)
-            for t in range(k):
-                sig *= k
-                sig += code[t]
-            for t in range(k):
-                sig *= 4
-                sig += phases[t]
-            _, reps = np.unique(sig, return_index=True)
-        else:
-            pack = np.concatenate([code, np.stack(phases)]).T
-            _, reps = np.unique(pack, axis=0, return_index=True)
-
-        for r in reps:
-            groups: dict[int, list[int]] = {}
-            for t in range(k):
-                groups.setdefault(int(code[t, r]), []).append(t)
-            for members in groups.values():
-                total = SqmBlock.zero()
-                for t in members:
-                    total = total + self.terms[t].block * PHASES[int(phases[t][r])]
-                if not total.is_zero():
-                    return (
-                        f"nonzero residual block {total!r} on clifford rows like {int(r)}"
-                    )
-        return None
-
-    def _residual_pair(self) -> str | None:
-        # two terms: either their supports split somewhere (nonzero residual
-        # for sure, both blocks being nonzero) or the rowwise condition
-        # i**p1 * B1 + i**p2 * B2 = 0 depends only on the phase difference
-        t1, t2 = self.terms
-        if not np.array_equal(t1.mono.perm, t2.mono.perm):
-            return "supports of the two terms do not coincide"
-        delta = (t1.mono.phase.astype(np.int16) - t2.mono.phase) % 4
-        for d in np.unique(delta):
-            total = t1.block * PHASES[int(d)] + t2.block
+        groups: dict[tuple[int, int], SqmBlock] = {}
+        for t in self.terms:
+            key = (t.clifford.x, t.clifford.z)
+            groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
+        for (x, z), total in groups.items():
             if not total.is_zero():
-                return f"nonzero residual block {total!r} at phase offset {int(d)}"
+                return f"nonzero residual block {total!r} on clifford string x={x} z={z}"
         return None
 
     def is_zero(self) -> bool:
@@ -196,16 +138,7 @@ class RelationReport:
         return "\n".join(lines)
 
 
-def _run_checks(
-    jobs: int, tasks: Sequence[tuple], worker: Callable[[tuple], PairCheck]
-) -> tuple[PairCheck, ...]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(worker, tasks))
-    return tuple(map(worker, tasks))
-
-
-def check_defining_relations(model: Model, jobs: int = 1) -> RelationReport:
+def check_defining_relations(model: Model) -> RelationReport:
     """Exact check of the graded bracket of every ordered supercharge pair.
 
     The bracket of a supercharge with itself must be exactly twice the
@@ -215,157 +148,123 @@ def check_defining_relations(model: Model, jobs: int = 1) -> RelationReport:
     which exercises the antisymmetry convention of the derived accessor.
     """
     degrees = model.odd_degrees
-
-    def worker(pair: tuple[DegreeVector, DegreeVector]) -> PairCheck:
-        a, b = pair
-        qa, qb = model.supercharge(a), model.supercharge(b)
-        terms = graded_bracket_terms(qa, qb)
-        if a == b:
-            ham = model.hamiltonian
-            terms.append(TensorTerm(ham.clifford, ham.block * (-2)))
-        else:
-            z = model.central(a, b)
-            coeff = -2 * PHASES[(1 - dot(a, b)) % 4]
-            terms.append(TensorTerm(z.clifford, z.block * coeff))
-        res = TensorSum(terms).residual()
-        return PairCheck(f"Q[{a}]", f"Q[{b}]", bracket_kind(a, b), res is None, res)
-
-    tasks = [(a, b) for a in degrees for b in degrees]
-    return RelationReport(
-        model.spec.selector, "defining-relations", pair_results=_run_checks(jobs, tasks, worker)
-    )
+    results = []
+    for a in degrees:
+        for b in degrees:
+            qa, qb = model.supercharge(a), model.supercharge(b)
+            terms = graded_bracket_terms(qa, qb)
+            if a == b:
+                ham = model.hamiltonian
+                terms.append(TensorTerm(ham.clifford, ham.block * (-2)))
+            else:
+                z = model.central(a, b)
+                coeff = -2 * PHASES[(1 - dot(a, b)) % 4]
+                terms.append(TensorTerm(z.clifford, z.block * coeff))
+            res = TensorSum(terms).residual()
+            results.append(PairCheck(f"Q[{a}]", f"Q[{b}]", bracket_kind(a, b), res is None, res))
+    return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
 
-def _formal_swap_exponent(b1: SqmBlock, b2: SqmBlock) -> int | None:
-    """Exponent e with b2 @ b1 == i**e * (b1 @ b2) as free word matrices.
+def _parity(v: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each nonnegative int64 entry."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
 
-    None when the products vanish or are not proportional; callers then use
-    the generic tensor-sum path.
+
+def _sweep_bits(ops: Sequence[GradedOperator]) -> tuple[np.ndarray, np.ndarray]:
+    """Bits of each operator for :func:`_vanishing`, and the form table.
+
+    Returns a (4, len(ops)) int64 array of Pauli x, Pauli z, degree mask
+    and form index, where a form is a proportionality class of blocks, and
+    the table whose entry [f, g, s] says whether F_f F_g == (-1)**s F_g F_f
+    for representatives F of the forms.
     """
-    p12 = b1 @ b2
-    p21 = b2 @ b1
-    if p12.is_zero() or p21.is_zero():
-        return None
-    s = p21.proportional(p12)
-    if s is None or s not in (1, 1j, -1, -1j, 1 + 0j, -1 + 0j):
-        return None
-    return phase_exponent(s)
-
-
-def _batched_vanishing(
-    rows: Sequence[GradedOperator], cols: Sequence[GradedOperator], start_from_row: bool
-) -> np.ndarray | None:
-    """Boolean matrix: does the graded bracket of rows[i] with cols[j] vanish?
-
-    Exact but fast: when the ladder blocks of a pair commute up to a phase,
-    the bracket collapses to one monomial comparison with a phase offset,
-    vectorized over all column operators at once.  Returns None when any
-    pair falls outside that reduction (callers then go pairwise).
-    When ``start_from_row`` is set, only j > i entries are computed.
-    """
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)), dtype=bool)
-    blocks: list[SqmBlock] = []
-    block_index: dict[int, int] = {}
+    forms: list[SqmBlock] = []
 
     def form_of(op: GradedOperator) -> int:
-        for fi, blk in enumerate(blocks):
-            if op.block.proportional(blk) is not None:
-                return fi
-        blocks.append(op.block)
-        return len(blocks) - 1
+        for f, block in enumerate(forms):
+            if op.block.proportional(block) is not None:
+                return f
+        forms.append(op.block)
+        return len(forms) - 1
 
-    row_form = [form_of(u) for u in rows]
-    col_form = [form_of(v) for v in cols]
-    swap: dict[tuple[int, int], int] = {}
-    for f in set(row_form):
-        for g in set(col_form):
-            e = _formal_swap_exponent(blocks[f], blocks[g])
-            if e is None:
-                return None
-            swap[(f, g)] = e
-
-    dim = rows[0].clifford.dim
-    pm = np.stack([v.clifford.perm for v in cols])
-    ph = np.stack([v.clifford.phase for v in cols]).astype(np.int16)
-    row_bits = np.stack([np.array(u.degree.bits, dtype=np.int16) for u in rows])
-    col_bits = np.stack([np.array(v.degree.bits, dtype=np.int16) for v in cols])
-    dots = (row_bits @ col_bits.T) & 1
-
-    ok = np.zeros((len(rows), len(cols)), dtype=bool)
-    for i, u in enumerate(rows):
-        j0 = i + 1 if start_from_row else 0
-        if j0 >= len(cols):
-            continue
-        perm_u = u.clifford.perm
-        ph_u = u.clifford.phase.astype(np.int16)
-        offs = np.array(
-            [(2 * dots[i, j] + swap[(row_form[i], col_form[j])]) % 4 for j in range(j0, len(cols))],
-            dtype=np.int16,
-        )
-        pm_v = pm[j0:]
-        ph_v = ph[j0:]
-        perm_match = (pm_v[:, perm_u] == np.take(perm_u, pm_v)).all(axis=1)
-        delta = ph_u[None, :] + ph_v[:, perm_u] - ph_v - np.take(ph_u, pm_v)
-        phase_match = ((delta - offs[:, None]) % 4 == 0).all(axis=1)
-        ok[i, j0:] = perm_match & phase_match
-    return ok
+    bits = np.array(
+        [[op.clifford.x, op.clifford.z, op.degree.mask, form_of(op)] for op in ops],
+        dtype=np.int64,
+    ).reshape(len(ops), 4).T
+    table = np.zeros((len(forms), len(forms), 2), dtype=bool)
+    for f, bf in enumerate(forms):
+        for g, bg in enumerate(forms):
+            fg, gf = bf @ bg, bg @ bf
+            table[f, g] = (fg == gf, fg == -gf)
+    return bits, table
 
 
-def check_centrality(model: Model, jobs: int = 1) -> RelationReport:
+def _vanishing(rows: np.ndarray, cols: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Boolean matrix: does the graded bracket of row i with column j vanish?
+
+    Write u = P_u x c_u F_f and v = P_v x c_v F_g, with P a Pauli string, c
+    a nonzero scalar and F the representative of the block's form.  Then
+    P_v P_u = (-1)**w P_u P_v, w the commutation parity of the strings, and
+    the bracket is P_u P_v x c_u c_v (F_f F_g - sigma F_g F_f) with
+    sigma = (-1)**(a.b + w), a.b the degree inner product.  It vanishes
+    exactly when F_f F_g == sigma F_g F_f, a lookup in the form table.
+    ``rows`` and ``cols`` are column slices of :func:`_sweep_bits` output.
+    """
+    rx, rz, rd, rf = (r[:, None] for r in rows)
+    cx, cz, cd, cf = cols
+    return table[rf, cf, _parity((rx & cz) ^ (rz & cx) ^ (rd & cd))]
+
+
+def check_centrality(model: Model) -> RelationReport:
     """Exact vanishing of every bracket involving the Hamiltonian or a
     central element: [H, Q], [H, Z], bracket(Z, Q), bracket(Z, Z').
 
     Hamiltonian and central-vs-supercharge brackets get one entry per pair;
     the central-vs-central sweep is quadratic in the central count, so its
-    results are aggregated into one entry per left element.
+    results are aggregated into one entry per left element.  Every pair is
+    decided by :func:`_vanishing`, vectorized over the operators' bits; the
+    tensor sum of a bracket is formed only to describe the residual of a
+    failing pair.
     """
-
-    def worker(task: tuple[GradedOperator, GradedOperator]) -> PairCheck:
-        u, v = task
-        res = TensorSum(graded_bracket_terms(u, v)).residual()
-        return PairCheck(
-            u.label(), v.label(), bracket_kind(u.degree, v.degree), res is None, res
-        )
-
     ham = model.hamiltonian
     charges = list(model.supercharges.values())
     centrals = list(model.centrals.values())
+    ops = model.operators()  # H, then the supercharges, then the centrals
+    labels = {id(op): op.label() for op in ops}
+    bits, table = _sweep_bits(ops)
+    zbits = bits[:, 1 + len(charges) :]
     results: list[PairCheck] = []
-    tasks = [(ham, q) for q in charges] + [(ham, z) for z in centrals]
-    results += _run_checks(jobs, tasks, worker)
 
-    zq = _batched_vanishing(centrals, charges, start_from_row=False)
-    if zq is None:
-        results += _run_checks(jobs, [(z, q) for z in centrals for q in charges], worker)
-    else:
-        for i, z in enumerate(centrals):
-            for j, q in enumerate(charges):
-                good = bool(zq[i, j])
-                res = None if good else worker((z, q)).residual
-                results.append(
-                    PairCheck(z.label(), q.label(), bracket_kind(z.degree, q.degree), good, res)
-                )
+    def record(u: GradedOperator, v: GradedOperator, ok: bool) -> None:
+        res = None if ok else TensorSum(graded_bracket_terms(u, v)).residual()
+        kind = bracket_kind(u.degree, v.degree)
+        results.append(PairCheck(labels[id(u)], labels[id(v)], kind, ok, res))
 
-    zz = _batched_vanishing(centrals, centrals, start_from_row=True)
-    if zz is None:
-        pairs = [
-            (centrals[i], centrals[j])
-            for i in range(len(centrals))
-            for j in range(i + 1, len(centrals))
-        ]
-        results += _run_checks(jobs, pairs, worker)
-    else:
-        for i, z in enumerate(centrals[:-1]):
-            row = zz[i, i + 1 :]
-            if row.all():
+    for v, ok in zip(ops[1:], _vanishing(bits[:, :1], bits[:, 1:], table)[0]):
+        record(ham, v, bool(ok))
+    zq = _vanishing(zbits, bits[:, 1 : 1 + len(charges)], table)
+    for z, row in zip(centrals, zq):
+        for q, ok in zip(charges, row):
+            record(z, q, bool(ok))
+
+    # row chunks keep each temporary of the Z-Z sweep near 2**20 entries;
+    # the last central element has no later partner
+    last = len(centrals) - 1
+    step = max(1, (1 << 20) // max(1, len(centrals)))
+    for start in range(0, last, step):
+        chunk = _vanishing(zbits[:, start : min(start + step, last)], zbits, table)
+        for i, row in enumerate(chunk, start):
+            later = row[i + 1 :]
+            z = centrals[i]
+            if later.all():
                 results.append(
-                    PairCheck(z.label(), f"{len(row)} later central elements", "graded", True)
+                    PairCheck(labels[id(z)], f"{len(later)} later central elements", "graded", True)
                 )
             else:
-                for j in np.flatnonzero(~row):
-                    bad = centrals[i + 1 + int(j)]
-                    results.append(worker((z, bad)))
+                for j in np.flatnonzero(~later):
+                    record(z, centrals[i + 1 + int(j)], False)
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)
     )
@@ -376,96 +275,13 @@ def check_centrality(model: Model, jobs: int = 1) -> RelationReport:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_rank(rows: list[tuple[complex, ...]]) -> int:
-    """Exact rank over the Gaussian rationals of small constraint matrices."""
-    work = [
-        [(Fraction(int(z.real)), Fraction(int(z.imag))) for z in row] for row in rows
-    ]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(work)) if work[r][col] != (0, 0)), None
-        )
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pre, pim = work[rank][col]
-        norm = pre * pre + pim * pim
-        for r in range(len(work)):
-            if r == rank or work[r][col] == (0, 0):
-                continue
-            are, aim = work[r][col]
-            # factor = a / p over Q(i)
-            fre = (are * pre + aim * pim) / norm
-            fim = (aim * pre - are * pim) / norm
-            work[r] = [
-                (
-                    bre - (fre * cre - fim * cim),
-                    bim - (fre * cim + fim * cre),
-                )
-                for (bre, bim), (cre, cim) in zip(work[r], work[rank])
-            ]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def pauli_rank(paulis: Iterable[PauliOperator]) -> int:
+    """Exact rank of the span of a set of Pauli strings.
 
-
-def monomial_set_rank(monos: Sequence[MonomialOperator]) -> int:
-    """Exact rank of the span of a set of monomial operators.
-
-    A vanishing combination must vanish entrywise; grouping matrix rows by
-    column collisions and phases yields a small exact constraint system for
-    the coefficients, whose rank equals the rank of the span.
+    Distinct strings are linearly independent and equal strings are
+    proportional, so the rank is the number of distinct (x, z).
     """
-    k = len(monos)
-    if k == 0:
-        return 0
-    if k == 1:
-        return 1
-    dim = monos[0].dim
-    # A term owning any uncontested matrix position cannot take part in a
-    # vanishing combination; split such terms off and recurse on the
-    # contested remainder, which is tiny for all model families.
-    keys = np.empty((k, dim), dtype=np.int64)
-    rows = np.arange(dim, dtype=np.int64) * dim
-    for t, m in enumerate(monos):
-        keys[t] = rows + m.perm
-    flat = keys.ravel()
-    uniq, counts = np.unique(flat, return_counts=True)
-    per_key = counts[np.searchsorted(uniq, flat)].reshape(k, dim)
-    private = np.any(per_key == 1, axis=1)
-    if private.all():
-        return k
-    if private.any():
-        rest = [m for t, m in enumerate(monos) if not private[t]]
-        return int(private.sum()) + monomial_set_rank(rest)
-
-    perms = np.stack([m.perm for m in monos])
-    phases = np.stack([m.phase for m in monos]).astype(np.int64)
-    code = np.empty_like(perms, dtype=np.int64)
-    for t in range(k):
-        code[t] = t
-        for tp in range(t):
-            hit = (perms[tp] == perms[t]) & (code[t] == t)
-            code[t][hit] = tp
-
-    constraints: set[tuple[complex, ...]] = set()
-    pack = np.concatenate([code, phases]).T
-    _, reps = np.unique(pack, axis=0, return_index=True)
-    for r in reps:
-        groups: dict[int, list[int]] = {}
-        for t in range(k):
-            groups.setdefault(int(code[t, r]), []).append(t)
-        for members in groups.values():
-            row = [0j] * k
-            for t in members:
-                row[t] = PHASES[int(phases[t, r])]
-            constraints.add(tuple(row))
-    return _gaussian_rank(sorted(constraints, key=str))
+    return len({(p.x, p.z) for p in paulis})
 
 
 @dataclass(frozen=True)
@@ -514,26 +330,20 @@ class RankReport:
         return "\n".join(lines)
 
 
-def _fold_block_scalars(
-    ops: Sequence[GradedOperator], base: SqmBlock
-) -> list[MonomialOperator] | None:
-    """Scale clifford factors so all blocks equal ``base``; None if blocks differ."""
-    out = []
-    for z in ops:
-        s = z.block.proportional(base)
-        if s is None:
-            return None
-        out.append(z.clifford.scale(phase_exponent(s)))
-    return out
+def _share_form(ops: Sequence[GradedOperator]) -> bool:
+    """True if every block is a nonzero multiple of the first one."""
+    return all(op.block.proportional(ops[0].block) is not None for op in ops)
 
 
 def central_rank(model: Model) -> RankReport:
     """Group central elements by degree and rank each span exactly.
 
-    Within a degree group all ladder blocks share one form, so block
-    scalars fold into the Clifford factors and the rank question reduces to
-    exact monomial linear algebra.  A model-wide rank is also computed when
-    every block shares the same form (all product families).
+    Within a degree group all ladder blocks share one form, so each element
+    is a nonzero multiple of its Pauli string times that form: the rank is
+    the number of distinct strings, and the proportionality classes are the
+    elements sharing a string, in order of first appearance.  A model-wide
+    rank is also computed when every block shares the same form (all
+    product families).
     """
     groups: dict[DegreeVector, list[GradedOperator]] = {}
     for z in model.centrals.values():
@@ -541,28 +351,18 @@ def central_rank(model: Model) -> RankReport:
 
     entries = []
     for degree, zs in groups.items():
-        monos = _fold_block_scalars(zs, zs[0].block)
-        if monos is None:
+        if not _share_form(zs):
             raise NotImplementedError(
                 f"central elements of degree {degree} have non-proportional blocks"
             )
-        labels = [z.label() for z in zs]
-        # proportionality classes by exact pairwise comparison
-        class_of = list(range(len(monos)))
-        for i in range(len(monos)):
-            if class_of[i] != i:
-                continue
-            for j in range(i + 1, len(monos)):
-                if class_of[j] == j and proportional(monos[i], monos[j]) is not None:
-                    class_of[j] = i
-        classes: dict[int, list[str]] = {}
-        for j, c in enumerate(class_of):
-            classes.setdefault(c, []).append(labels[j])
+        classes: dict[tuple[int, int], list[str]] = {}
+        for z in zs:
+            classes.setdefault((z.clifford.x, z.clifford.z), []).append(z.label())
         entries.append(
             DegreeRankEntry(
                 str(degree),
-                tuple(labels),
-                monomial_set_rank(monos),
+                tuple(z.label() for z in zs),
+                pauli_rank(z.clifford for z in zs),
                 tuple(tuple(c) for c in classes.values()),
             )
         )
@@ -570,11 +370,9 @@ def central_rank(model: Model) -> RankReport:
     all_z = list(model.centrals.values())
     total_rank = None
     all_independent = None
-    if all_z:
-        folded = _fold_block_scalars(all_z, all_z[0].block)
-        if folded is not None:
-            total_rank = monomial_set_rank(folded)
-            all_independent = total_rank == len(all_z)
+    if all_z and _share_form(all_z):
+        total_rank = pauli_rank(z.clifford for z in all_z)
+        all_independent = total_rank == len(all_z)
     return RankReport(
         model.spec.selector, tuple(entries), len(all_z), total_rank, all_independent
     )
@@ -647,7 +445,12 @@ def _cluster(values: np.ndarray, tol: float) -> list[EigenCluster]:
 
 
 def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
-    """Assemble the numeric Hamiltonian, cluster eigenvalues, count modes.
+    """Diagonalize the numeric Hamiltonian, cluster eigenvalues, count modes.
+
+    The Hamiltonian of every family is the Clifford identity times the
+    Hamiltonian block, so its spectrum is the block's spectrum with every
+    eigenvalue repeated clifford-dim times; only the block, of dimension
+    2 x realization dim, is diagonalized.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -662,14 +465,15 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
             f"numeric dimension {total} exceeds guard {MAX_SPECTRUM_DIM}; "
             "reduce the cutoff or grid size"
         )
+    if model.hamiltonian.clifford.scalar_of_identity() != 1:
+        raise ValueError(
+            f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
+        )
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
 
-    hnum = np.kron(
-        model.hamiltonian.clifford.to_dense(),
-        realize(model.hamiltonian.block, realization),
-    )
-    evals = np.linalg.eigvalsh(hnum)
+    block = realize(model.hamiltonian.block, realization)
+    evals = np.repeat(np.linalg.eigvalsh(block), cliffdim)
     all_clusters = _cluster(evals, tol)
 
     kernel_a, kernel_ad = ground_state_pair(realization)
@@ -767,43 +571,34 @@ class OrbitReport:
         )
 
 
+def _gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of bit vectors packed into integers."""
+    basis: list[int] = []
+    for v in vectors:
+        # each basis vector clears its own highest bit from v
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
 def orbit_decomposition(model: Model) -> OrbitReport:
     """Connected components of the tensor-basis lines under the supercharges.
 
-    Every supercharge maps a basis line to a single basis line (monomial
-    Clifford factor, antidiagonal block), so reducibility questions about a
-    fixed eigenspace become connectivity questions on an index graph.
+    A supercharge with Pauli factor i**k X**x Z**z and an antidiagonal block
+    maps basis line (c, i) to a multiple of line (c ^ x, 1 - i).  The
+    component of a line is therefore its coset under the GF(2) span of the
+    vectors (x_q, 1): with r the rank of that span there are 2**(m+1-r)
+    components, each of size 2**r.
     """
-    cliffdim = model.clifford_dim
-    n_nodes = 2 * cliffdim
-    parent = list(range(n_nodes))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
     for q in model.supercharges.values():
         if not q.block.is_antidiagonal():
             raise ValueError(f"{q.label()} has a non-antidiagonal block")
-        perm = q.clifford.perm
-        for r in range(cliffdim):
-            c = int(perm[r])
-            union(2 * r, 2 * c + 1)
-            union(2 * r + 1, 2 * c)
-
-    sizes: dict[int, int] = {}
-    for i in range(n_nodes):
-        sizes[find(i)] = sizes.get(find(i), 0) + 1
-    return OrbitReport(
-        model.spec.selector, n_nodes, tuple(sorted(sizes.values(), reverse=True))
-    )
+    m = model.hamiltonian.clifford.m
+    r = _gf2_rank(q.clifford.x << 1 | 1 for q in model.supercharges.values())
+    sizes = (1 << r,) * (1 << (m + 1 - r))
+    return OrbitReport(model.spec.selector, 2 * model.clifford_dim, sizes)
 
 
 def _block_pattern(block: SqmBlock) -> tuple[int, int]:
@@ -834,44 +629,18 @@ def _block_pattern(block: SqmBlock) -> tuple[int, int]:
     raise ValueError(f"block entries have non-real ratio {ratio!r}")
 
 
-def _closure_key(mono: MonomialOperator, pattern: tuple[int, int]) -> bytes:
-    rel = ((mono.phase - mono.phase[0]) % 4).astype(np.int8)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(mono.perm.tobytes())
-    h.update(rel.tobytes())
-    return h.digest() + bytes(pattern)
-
-
-def count_generated_operators(model: Model, limit: int = MAX_CLOSURE_SIZE) -> int:
+def count_generated_operators(model: Model) -> int:
     """Size of the supercharge-generated operator set, counted up to scalars.
 
     Elements are classes (Clifford factor up to phase, block pattern in the
-    four-element quotient of the block group); products are taken until the
-    set closes.  Raises ClosureSizeError beyond ``limit`` elements.
+    four-element quotient of the block group).  A product XORs both the
+    string bits (x, z) and the pattern bits, and every class is its own
+    inverse, so the set is the GF(2) span of the supercharges' vectors
+    (x, z, anti, sign) and has 2**rank elements.
     """
-    gens = [
-        (q.clifford, _block_pattern(q.block)) for q in model.supercharges.values()
-    ]
-    ident = (MonomialOperator.identity(model.clifford_dim), (0, 0))
-    seen = {_closure_key(*ident)}
-    frontier = [ident]
-    while frontier:
-        new: list[tuple[MonomialOperator, tuple[int, int]]] = []
-        for mono, pat in frontier:
-            for gm, gp in gens:
-                cand = (mono @ gm, (pat[0] ^ gp[0], pat[1] ^ gp[1]))
-                key = _closure_key(*cand)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(cand)
-                    if len(seen) > limit:
-                        raise ClosureSizeError(
-                            f"operator closure exceeded {limit} elements for "
-                            f"{model.spec.selector}"
-                        )
-        frontier = new
-    return len(seen)
-
-
-def report_to_json(report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    m = model.hamiltonian.clifford.m
+    vectors = []
+    for q in model.supercharges.values():
+        anti, sign = _block_pattern(q.block)
+        vectors.append((q.clifford.x << m | q.clifford.z) << 2 | anti << 1 | sign)
+    return 1 << _gf2_rank(vectors)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from graded_sqm.clifford import (
-    MonomialOperator,
+    PauliOperator,
     anticommutes,
     commutes,
     gamma,
@@ -280,7 +280,7 @@ def test_criterion_9_negative_controls(capsys, models):
         announce(
             9,
             ok,
-            f"{trials} random single-site phase mutations all detected"
+            f"{trials} random single-site mutations (one bit of x or z, or k + 1..3) all detected"
             + ("" if ok else f"; missed: {undetected}"),
         )
 
@@ -295,7 +295,7 @@ def test_criterion_10_monomial_vs_dense_oracle(capsys):
             gamma_tilde(j, m) for j in range(1, m + 1)
         ]
         dense = [g.to_dense() for g in gens]
-        op = MonomialOperator.identity(1 << m)
+        op = PauliOperator.identity(1 << m)
         mat = np.eye(1 << m, dtype=complex)
         for i in rng.integers(0, len(gens), size=int(rng.integers(1, 9))):
             op = op @ gens[i]
@@ -308,6 +308,6 @@ def test_criterion_10_monomial_vs_dense_oracle(capsys):
         announce(
             10,
             ok,
-            f"monomial vs dense oracle on {words} random words (dim <= 16): "
+            f"Pauli-string vs dense oracle on {words} random words (dim <= 16): "
             f"max abs deviation {max_dev}",
         )

@@ -87,7 +87,7 @@ class TestVerifyCommand:
             "defining-relations",
             pair_results=(PairCheck("Q[01]", "Q[01]", "anticommutator", False, "boom"),),
         )
-        monkeypatch.setattr(cli, "check_defining_relations", lambda m, jobs=1: broken)
+        monkeypatch.setattr(cli, "check_defining_relations", lambda m: broken)
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=2")
         assert code == 1
         assert "FAIL" in out
@@ -107,6 +107,23 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--model", "maximal:n=4")
         assert code == 0
         assert "result: PASS" in out
+
+    def test_jobs_flag_is_ignored(self, capsys, tmp_path):
+        args = ("verify", "--model", "minimal:n=3", "--rank", "--format", "json")
+        _, plain, _ = run(capsys, *args)
+        code, with_jobs, _ = run(capsys, *args, "--jobs", "4")
+        assert code == 0
+        assert with_jobs == plain
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 4\n")
+        _, with_config, _ = run(capsys, *args, "--config", str(cfg))
+        assert with_config == plain
+
+    def test_rank5_counts(self, capsys):
+        for sel in ("n5cl26", "n5cl28"):
+            code, out, _ = run(capsys, "verify", "--model", sel, "--counts")
+            assert code == 0
+            assert "count: 65536" in out
 
 
 class TestSpectrumCommand:
@@ -145,6 +162,27 @@ class TestSpectrumCommand:
         code, out, _ = run(capsys, "spectrum", "--model", "minimal:n=2")
         assert code == 0
         assert "fock(cutoff=8" in out
+
+    def test_maximal_rank5_diagonalizes_the_block_only(self, capsys):
+        # total dimension 589824: the dense Kronecker product would need
+        # terabytes, the Hamiltonian block is 18 x 18
+        code, out, _ = run(
+            capsys, "spectrum", "--model", "maximal:n=5", "--fock", "8", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["zero_modes"] == 32768
+        assert [c["multiplicity"] for c in doc["clusters"]] == [32768] + [65536] * 7
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def exhausted(model, realization):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "spectrum", exhausted)
+        code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2")
+        assert code == 2
+        assert "out of memory" in err
 
     def test_conflicting_realizations(self, capsys):
         code, _, err = run(

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from graded_sqm.clifford import (
-    MonomialOperator,
+    PauliOperator,
     anticommutes,
     big_gamma,
     commutes,
     gamma,
     gamma_tilde,
-    mul,
     proportional,
 )
 
@@ -46,15 +45,15 @@ def all_generators(m):
 
 class TestMonomialArithmetic:
     def test_identity(self):
-        ident = MonomialOperator.identity(4)
+        ident = PauliOperator.identity(4)
         g = gamma(1, 2)
-        assert mul(ident, g) == g
-        assert mul(g, ident) == g
+        assert ident @ g == g
+        assert g @ ident == g
         assert ident.scalar_of_identity() == 1
 
     def test_product_against_dense(self):
         g1, gt1 = gamma(1, 1), gamma_tilde(1, 1)
-        got = mul(g1, gt1).to_dense()
+        got = (g1 @ gt1).to_dense()
         want = SIGMA[1] @ SIGMA[2]  # equals i * sigma_3
         assert np.array_equal(got, want)
         assert np.array_equal(want, 1j * SIGMA[3])
@@ -62,11 +61,11 @@ class TestMonomialArithmetic:
     def test_square_is_identity(self):
         for m in range(1, 5):
             for g in all_generators(m):
-                assert mul(g, g).scalar_of_identity() == 1
+                assert (g @ g).scalar_of_identity() == 1
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            mul(gamma(1, 1), gamma(1, 2))
+            gamma(1, 1) @ gamma(1, 2)
 
     def test_adjoint_matches_dense(self):
         rng = np.random.default_rng(7)
@@ -96,10 +95,12 @@ class TestMonomialArithmetic:
             dense[row, col] = 1j**k
         assert np.array_equal(dense, op.to_dense())
 
-    def test_perm_must_be_bijection(self):
-        bad = MonomialOperator(np.array([0, 0]), np.array([0, 0]))
+    def test_bits_must_fit_the_qubit_count(self):
         with pytest.raises(ValueError):
-            bad.assert_valid()
+            PauliOperator(2, 4, 0)
+        with pytest.raises(ValueError):
+            PauliOperator(2, 0, -1)
+        assert PauliOperator(2, 3, 3, 7).k == 3
 
 
 class TestGammaConstruction:
@@ -121,14 +122,14 @@ class TestGammaConstruction:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_tilde_shares_positions(self, m):
         for j in range(1, m + 1):
-            assert np.array_equal(gamma(j, m).perm, gamma_tilde(j, m).perm)
+            assert gamma(j, m).x == gamma_tilde(j, m).x
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_clifford_relations_exhaustive(self, m):
         gens = all_generators(m)
         for i, x in enumerate(gens):
             assert x.is_hermitian()
-            assert mul(x, x).scalar_of_identity() == 1
+            assert (x @ x).scalar_of_identity() == 1
             for y in gens[i + 1 :]:
                 assert anticommutes(x, y)
 
@@ -147,9 +148,9 @@ class TestBigGamma:
     def test_diagonal_hermitian_idempotent(self, m):
         for j in range(1, m + 1):
             bg = big_gamma(j, m)
-            assert np.array_equal(bg.perm, np.arange(bg.dim))
+            assert bg.x == 0
             assert bg.is_hermitian()
-            assert mul(bg, bg).scalar_of_identity() == 1
+            assert (bg @ bg).scalar_of_identity() == 1
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_mixed_relations(self, m):
@@ -190,7 +191,7 @@ class TestProportional:
 
 class TestDenseOracle:
     def test_random_words_exact(self):
-        # monomial products must equal dense complex products entrywise
+        # Pauli products must equal dense complex products entrywise
         rng = np.random.default_rng(2024)
         for _ in range(300):
             m = int(rng.integers(1, 5))
@@ -198,9 +199,29 @@ class TestDenseOracle:
             dense = [g.to_dense() for g in gens]
             length = int(rng.integers(1, 7))
             idx = rng.integers(0, len(gens), size=length)
-            op = MonomialOperator.identity(1 << m)
+            op = PauliOperator.identity(1 << m)
             mat = np.eye(1 << m, dtype=complex)
             for i in idx:
                 op = op @ gens[i]
                 mat = mat @ dense[i]
             assert np.array_equal(op.to_dense(), mat)
+
+    def test_random_strings_exact(self):
+        # products, adjoints, commutation and kron of arbitrary (x, z, k)
+        # strings, not only gamma words, against their dense matrices
+        rng = np.random.default_rng(99)
+
+        def random_string(m):
+            x, z, k = (int(v) for v in rng.integers(0, [1 << m, 1 << m, 4]))
+            return PauliOperator(m, x, z, k)
+
+        for _ in range(200):
+            m = int(rng.integers(0, 4))
+            p, q = random_string(m), random_string(m)
+            dp, dq = p.to_dense(), q.to_dense()
+            assert np.array_equal((p @ q).to_dense(), dp @ dq)
+            assert np.array_equal(p.adjoint().to_dense(), dp.conj().T)
+            assert p.is_hermitian() == np.array_equal(dp, dp.conj().T)
+            assert commutes(p, q) == np.array_equal(dp @ dq, dq @ dp)
+            assert anticommutes(p, q) == np.array_equal(dp @ dq, -(dq @ dp))
+            assert np.array_equal(p.kron(q).to_dense(), np.kron(dp, dq))

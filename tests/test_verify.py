@@ -1,10 +1,11 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from graded_sqm.clifford import MonomialOperator, gamma
+from graded_sqm.clifford import PauliOperator, gamma
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
     COMMUTATOR,
@@ -17,18 +18,21 @@ from graded_sqm.sqm_block import (
     GridRealization,
     SqmBlock,
     canonical_blocks,
+    realize,
 )
 from graded_sqm.verify import (
-    ClosureSizeError,
     TensorSum,
     TensorTerm,
+    _block_pattern,
+    _sweep_bits,
+    _vanishing,
     central_rank,
     check_centrality,
     check_defining_relations,
     count_generated_operators,
     graded_bracket_terms,
-    monomial_set_rank,
     orbit_decomposition,
+    pauli_rank,
     spectrum,
 )
 
@@ -37,28 +41,22 @@ def dv(*bits):
     return DegreeVector.from_bits(bits)
 
 
-def mono(perm, phase):
-    return MonomialOperator(np.array(perm, dtype=np.int32), np.array(phase, dtype=np.int8))
-
-
 def mutate_model(model: Model, rng) -> Model:
-    """Flip one phase at one random site of one random generator."""
+    """Flip one bit of x or z, or add 1-3 to k, on one random Q or Z."""
     charges = dict(model.supercharges)
     cents = dict(model.centrals)
     pool = [("q", k) for k in charges] + [("z", k) for k in cents]
     kind, key = pool[int(rng.integers(0, len(pool)))]
     target = charges[key] if kind == "q" else cents[key]
-    row = int(rng.integers(0, target.clifford.dim))
-    delta = int(rng.integers(1, 4))
-    phase = np.array(target.clifford.phase, dtype=np.int8).copy()
-    phase[row] = (phase[row] + delta) % 4
-    broken = GradedOperator(
-        MonomialOperator(np.array(target.clifford.perm), phase),
-        target.block,
-        target.degree,
-        target.role,
-        target.pair,
-    )
+    p = target.clifford
+    site = int(rng.integers(0, 3))
+    if site == 0:
+        p = PauliOperator(p.m, p.x ^ (1 << int(rng.integers(0, p.m))), p.z, p.k)
+    elif site == 1:
+        p = PauliOperator(p.m, p.x, p.z ^ (1 << int(rng.integers(0, p.m))), p.k)
+    else:
+        p = p.scale(int(rng.integers(1, 4)))
+    broken = replace(target, clifford=p)
     if kind == "q":
         charges[key] = broken
     else:
@@ -124,10 +122,6 @@ class TestDefiningRelations:
         for p in rep.pair_results:
             if p.left == p.right:
                 assert p.kind == ANTICOMMUTATOR
-
-    def test_threaded_run_matches(self, models):
-        m = models("minimal:n=3")
-        assert check_defining_relations(m, jobs=4).to_dict() == check_defining_relations(m).to_dict()
 
     def test_mutation_detected(self, models):
         rng = np.random.default_rng(5)
@@ -201,35 +195,62 @@ class TestCentrality:
         cen = check_centrality(broken)
         assert not (rel.overall and cen.overall)
 
+    @pytest.mark.parametrize("sel", SMALL_SET)
+    def test_sweep_agrees_with_tensor_sum(self, models, sel):
+        # every ordered pair of H, Q and Z, on the intact model, on three
+        # Pauli-space mutations and on one block-scalar mutation
+        rng = np.random.default_rng(17)
+        model = models(sel)
+        variants = [model] + [mutate_model(model, rng) for _ in range(3)]
+        a = model.odd_degrees[0]
+        charges = dict(model.supercharges)
+        charges[a] = replace(charges[a], block=charges[a].block * 1j)
+        variants.append(
+            Model(model.spec, model.odd_degrees, model.hamiltonian, charges, model.centrals)
+        )
+        for m in variants:
+            ops = m.operators()
+            want = [[TensorSum(graded_bracket_terms(u, v)).is_zero() for v in ops] for u in ops]
+            bits, table = _sweep_bits(ops)
+            assert _vanishing(bits, bits, table).tolist() == want
+
+    def test_failing_pairs_carry_residuals(self, models):
+        m = models("next:n=3")
+        key, z = next(iter(m.centrals.items()))
+        p = z.clifford
+        cents = dict(m.centrals)
+        cents[key] = replace(z, clifford=PauliOperator(p.m, p.x ^ 1, p.z, p.k))
+        rep = check_centrality(Model(m.spec, m.odd_degrees, m.hamiltonian, m.supercharges, cents))
+        assert rep.failures()
+        assert all(p.residual and "x=" in p.residual for p in rep.failures())
+
 
 class TestMonomialSetRank:
     def test_proportional_pair(self):
         g = gamma(1, 2)
-        assert monomial_set_rank([g, g.scale(1)]) == 1
+        assert pauli_rank([g, g.scale(1)]) == 1
 
     def test_independent_pair(self):
-        assert monomial_set_rank([gamma(1, 2), gamma(2, 2)]) == 2
-
-    def test_rank_below_class_count(self):
-        # three diagonal monomials, pairwise non-proportional, rank two:
-        # proportionality classes alone would overcount
-        ops = [mono([0, 1], [0, 0]), mono([0, 1], [0, 2]), mono([0, 1], [0, 1])]
-        assert monomial_set_rank(ops) == 2
+        assert pauli_rank([gamma(1, 2), gamma(2, 2)]) == 2
 
     def test_empty_and_single(self):
-        assert monomial_set_rank([]) == 0
-        assert monomial_set_rank([gamma(1, 1)]) == 1
+        assert pauli_rank([]) == 0
+        assert pauli_rank([gamma(1, 1)]) == 1
 
 
 def dense_free_module_rank(ops) -> int:
     """Independent oracle: vectorize each tensor operator over the free
     module spanned by (row, col, word) keys and row-reduce with exact
     Gaussian-rational arithmetic."""
+    def nonzero_entries(op):
+        dense = op.clifford.to_dense()
+        return [(int(r), int(c), dense[r, c]) for r, c in zip(*np.nonzero(dense))]
+
     keys = sorted(
         {
             (r, c, i, j, w)
             for op in ops
-            for (r, c, k) in op.clifford.triples()
+            for (r, c, _) in nonzero_entries(op)
             for i in range(2)
             for j in range(2)
             for w in dict(op.block.entries[i][j].items())
@@ -239,11 +260,11 @@ def dense_free_module_rank(ops) -> int:
     rows = []
     for op in ops:
         row = [0j] * len(keys)
-        for r, c, k in op.clifford.triples():
+        for r, c, value in nonzero_entries(op):
             for i in range(2):
                 for j in range(2):
                     for w, coeff in op.block.entries[i][j].items():
-                        row[index[(r, c, i, j, w)]] += (1j**k) * coeff
+                        row[index[(r, c, i, j, w)]] += value * coeff
         rows.append([(Fraction(z.real), Fraction(z.imag)) for z in row])
     # plain Gauss elimination over Q(i)
     rank = 0
@@ -373,6 +394,30 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(models("minimal:n=8"), FockRealization(1 << 13))
 
+    @pytest.mark.parametrize("sel", ["minimal:n=3", "next:n=3", "n4cl10"])
+    def test_block_spectrum_matches_dense_kron(self, models, sel):
+        # oracle: the full Clifford-identity x block matrix, diagonalized
+        m = models(sel)
+        fock = FockRealization(6)
+        h = m.hamiltonian
+        dense = np.kron(h.clifford.to_dense(), realize(h.block, fock))
+        evals = np.linalg.eigvalsh(dense)
+        rep = spectrum(m, fock)
+        clusters = [*rep.clusters, *rep.excluded]
+        assert sum(c.multiplicity for c in clusters) == len(evals)
+        start = 0
+        for c in sorted(clusters, key=lambda c: c.value):
+            chunk = evals[start : start + c.multiplicity]
+            assert np.allclose(chunk, c.value, atol=1e-9)
+            start += c.multiplicity
+
+    def test_requires_identity_hamiltonian_factor(self, models):
+        m = models("minimal:n=3")
+        h = replace(m.hamiltonian, clifford=gamma(1, m.hamiltonian.clifford.m))
+        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
+        with pytest.raises(ValueError, match="not the identity"):
+            spectrum(broken, FockRealization(4))
+
 
 def orbit_sizes_bfs(model) -> tuple[int, ...]:
     """Independent oracle: breadth-first walk over the dense nonzero pattern
@@ -415,7 +460,9 @@ class TestOrbits:
         rep = orbit_decomposition(models("maximal:n=3"))
         assert rep.component_sizes == (16,)
 
-    @pytest.mark.parametrize("sel", ["next:n=2", "next:n=3", "maximal:n=3", "minimal:n=3"])
+    @pytest.mark.parametrize(
+        "sel", ["next:n=2", "next:n=3", "maximal:n=3", "minimal:n=3", "n4cl10", "n4cl12"]
+    )
     def test_against_bfs_oracle(self, models, sel):
         m = models(sel)
         assert orbit_decomposition(m).component_sizes == orbit_sizes_bfs(m)
@@ -428,6 +475,34 @@ class TestOrbits:
         spec = ModelSpec.parse(sel, ordering="reversed")
         rev = orbit_decomposition(build(spec))
         assert sorted(fwd.component_sizes) == sorted(rev.component_sizes)
+
+
+def generated_count_bfs(model) -> int:
+    """Independent oracle: breadth-first closure over the dense Clifford
+    factors, each taken up to phase by dividing out its first nonzero
+    entry, paired with the XOR-composed block patterns."""
+
+    def key(mat, pattern):
+        flat = mat.ravel()
+        unit = flat[np.flatnonzero(flat)[0]]
+        norm = mat * np.conj(unit)  # unit entries stay exact
+        return norm.real.astype(np.int8).tobytes(), norm.imag.astype(np.int8).tobytes(), pattern
+
+    gens = [(q.clifford.to_dense(), _block_pattern(q.block)) for q in model.supercharges.values()]
+    start = (np.eye(model.clifford_dim, dtype=complex), (0, 0))
+    seen = {key(*start)}
+    frontier = [start]
+    while frontier:
+        new = []
+        for mat, pat in frontier:
+            for gmat, gpat in gens:
+                cand = (mat @ gmat, (pat[0] ^ gpat[0], pat[1] ^ gpat[1]))
+                k = key(*cand)
+                if k not in seen:
+                    seen.add(k)
+                    new.append(cand)
+        frontier = new
+    return len(seen)
 
 
 class TestGeneratedOperators:
@@ -443,11 +518,16 @@ class TestGeneratedOperators:
             ("maximal:n=2", 4),
             ("maximal:n=3", 16),
             ("maximal:n=4", 256),
+            ("n5cl28", 65536),
+            ("n5cl26", 65536),
         ],
     )
     def test_counts(self, models, sel, want):
         assert count_generated_operators(models(sel)) == want
 
-    def test_size_guard(self, models):
-        with pytest.raises(ClosureSizeError):
-            count_generated_operators(models("minimal:n=3"), limit=4)
+    @pytest.mark.parametrize(
+        "sel", ["minimal:n=3", "minimal:n=4", "next:n=3", "next:n=4", "maximal:n=4", "n4cl10", "n4cl12"]
+    )
+    def test_against_bfs_oracle(self, models, sel):
+        m = models(sel)
+        assert count_generated_operators(m) == generated_count_bfs(m)
