@@ -115,25 +115,15 @@ class PauliOperator:
             return None
         return PHASES[self.k]
 
-    def _row_columns_and_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column and phase exponent of the sole nonzero entry of each row."""
+    def to_dense(self) -> np.ndarray:
         rows = np.arange(self.dim, dtype=np.int64)
         cols = rows ^ self.x
         signs = np.zeros(self.dim, dtype=np.int64)
         for bit in range(self.m):
             signs ^= (cols >> bit) & (self.z >> bit) & 1
-        return cols, (self.k + 2 * signs) % 4
-
-    def to_dense(self) -> np.ndarray:
-        cols, phases = self._row_columns_and_phases()
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        out[np.arange(self.dim), cols] = np.asarray(PHASES)[phases]
+        out[rows, cols] = np.asarray(PHASES)[(self.k + 2 * signs) % 4]
         return out
-
-    def triples(self) -> list[tuple[int, int, int]]:
-        """Debug serialization: (row, col, phase exponent), row-major."""
-        cols, phases = self._row_columns_and_phases()
-        return [(r, int(cols[r]), int(phases[r])) for r in range(self.dim)]
 
 
 def gamma(j: int, m: int) -> PauliOperator:

@@ -301,6 +301,12 @@ class FockRealization:
         return f"fock(cutoff={self.cutoff}, W=x)"
 
 
+def _check_spacing(spacing: float) -> None:
+    # an infinite spacing zeroes the derivative; a nan one poisons every entry
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
+
+
 @dataclass(frozen=True)
 class GridRealization:
     """Finite-difference realization on a symmetric Dirichlet grid.
@@ -319,8 +325,7 @@ class GridRealization:
     def __post_init__(self) -> None:
         if self.points < 3:
             raise ValueError(f"need at least 3 grid points, got {self.points}")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
         w = np.asarray(self.w_values, dtype=float)
         if w.shape != (self.points,):
             raise ValueError("w_values must have one value per grid point")
@@ -344,6 +349,7 @@ class GridRealization:
         w_prime: Callable[[np.ndarray], np.ndarray] | None = None,
         label: str = "W",
     ) -> "GridRealization":
+        _check_spacing(spacing)  # before W is evaluated on the grid
         x = (np.arange(points) - (points - 1) / 2) * spacing
         return cls(
             points,

@@ -27,7 +27,8 @@ from .sqm_block import (
     realize,
 )
 
-MAX_SPECTRUM_DIM = 1 << 20
+# bytes of the dense complex Hamiltonian block that spectrum() diagonalizes
+MAX_SPECTRUM_BYTES = 1 << 27
 
 FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
@@ -219,52 +220,37 @@ def _vanishing(rows: np.ndarray, cols: np.ndarray, table: np.ndarray) -> np.ndar
 
 def check_centrality(model: Model) -> RelationReport:
     """Exact vanishing of every bracket involving the Hamiltonian or a
-    central element: [H, Q], [H, Z], bracket(Z, Q), bracket(Z, Z').
+    central element.
 
-    Hamiltonian and central-vs-supercharge brackets get one entry per pair;
-    the central-vs-central sweep is quadratic in the central count, so its
-    results are aggregated into one entry per left element.  Every pair is
-    decided by :func:`_vanishing`, vectorized over the operators' bits; the
-    tensor sum of a bracket is formed only to describe the residual of a
-    failing pair.
+    The left operators are H, then every Z, in ``model.operators()`` order;
+    the partners of a left operator are every supercharge and every operator
+    after it.  The pair set is therefore H x (Q and Z), Z x Q and Z_i x Z_j
+    for i < j, each decided by :func:`_vanishing` in one sweep over chunks
+    of left operators.  A left operator whose partners all vanish gets one
+    aggregate row; otherwise it gets one row per failing pair, with the
+    residual of that pair's tensor sum.
     """
-    ham = model.hamiltonian
-    charges = list(model.supercharges.values())
-    centrals = list(model.centrals.values())
     ops = model.operators()  # H, then the supercharges, then the centrals
-    labels = {id(op): op.label() for op in ops}
+    nq = len(model.supercharges)
     bits, table = _sweep_bits(ops)
-    zbits = bits[:, 1 + len(charges) :]
+    col = np.arange(len(ops))
+    left = np.array([0, *range(1 + nq, len(ops))])
     results: list[PairCheck] = []
-
-    def record(u: GradedOperator, v: GradedOperator, ok: bool) -> None:
-        res = None if ok else TensorSum(graded_bracket_terms(u, v)).residual()
-        kind = bracket_kind(u.degree, v.degree)
-        results.append(PairCheck(labels[id(u)], labels[id(v)], kind, ok, res))
-
-    for v, ok in zip(ops[1:], _vanishing(bits[:, :1], bits[:, 1:], table)[0]):
-        record(ham, v, bool(ok))
-    zq = _vanishing(zbits, bits[:, 1 : 1 + len(charges)], table)
-    for z, row in zip(centrals, zq):
-        for q, ok in zip(charges, row):
-            record(z, q, bool(ok))
-
-    # row chunks keep each temporary of the Z-Z sweep near 2**20 entries;
-    # the last central element has no later partner
-    last = len(centrals) - 1
-    step = max(1, (1 << 20) // max(1, len(centrals)))
-    for start in range(0, last, step):
-        chunk = _vanishing(zbits[:, start : min(start + step, last)], zbits, table)
-        for i, row in enumerate(chunk, start):
-            later = row[i + 1 :]
-            z = centrals[i]
-            if later.all():
-                results.append(
-                    PairCheck(labels[id(z)], f"{len(later)} later central elements", "graded", True)
-                )
-            else:
-                for j in np.flatnonzero(~later):
-                    record(z, centrals[i + 1 + int(j)], False)
+    # row chunks keep each temporary near 2**20 entries
+    step = max(1, (1 << 20) // len(ops))
+    for start in range(0, len(left), step):
+        rows = left[start : start + step]
+        partner = ((col >= 1) & (col <= nq)) | (col > rows[:, None])
+        failing = partner & ~_vanishing(bits[:, rows], bits, table)
+        for i, bad in zip(rows.tolist(), failing):
+            u = ops[i]
+            if not bad.any():
+                right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
+                results.append(PairCheck(u.label(), right, "graded", True))
+            for v in (ops[j] for j in np.flatnonzero(bad)):
+                res = TensorSum(graded_bracket_terms(u, v)).residual()
+                kind = bracket_kind(u.degree, v.degree)
+                results.append(PairCheck(u.label(), v.label(), kind, False, res))
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)
     )
@@ -433,13 +419,14 @@ class SpectrumReport:
         return "\n".join(lines)
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[EigenCluster]:
+def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
+    """Clusters of sorted values, each multiplicity counted ``copies`` times."""
     clusters: list[EigenCluster] = []
     start = 0
     for i in range(1, len(values) + 1):
         if i == len(values) or values[i] - values[i - 1] > tol * max(1.0, abs(values[i])):
             chunk = values[start:i]
-            clusters.append(EigenCluster(float(np.mean(chunk)), len(chunk)))
+            clusters.append(EigenCluster(float(np.mean(chunk)), copies * len(chunk)))
             start = i
     return clusters
 
@@ -449,8 +436,10 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 
     The Hamiltonian of every family is the Clifford identity times the
     Hamiltonian block, so its spectrum is the block's spectrum with every
-    eigenvalue repeated clifford-dim times; only the block, of dimension
-    2 x realization dim, is diagonalized.
+    multiplicity multiplied by clifford-dim; only the block, of dimension
+    2 x realization dim, is diagonalized.  A block whose dense complex
+    matrix would exceed ``MAX_SPECTRUM_BYTES`` is refused before any matrix
+    is built.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -459,11 +448,12 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     at or above the cutoff are truncation-affected and excluded.
     """
     cliffdim = model.clifford_dim
-    total = cliffdim * 2 * realization.dim
-    if total > MAX_SPECTRUM_DIM:
+    side = 2 * realization.dim
+    nbytes = 16 * side * side  # complex128
+    if nbytes > MAX_SPECTRUM_BYTES:
         raise ValueError(
-            f"numeric dimension {total} exceeds guard {MAX_SPECTRUM_DIM}; "
-            "reduce the cutoff or grid size"
+            f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
+            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the cutoff or grid size"
         )
     if model.hamiltonian.clifford.scalar_of_identity() != 1:
         raise ValueError(
@@ -473,8 +463,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
 
     block = realize(model.hamiltonian.block, realization)
-    evals = np.repeat(np.linalg.eigvalsh(block), cliffdim)
-    all_clusters = _cluster(evals, tol)
+    evals = np.linalg.eigvalsh(block)
+    all_clusters = _cluster(evals, tol, cliffdim)
 
     kernel_a, kernel_ad = ground_state_pair(realization)
     physical = len(kernel_a) + len(kernel_ad)
@@ -529,7 +519,7 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         model.spec.selector,
         realization.describe(),
         tol,
-        total,
+        cliffdim * side,
         tuple(clusters),
         tuple(excluded),
         zero_modes,

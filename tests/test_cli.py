@@ -56,6 +56,17 @@ class TestVerifyCommand:
         assert doc["defining_relations"]["overall"] is True
         assert doc["centrality"]["overall"] is True
 
+    def test_centrality_rows_are_aggregated(self, capsys):
+        # one row for H and one per central element; one row per (Z, Q)
+        # pair made this report 22.5 MB
+        code, out, _ = run(capsys, "verify", "--model", "next:n=7", "--format", "json")
+        assert code == 0
+        assert len(out.encode()) < 2_000_000
+        rows = json.loads(out)["centrality"]["centrality_results"]
+        assert len(rows) == 1 + 2016
+        assert rows[0]["right"] == "64 supercharges and 2016 later central elements"
+        assert rows[-1]["right"] == "64 supercharges and 0 later central elements"
+
     def test_rank_flag_reports_dependency(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "n4cl10", "--rank")
         assert code == 0
@@ -175,6 +186,29 @@ class TestSpectrumCommand:
         assert doc["zero_modes"] == 32768
         assert [c["multiplicity"] for c in doc["clusters"]] == [32768] + [65536] * 7
 
+    def test_byte_guard_admits_a_small_block_of_a_large_model(self, capsys):
+        # total dimension 2162688 but a 66 x 66 Hamiltonian block
+        code, out, _ = run(
+            capsys, "spectrum", "--model", "maximal:n=5", "--fock", "32", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total_dim"] == 32768 * 66
+        assert doc["zero_modes"] == 32768
+        clusters = [*doc["clusters"], *doc["excluded"]]
+        assert all(c["multiplicity"] % 32768 == 0 for c in clusters)
+        assert sum(c["multiplicity"] for c in clusters) == doc["total_dim"]
+
+    def test_byte_guard_refuses_before_building_the_block(self, capsys, monkeypatch):
+        # total dimension 80004 but a 40002 x 40002 complex block of 25.6 GB
+        def refuse(*args):
+            pytest.fail("realize called past the byte guard")
+
+        monkeypatch.setattr("graded_sqm.verify.realize", refuse)
+        code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--fock", "20000")
+        assert code == 2
+        assert "bytes" in err
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(model, realization):
             raise MemoryError("cannot allocate")
@@ -227,6 +261,22 @@ class TestConfigAndOutput:
         code, out, _ = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 0
         assert "grid(points=121" in out
+
+    @pytest.mark.parametrize("spacing", ["inf", "nan"])
+    def test_non_finite_spacing_exits_2(self, capsys, tmp_path, spacing):
+        # a table superpotential never evaluates W on the grid, so only the
+        # spacing check stands between an infinite spacing and a zero derivative
+        table = tmp_path / "w.txt"
+        np.savetxt(table, np.linspace(-1.0, 1.0, 21) ** 3)
+        flags = ("--model", "minimal:n=2", "--grid", "--points", "21", "--W", f"@{table}")
+        code, _, err = run(capsys, "spectrum", *flags, "--spacing", spacing)
+        assert code == 2
+        assert "grid spacing must be finite and positive" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model=minimal:n=2\nrealization=grid\npoints=21\nspacing={spacing}\nW=x\n")
+        code, _, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 2
+        assert "grid spacing must be finite and positive" in err
 
     def test_fock_cutoff_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

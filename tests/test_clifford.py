@@ -88,13 +88,6 @@ class TestMonomialArithmetic:
         a, b = gamma(1, 2), gamma_tilde(2, 2)
         assert np.array_equal(a.kron(b).to_dense(), np.kron(a.to_dense(), b.to_dense()))
 
-    def test_triples_roundtrip(self):
-        op = gamma(2, 3) @ gamma_tilde(1, 3)
-        dense = np.zeros((8, 8), dtype=complex)
-        for row, col, k in op.triples():
-            dense[row, col] = 1j**k
-        assert np.array_equal(dense, op.to_dense())
-
     def test_bits_must_fit_the_qubit_count(self):
         with pytest.raises(ValueError):
             PauliOperator(2, 4, 0)

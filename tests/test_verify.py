@@ -198,7 +198,9 @@ class TestCentrality:
     @pytest.mark.parametrize("sel", SMALL_SET)
     def test_sweep_agrees_with_tensor_sum(self, models, sel):
         # every ordered pair of H, Q and Z, on the intact model, on three
-        # Pauli-space mutations and on one block-scalar mutation
+        # Pauli-space mutations and on one block-scalar mutation; the
+        # failing rows of check_centrality are exactly the failing pairs of
+        # H x (Q, Z), Z x Q and Z_i x Z_j for i < j, each listed once
         rng = np.random.default_rng(17)
         model = models(sel)
         variants = [model] + [mutate_model(model, rng) for _ in range(3)]
@@ -213,6 +215,24 @@ class TestCentrality:
             want = [[TensorSum(graded_bracket_terms(u, v)).is_zero() for v in ops] for u in ops]
             bits, table = _sweep_bits(ops)
             assert _vanishing(bits, bits, table).tolist() == want
+
+            nq = len(m.supercharges)
+            rows = []
+            for i in [0, *range(1 + nq, len(ops))]:
+                bad = [j for j in range(len(ops)) if (1 <= j <= nq or j > i) and not want[i][j]]
+                if bad:
+                    rows += [(ops[i].label(), ops[j].label(), False) for j in bad]
+                else:
+                    rows.append((ops[i].label(), True))
+            rep = check_centrality(m)
+            got = [
+                (p.left, True) if p.ok else (p.left, p.right, False)
+                for p in rep.centrality_results
+            ]
+            assert got == rows
+            if m is model:
+                assert len(rep.centrality_results) == 1 + len(m.centrals)
+                assert rep.overall
 
     def test_failing_pairs_carry_residuals(self, models):
         m = models("next:n=3")
@@ -393,6 +413,13 @@ class TestSpectrum:
     def test_dimension_guard(self, models):
         with pytest.raises(ValueError):
             spectrum(models("minimal:n=8"), FockRealization(1 << 13))
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
+    def test_grid_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridRealization(11, spacing, np.zeros(11))
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridRealization.from_function(11, spacing, lambda x: x)
 
     @pytest.mark.parametrize("sel", ["minimal:n=3", "next:n=3", "n4cl10"])
     def test_block_spectrum_matches_dense_kron(self, models, sel):
