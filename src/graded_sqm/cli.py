@@ -14,20 +14,23 @@ import json
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .grading import census
 from .models import ModelSpec, ModelSpecError, build
 from .sqm_block import FockRealization, GridRealization, NumericRealization
 from .verify import (
     central_rank,
+    check_block_bytes,
     check_centrality,
     check_defining_relations,
     count_generated_operators,
     orbit_decomposition,
     spectrum,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -79,6 +82,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     """
     path = w_expr[1:] if w_expr.startswith("@") else w_expr
     if w_expr.startswith("@") or Path(path).is_file():
+        import numpy as np
         values = np.loadtxt(path, dtype=float).reshape(-1)
         if values.shape != (points,):
             raise ValueError(
@@ -227,6 +231,7 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
         points = int(_merge(args, "points", DEFAULT_GRID_POINTS))
         spacing = float(_merge(args, "spacing", DEFAULT_GRID_SPACING))
         w_expr = _merge(args, "w", "x")
+        check_block_bytes(points)  # before W is read or evaluated on the grid
         return make_grid_realization(points, spacing, w_expr)
     return None
 

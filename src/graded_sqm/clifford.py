@@ -8,14 +8,17 @@ significant bit.  Products, adjoints, equality and commutation are O(1)
 integer operations on (x, z, k) whatever the dimension 2**m, following the
 binary (symplectic) representation of Aaronson & Gottesman
 (quant-ph/0406196).  Dense complex matrices appear only through
-:meth:`PauliOperator.to_dense`, the bridge to the tests' numpy oracles.
+:meth:`PauliOperator.to_dense`, the bridge to the tests' numpy oracles and
+the only place this module imports numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # value of i**k for k = 0..3
 PHASES = (1, 1j, -1, -1j)
@@ -116,6 +119,7 @@ class PauliOperator:
         return PHASES[self.k]
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
         rows = np.arange(self.dim, dtype=np.int64)
         cols = rows ^ self.x
         signs = np.zeros(self.dim, dtype=np.int64)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LOWER = "A"
 RAISE = "Ad"
@@ -251,6 +252,7 @@ class FockRealization:
         return self.cutoff + 1
 
     def lowering_matrix(self) -> np.ndarray:
+        import numpy as np
         n = self.dim
         out = np.zeros((n, n))
         for k in range(1, n):
@@ -261,6 +263,7 @@ class FockRealization:
         return self.lowering_matrix().T
 
     def _word_matrix(self, word: Word) -> np.ndarray:
+        import numpy as np
         out = np.zeros((self.dim, self.dim))
         for k in range(self.dim):
             lvl, rad = k, 1
@@ -281,12 +284,14 @@ class FockRealization:
         return out
 
     def realize_entry(self, ws: WordSum) -> np.ndarray:
+        import numpy as np
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for word, coeff in ws.items():
             out += coeff * self._word_matrix(word)
         return out
 
     def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        import numpy as np
         # Restrict to the domain spanned by levels below the cutoff: the
         # raising operator only fails to be injective at the truncation edge,
         # and that artifact must not count as a zero mode.
@@ -323,6 +328,7 @@ class GridRealization:
     label: str = "W"
 
     def __post_init__(self) -> None:
+        import numpy as np
         if self.points < 3:
             raise ValueError(f"need at least 3 grid points, got {self.points}")
         _check_spacing(self.spacing)
@@ -349,6 +355,7 @@ class GridRealization:
         w_prime: Callable[[np.ndarray], np.ndarray] | None = None,
         label: str = "W",
     ) -> "GridRealization":
+        import numpy as np
         _check_spacing(spacing)  # before W is evaluated on the grid
         x = (np.arange(points) - (points - 1) / 2) * spacing
         return cls(
@@ -365,9 +372,11 @@ class GridRealization:
 
     @property
     def x(self) -> np.ndarray:
+        import numpy as np
         return (np.arange(self.points) - (self.points - 1) / 2) * self.spacing
 
     def _derivative(self) -> np.ndarray:
+        import numpy as np
         d = np.zeros((self.points, self.points))
         inv = 1.0 / (2.0 * self.spacing)
         for j in range(self.points - 1):
@@ -376,12 +385,15 @@ class GridRealization:
         return d
 
     def lowering_matrix(self) -> np.ndarray:
+        import numpy as np
         return (self._derivative() + np.diag(self.w_values)) / math.sqrt(2)
 
     def raising_matrix(self) -> np.ndarray:
+        import numpy as np
         return (-self._derivative() + np.diag(self.w_values)) / math.sqrt(2)
 
     def realize_entry(self, ws: WordSum) -> np.ndarray:
+        import numpy as np
         mats = {LOWER: self.lowering_matrix(), RAISE: self.raising_matrix()}
         out = np.zeros((self.points, self.points), dtype=np.complex128)
         eye = np.eye(self.points)
@@ -393,6 +405,7 @@ class GridRealization:
         return out
 
     def w_prime(self) -> np.ndarray:
+        import numpy as np
         if self.w_prime_values is not None:
             return self.w_prime_values
         # central difference of the tabulated superpotential, one-sided ends
@@ -405,6 +418,7 @@ class GridRealization:
         Upper block (p^2 + W^2 - W')/2, lower block (p^2 + W^2 + W')/2, with
         the standard 3-point second-derivative stencil.
         """
+        import numpy as np
         p = self.points
         h2 = self.spacing * self.spacing
         lap = np.zeros((p, p))
@@ -446,6 +460,7 @@ def realize(block: SqmBlock, realization: NumericRealization) -> np.ndarray:
     Block index is the outer tensor slot: the result is 2*dim dimensional
     with the (i, j) word-sum entries realized as dim x dim sub-blocks.
     """
+    import numpy as np
     d = realization.dim
     out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for i in range(2):
@@ -469,6 +484,7 @@ def ground_state_pair(
 
 
 def _svd_kernel(mat: np.ndarray) -> list[np.ndarray]:
+    import numpy as np
     _, s, vh = np.linalg.svd(mat)
     tol = KERNEL_REL_TOL * (s[0] if len(s) else 0.0)
     out = []
@@ -483,6 +499,6 @@ def _is_smooth(v: np.ndarray) -> bool:
     # Central differences admit checkerboard (grid-frequency) kernel vectors
     # that converge weakly to zero, not to a continuum function; they are
     # discretization artifacts, excluded just like the Fock truncation edge.
-    d = float(np.sum(np.abs(v[1:] - v[:-1]) ** 2))
-    s = float(np.sum(np.abs(v[1:] + v[:-1]) ** 2))
+    d = float((abs(v[1:] - v[:-1]) ** 2).sum())
+    s = float((abs(v[1:] + v[:-1]) ** 2).sum())
     return s > d

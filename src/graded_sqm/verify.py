@@ -6,15 +6,15 @@ exact: a passing check has zero residual by construction, not small
 residual.  Distinct Pauli strings are linearly independent, which turns
 zero tests, ranks, orbits and operator closures into closed forms over
 GF(2), the two-element field (Dehaene & De Moor, quant-ph/0304125).
-Floating point appears only where spectra are genuinely numeric.
+The centrality sweep holds one bit per operator in Python integers ("bit
+planes"), so the exact checks need no numpy; it is imported only inside
+:func:`spectrum`, where floating point is genuinely numeric.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .clifford import PHASES, PauliOperator
 from .grading import DegreeVector, bracket_kind, bracket_sign, dot
@@ -26,6 +26,9 @@ from .sqm_block import (
     ground_state_pair,
     realize,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # bytes of the dense complex Hamiltonian block that spectrum() diagonalizes
 MAX_SPECTRUM_BYTES = 1 << 27
@@ -147,75 +150,98 @@ def check_defining_relations(model: Model) -> RelationReport:
     distinct pairs must close on the stored central element with the
     degree-dependent phase.  Both orientations of each pair are checked,
     which exercises the antisymmetry convention of the derived accessor.
+
+    The residual Q_a Q_b - s Q_b Q_a - coeff T has Pauli strings P_a P_b and
+    P_b P_a, which differ only in phase, and the target's string P_T.  Its
+    zero test therefore depends only on the blocks, s, coeff, the three
+    phase exponents and whether P_T has the (x, z) of P_a P_b; each such
+    class is decided by one tensor sum, and a failing pair still gets the
+    residual text of its own.
     """
     degrees = model.odd_degrees
+    verdicts: dict[tuple, bool] = {}
     results = []
     for a in degrees:
+        qa = model.supercharge(a)
         for b in degrees:
-            qa, qb = model.supercharge(a), model.supercharge(b)
-            terms = graded_bracket_terms(qa, qb)
+            qb = model.supercharge(b)
             if a == b:
-                ham = model.hamiltonian
-                terms.append(TensorTerm(ham.clifford, ham.block * (-2)))
+                target, coeff = model.hamiltonian, -2
             else:
-                z = model.central(a, b)
-                coeff = -2 * PHASES[(1 - dot(a, b)) % 4]
-                terms.append(TensorTerm(z.clifford, z.block * coeff))
-            res = TensorSum(terms).residual()
+                target, coeff = model.central(a, b), -2 * PHASES[(1 - dot(a, b)) % 4]
+            ab, ba, t = qa.clifford @ qb.clifford, qb.clifford @ qa.clifford, target.clifford
+            key = (
+                qa.block, qb.block, bracket_sign(a, b), target.block, coeff,
+                ab.k, ba.k, t.k, (t.x, t.z) == (ab.x, ab.z),
+            )
+            res = None
+            if not verdicts.get(key, False):
+                terms = graded_bracket_terms(qa, qb)
+                terms.append(TensorTerm(t, target.block * coeff))
+                res = TensorSum(terms).residual()
+                verdicts[key] = res is None
             results.append(PairCheck(f"Q[{a}]", f"Q[{b}]", bracket_kind(a, b), res is None, res))
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each nonnegative int64 entry."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
+def _vanishing(ops: Sequence[GradedOperator], rows: Iterable[int]) -> Iterator[int]:
+    """For each row i, the bit mask of the columns j whose graded bracket of
+    ``ops[i]`` with ``ops[j]`` vanishes.
 
+    Write u = P_u x c_u F_f and v = P_v x c_v F_g, with P a Pauli string, c
+    a nonzero scalar and F the representative of the block's form, a
+    proportionality class of blocks.  Then P_v P_u = (-1)**w P_u P_v, w the
+    commutation parity of the strings, and the bracket is
+    P_u P_v x c_u c_v (F_f F_g - sigma F_g F_f) with
+    sigma = (-1)**(a.b + w), a.b the degree inner product.  It vanishes
+    exactly when F_f F_g == sigma F_g F_f, a lookup in the form table.
 
-def _sweep_bits(ops: Sequence[GradedOperator]) -> tuple[np.ndarray, np.ndarray]:
-    """Bits of each operator for :func:`_vanishing`, and the form table.
-
-    Returns a (4, len(ops)) int64 array of Pauli x, Pauli z, degree mask
-    and form index, where a form is a proportionality class of blocks, and
-    the table whose entry [f, g, s] says whether F_f F_g == (-1)**s F_g F_f
-    for representatives F of the forms.
+    The parity a.b + w of row i against every column at once is an XOR of
+    bit planes: bit j of plane b is bit b of column j's word (x, z,
+    degree), and row i picks the planes set in its word (z, x, degree).
+    The columns of form g vanish where that parity matches an entry of the
+    table row of form f.
     """
-    forms: list[SqmBlock] = []
+    m = ops[0].clifford.m
+    words = [op.clifford.x | op.clifford.z << m | op.degree.mask << 2 * m for op in ops]
+    width = max(words).bit_length()
+    # zip yields the most significant bit first; reversed() puts column 0 last
+    columns = zip(*(format(w, f"0{width}b") for w in reversed(words)))
+    planes = [int("".join(c), 2) for c in columns][::-1]
 
-    def form_of(op: GradedOperator) -> int:
+    forms: list[SqmBlock] = []  # one representative block per form
+    form_mask: list[int] = []  # the columns of each form
+    form_index: list[int] = []
+    for j, op in enumerate(ops):
         for f, block in enumerate(forms):
             if op.block.proportional(block) is not None:
-                return f
-        forms.append(op.block)
-        return len(forms) - 1
-
-    bits = np.array(
-        [[op.clifford.x, op.clifford.z, op.degree.mask, form_of(op)] for op in ops],
-        dtype=np.int64,
-    ).reshape(len(ops), 4).T
-    table = np.zeros((len(forms), len(forms), 2), dtype=bool)
+                break
+        else:
+            f = len(forms)
+            forms.append(op.block)
+            form_mask.append(0)
+        form_mask[f] |= 1 << j
+        form_index.append(f)
+    # columns of each form g with F_f F_g == F_g F_f (even) or == -F_g F_f (odd)
+    even, odd = [0] * len(forms), [0] * len(forms)
     for f, bf in enumerate(forms):
         for g, bg in enumerate(forms):
             fg, gf = bf @ bg, bg @ bf
-            table[f, g] = (fg == gf, fg == -gf)
-    return bits, table
+            if fg == gf:
+                even[f] |= form_mask[g]
+            if fg == -gf:
+                odd[f] |= form_mask[g]
 
-
-def _vanishing(rows: np.ndarray, cols: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Boolean matrix: does the graded bracket of row i with column j vanish?
-
-    Write u = P_u x c_u F_f and v = P_v x c_v F_g, with P a Pauli string, c
-    a nonzero scalar and F the representative of the block's form.  Then
-    P_v P_u = (-1)**w P_u P_v, w the commutation parity of the strings, and
-    the bracket is P_u P_v x c_u c_v (F_f F_g - sigma F_g F_f) with
-    sigma = (-1)**(a.b + w), a.b the degree inner product.  It vanishes
-    exactly when F_f F_g == sigma F_g F_f, a lookup in the form table.
-    ``rows`` and ``cols`` are column slices of :func:`_sweep_bits` output.
-    """
-    rx, rz, rd, rf = (r[:, None] for r in rows)
-    cx, cz, cd, cf = cols
-    return table[rf, cf, _parity((rx & cz) ^ (rz & cx) ^ (rd & cd))]
+    for i in rows:
+        p = ops[i].clifford
+        pick = p.z | p.x << m | ops[i].degree.mask << 2 * m
+        parity = 0
+        while pick:
+            low = pick & -pick
+            parity ^= planes[low.bit_length() - 1]
+            pick ^= low
+        f = form_index[i]
+        yield odd[f] & parity | even[f] & ~parity
 
 
 def check_centrality(model: Model) -> RelationReport:
@@ -225,32 +251,30 @@ def check_centrality(model: Model) -> RelationReport:
     The left operators are H, then every Z, in ``model.operators()`` order;
     the partners of a left operator are every supercharge and every operator
     after it.  The pair set is therefore H x (Q and Z), Z x Q and Z_i x Z_j
-    for i < j, each decided by :func:`_vanishing` in one sweep over chunks
-    of left operators.  A left operator whose partners all vanish gets one
+    for i < j, each decided by :func:`_vanishing` in one sweep over the
+    left operators.  A left operator whose partners all vanish gets one
     aggregate row; otherwise it gets one row per failing pair, with the
     residual of that pair's tensor sum.
     """
     ops = model.operators()  # H, then the supercharges, then the centrals
     nq = len(model.supercharges)
-    bits, table = _sweep_bits(ops)
-    col = np.arange(len(ops))
-    left = np.array([0, *range(1 + nq, len(ops))])
+    supercharges = ((1 << nq) - 1) << 1
+    left = [0, *range(1 + nq, len(ops))]
     results: list[PairCheck] = []
-    # row chunks keep each temporary near 2**20 entries
-    step = max(1, (1 << 20) // len(ops))
-    for start in range(0, len(left), step):
-        rows = left[start : start + step]
-        partner = ((col >= 1) & (col <= nq)) | (col > rows[:, None])
-        failing = partner & ~_vanishing(bits[:, rows], bits, table)
-        for i, bad in zip(rows.tolist(), failing):
-            u = ops[i]
-            if not bad.any():
-                right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
-                results.append(PairCheck(u.label(), right, "graded", True))
-            for v in (ops[j] for j in np.flatnonzero(bad)):
-                res = TensorSum(graded_bracket_terms(u, v)).residual()
-                kind = bracket_kind(u.degree, v.degree)
-                results.append(PairCheck(u.label(), v.label(), kind, False, res))
+    for i, vanishing in zip(left, _vanishing(ops, left)):
+        u = ops[i]
+        later = (1 << len(ops)) - (2 << i)
+        bad = (supercharges | later) & ~vanishing
+        if not bad:
+            right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
+            results.append(PairCheck(u.label(), right, "graded", True))
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            v = ops[low.bit_length() - 1]
+            res = TensorSum(graded_bracket_terms(u, v)).residual()
+            kind = bracket_kind(u.degree, v.degree)
+            results.append(PairCheck(u.label(), v.label(), kind, False, res))
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)
     )
@@ -419,8 +443,21 @@ class SpectrumReport:
         return "\n".join(lines)
 
 
+def check_block_bytes(dim: int) -> None:
+    """Refuse a realization of dimension ``dim`` whose dense complex
+    Hamiltonian block, 2 x dim on a side, would exceed ``MAX_SPECTRUM_BYTES``."""
+    side = 2 * dim
+    nbytes = 16 * side * side  # complex128
+    if nbytes > MAX_SPECTRUM_BYTES:
+        raise ValueError(
+            f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
+            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the cutoff or grid size"
+        )
+
+
 def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
     """Clusters of sorted values, each multiplicity counted ``copies`` times."""
+    import numpy as np
     clusters: list[EigenCluster] = []
     start = 0
     for i in range(1, len(values) + 1):
@@ -447,14 +484,10 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     is (2 x clifford dim) fold.  Fock clusters must sit on integers; levels
     at or above the cutoff are truncation-affected and excluded.
     """
+    import numpy as np
     cliffdim = model.clifford_dim
     side = 2 * realization.dim
-    nbytes = 16 * side * side  # complex128
-    if nbytes > MAX_SPECTRUM_BYTES:
-        raise ValueError(
-            f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
-            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the cutoff or grid size"
-        )
+    check_block_bytes(realization.dim)
     if model.hamiltonian.clifford.scalar_of_identity() != 1:
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"

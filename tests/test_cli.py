@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graded_sqm
 import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
+from graded_sqm.sqm_block import GridRealization
 from graded_sqm.verify import PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,6 +215,20 @@ class TestSpectrumCommand:
         assert code == 2
         assert "bytes" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_byte_guard_refuses_a_grid_before_building_it(self, capsys, monkeypatch, command):
+        # 10**9 points: every float array of the grid would take 8 GB
+        def refuse(*args, **kwargs):
+            pytest.fail("GridRealization.from_function called past the byte guard")
+
+        monkeypatch.setattr(GridRealization, "from_function", refuse)
+        code, _, err = run(
+            capsys, command, "--model", "minimal:n=2",
+            "--grid", "--points", "1000000000", "--W", "x^3",
+        )
+        assert code == 2
+        assert "bytes" in err
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(model, realization):
             raise MemoryError("cannot allocate")
@@ -320,3 +340,39 @@ class TestSuperpotentialParsing:
         np.savetxt(path, np.zeros(10))
         with pytest.raises(ValueError):
             make_grid_realization(51, 0.1, str(path))
+
+
+class TestNumpyFree:
+    def test_exact_path_never_imports_numpy(self, tmp_path):
+        # a fresh interpreter, so that no earlier test has imported numpy
+        script = textwrap.dedent(
+            f"""
+            import sys
+
+            import graded_sqm
+            from graded_sqm import cli
+
+            model = graded_sqm.build_from_selector("next:n=4")
+            assert graded_sqm.check_defining_relations(model).overall
+            assert graded_sqm.check_centrality(model).overall
+            graded_sqm.central_rank(model)
+            graded_sqm.orbit_decomposition(model)
+            graded_sqm.count_generated_operators(model)
+            out = {str(tmp_path / "report.csv")!r}
+            argv = ["verify", "--model", "next:n=4", "--format", "csv", "--out", out]
+            assert cli.main(argv) == 0
+            assert cli.main(["census", "--out", out]) == 0
+            assert "numpy" not in sys.modules, "the exact path imported numpy"
+            assert cli.main(["spectrum", "--model", "next:n=4", "--fock", "8", "--out", out]) == 0
+            assert "numpy" in sys.modules
+            """
+        )
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graded_sqm.clifford import PauliOperator, gamma
+from graded_sqm.clifford import PHASES, PauliOperator, gamma
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
     COMMUTATOR,
     DegreeVector,
     bracket_kind,
+    dot,
 )
 from graded_sqm.models import GradedOperator, Model
 from graded_sqm.sqm_block import (
@@ -24,7 +25,6 @@ from graded_sqm.verify import (
     TensorSum,
     TensorTerm,
     _block_pattern,
-    _sweep_bits,
     _vanishing,
     central_rank,
     check_centrality,
@@ -130,6 +130,62 @@ class TestDefiningRelations:
         cen = check_centrality(broken)
         assert not (rel.overall and cen.overall)
 
+    @pytest.mark.parametrize("sel", ["minimal:n=4", "next:n=3", "maximal:n=3", "n4cl10"])
+    def test_verdict_classes_agree_with_tensor_sum(self, models, sel):
+        # sparse changes, so that most pairs pass and a failing pair often
+        # shares all but one entry of its verdict key with a passing one: a
+        # supercharge gets a random string or its block times i; a central
+        # element gets one x bit flipped, its string times i or its block
+        # times i.  Odd trials change the intact model, even trials a model
+        # with random supercharge strings and each central string the
+        # product of its pair's strings times a random phase.  Every pair
+        # must match its own tensor sum, residual text included.
+        rng = np.random.default_rng(23)
+        model = models(sel)
+        m = model.hamiltonian.clifford.m
+
+        def draw(size):
+            return int(rng.integers(0, size))
+
+        def random_string():
+            return PauliOperator(m, draw(1 << m), draw(1 << m), draw(4))
+
+        for trial in range(8):
+            charges, cents = dict(model.supercharges), dict(model.centrals)
+            if trial % 2 == 0:
+                charges = {a: replace(q, clifford=random_string()) for a, q in charges.items()}
+                for (a, b), z in cents.items():
+                    p = (charges[a].clifford @ charges[b].clifford).scale(draw(4))
+                    cents[(a, b)] = replace(z, clifford=p)
+            for a, q in charges.items():
+                change = draw(8)
+                if change == 0:
+                    charges[a] = replace(q, clifford=random_string())
+                elif change == 1:
+                    charges[a] = replace(q, block=q.block * 1j)
+            for key, z in cents.items():
+                p, change = z.clifford, draw(8)
+                if change == 0:
+                    cents[key] = replace(z, clifford=PauliOperator(m, p.x ^ 1, p.z, p.k))
+                elif change == 1:
+                    cents[key] = replace(z, clifford=p.scale(1))
+                elif change == 2:
+                    cents[key] = replace(z, block=z.block * 1j)
+            broken = Model(model.spec, model.odd_degrees, model.hamiltonian, charges, cents)
+            want = []
+            for a in broken.odd_degrees:
+                for b in broken.odd_degrees:
+                    terms = graded_bracket_terms(broken.supercharge(a), broken.supercharge(b))
+                    if a == b:
+                        target, coeff = broken.hamiltonian, -2
+                    else:
+                        target, coeff = broken.central(a, b), -2 * PHASES[(1 - dot(a, b)) % 4]
+                    terms.append(TensorTerm(target.clifford, target.block * coeff))
+                    want.append(TensorSum(terms).residual())
+            got = [p.residual for p in check_defining_relations(broken).pair_results]
+            assert got == want
+            assert None in want and any(want)
+
     def test_report_serialization(self, models):
         rep = check_defining_relations(models("minimal:n=2"))
         d = rep.to_dict()
@@ -195,26 +251,31 @@ class TestCentrality:
         cen = check_centrality(broken)
         assert not (rel.overall and cen.overall)
 
-    @pytest.mark.parametrize("sel", SMALL_SET)
+    @pytest.mark.parametrize("sel", [*SMALL_SET, "minimal:n=5"])
     def test_sweep_agrees_with_tensor_sum(self, models, sel):
         # every ordered pair of H, Q and Z, on the intact model, on three
         # Pauli-space mutations and on one block-scalar mutation; the
         # failing rows of check_centrality are exactly the failing pairs of
-        # H x (Q, Z), Z x Q and Z_i x Z_j for i < j, each listed once
+        # H x (Q, Z), Z x Q and Z_i x Z_j for i < j, each listed once.
+        # minimal:n=5 has 137 operators, so its bit planes span more than
+        # two 64-bit words; it runs on the intact model and one mutation.
         rng = np.random.default_rng(17)
         model = models(sel)
-        variants = [model] + [mutate_model(model, rng) for _ in range(3)]
-        a = model.odd_degrees[0]
-        charges = dict(model.supercharges)
-        charges[a] = replace(charges[a], block=charges[a].block * 1j)
-        variants.append(
-            Model(model.spec, model.odd_degrees, model.hamiltonian, charges, model.centrals)
-        )
+        variants = [model, mutate_model(model, rng)]
+        if sel != "minimal:n=5":
+            variants += [mutate_model(model, rng) for _ in range(2)]
+            a = model.odd_degrees[0]
+            charges = dict(model.supercharges)
+            charges[a] = replace(charges[a], block=charges[a].block * 1j)
+            variants.append(
+                Model(model.spec, model.odd_degrees, model.hamiltonian, charges, model.centrals)
+            )
         for m in variants:
             ops = m.operators()
             want = [[TensorSum(graded_bracket_terms(u, v)).is_zero() for v in ops] for u in ops]
-            bits, table = _sweep_bits(ops)
-            assert _vanishing(bits, bits, table).tolist() == want
+            masks = list(_vanishing(ops, range(len(ops))))
+            assert all(0 <= mask < 1 << len(ops) for mask in masks)
+            assert [[bool(mask >> j & 1) for j in range(len(ops))] for mask in masks] == want
 
             nq = len(m.supercharges)
             rows = []
