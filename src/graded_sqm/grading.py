@@ -11,6 +11,7 @@ of parity-1 degrees used everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 # Model building is capped at this rank: the largest family dimension grows
@@ -72,9 +73,14 @@ class DegreeVector:
         _check_rank(self, other)
         return DegreeVector(self.n, self.mask ^ other.mask)
 
+    @cached_property
+    def _text(self) -> str:
+        # a_1 leftmost: the binary digits of mask, least significant first
+        return format(self.mask, f"0{self.n}b")[::-1]
+
     def __str__(self) -> str:
-        # a_1 leftmost, the rendering used in all reports
-        return "".join(str(b) for b in self.bits)
+        # the rendering used in all reports, made once per instance
+        return self._text
 
     def __repr__(self) -> str:
         return f"DegreeVector('{self}')"

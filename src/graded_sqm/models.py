@@ -160,12 +160,18 @@ class Model:
     def supercharge(self, a: DegreeVector) -> GradedOperator:
         return self.supercharges[a]
 
+    def stored_central(self, a: DegreeVector, b: DegreeVector) -> tuple[GradedOperator, int]:
+        """The stored central element of a distinct degree pair and the sign
+        s with ``central(a, b)`` equal to s times it."""
+        if (a, b) in self.centrals:
+            return self.centrals[(a, b)], 1
+        return self.centrals[(b, a)], -1 if dot(a, b) == 0 else 1  # -(-1)**(a.b)
+
     def central(self, a: DegreeVector, b: DegreeVector) -> GradedOperator:
         """Central element for any orientation of a distinct degree pair."""
-        if (a, b) in self.centrals:
-            return self.centrals[(a, b)]
-        stored = self.centrals[(b, a)]
-        sign = -1 if dot(a, b) == 0 else 1  # -(-1)**(a.b)
+        stored, sign = self.stored_central(a, b)
+        if sign == 1:
+            return stored
         return GradedOperator(
             stored.clifford, stored.block * sign, stored.degree, CENTRAL, (a, b)
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -435,17 +436,23 @@ class GridRealization:
         out[p:, p:] = base + wp
         return out
 
-    def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        ka = [v for v in _svd_kernel(self.lowering_matrix()) if _is_smooth(v)]
-        kd = [v for v in _svd_kernel(self.raising_matrix()) if _is_smooth(v)]
+    @cached_property
+    def _raw_kernels(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        # one SVD per ladder matrix and instance: w_values is read-only, so
+        # the cache cannot go stale, and its vectors are made read-only too
+        ka, kd = _svd_kernel(self.lowering_matrix()), _svd_kernel(self.raising_matrix())
+        for v in (*ka, *kd):
+            v.setflags(write=False)
         return ka, kd
+
+    def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        ka, kd = self._raw_kernels
+        return [v for v in ka if _is_smooth(v)], [v for v in kd if _is_smooth(v)]
 
     def raw_kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Kernels without the checkerboard-artifact filter."""
-        return (
-            _svd_kernel(self.lowering_matrix()),
-            _svd_kernel(self.raising_matrix()),
-        )
+        ka, kd = self._raw_kernels
+        return list(ka), list(kd)
 
     def describe(self) -> str:
         return f"grid(points={self.points}, spacing={self.spacing:g}, W={self.label})"

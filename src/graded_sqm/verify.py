@@ -100,6 +100,16 @@ class PairCheck:
     ok: bool
     residual: str | None = None
 
+    def to_dict(self) -> dict:
+        # built directly: dataclasses.asdict deep-copies every field
+        return {
+            "left": self.left,
+            "right": self.right,
+            "kind": self.kind,
+            "ok": self.ok,
+            "residual": self.residual,
+        }
+
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -122,8 +132,8 @@ class RelationReport:
             "model": self.model,
             "check": self.check,
             "overall": self.overall,
-            "pair_results": [asdict(p) for p in self.pair_results],
-            "centrality_results": [asdict(p) for p in self.centrality_results],
+            "pair_results": [p.to_dict() for p in self.pair_results],
+            "centrality_results": [p.to_dict() for p in self.centrality_results],
         }
 
     def to_markdown(self) -> str:
@@ -168,7 +178,9 @@ def check_defining_relations(model: Model) -> RelationReport:
             if a == b:
                 target, coeff = model.hamiltonian, -2
             else:
-                target, coeff = model.central(a, b), -2 * PHASES[(1 - dot(a, b)) % 4]
+                # the orientation sign of a reversed pair rides on coeff
+                target, sign = model.stored_central(a, b)
+                coeff = -2 * sign * PHASES[(1 - dot(a, b)) % 4]
             ab, ba, t = qa.clifford @ qb.clifford, qb.clifford @ qa.clifford, target.clifford
             key = (
                 qa.block, qb.block, bracket_sign(a, b), target.block, coeff,
@@ -301,6 +313,14 @@ class DegreeRankEntry:
     rank: int
     classes: tuple[tuple[str, ...], ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "degree": self.degree,
+            "elements": self.elements,
+            "rank": self.rank,
+            "classes": self.classes,
+        }
+
 
 @dataclass(frozen=True)
 class RankReport:
@@ -313,7 +333,7 @@ class RankReport:
     def to_dict(self) -> dict:
         return {
             "model": self.model,
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [e.to_dict() for e in self.entries],
             "total_count": self.total_count,
             "total_rank": self.total_rank,
             "all_independent": self.all_independent,
@@ -468,15 +488,24 @@ def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
     return clusters
 
 
+def _eigvalsh(sub: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, real arithmetic when it is real."""
+    import numpy as np
+    return np.linalg.eigvalsh(sub if sub.imag.any() else sub.real)
+
+
 def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     """Diagonalize the numeric Hamiltonian, cluster eigenvalues, count modes.
 
     The Hamiltonian of every family is the Clifford identity times the
-    Hamiltonian block, so its spectrum is the block's spectrum with every
-    multiplicity multiplied by clifford-dim; only the block, of dimension
-    2 x realization dim, is diagonalized.  A block whose dense complex
-    matrix would exceed ``MAX_SPECTRUM_BYTES`` is refused before any matrix
-    is built.
+    block diag(Ad A, A Ad) of the two partner Hamiltonians, so its spectrum
+    is the union of the two diagonal entries' spectra with every
+    multiplicity multiplied by clifford-dim.  Both structural facts are
+    checked exactly on the formal operator; then each entry, a
+    realization-dim matrix, is diagonalized on its own, by the real
+    symmetric solver when its imaginary part is exactly zero.  A realization
+    whose dense complex 2 x dim block would exceed ``MAX_SPECTRUM_BYTES`` is
+    refused before any matrix is built.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -492,11 +521,14 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
         )
+    if not model.hamiltonian.block.is_diagonal():
+        raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diagonal")
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
 
     block = realize(model.hamiltonian.block, realization)
-    evals = np.linalg.eigvalsh(block)
+    d = realization.dim
+    evals = np.sort(np.concatenate([_eigvalsh(block[:d, :d]), _eigvalsh(block[d:, d:])]))
     all_clusters = _cluster(evals, tol, cliffdim)
 
     kernel_a, kernel_ad = ground_state_pair(realization)

@@ -272,6 +272,8 @@ class TestModelStructure:
             sign = -1 if dot(a, b) == 0 else 1
             assert flipped.clifford == z.clifford
             assert flipped.block == z.block * sign
+            assert m.stored_central(a, b) == (z, 1)
+            assert m.stored_central(b, a) == (z, sign)
 
     def test_operators_listing(self, models):
         m = models("minimal:n=2")

@@ -15,9 +15,12 @@ from graded_sqm.grading import (
 )
 from graded_sqm.models import GradedOperator, Model
 from graded_sqm.sqm_block import (
+    LOWER,
+    RAISE,
     FockRealization,
     GridRealization,
     SqmBlock,
+    WordSum,
     canonical_blocks,
     realize,
 )
@@ -433,6 +436,22 @@ class TestCentralRank:
         assert "dependencies present" in md
 
 
+def assert_spectrum_matches_dense(model, realization):
+    """Oracle: the full Clifford factor x block matrix, diagonalized as one
+    complex Hermitian matrix, has the eigenvalues of every reported cluster."""
+    h = model.hamiltonian
+    dense = np.kron(h.clifford.to_dense(), realize(h.block, realization))
+    evals = np.linalg.eigvalsh(dense)
+    rep = spectrum(model, realization)
+    clusters = [*rep.clusters, *rep.excluded]
+    assert sum(c.multiplicity for c in clusters) == len(evals)
+    start = 0
+    for c in sorted(clusters, key=lambda c: c.value):
+        chunk = evals[start : start + c.multiplicity]
+        assert np.allclose(chunk, c.value, atol=1e-9)
+        start += c.multiplicity
+
+
 class TestSpectrum:
     def test_minimal_rank3_fock(self, models):
         rep = spectrum(models("minimal:n=3"), FockRealization(8))
@@ -482,22 +501,29 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="finite and positive"):
             GridRealization.from_function(11, spacing, lambda x: x)
 
-    @pytest.mark.parametrize("sel", ["minimal:n=3", "next:n=3", "n4cl10"])
-    def test_block_spectrum_matches_dense_kron(self, models, sel):
-        # oracle: the full Clifford-identity x block matrix, diagonalized
-        m = models(sel)
-        fock = FockRealization(6)
-        h = m.hamiltonian
-        dense = np.kron(h.clifford.to_dense(), realize(h.block, fock))
-        evals = np.linalg.eigvalsh(dense)
-        rep = spectrum(m, fock)
-        clusters = [*rep.clusters, *rep.excluded]
-        assert sum(c.multiplicity for c in clusters) == len(evals)
-        start = 0
-        for c in sorted(clusters, key=lambda c: c.value):
-            chunk = evals[start : start + c.multiplicity]
-            assert np.allclose(chunk, c.value, atol=1e-9)
-            start += c.multiplicity
+    @pytest.mark.parametrize(
+        "sel,w",
+        [pytest.param(sel, None, id=sel) for sel in ("minimal:n=3", "next:n=3", "n4cl10")]
+        + [
+            pytest.param(sel, w, id=f"{sel}-grid41-{name}")
+            for sel in ("minimal:n=2", "next:n=2")
+            for name, w in (("x", lambda x: x), ("x^3", lambda x: x**3))
+        ],
+    )
+    def test_block_spectrum_matches_dense_kron(self, models, sel, w):
+        real = FockRealization(6) if w is None else GridRealization.from_function(41, 0.25, w)
+        assert_spectrum_matches_dense(models(sel), real)
+
+    def test_complex_diagonal_entry_matches_dense_kron(self, models):
+        # A Hermitian entry with a nonzero imaginary part, Ad A + i(A - Ad),
+        # must not lose it to the real solver.
+        m = models("minimal:n=2")
+        a, ad = WordSum.letter(LOWER), WordSum.letter(RAISE)
+        e = m.hamiltonian.block.entries
+        block = SqmBlock([[e[0][0] + (a - ad) * 1j, e[0][1]], [e[1][0], e[1][1]]])
+        h = replace(m.hamiltonian, block=block)
+        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
+        assert_spectrum_matches_dense(broken, FockRealization(6))
 
     def test_requires_identity_hamiltonian_factor(self, models):
         m = models("minimal:n=3")
@@ -505,6 +531,34 @@ class TestSpectrum:
         broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
         with pytest.raises(ValueError, match="not the identity"):
             spectrum(broken, FockRealization(4))
+
+    def test_requires_diagonal_hamiltonian_block(self, models):
+        m = models("minimal:n=3")
+        q, h, _ = canonical_blocks()
+        broken_h = replace(m.hamiltonian, block=h + q)
+        broken = Model(m.spec, m.odd_degrees, broken_h, m.supercharges, m.centrals)
+        with pytest.raises(ValueError, match="not diagonal"):
+            spectrum(broken, FockRealization(4))
+
+    def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
+        import graded_sqm.sqm_block as sqm_block
+
+        shapes = []
+        svd_kernel = sqm_block._svd_kernel
+
+        def counted(mat):
+            shapes.append(mat.shape)
+            return svd_kernel(mat)
+
+        monkeypatch.setattr(sqm_block, "_svd_kernel", counted)
+        grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
+        rep = spectrum(models("minimal:n=2"), grid)
+        assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
+        assert shapes == [(41, 41), (41, 41)]
+        # the filtered and the raw kernels both come from the cached pair
+        assert [len(k) for k in grid.raw_kernel_pair()] == [1, 1]
+        assert [len(k) for k in grid.kernel_pair()] == [1, 0]
+        assert len(shapes) == 2
 
 
 def orbit_sizes_bfs(model) -> tuple[int, ...]:
