@@ -237,9 +237,13 @@ class FockRealization:
 
     The lowering letter acts as the standard annihilation operator on levels
     0..cutoff.  Words are realized by walking levels with exact integer
-    radicands, so balanced words (such as both diagonal entries of the
-    Hamiltonian block) come out as exact integers; matrix elements are the
-    untruncated ones, restricted to levels <= cutoff.
+    radicands; matrix elements are the untruncated ones, restricted to
+    levels <= cutoff.  A balanced word (as many lowering as raising letters)
+    sends each level to an exact integer multiple of itself, so an entry of
+    balanced words with real integer coefficients, such as either diagonal
+    entry of the Hamiltonian block, is read off exactly by
+    :meth:`exact_diagonal`, and the ladder kernels are exact level sets
+    (:meth:`kernel_levels`).
     """
 
     cutoff: int
@@ -252,32 +256,11 @@ class FockRealization:
     def dim(self) -> int:
         return self.cutoff + 1
 
-    def lowering_matrix(self) -> np.ndarray:
-        import numpy as np
-        n = self.dim
-        out = np.zeros((n, n))
-        for k in range(1, n):
-            out[k - 1, k] = math.sqrt(k)
-        return out
-
-    def raising_matrix(self) -> np.ndarray:
-        return self.lowering_matrix().T
-
     def _word_matrix(self, word: Word) -> np.ndarray:
         import numpy as np
         out = np.zeros((self.dim, self.dim))
         for k in range(self.dim):
-            lvl, rad = k, 1
-            for letter in reversed(word):
-                if letter == LOWER:
-                    if lvl == 0:
-                        rad = 0
-                        break
-                    rad *= lvl
-                    lvl -= 1
-                else:
-                    lvl += 1
-                    rad *= lvl
+            lvl, rad = _walk(word, k)
             if rad == 0 or lvl >= self.dim:
                 continue
             r = math.isqrt(rad)
@@ -291,20 +274,82 @@ class FockRealization:
             out += coeff * self._word_matrix(word)
         return out
 
+    def exact_diagonal(self, ws: WordSum) -> tuple[int, ...] | None:
+        """The entry's value on each level 0..cutoff, as exact integers.
+
+        Returns None, refusing the entry, unless every word is balanced and
+        every coefficient a real integer: only then is the realized entry
+        diagonal with integer eigenvalues equal to these values.
+        """
+        terms = []
+        for word, coeff in ws.items():
+            c = _real_integer(coeff)
+            if c is None or word.count(LOWER) != word.count(RAISE):
+                return None
+            terms.append((word, c))
+        levels = []
+        for k in range(self.dim):
+            total = 0
+            for word, c in terms:
+                rad = _walk(word, k)[1]
+                # every edge of a closed walk is climbed as often as it is
+                # descended, so the radicand is a perfect square
+                r = math.isqrt(rad)
+                if r * r != rad:
+                    return None
+                total += c * r
+            levels.append(total)
+        return tuple(levels)
+
+    def kernel_levels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Levels below the cutoff that the lowering and the raising letter
+        send to zero: the exact kernels of the two ladder matrices.
+
+        The domain stops below the cutoff because the raising operator only
+        fails to be injective at the truncation edge, and that artifact must
+        not count as a zero mode.
+        """
+        ka, kd = (
+            tuple(k for k in range(self.cutoff) if _walk((letter,), k)[1] == 0)
+            for letter in (LOWER, RAISE)
+        )
+        return ka, kd
+
     def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         import numpy as np
-        # Restrict to the domain spanned by levels below the cutoff: the
-        # raising operator only fails to be injective at the truncation edge,
-        # and that artifact must not count as a zero mode.
-        out: list[list[np.ndarray]] = []
-        for mat in (self.lowering_matrix(), self.raising_matrix()):
-            sub = mat[:, : self.cutoff]
-            vecs = _svd_kernel(sub)
-            out.append([np.concatenate([v, [0.0]]) for v in vecs])
-        return out[0], out[1]
+        ka, kd = self.kernel_levels()
+        return [np.eye(1, self.dim, k)[0] for k in ka], [np.eye(1, self.dim, k)[0] for k in kd]
 
     def describe(self) -> str:
         return f"fock(cutoff={self.cutoff}, W=x)"
+
+
+def _walk(word: Word, k: int) -> tuple[int, int]:
+    """Apply a word, rightmost letter first, to Fock level k.
+
+    Returns (level, radicand): the word sends |k> to sqrt(radicand) |level>,
+    with radicand 0 when a lowering letter meets the vacuum.
+    """
+    lvl, rad = k, 1
+    for letter in reversed(word):
+        if letter == LOWER:
+            if lvl == 0:
+                return lvl, 0
+            rad *= lvl
+            lvl -= 1
+        else:
+            lvl += 1
+            rad *= lvl
+    return lvl, rad
+
+
+def _real_integer(coeff) -> int | None:
+    if isinstance(coeff, int):
+        return coeff
+    c = complex(coeff)
+    if c.imag != 0 or not c.real.is_integer():
+        return None
+    return int(c.real)
 
 
 def _check_spacing(spacing: float) -> None:
@@ -376,32 +421,34 @@ class GridRealization:
         import numpy as np
         return (np.arange(self.points) - (self.points - 1) / 2) * self.spacing
 
-    def _derivative(self) -> np.ndarray:
+    @cached_property
+    def _ladders(self) -> dict[str, np.ndarray]:
+        # both ladder matrices once per instance, read-only like w_values
         import numpy as np
-        d = np.zeros((self.points, self.points))
-        inv = 1.0 / (2.0 * self.spacing)
-        for j in range(self.points - 1):
-            d[j, j + 1] = inv
-            d[j + 1, j] = -inv
-        return d
+        off = np.full(self.points - 1, 1.0 / (2.0 * self.spacing))
+        d = np.diag(off, 1) - np.diag(off, -1)
+        w = np.diag(self.w_values)
+        out = {LOWER: (d + w) / math.sqrt(2), RAISE: (-d + w) / math.sqrt(2)}
+        for m in out.values():
+            m.setflags(write=False)
+        return out
 
     def lowering_matrix(self) -> np.ndarray:
-        import numpy as np
-        return (self._derivative() + np.diag(self.w_values)) / math.sqrt(2)
+        return self._ladders[LOWER]
 
     def raising_matrix(self) -> np.ndarray:
-        import numpy as np
-        return (-self._derivative() + np.diag(self.w_values)) / math.sqrt(2)
+        return self._ladders[RAISE]
 
     def realize_entry(self, ws: WordSum) -> np.ndarray:
         import numpy as np
-        mats = {LOWER: self.lowering_matrix(), RAISE: self.raising_matrix()}
         out = np.zeros((self.points, self.points), dtype=np.complex128)
-        eye = np.eye(self.points)
         for word, coeff in ws.items():
-            m = eye
-            for letter in word:
-                m = m @ mats[letter]
+            if not word:
+                out += coeff * np.eye(self.points)
+                continue
+            m = self._ladders[word[0]]
+            for letter in word[1:]:
+                m = m @ self._ladders[letter]
             out += coeff * m
         return out
 
@@ -461,12 +508,15 @@ class GridRealization:
 NumericRealization = FockRealization | GridRealization
 
 
-def realize(block: SqmBlock, realization: NumericRealization) -> np.ndarray:
-    """Substitute numeric ladder matrices into a formal block.
+def realize(block: SqmBlock | WordSum, realization: NumericRealization) -> np.ndarray:
+    """Substitute numeric ladder matrices into a formal block or entry.
 
-    Block index is the outer tensor slot: the result is 2*dim dimensional
-    with the (i, j) word-sum entries realized as dim x dim sub-blocks.
+    A single word-sum entry is realized as a dim x dim matrix.  For a block,
+    the block index is the outer tensor slot: the result is 2*dim
+    dimensional with the (i, j) entries realized as dim x dim sub-blocks.
     """
+    if isinstance(block, WordSum):
+        return realization.realize_entry(block)
     import numpy as np
     d = realization.dim
     out = np.zeros((2 * d, 2 * d), dtype=np.complex128)

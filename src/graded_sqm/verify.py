@@ -7,12 +7,15 @@ residual.  Distinct Pauli strings are linearly independent, which turns
 zero tests, ranks, orbits and operator closures into closed forms over
 GF(2), the two-element field (Dehaene & De Moor, quant-ph/0304125).
 The centrality sweep holds one bit per operator in Python integers ("bit
-planes"), so the exact checks need no numpy; it is imported only inside
-:func:`spectrum`, where floating point is genuinely numeric.
+planes"), so the exact checks need no numpy.  Fock spectra are exact too:
+the Hamiltonian's diagonal entries are read off level by level as
+integers.  numpy is imported only for grid and fallback spectra, where
+floating point is genuinely numeric.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -495,17 +498,22 @@ def _eigvalsh(sub: np.ndarray) -> np.ndarray:
 
 
 def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
-    """Diagonalize the numeric Hamiltonian, cluster eigenvalues, count modes.
+    """Cluster the Hamiltonian's eigenvalues and count its zero modes.
 
     The Hamiltonian of every family is the Clifford identity times the
     block diag(Ad A, A Ad) of the two partner Hamiltonians, so its spectrum
     is the union of the two diagonal entries' spectra with every
     multiplicity multiplied by clifford-dim.  Both structural facts are
-    checked exactly on the formal operator; then each entry, a
-    realization-dim matrix, is diagonalized on its own, by the real
-    symmetric solver when its imaginary part is exactly zero.  A realization
-    whose dense complex 2 x dim block would exceed ``MAX_SPECTRUM_BYTES`` is
-    refused before any matrix is built.
+    checked exactly on the formal operator.  On a Fock realization each
+    entry of balanced words with real integer coefficients is read off
+    level by level as exact integers (``FockRealization.exact_diagonal``),
+    so the clusters are exact counts and the zero modes exact kernel levels,
+    with no eigensolver and no numpy.  Otherwise, on the grid or for an
+    entry the exact reader refuses, each entry, a realization-dim matrix, is
+    realized and diagonalized on its own, by the real symmetric solver when
+    its imaginary part is exactly zero.  A realization whose dense complex
+    2 x dim block would exceed ``MAX_SPECTRUM_BYTES`` is refused before
+    anything is built.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -513,7 +521,6 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     is (2 x clifford dim) fold.  Fock clusters must sit on integers; levels
     at or above the cutoff are truncation-affected and excluded.
     """
-    import numpy as np
     cliffdim = model.clifford_dim
     side = 2 * realization.dim
     check_block_bytes(realization.dim)
@@ -525,19 +532,27 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diagonal")
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
+    entries = [model.hamiltonian.block.entries[i][i] for i in range(2)]
 
-    block = realize(model.hamiltonian.block, realization)
-    d = realization.dim
-    evals = np.sort(np.concatenate([_eigvalsh(block[:d, :d]), _eigvalsh(block[d:, d:])]))
-    all_clusters = _cluster(evals, tol, cliffdim)
-
-    kernel_a, kernel_ad = ground_state_pair(realization)
-    physical = len(kernel_a) + len(kernel_ad)
     artifact_modes = 0
-    if not is_fock:
+    if is_fock:
+        kernel_a, kernel_ad = realization.kernel_levels()
+        levels = [realization.exact_diagonal(e) for e in entries]
+    else:
+        kernel_a, kernel_ad = ground_state_pair(realization)
         raw_a, raw_ad = realization.raw_kernel_pair()
-        artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - physical)
+        artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
+        levels = [None, None]
+    physical = len(kernel_a) + len(kernel_ad)
     zero_modes = cliffdim * physical
+
+    if None in levels:
+        import numpy as np
+        evals = np.sort(np.concatenate([_eigvalsh(realize(e, realization)) for e in entries]))
+        all_clusters = _cluster(evals, tol, cliffdim)
+    else:
+        counts = Counter(levels[0] + levels[1])
+        all_clusters = [EigenCluster(float(v), cliffdim * counts[v]) for v in sorted(counts)]
 
     clusters, excluded = [], []
     if is_fock:

@@ -11,7 +11,7 @@ import pytest
 import graded_sqm
 import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
-from graded_sqm.sqm_block import GridRealization
+from graded_sqm.sqm_block import FockRealization, GridRealization
 from graded_sqm.verify import PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -210,7 +210,12 @@ class TestSpectrumCommand:
         def refuse(*args):
             pytest.fail("realize called past the byte guard")
 
+        def refuse_exact(*args):
+            pytest.fail("the exact Fock reader called past the byte guard")
+
         monkeypatch.setattr("graded_sqm.verify.realize", refuse)
+        monkeypatch.setattr(FockRealization, "exact_diagonal", refuse_exact)
+        monkeypatch.setattr(FockRealization, "kernel_levels", refuse_exact)
         code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--fock", "20000")
         assert code == 2
         assert "bytes" in err
@@ -343,9 +348,21 @@ class TestSuperpotentialParsing:
 
 
 class TestNumpyFree:
-    def test_exact_path_never_imports_numpy(self, tmp_path):
+    @staticmethod
+    def run_fresh(script: str) -> subprocess.CompletedProcess:
         # a fresh interpreter, so that no earlier test has imported numpy
-        script = textwrap.dedent(
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+
+    def test_exact_path_never_imports_numpy(self, tmp_path):
+        out = str(tmp_path / "report.csv")
+        proc = self.run_fresh(
             f"""
             import sys
 
@@ -358,21 +375,33 @@ class TestNumpyFree:
             graded_sqm.central_rank(model)
             graded_sqm.orbit_decomposition(model)
             graded_sqm.count_generated_operators(model)
-            out = {str(tmp_path / "report.csv")!r}
+            out = {out!r}
             argv = ["verify", "--model", "next:n=4", "--format", "csv", "--out", out]
             assert cli.main(argv) == 0
             assert cli.main(["census", "--out", out]) == 0
             assert "numpy" not in sys.modules, "the exact path imported numpy"
             assert cli.main(["spectrum", "--model", "next:n=4", "--fock", "8", "--out", out]) == 0
+            assert cli.main(["verify", "--model", "next:n=4", "--fock", "6", "--out", out]) == 0
+            assert "numpy" not in sys.modules, "an exact Fock spectrum imported numpy"
+            grid = ["--grid", "--points", "41", "--spacing", "0.25", "--W", "x"]
+            assert cli.main(["spectrum", "--model", "minimal:n=2", *grid, "--out", out]) == 0
             assert "numpy" in sys.modules
             """
         )
-        src = str(Path(graded_sqm.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fock_spectra_run_with_numpy_blocked(self, tmp_path):
+        out = str(tmp_path / "report.md")
+        proc = self.run_fresh(
+            f"""
+            import sys
+
+            sys.modules["numpy"] = None  # any import of numpy now raises
+            from graded_sqm import cli
+
+            out = {out!r}
+            assert cli.main(["spectrum", "--model", "next:n=4", "--fock", "8", "--out", out]) == 0
+            assert cli.main(["verify", "--model", "next:n=4", "--fock", "6", "--out", out]) == 0
+            """
         )
         assert proc.returncode == 0, proc.stderr

@@ -85,12 +85,68 @@ def fock_dense_oracle(cutoff, word):
     return out[: cutoff + 1, : cutoff + 1]
 
 
+def random_balanced_sum(rng) -> WordSum:
+    """Balanced words of length 0-6 with integer coefficients, always with
+    one word whose walk climbs three levels above its start."""
+    terms = {(LOWER,) * 3 + (RAISE,) * 3: int(rng.integers(1, 4))}
+    for _ in range(int(rng.integers(1, 6))):
+        half = int(rng.integers(0, 4))
+        word = tuple(rng.permutation([LOWER] * half + [RAISE] * half).tolist())
+        coeff = int(rng.integers(-5, 6))
+        terms[word] = terms.get(word, 0) + (complex(coeff) if rng.integers(2) else coeff)
+    return WordSum(terms)
+
+
 class TestFockRealization:
     def test_hamiltonian_diagonal_exact(self):
         q, h, s = canonical_blocks()
-        got = realize(h, FockRealization(4))
+        r = FockRealization(4)
+        got = realize(h, r)
         want = np.diag([0, 1, 2, 3, 4, 1, 2, 3, 4, 5]).astype(complex)
         assert np.array_equal(got, want)
+        assert np.array_equal(realize(h.entries[1][1], r), want[5:, 5:])
+        assert r.exact_diagonal(h.entries[0][0]) == (0, 1, 2, 3, 4)
+        assert r.exact_diagonal(h.entries[1][1]) == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 6, 17])
+    def test_exact_diagonal_against_dense_entry(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        r = FockRealization(cutoff)
+        for _ in range(25):
+            ws = random_balanced_sum(rng)
+            dense = r.realize_entry(ws)
+            diag = np.diag(dense)
+            assert np.array_equal(dense, np.diag(diag))
+            assert not diag.imag.any()
+            assert r.exact_diagonal(ws) == tuple(int(v) for v in diag.real)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(LOWER,): 1},
+            {(RAISE, LOWER): 1, (RAISE, RAISE, LOWER): 2},
+            {(RAISE, LOWER): 1, (LOWER,): 1j, (RAISE,): -1j},
+            {(RAISE, LOWER): 1j},
+            {(RAISE, LOWER): 1 + 1j},
+            {(LOWER, RAISE): 0.5},
+            {(LOWER, RAISE): float("nan")},
+        ],
+        ids=["unbalanced", "mixed", "complex-hermitian", "imaginary", "gaussian", "half", "nan"],
+    )
+    def test_exact_diagonal_refuses(self, terms):
+        # at cutoff 1 every radicand of a single letter is a perfect square
+        for cutoff in (1, 4):
+            assert FockRealization(cutoff).exact_diagonal(WordSum(terms)) is None
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 6])
+    def test_kernel_levels_against_dense_svd(self, cutoff):
+        from graded_sqm.sqm_block import _svd_kernel
+
+        r = FockRealization(cutoff)
+        for letter, levels in zip((LOWER, RAISE), r.kernel_levels()):
+            sub = fock_dense_oracle(cutoff, (letter,))[:, :cutoff]
+            want = [int(np.argmax(abs(v))) for v in _svd_kernel(sub)]
+            assert list(levels) == sorted(want)
 
     def test_entry_against_padded_dense_oracle(self):
         r = FockRealization(5)
@@ -139,6 +195,7 @@ class TestFockRealization:
         vac = np.zeros(7)
         vac[0] = 1.0
         assert abs(abs(np.dot(ka[0], vac)) - 1.0) < 1e-12
+        assert FockRealization(6).kernel_levels() == ((0,), ())
 
     def test_cutoff_guard(self):
         with pytest.raises(ValueError):
@@ -155,6 +212,33 @@ class TestGridRealization:
             GridRealization(5, 0.1, np.array([0.0, 1.0, np.inf, 1.0, 0.0]))
         with pytest.raises(ValueError):
             GridRealization(5, -0.1, np.zeros(5))
+
+    def test_ladders_built_once_read_only_as_the_loop_builds_them(self):
+        r = make_grid(41, 0.25, lambda x: x**3, lambda x: 3 * x**2)
+        d = np.zeros((41, 41))
+        for j in range(40):
+            d[j, j + 1] = 1.0 / (2.0 * r.spacing)
+            d[j + 1, j] = -1.0 / (2.0 * r.spacing)
+        w = np.diag(r.w_values)
+        assert np.array_equal(r.lowering_matrix(), (d + w) / math.sqrt(2))
+        assert np.array_equal(r.raising_matrix(), (-d + w) / math.sqrt(2))
+        assert r.lowering_matrix() is r.lowering_matrix()
+        assert not r.lowering_matrix().flags.writeable
+        assert not r.raising_matrix().flags.writeable
+
+    def test_entry_against_identity_started_products(self):
+        r = make_grid(41, 0.25, lambda x: x**3, lambda x: 3 * x**2)
+        mats = {LOWER: r.lowering_matrix(), RAISE: r.raising_matrix()}
+        _, h, _ = canonical_blocks()
+        extra = WordSum({(): 2, (LOWER, LOWER, RAISE): 1j, (RAISE,): -3})
+        for ws in (h.entries[0][0], h.entries[1][1], extra):
+            want = np.zeros((41, 41), dtype=complex)
+            for word, coeff in ws.items():
+                m = np.eye(41)
+                for letter in word:
+                    m = m @ mats[letter]
+                want += coeff * m
+            assert np.array_equal(r.realize_entry(ws), want)
 
     def test_charge_hermitian(self):
         q, _, _ = canonical_blocks()

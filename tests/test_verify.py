@@ -502,17 +502,30 @@ class TestSpectrum:
             GridRealization.from_function(11, spacing, lambda x: x)
 
     @pytest.mark.parametrize(
-        "sel,w",
-        [pytest.param(sel, None, id=sel) for sel in ("minimal:n=3", "next:n=3", "n4cl10")]
+        "sel,w,cutoff",
+        [pytest.param(sel, None, 6, id=sel) for sel in ("minimal:n=3", "next:n=3", "n4cl10")]
         + [
-            pytest.param(sel, w, id=f"{sel}-grid41-{name}")
+            pytest.param(sel, None, cutoff, id=f"{sel}-fock{cutoff}")
+            for sel in SMALL_SET
+            for cutoff in (1, 6)
+            if (sel, cutoff) not in {("minimal:n=3", 6), ("next:n=3", 6), ("n4cl10", 6)}
+        ]
+        + [
+            pytest.param(sel, w, None, id=f"{sel}-grid41-{name}")
             for sel in ("minimal:n=2", "next:n=2")
             for name, w in (("x", lambda x: x), ("x^3", lambda x: x**3))
         ],
     )
-    def test_block_spectrum_matches_dense_kron(self, models, sel, w):
-        real = FockRealization(6) if w is None else GridRealization.from_function(41, 0.25, w)
+    def test_block_spectrum_matches_dense_kron(self, models, sel, w, cutoff, monkeypatch):
+        if w is not None:
+            assert_spectrum_matches_dense(models(sel), GridRealization.from_function(41, 0.25, w))
+            return
+        real = FockRealization(cutoff)
         assert_spectrum_matches_dense(models(sel), real)
+        # the exact report is the one the numeric path gives
+        exact = spectrum(models(sel), real)
+        monkeypatch.setattr(FockRealization, "exact_diagonal", lambda self, ws: None)
+        assert spectrum(models(sel), real) == exact
 
     def test_complex_diagonal_entry_matches_dense_kron(self, models):
         # A Hermitian entry with a nonzero imaginary part, Ad A + i(A - Ad),
