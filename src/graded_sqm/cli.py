@@ -3,8 +3,11 @@
 Three subcommands: ``census`` prints the algebra counting table, ``verify``
 builds a model and runs the exact relation/centrality checks (plus optional
 rank, orbit and spectrum reports), ``spectrum`` reports eigenvalue clusters
-and degeneracies for a numeric realization.  Exit status: 0 all selected
-checks pass, 1 verification failure, 2 usage or configuration error.
+and degeneracies for a numeric realization.  A ``--config`` file's
+``key = value`` lines are turned into the flags they stand for and parsed
+ahead of the command line's own, so argparse checks both alike and the
+command line wins.  Exit status: 0 all selected checks pass, 1 verification
+failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FORMATS = ("markdown", "json", "csv")
-
-DEFAULT_GRID_POINTS = 201
-DEFAULT_GRID_SPACING = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -106,36 +106,6 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
 # ---------------------------------------------------------------------------
 
 
-# accepted spellings for realization settings in config files
-_CONFIG_ALIASES = {
-    "grid.points": "points",
-    "grid.spacing": "spacing",
-    "cutoff": "fock",
-}
-
-
-def load_config(path: str) -> dict[str, str]:
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {raw!r} (expected key=value)")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        key = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
-        if key == "realization":
-            if value not in ("fock", "grid"):
-                raise ValueError(f"realization must be fock or grid, got {value!r}")
-            if value == "grid":
-                out["grid"] = "true"
-            continue
-        out[key] = value
-    return out
-
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -149,15 +119,47 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"expected boolean, got {value!r}")
 
 
-def _merge(args: argparse.Namespace, key: str, default, cast=str):
-    """CLI value if given, else config value, else default."""
-    cli = getattr(args, key)
-    if cli is not None and cli is not False:
-        return cli
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
+    """The flags that the config file named by ``--config`` in ``argv`` stands for.
+
+    Each ``key = value`` line becomes ``--key=value``, a true switch a bare
+    ``--key`` and a false one nothing, so the parser checks config values
+    exactly as it checks flags.  A key must spell an option of ``sub``, in
+    any case and with ``_`` for ``-``.
+    """
+    pre = argparse.ArgumentParser(prog=sub.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    options = {
+        s.lower(): a for a in sub._actions for s in a.option_strings
+        if a.dest not in ("help", "config")
+    }
+    flags = []
+    for raw in Path(path).read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line {raw!r} (expected key=value)")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        value = value.strip()
+        if key == "realization":
+            if value not in ("fock", "grid"):
+                raise ValueError(f"realization must be fock or grid, got {value!r}")
+            action, value = options.get("--grid"), str(value == "grid")
+        else:
+            action = options.get("--" + key.replace("_", "-"))
+        if action is None:
+            raise ValueError(f"{sub.prog} has no config key {key!r}")
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif _as_bool(value):
+            flags.append(flag)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +199,7 @@ def _relation_rows(rep) -> list[tuple]:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    lo = int(_merge(args, "n_from", 2))
-    hi = int(_merge(args, "n_to", 10))
-    fmt = _merge(args, "format", "markdown")
-    out = _merge(args, "out", None)
+    lo, hi = args.n_from, args.n_to
     if not 2 <= lo <= hi <= 10:
         raise ValueError(f"census range must satisfy 2 <= from <= to <= 10, got {lo}..{hi}")
     header = ("n", "supercharges", "central_elements", "central_subspace_dim")
@@ -208,50 +207,42 @@ def cmd_census(args: argparse.Namespace) -> int:
     for n in range(lo, hi + 1):
         c = census(n)
         rows.append((c.n, c.num_supercharges, c.num_central, c.dim_central_subspace))
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2, sort_keys=True
         )
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = _table_csv(header, rows)
     else:
         text = _table_markdown(header, rows)
-    _emit(text, out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
-    fock = _merge(args, "fock", None)
-    grid = _merge(args, "grid", False, _as_bool)
-    if fock is not None and grid:
-        raise ValueError("choose either --fock or --grid, not both")
-    if fock is not None:
-        return FockRealization(int(fock))
-    if grid:
-        points = int(_merge(args, "points", DEFAULT_GRID_POINTS))
-        spacing = float(_merge(args, "spacing", DEFAULT_GRID_SPACING))
-        w_expr = _merge(args, "w", "x")
+    if not args.grid and (args.points, args.spacing, args.w) != (None, None, None):
+        raise ValueError("--points, --spacing and --W apply only with --grid")
+    if args.fock is not None:
+        return FockRealization(args.fock)
+    if args.grid:
+        points = 201 if args.points is None else args.points
+        spacing = 0.05 if args.spacing is None else args.spacing
         check_block_bytes(points)  # before W is read or evaluated on the grid
-        return make_grid_realization(points, spacing, w_expr)
+        return make_grid_realization(points, spacing, "x" if args.w is None else args.w)
     return None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selector = _merge(args, "model", None)
-    if not selector:
-        raise ValueError("--model is required (flag or config)")
-    fmt = _merge(args, "format", "markdown")
-    out = _merge(args, "out", None)
-    model = build(ModelSpec.parse(selector))
+    model = build(ModelSpec.parse(args.model))
 
     sections: dict[str, object] = {}
     sections["defining_relations"] = check_defining_relations(model)
     sections["centrality"] = check_centrality(model)
-    if _merge(args, "rank", False, _as_bool):
+    if args.rank:
         sections["rank"] = central_rank(model)
-    if _merge(args, "orbits", False, _as_bool):
+    if args.orbits:
         sections["orbits"] = orbit_decomposition(model)
-    if _merge(args, "counts", False, _as_bool):
+    if args.counts:
         sections["generated_operators"] = count_generated_operators(model)
     realization = _realization_from(args)
     if realization is not None:
@@ -263,14 +254,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         and (("spectrum" not in sections) or sections["spectrum"].ok)
     )
 
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             name: (rep if isinstance(rep, int) else rep.to_dict())
             for name, rep in sections.items()
         }
         doc["passed"] = passed
         text = json.dumps(doc, indent=2, sort_keys=True)
-    elif fmt == "csv":
+    elif args.format == "csv":
         header = ("check", "left", "right", "kind", "status", "residual")
         rows = _relation_rows(sections["defining_relations"])
         rows += _relation_rows(sections["centrality"])
@@ -279,36 +270,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
         parts = []
         for name, rep in sections.items():
             if isinstance(rep, int):
-                parts.append(f"## generated-operators — {selector}\n\ncount: {rep}")
+                parts.append(f"## generated-operators — {args.model}\n\ncount: {rep}")
             else:
                 parts.append(rep.to_markdown())
         parts.append(f"# result: {'PASS' if passed else 'FAIL'}")
         text = "\n\n".join(parts)
-    _emit(text, out)
+    _emit(text, args.out)
     return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    selector = _merge(args, "model", None)
-    if not selector:
-        raise ValueError("--model is required (flag or config)")
-    fmt = _merge(args, "format", "markdown")
-    out = _merge(args, "out", None)
-    model = build(ModelSpec.parse(selector))
+    model = build(ModelSpec.parse(args.model))
     realization = _realization_from(args)
     if realization is None:
         realization = FockRealization(8)
     rep = spectrum(model, realization)
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
-    elif fmt == "csv":
+    elif args.format == "csv":
         header = ("energy", "multiplicity", "status")
         rows = [(f"{c.value:.9g}", c.multiplicity, "reported") for c in rep.clusters]
         rows += [(f"{c.value:.9g}", c.multiplicity, "excluded") for c in rep.excluded]
         text = _table_csv(header, rows)
     else:
         text = rep.to_markdown()
-    _emit(text, out)
+    _emit(text, args.out)
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -318,20 +304,22 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    sub.add_argument("--out", default=None, help="write the report to this file")
-    sub.add_argument("--config", default=None, help="key=value file mirroring the flags")
+    sub.add_argument("--format", choices=FORMATS, default="markdown", help="output format")
+    sub.add_argument("--out", help="write the report to this file")
+    sub.add_argument("--config", help="key=value file mirroring the flags")
 
 
 def _add_realization(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--fock", type=int, default=None, metavar="N", help="truncated Fock cutoff (W=x)")
-    sub.add_argument("--grid", action="store_true", help="finite-difference grid realization")
-    sub.add_argument("--points", type=int, default=None, help="grid points")
-    sub.add_argument("--spacing", type=float, default=None, help="grid spacing")
-    sub.add_argument("--W", dest="w", default=None, help="superpotential: polynomial in x or @table-file")
+    choice = sub.add_mutually_exclusive_group()
+    choice.add_argument("--fock", "--cutoff", type=int, metavar="N", help="truncated Fock cutoff (W=x)")
+    choice.add_argument("--grid", action="store_true", help="finite-difference grid realization")
+    sub.add_argument("--points", "--grid.points", type=int, help="grid points")
+    sub.add_argument("--spacing", "--grid.spacing", type=float, help="grid spacing")
+    sub.add_argument("--W", dest="w", help="superpotential: polynomial in x or @table-file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="graded-sqm",
         description="Build graded supersymmetric quantum mechanics models and verify them exactly.",
@@ -339,39 +327,40 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_census = subs.add_parser("census", help="algebra counting table")
-    p_census.add_argument("--n-from", type=int, default=None)
-    p_census.add_argument("--n-to", type=int, default=None)
+    p_census.add_argument("--n-from", type=int, default=2)
+    p_census.add_argument("--n-to", type=int, default=10)
     _add_common(p_census)
     p_census.set_defaults(func=cmd_census)
 
     p_verify = subs.add_parser("verify", help="exact relation and centrality checks")
-    p_verify.add_argument("--model", default=None, help="e.g. minimal:n=4, next:n=3, maximal:n=4, n4cl12")
+    p_verify.add_argument("--model", required=True, help="e.g. minimal:n=4, next:n=3, maximal:n=4, n4cl12")
     p_verify.add_argument("--rank", action="store_true", help="add the central-rank report")
     p_verify.add_argument("--orbits", action="store_true", help="add the orbit report")
     p_verify.add_argument("--counts", action="store_true", help="add the generated-operator count")
-    p_verify.add_argument(
-        "--jobs", type=int, default=None,
-        help="accepted and ignored (as is the config key jobs); removed in the next release",
-    )
     _add_realization(p_verify)
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_spec = subs.add_parser("spectrum", help="eigenvalue clusters and degeneracies")
-    p_spec.add_argument("--model", default=None)
+    p_spec.add_argument("--model", required=True)
     _add_realization(p_spec)
     _add_common(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
-        args._config = load_config(args.config) if args.config else {}
+        if argv and argv[0] in commands:
+            # config flags go ahead of the command line's, so that its flags win
+            argv[1:1] = config_flags(argv[1:], commands[argv[0]])
+        args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its error line or the help
+        return exc.code
     except (ModelSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

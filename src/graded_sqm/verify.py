@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 
 # bytes of the dense complex Hamiltonian block that spectrum() diagonalizes
 MAX_SPECTRUM_BYTES = 1 << 27
+# levels x letters that the exact Fock reader walks: cutoff 65535, about 1 s with its report
+MAX_FOCK_WORK = 1 << 18
 
 FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
@@ -513,7 +515,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     realized and diagonalized on its own, by the real symmetric solver when
     its imaginary part is exactly zero.  A realization whose dense complex
     2 x dim block would exceed ``MAX_SPECTRUM_BYTES`` is refused before
-    anything is built.
+    any dense matrix is built, and a Fock realization whose levels times the
+    entries' letters exceed ``MAX_FOCK_WORK`` before any level is read.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -523,7 +526,6 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     """
     cliffdim = model.clifford_dim
     side = 2 * realization.dim
-    check_block_bytes(realization.dim)
     if model.hamiltonian.clifford.scalar_of_identity() != 1:
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
@@ -536,9 +538,13 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 
     artifact_modes = 0
     if is_fock:
+        work = realization.dim * sum(len(word) for e in entries for word, _ in e.items())
+        if work > MAX_FOCK_WORK:
+            raise ValueError(f"Fock work {work} (levels x letters) is over {MAX_FOCK_WORK}; reduce the cutoff")
         kernel_a, kernel_ad = realization.kernel_levels()
         levels = [realization.exact_diagonal(e) for e in entries]
     else:
+        check_block_bytes(realization.dim)
         kernel_a, kernel_ad = ground_state_pair(realization)
         raw_a, raw_ad = realization.raw_kernel_pair()
         artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
@@ -548,6 +554,7 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 
     if None in levels:
         import numpy as np
+        check_block_bytes(realization.dim)
         evals = np.sort(np.concatenate([_eigvalsh(realize(e, realization)) for e in entries]))
         all_clusters = _cluster(evals, tol, cliffdim)
     else:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import graded_sqm
 import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
 from graded_sqm.sqm_block import FockRealization, GridRealization
-from graded_sqm.verify import PairCheck, RelationReport
+from graded_sqm.verify import MAX_FOCK_WORK, PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,16 +126,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "result: PASS" in out
 
-    def test_jobs_flag_is_ignored(self, capsys, tmp_path):
-        args = ("verify", "--model", "minimal:n=3", "--rank", "--format", "json")
-        _, plain, _ = run(capsys, *args)
-        code, with_jobs, _ = run(capsys, *args, "--jobs", "4")
-        assert code == 0
-        assert with_jobs == plain
+    def test_jobs_flag_and_key_are_gone(self, capsys, tmp_path):
+        args = ("verify", "--model", "minimal:n=3", "--rank")
+        code, out, err = run(capsys, *args, "--jobs", "4")
+        assert (code, out) == (2, "")
+        assert "--jobs" in err
         cfg = tmp_path / "run.cfg"
         cfg.write_text("jobs = 4\n")
-        _, with_config, _ = run(capsys, *args, "--config", str(cfg))
-        assert with_config == plain
+        code, out, err = run(capsys, *args, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "'jobs'" in err
 
     def test_rank5_counts(self, capsys):
         for sel in ("n5cl26", "n5cl28"):
@@ -205,20 +206,38 @@ class TestSpectrumCommand:
         assert all(c["multiplicity"] % 32768 == 0 for c in clusters)
         assert sum(c["multiplicity"] for c in clusters) == doc["total_dim"]
 
-    def test_byte_guard_refuses_before_building_the_block(self, capsys, monkeypatch):
-        # total dimension 80004 but a 40002 x 40002 complex block of 25.6 GB
+    def test_byte_guard_refuses_before_building_the_block(self, capsys, monkeypatch, tmp_path):
+        # a dense 40002 x 40002 complex block would take 25.6 GB, but the
+        # exact Fock path builds none, so only its own work bounds it
+        out = str(tmp_path / "report.json")
+        proc = TestNumpyFree.run_fresh(
+            f"""
+            import sys
+
+            from graded_sqm import cli
+
+            argv = ["spectrum", "--model", "minimal:n=2", "--fock", "20000", "--format", "json"]
+            assert cli.main([*argv, "--out", {out!r}]) == 0
+            assert "numpy" not in sys.modules, "an exact Fock spectrum imported numpy"
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(Path(out).read_text())["clusters"]) == 20000
+
         def refuse(*args):
-            pytest.fail("realize called past the byte guard")
+            pytest.fail("realize called past the work guard")
 
         def refuse_exact(*args):
-            pytest.fail("the exact Fock reader called past the byte guard")
+            pytest.fail("the exact Fock reader called past the work guard")
 
         monkeypatch.setattr("graded_sqm.verify.realize", refuse)
         monkeypatch.setattr(FockRealization, "exact_diagonal", refuse_exact)
         monkeypatch.setattr(FockRealization, "kernel_levels", refuse_exact)
-        code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--fock", "20000")
+        # two entries of two letters each: this cutoff is one level over the budget
+        cutoff = str(MAX_FOCK_WORK // 4)
+        code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--fock", cutoff)
         assert code == 2
-        assert "bytes" in err
+        assert "reduce the cutoff" in err
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     def test_byte_guard_refuses_a_grid_before_building_it(self, capsys, monkeypatch, command):
@@ -233,6 +252,22 @@ class TestSpectrumCommand:
         )
         assert code == 2
         assert "bytes" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize(
+        "flag,key,value",
+        [("--points", "grid.points", "51"), ("--spacing", "spacing", "0.1"), ("--W", "W", "x^3")],
+    )
+    def test_grid_options_need_grid(self, capsys, tmp_path, command, flag, key, value):
+        for fock in ((), ("--fock", "8")):
+            code, out, err = run(capsys, command, "--model", "minimal:n=2", *fock, flag, value)
+            assert (code, out) == (2, "")
+            assert "only with --grid" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = minimal:n=2\nrealization = fock\n{key} = {value}\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "only with --grid" in err
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(model, realization):
@@ -309,6 +344,76 @@ class TestConfigAndOutput:
         code, out, _ = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 0
         assert "fock(cutoff=6" in out
+
+    @pytest.mark.parametrize(
+        "command,flags,config",
+        [
+            pytest.param(
+                "verify",
+                ["--model", "n4cl10", "--rank", "--orbits", "--counts", "--format", "json"],
+                "model = n4cl10\nrank = yes\norbits = on\ncounts = 1\nformat = json\n",
+                id="verify-switches",
+            ),
+            pytest.param(
+                "verify",
+                ["--model", "next:n=2", "--fock", "4", "--format", "csv"],
+                "Model = next:n=2\nrank = false\ncounts = off\nfock = 4\nFORMAT = csv\n",
+                id="verify-false-switches",
+            ),
+            pytest.param(
+                "census",
+                ["--n-from", "3", "--n-to", "5", "--format", "csv"],
+                "n-from = 3\nn_to = 5\nformat = csv\n",
+                id="census",
+            ),
+            pytest.param(
+                "spectrum",
+                ["--model", "minimal:n=3", "--fock", "6"],
+                "model = minimal:n=3\nrealization = fock\ncutoff = 6\n",
+                id="spectrum-cutoff",
+            ),
+            pytest.param(
+                "spectrum",
+                ["--model", "minimal:n=2", "--grid", "--points", "41", "--spacing", "0.1",
+                 "--W", "x^3", "--format", "json"],
+                "model=minimal:n=2\nrealization=grid\ngrid.points=41\ngrid.spacing=0.1\n"
+                "W=x^3\nformat=json\n",
+                id="spectrum-grid-aliases",
+            ),
+            pytest.param(
+                "spectrum",
+                ["--model", "next:n=2", "--grid", "--points", "21", "--spacing", "0.2", "--W=-x"],
+                "model = next:n=2\ngrid = true\npoints = 21\nspacing = 0.2\nw = -x\n",
+                id="spectrum-grid",
+            ),
+        ],
+    )
+    def test_config_gives_the_output_of_its_flags(self, capsys, tmp_path, command, flags, config):
+        code, out, _ = run(capsys, command, *flags)
+        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert run(capsys, command, "--config", str(cfg))[:2] == (code, out)
+
+    @pytest.mark.parametrize(
+        "command,line",
+        [
+            ("verify", "format = yaml"),
+            ("spectrum", "fock = 2.5"),
+            ("verify", "rank = maybe"),
+            ("verify", "rnak = true"),
+            ("spectrum", "rank = true"),
+            ("spectrum", "rank = false"),
+            ("census", "realization = fock"),
+            ("verify", "config = other.cfg"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = minimal:n=2\n{line}\n" if command != "census" else line)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "error" in err
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.json"
@@ -405,3 +510,98 @@ class TestNumpyFree:
             """
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestInputSweep:
+    """Seeded random command lines and config files: every call ends with
+    exit 0, 1 or 2 and raises nothing, and a config file gives the status
+    and stdout of the flags it stands for."""
+
+    KEYS = {
+        "census": ["n-from", "n_to", "format", "FORMAT"],
+        "verify": ["rank", "orbits", "counts", "format", "fock", "cutoff"],
+        "spectrum": ["format", "fock", "cutoff", "realization"],
+    }
+    GRID_KEYS = ["points", "grid.points", "spacing", "grid.spacing", "W", "w"]
+    FOREIGN_KEYS = ["rnak", "jobs", "colour", "rank", "n-from", "grid", "model", "realization"]
+    SWITCHES = {"census": set(), "verify": {"rank", "orbits", "counts", "grid"}, "spectrum": {"grid"}}
+    ALIASES = {"cutoff": "fock", "grid.points": "points", "grid.spacing": "spacing", "w": "W"}
+    SELECTORS = (
+        [f"{family}:n={n}" for family in ("minimal", "next", "maximal") for n in (2, 3, 4)]
+        + ["n4cl10", "n4cl12"]
+    )
+    BAD_SELECTORS = [
+        "bogus:n=3", "minimal", "minimal:n=x", "next:n=", "maximal;n=3", "n4cl11", "",
+        "minimal:n=1", "minimal:n=9", "next:n=0", "maximal:n=6", "minimal:n=-2",
+    ]
+    SUPERPOTENTIALS = ["x", "-x", "x^3", "2*x^3 - x", "0.5*x^2 + x", "3", "x^2", "x^40", "-2*x^5"]
+    BAD_SUPERPOTENTIALS = ["y", "x**3", "x^", "", "+", "x -", "1e3*x", "@no-such-table.txt"]
+
+    @classmethod
+    def value(cls, rng: random.Random, key: str) -> str:
+        """A good value for the key, or one time in six a bad one."""
+        good = rng.random() < 5 / 6
+        key = cls.ALIASES.get(key.lower(), key).lower().replace("_", "-")
+        if key == "model":
+            return rng.choice(cls.SELECTORS if good else cls.BAD_SELECTORS)
+        if key == "format":
+            return rng.choice(["markdown", "json", "csv"] if good else ["yaml", "JSON", ""])
+        if key == "fock":
+            return str(rng.randint(1, 64)) if good else rng.choice(["0", "-3", "2.5", "abc"])
+        if key == "points":
+            return str(rng.randint(3, 64)) if good else rng.choice(["0", "2", "-5", "x"])
+        if key == "spacing":
+            good_spacing = f"{rng.uniform(0.05, 0.5):.3f}"
+            return good_spacing if good else rng.choice(["0", "-0.1", "inf", "nan", "abc"])
+        if key == "w":
+            return rng.choice(cls.SUPERPOTENTIALS if good else cls.BAD_SUPERPOTENTIALS)
+        if key in ("n-from", "n-to"):
+            return str(rng.randint(2, 10)) if good else rng.choice(["1", "11", "x"])
+        if key == "realization":
+            return rng.choice(["fock", "grid"] if good else ["dense"])
+        booleans = ["true", "false", "yes", "no", "on", "off", "1", "0", "True", "OFF"]
+        return rng.choice(booleans if good else ["maybe", "", "2"])
+
+    @classmethod
+    def as_flags(cls, command: str, settings: list[tuple[str, str]]) -> list[str]:
+        """The flags a config file of these settings stands for, translated
+        without the CLI's own code."""
+        switches = cls.SWITCHES[command]
+        flags = []
+        for key, value in settings:
+            name = cls.ALIASES.get(key.lower(), key.lower()).replace("_", "-")
+            if name == "realization" and "grid" in switches and value in ("fock", "grid"):
+                flags += ["--grid"] if value == "grid" else []
+            elif name in switches and value.lower() in ("true", "yes", "on", "1"):
+                flags.append(f"--{name}")
+            elif name not in switches or value.lower() not in ("false", "no", "off", "0"):
+                flags.append(f"--{name}={value}")
+        return flags
+
+    def test_seeded_inputs(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        cfg = tmp_path / "run.cfg"
+        statuses = []
+        for case in range(200):
+            command = rng.choice(["verify", "verify", "spectrum", "spectrum", "census"])
+            settings = [(key, self.value(rng, key)) for key in rng.sample(self.KEYS[command], 2)]
+            if command != "census":
+                if rng.random() < 0.95:
+                    settings.append((rng.choice(["model", "Model"]), self.value(rng, "model")))
+                if rng.random() < 0.4:
+                    if rng.random() < 0.8:  # mostly without a conflicting cutoff
+                        settings = [s for s in settings if s[0] not in ("fock", "cutoff")]
+                    settings.append(rng.choice([("grid", "true"), ("realization", "grid")]))
+                    for key in rng.sample(self.GRID_KEYS, rng.randint(0, 3)):
+                        settings.append((key, self.value(rng, key)))
+            if rng.random() < 0.1:
+                key = rng.choice(self.FOREIGN_KEYS)
+                settings.append((key, self.value(rng, key)))
+            rng.shuffle(settings)
+            flags = self.as_flags(command, settings)
+            code, out, _ = run(capsys, command, *flags)
+            assert code in (0, 1, 2), (case, flags)
+            cfg.write_text("# seeded case\n" + "".join(f"{k} = {v}\n" for k, v in settings))
+            assert run(capsys, command, "--config", str(cfg))[:2] == (code, out), (case, settings)
+            statuses.append(code)
+        assert {0, 1, 2} <= set(statuses)

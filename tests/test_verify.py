@@ -25,6 +25,7 @@ from graded_sqm.sqm_block import (
     realize,
 )
 from graded_sqm.verify import (
+    MAX_FOCK_WORK,
     TensorSum,
     TensorTerm,
     _block_pattern,
@@ -491,8 +492,9 @@ class TestSpectrum:
         assert rep.ok, rep.problems
 
     def test_dimension_guard(self, models):
-        with pytest.raises(ValueError):
-            spectrum(models("minimal:n=8"), FockRealization(1 << 13))
+        # four letters per level: a cutoff of a quarter of the budget is over it
+        with pytest.raises(ValueError, match="reduce the cutoff"):
+            spectrum(models("minimal:n=8"), FockRealization(MAX_FOCK_WORK // 4))
 
     @pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
     def test_grid_spacing_must_be_finite_and_positive(self, spacing):
@@ -537,6 +539,22 @@ class TestSpectrum:
         h = replace(m.hamiltonian, block=block)
         broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
         assert_spectrum_matches_dense(broken, FockRealization(6))
+
+    def test_byte_guard_bounds_the_fock_fallback(self, models, monkeypatch):
+        # the complex entry sends a cutoff well under the work guard to the
+        # dense fallback, whose 4002 x 4002 complex block would take 256 MB
+        def refuse(*args):
+            pytest.fail("realize called past the byte guard")
+
+        m = models("minimal:n=2")
+        a, ad = WordSum.letter(LOWER), WordSum.letter(RAISE)
+        e = m.hamiltonian.block.entries
+        block = SqmBlock([[e[0][0] + (a - ad) * 1j, e[0][1]], [e[1][0], e[1][1]]])
+        h = replace(m.hamiltonian, block=block)
+        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
+        monkeypatch.setattr("graded_sqm.verify.realize", refuse)
+        with pytest.raises(ValueError, match="bytes"):
+            spectrum(broken, FockRealization(2000))
 
     def test_requires_identity_hamiltonian_factor(self, models):
         m = models("minimal:n=3")
