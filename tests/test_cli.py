@@ -12,7 +12,7 @@ import pytest
 import graded_sqm
 import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
-from graded_sqm.sqm_block import FockRealization, GridRealization
+from graded_sqm.realizations import FockRealization, GridRealization
 from graded_sqm.verify import MAX_FOCK_WORK, PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -143,6 +143,28 @@ class TestVerifyCommand:
             assert code == 0
             assert "count: 65536" in out
 
+    def test_json_golden(self, capsys):
+        args = ("--model", "minimal:n=3", "--rank", "--orbits", "--counts", "--format", "json")
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == 0
+        assert out == (GOLDEN / "verify_minimal_n3_rank_orbits_counts.json").read_text()
+
+    def test_maximal_rank8_reports_exact_ints(self, capsys):
+        # 127 qubits: the node count 2**128 and the generated-operator count
+        # 2**128 must print as exact integers, not as floats
+        args = ("verify", "--model", "maximal:n=8", "--rank", "--orbits", "--counts")
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] and doc["generated_operators"] == 1 << 128
+        assert doc["orbits"]["num_nodes"] == 1 << 128
+        assert doc["orbits"]["component_sizes"] == [1 << 128]
+        assert (doc["rank"]["total_rank"], doc["rank"]["total_count"]) == (8128, 8128)
+        code, out, _ = run(capsys, *args, "--format", "markdown")
+        assert code == 0
+        assert f"count: {1 << 128}\n" in out
+        assert f"over {1 << 128} tensor-basis lines: sizes [{1 << 128}]" in out
+
 
 class TestSpectrumCommand:
     def test_fock_golden(self, capsys):
@@ -151,6 +173,46 @@ class TestSpectrumCommand:
         )
         assert code == 0
         assert out == (GOLDEN / "spectrum_minimal_n3_fock8.md").read_text()
+
+    def test_fock_json_golden(self, capsys):
+        code, out, _ = run(
+            capsys, "spectrum", "--model", "maximal:n=3", "--fock", "8", "--format", "json"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "spectrum_maximal_n3_fock8.json").read_text()
+
+    def test_maximal_rank8_multiplicities_are_exact_ints(self, capsys):
+        args = ("spectrum", "--model", "maximal:n=8", "--fock", "8")
+        zero, excited = 1 << 127, 1 << 128
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total_dim"] == 18 << 127
+        assert [c["multiplicity"] for c in doc["clusters"]] == [zero] + [excited] * 7
+        code, out, _ = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:3] == [f"0,{zero},reported", f"1,{excited},reported"]
+        code, out, _ = run(capsys, *args, "--format", "markdown")
+        assert code == 0
+        assert f"| 0 | {zero} |" in out and f"| 7 | {excited} |" in out
+
+    @pytest.mark.parametrize("w", ["x", "x^3"])
+    @pytest.mark.parametrize("points", [40, 41, 200, 201])
+    def test_even_grids_are_refused(self, capsys, monkeypatch, points, w):
+        # an even grid breaks the doubler pairing the multiplicity check
+        # counts on, so it is a usage error, found before any matrix is built
+        if points % 2 == 0:
+            def refuse(self):
+                pytest.fail("a ladder matrix was built for an even grid")
+
+            monkeypatch.setattr(GridRealization, "_ladders", property(refuse))
+        grid = ("--grid", "--points", str(points), "--spacing", "0.05", "--W", w)
+        code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", *grid)
+        if points % 2:
+            assert code == 0 and "result: **PASS**" in out
+        else:
+            assert (code, out) == (2, "")
+            assert "only on odd grids" in err
 
     def test_grid_cubic_zero_modes(self, capsys):
         code, out, _ = run(
@@ -512,6 +574,66 @@ class TestNumpyFree:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestStartup:
+    """What a call loads: the package resolves its names lazily, and a
+    command imports only the modules it runs."""
+
+    @staticmethod
+    def loaded(script: str) -> set[str]:
+        """The graded_sqm modules, and numpy if loaded, after a fresh
+        interpreter runs the script."""
+        report = "import json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('graded_sqm')"
+        report += " or m == 'numpy']))\n"
+        proc = TestNumpyFree.run_fresh(textwrap.dedent(script) + report)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_import_loads_no_submodule(self):
+        assert self.loaded("import graded_sqm\n") == {"graded_sqm"}
+
+    def test_verify_loads_no_realization(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        loaded = self.loaded(
+            f"""
+            from graded_sqm import cli
+
+            argv = ["verify", "--model", "next:n=4", "--rank", "--orbits", "--counts"]
+            assert cli.main([*argv, "--format", "json", "--out", {out!r}]) == 0
+            """
+        )
+        assert "graded_sqm.verify" in loaded
+        assert "graded_sqm.realizations" not in loaded and "numpy" not in loaded
+
+    def test_fock_spectrum_loads_realizations_without_numpy(self, tmp_path):
+        out = str(tmp_path / "report.md")
+        loaded = self.loaded(
+            f"""
+            from graded_sqm import cli
+
+            assert cli.main(["spectrum", "--model", "next:n=4", "--fock", "8", "--out", {out!r}]) == 0
+            """
+        )
+        assert "graded_sqm.realizations" in loaded and "numpy" not in loaded
+
+    def test_every_public_name_resolves_to_its_module(self):
+        import importlib
+
+        assert len(set(graded_sqm.__all__)) == len(graded_sqm.__all__)
+        for name in graded_sqm.__all__:
+            module = importlib.import_module(f"graded_sqm.{graded_sqm._MODULE_OF[name]}")
+            assert getattr(graded_sqm, name) is getattr(module, name), name
+        with pytest.raises(AttributeError):
+            graded_sqm.no_such_name
+
+    def test_graded_operator_stays_a_dataclass(self, models):
+        import dataclasses
+
+        q = next(iter(models("minimal:n=2").supercharges.values()))
+        p = dataclasses.replace(q, block=q.block * -1)
+        assert type(p) is type(q) and p.block == q.block * -1
+        assert (p.clifford, p.degree, p.role) == (q.clifford, q.degree, q.role)
+
+
 class TestInputSweep:
     """Seeded random command lines and config files: every call ends with
     exit 0, 1 or 2 and raises nothing, and a config file gives the status
@@ -532,7 +654,7 @@ class TestInputSweep:
     )
     BAD_SELECTORS = [
         "bogus:n=3", "minimal", "minimal:n=x", "next:n=", "maximal;n=3", "n4cl11", "",
-        "minimal:n=1", "minimal:n=9", "next:n=0", "maximal:n=6", "minimal:n=-2",
+        "minimal:n=1", "minimal:n=9", "next:n=0", "maximal:n=9", "minimal:n=-2",
     ]
     SUPERPOTENTIALS = ["x", "-x", "x^3", "2*x^3 - x", "0.5*x^2 + x", "3", "x^2", "x^40", "-2*x^5"]
     BAD_SUPERPOTENTIALS = ["y", "x**3", "x^", "", "+", "x -", "1e3*x", "@no-such-table.txt"]

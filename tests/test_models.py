@@ -37,7 +37,8 @@ class TestModelSpec:
         with pytest.raises(ModelSpecError):
             ModelSpec.parse("next:n=1")
         with pytest.raises(ModelSpecError):
-            ModelSpec.parse("maximal:n=6")
+            ModelSpec.parse("maximal:n=9")
+        assert build(ModelSpec.parse("maximal:n=6")).clifford_dim == 1 << 31
 
     def test_custom_rank_is_fixed(self):
         with pytest.raises(ModelSpecError):

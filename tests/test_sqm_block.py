@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from graded_sqm.realizations import FockRealization, GridRealization
 from graded_sqm.sqm_block import (
     LOWER,
     RAISE,
-    FockRealization,
-    GridRealization,
     SqmBlock,
     WordSum,
     canonical_blocks,
@@ -140,7 +139,7 @@ class TestFockRealization:
 
     @pytest.mark.parametrize("cutoff", [1, 2, 6])
     def test_kernel_levels_against_dense_svd(self, cutoff):
-        from graded_sqm.sqm_block import _svd_kernel
+        from graded_sqm.realizations import _svd_kernel
 
         r = FockRealization(cutoff)
         for letter, levels in zip((LOWER, RAISE), r.kernel_levels()):

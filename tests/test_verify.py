@@ -14,11 +14,10 @@ from graded_sqm.grading import (
     dot,
 )
 from graded_sqm.models import GradedOperator, Model
+from graded_sqm.realizations import FockRealization, GridRealization
 from graded_sqm.sqm_block import (
     LOWER,
     RAISE,
-    FockRealization,
-    GridRealization,
     SqmBlock,
     WordSum,
     canonical_blocks,
@@ -572,16 +571,16 @@ class TestSpectrum:
             spectrum(broken, FockRealization(4))
 
     def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
-        import graded_sqm.sqm_block as sqm_block
+        import graded_sqm.realizations as realizations
 
         shapes = []
-        svd_kernel = sqm_block._svd_kernel
+        svd_kernel = realizations._svd_kernel
 
         def counted(mat):
             shapes.append(mat.shape)
             return svd_kernel(mat)
 
-        monkeypatch.setattr(sqm_block, "_svd_kernel", counted)
+        monkeypatch.setattr(realizations, "_svd_kernel", counted)
         grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
         rep = spectrum(models("minimal:n=2"), grid)
         assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
@@ -704,3 +703,30 @@ class TestGeneratedOperators:
     def test_against_bfs_oracle(self, models, sel):
         m = models(sel)
         assert count_generated_operators(m) == generated_count_bfs(m)
+
+
+class TestMaximalPastTheDenseRange:
+    """maximal:n=6 and n=7 act on 31 and 63 qubits, out of any dense
+    oracle's reach, so the exact checks are pinned to the closed-form counts."""
+
+    @pytest.mark.parametrize("n,centrals,count", [(6, 496, 1 << 32), (7, 2016, 1 << 64)])
+    def test_checks_ranks_orbits_and_counts(self, models, n, centrals, count):
+        m = models(f"maximal:n={n}")
+        assert check_defining_relations(m).overall
+        cen = check_centrality(m)
+        assert cen.overall and len(cen.centrality_results) == 1 + centrals
+        rep = central_rank(m)
+        assert (rep.total_rank, rep.total_count, rep.all_independent) == (centrals, centrals, True)
+        nq = len(m.supercharges)
+        assert len(rep.entries) == nq - 1 and {e.rank for e in rep.entries} == {nq // 2}
+        assert count_generated_operators(m) == count
+        orbits = orbit_decomposition(m)
+        assert orbits.num_nodes == 2 * m.clifford_dim == 1 << nq
+        assert orbits.component_sizes == (1 << nq,)
+
+    def test_single_site_mutations_detected(self, models):
+        rng = np.random.default_rng(20261018)
+        model = models("maximal:n=6")
+        for _ in range(6):
+            broken = mutate_model(model, rng)
+            assert not (check_defining_relations(broken).overall and check_centrality(broken).overall)
