@@ -239,6 +239,10 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model = build(ModelSpec.parse(args.model))
+    # the spectrum runs first, so a realization it refuses costs no exact check,
+    # but its section is reported last
+    realization = _realization_from(args)
+    spectral = None if realization is None else spectrum(model, realization)
 
     sections: dict[str, object] = {}
     sections["defining_relations"] = check_defining_relations(model)
@@ -249,9 +253,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sections["orbits"] = orbit_decomposition(model)
     if args.counts:
         sections["generated_operators"] = count_generated_operators(model)
-    realization = _realization_from(args)
-    if realization is not None:
-        sections["spectrum"] = spectrum(model, realization)
+    if spectral is not None:
+        sections["spectrum"] = spectral
 
     passed = (
         sections["defining_relations"].overall
@@ -275,7 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         parts = []
         for name, rep in sections.items():
             if isinstance(rep, int):
-                parts.append(f"## generated-operators — {args.model}\n\ncount: {rep}")
+                parts.append(f"## generated-operators — {model.spec.selector}\n\ncount: {rep}")
             else:
                 parts.append(rep.to_markdown())
         parts.append(f"# result: {'PASS' if passed else 'FAIL'}")

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
-# Model building is capped at this rank: the largest family dimension grows
-# like 2**(2**(n-1)), so anything beyond rank 8 is out of desk-scale reach.
+# Model building is capped at this rank for every general family.  The checks
+# work on the bits of each Pauli string, so the dimension no longer matters;
+# the cap bounds the centrality sweep, whose work is the central count times
+# the operator count, both quadratic in the 2**(n-1) supercharges.
 MAX_RANK = 8
 
 COMMUTATOR = "commutator"

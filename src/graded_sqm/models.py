@@ -29,13 +29,9 @@ HAMILTONIAN = "hamiltonian"
 SUPERCHARGE = "supercharge"
 CENTRAL = "central"
 
-GENERAL_FAMILIES = ("minimal", "next", "maximal")
-CUSTOM_FAMILY_RANKS = {"n4cl12": 4, "n4cl10": 4, "n5cl28": 5, "n5cl26": 5}
-FAMILIES = GENERAL_FAMILIES + tuple(CUSTOM_FAMILY_RANKS)
-
-# the checks work on the bits of each Pauli string, never on a matrix of
-# dimension 2**(2**(n-1) - 1), so n=8 (127 qubits) verifies in about a second
-MAX_MAXIMAL_RANK = 8
+# the fixed-rank families: rank n and qubit count m of each generator table
+CUSTOM_FAMILIES = {"n4cl12": (4, 6), "n4cl10": (4, 5), "n5cl28": (5, 14), "n5cl26": (5, 13)}
+FAMILIES = ("minimal", "next", "maximal", *CUSTOM_FAMILIES)
 
 
 class ModelSpecError(ValueError):
@@ -78,29 +74,23 @@ class ModelSpec:
             raise ModelSpecError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.ordering not in ("default", "reversed"):
             raise ModelSpecError(f"ordering must be 'default' or 'reversed', got {self.ordering!r}")
-        if self.family in CUSTOM_FAMILY_RANKS:
-            want = CUSTOM_FAMILY_RANKS[self.family]
+        if self.family in CUSTOM_FAMILIES:
+            want = CUSTOM_FAMILIES[self.family][0]
             if self.n != want:
                 raise ModelSpecError(f"family {self.family} requires n={want}, got n={self.n}")
             if self.ordering != "default":
                 raise ModelSpecError(
                     f"family {self.family} has a fixed generator table; ordering overrides not supported"
                 )
-        elif self.family == "maximal":
-            if not 2 <= self.n <= MAX_MAXIMAL_RANK:
-                raise ModelSpecError(
-                    f"maximal family limited to 2 <= n <= {MAX_MAXIMAL_RANK}, got n={self.n}"
-                )
-        else:
-            if not 2 <= self.n <= MAX_RANK:
-                raise ModelSpecError(f"{self.family} family limited to 2 <= n <= {MAX_RANK}, got n={self.n}")
+        elif not 2 <= self.n <= MAX_RANK:
+            raise ModelSpecError(f"{self.family} family limited to 2 <= n <= {MAX_RANK}, got n={self.n}")
 
     @classmethod
     def parse(cls, selector: str, ordering: str = "default") -> "ModelSpec":
         """Parse selector strings like 'minimal:n=4' or 'n4cl12'."""
         s = selector.strip().lower()
-        if s in CUSTOM_FAMILY_RANKS:
-            return cls(s, CUSTOM_FAMILY_RANKS[s], ordering)
+        if s in CUSTOM_FAMILIES:
+            return cls(s, CUSTOM_FAMILIES[s][0], ordering)
         if ":" in s:
             family, _, rest = s.partition(":")
             if rest.startswith("n="):
@@ -111,12 +101,12 @@ class ModelSpec:
                         raise
                     raise ModelSpecError(f"bad rank in selector {selector!r}") from None
         raise ModelSpecError(
-            f"cannot parse selector {selector!r}; expected 'family:n=K' or one of {sorted(CUSTOM_FAMILY_RANKS)}"
+            f"cannot parse selector {selector!r}; expected 'family:n=K' or one of {sorted(CUSTOM_FAMILIES)}"
         )
 
     @property
     def selector(self) -> str:
-        if self.family in CUSTOM_FAMILY_RANKS:
+        if self.family in CUSTOM_FAMILIES:
             return self.family
         return f"{self.family}:n={self.n}"
 
@@ -128,9 +118,7 @@ class ModelSpec:
             return 1 << self.n
         if self.family == "maximal":
             return 1 << ((1 << (self.n - 1)) - 1)
-        return {"n4cl12": 1 << 6, "n4cl10": 1 << 5, "n5cl28": 1 << 14, "n5cl26": 1 << 13}[
-            self.family
-        ]
+        return 1 << CUSTOM_FAMILIES[self.family][1]
 
     @property
     def total_dim(self) -> int:
@@ -210,8 +198,10 @@ def _gamma_word(bits: tuple[int, ...], m: int) -> PauliOperator:
 
 
 def _check_generator(g: PauliOperator, what: str) -> None:
-    assert g.is_hermitian(), f"{what} is not hermitian"
-    assert (g @ g).scalar_of_identity() == 1, f"{what} does not square to identity"
+    if not g.is_hermitian():
+        raise ValueError(f"{what} is not hermitian")
+    if (g @ g).scalar_of_identity() != 1:
+        raise ValueError(f"{what} does not square to identity")
 
 
 def _ordered_degrees(spec: ModelSpec) -> list[DegreeVector]:
@@ -342,11 +332,7 @@ def _product(*ops: PauliOperator) -> PauliOperator:
     return reduce(lambda x, y: x @ y, ops)
 
 
-def _n4cl12_generators() -> list[PauliOperator]:
-    m = 6
-    g = [None] + [gamma(j, m) for j in range(1, m + 1)]
-    gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
-    G = [None] + [big_gamma(j, m) for j in range(1, m + 1)]
+def _n4cl12_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
     return [
         g[1],
         g[2],
@@ -359,11 +345,7 @@ def _n4cl12_generators() -> list[PauliOperator]:
     ]
 
 
-def _n4cl10_generators() -> list[PauliOperator]:
-    m = 5
-    g = [None] + [gamma(j, m) for j in range(1, m + 1)]
-    gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
-    G = [None] + [big_gamma(j, m) for j in range(1, m + 1)]
+def _n4cl10_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
     return [
         g[1],
         g[2],
@@ -376,11 +358,7 @@ def _n4cl10_generators() -> list[PauliOperator]:
     ]
 
 
-def _n5cl28_generators() -> list[PauliOperator]:
-    m = 14
-    g = [None] + [gamma(j, m) for j in range(1, m + 1)]
-    gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
-    G = [None] + [big_gamma(j, m) for j in range(1, m + 1)]
+def _n5cl28_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
     return [
         g[1],
         g[2],
@@ -401,11 +379,7 @@ def _n5cl28_generators() -> list[PauliOperator]:
     ]
 
 
-def _n5cl26_generators() -> list[PauliOperator]:
-    m = 13
-    g = [None] + [gamma(j, m) for j in range(1, m + 1)]
-    gt = [None] + [gamma_tilde(j, m) for j in range(1, m + 1)]
-    G = [None] + [big_gamma(j, m) for j in range(1, m + 1)]
+def _n5cl26_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
     return [
         g[1],
         g[2],
@@ -426,19 +400,19 @@ def _n5cl26_generators() -> list[PauliOperator]:
     ]
 
 
-_CUSTOM_TABLES = {
-    "n4cl12": _n4cl12_generators,
-    "n4cl10": _n4cl10_generators,
-    "n5cl28": _n5cl28_generators,
-    "n5cl26": _n5cl26_generators,
-}
-
-
 def build_custom(family: str) -> Model:
-    """Intermediate rank-4 / rank-5 families from fixed generator tables."""
-    spec = ModelSpec(family, CUSTOM_FAMILY_RANKS[family])
-    degrees = _ordered_degrees(spec)
-    return _assemble_product_family(spec, degrees, _CUSTOM_TABLES[family]())
+    """Intermediate rank-4 / rank-5 families from fixed generator tables.
+
+    The table of family F is ``_F_generators``; it indexes the gamma,
+    gamma-tilde and big-gamma alphabets on the family's m qubits from 1.
+    """
+    n, m = CUSTOM_FAMILIES[family]
+    spec = ModelSpec(family, n)
+    g, gt, G = (
+        [None] + [letter(j, m) for j in range(1, m + 1)] for letter in (gamma, gamma_tilde, big_gamma)
+    )
+    table = globals()[f"_{family}_generators"]
+    return _assemble_product_family(spec, _ordered_degrees(spec), table(g, gt, G))
 
 
 def build(spec: ModelSpec) -> Model:

@@ -525,6 +525,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
             raise ValueError(f"Fock work {work} (levels x letters) is over {MAX_FOCK_WORK}; reduce the cutoff")
         kernel_a, kernel_ad = realization.kernel_levels()
         levels = [realization.exact_diagonal(e) for e in entries]
+        if None in levels:  # the numeric fallback below builds dense matrices
+            check_block_bytes(realization.dim)
     else:
         if realization.dim % 2 == 0:
             raise ValueError(
@@ -541,7 +543,6 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 
     if None in levels:
         import numpy as np
-        check_block_bytes(realization.dim)
         evals = np.sort(np.concatenate([_eigvalsh(realize(e, realization)) for e in entries]))
         all_clusters = _cluster(evals, tol, cliffdim)
     else:

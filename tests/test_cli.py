@@ -143,6 +143,26 @@ class TestVerifyCommand:
             assert code == 0
             assert "count: 65536" in out
 
+    def test_counts_heading_uses_the_normalized_selector(self, capsys):
+        code, out, _ = run(capsys, "verify", "--model", " Next:n=2 ", "--counts")
+        assert code == 0
+        assert "## defining-relations — next:n=2\n" in out
+        assert "## generated-operators — next:n=2\n\ncount: 4\n" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--grid", "--points", "40"), ("--fock", "65536"), ("--points", "41")],
+        ids=["even-grid", "fock-work", "points-without-grid"],
+    )
+    def test_refused_realization_runs_no_exact_check(self, capsys, monkeypatch, flags):
+        def refuse(model):
+            pytest.fail("an exact check ran before the realization was refused")
+
+        monkeypatch.setattr(cli, "check_defining_relations", refuse)
+        args = ("--model", "maximal:n=8", "--rank", "--orbits", "--counts", *flags)
+        code, out, _ = run(capsys, "verify", *args)
+        assert (code, out) == (2, "")
+
     def test_json_golden(self, capsys):
         args = ("--model", "minimal:n=3", "--rank", "--orbits", "--counts", "--format", "json")
         code, out, _ = run(capsys, "verify", *args)

@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from graded_sqm.clifford import anticommutes, commutes, gamma, proportional
+import graded_sqm
+from graded_sqm.clifford import PauliOperator, anticommutes, commutes, gamma, proportional
 from graded_sqm.grading import DegreeVector, dot, enumerate_odd_degrees
 from graded_sqm.models import (
     CENTRAL,
+    CUSTOM_FAMILIES,
     SUPERCHARGE,
     Model,
     ModelSpec,
@@ -15,6 +21,7 @@ from graded_sqm.models import (
     minimal_phase_exponent,
 )
 from graded_sqm.sqm_block import canonical_blocks
+from graded_sqm.verify import _gf2_rank
 
 
 def dv(*bits):
@@ -306,3 +313,64 @@ class TestModelStructure:
         assert m.total_dim == m.spec.total_dim
         assert m.clifford_dim == m.spec.clifford_dim
         assert len(m.supercharges) == 1 << (m.spec.n - 1)
+
+
+class TestGeneratorCheck:
+    def test_refuses_a_non_hermitian_generator_under_python_O(self):
+        # -O strips assert statements; the build-time check must survive it.
+        # The generator is X Z = -iY.
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = (
+            "from graded_sqm.clifford import PauliOperator\n"
+            "from graded_sqm.models import _check_generator\n"
+            "_check_generator(PauliOperator(1, 1, 1), 'g')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode != 0
+        assert "not hermitian" in proc.stderr
+
+
+class TestQubitCountBound:
+    """Each product family's qubit count against the GF(2) lower bound.
+
+    With v_a the (x, z) bits of Q_a's Pauli string, Omega the Gram matrix of
+    the symplectic form on the v_a and K the kernel of the map a -> v_a, a
+    family with that Omega and K needs at least
+    rank(Omega)/2 + dim rad(Omega) - dim K qubits.  The excess over it is
+    pinned here; zero means the Clifford algebra is as small as it can be.
+    """
+
+    @staticmethod
+    def bound(model: Model) -> int:
+        charges = [q.clifford for q in model.supercharges.values()]
+        m = model.hamiltonian.clifford.m
+
+        def omega(u: PauliOperator, v: PauliOperator) -> int:
+            return ((u.x & v.z).bit_count() + (u.z & v.x).bit_count()) & 1
+
+        rank_omega = _gf2_rank(sum(omega(u, v) << j for j, v in enumerate(charges)) for u in charges)
+        dim_rad = len(charges) - rank_omega
+        dim_k = len(charges) - _gf2_rank(v.x << m | v.z for v in charges)
+        return rank_omega // 2 + dim_rad - dim_k
+
+    @pytest.mark.parametrize(
+        "sel,excess", [("n4cl10", 0), ("n4cl12", 0), ("n5cl26", 0), ("n5cl28", 1)]
+    )
+    def test_tables(self, models, sel, excess):
+        m = CUSTOM_FAMILIES[sel][1]
+        assert models(sel).hamiltonian.clifford.m == m
+        assert m - self.bound(models(sel)) == excess
+
+    @pytest.mark.parametrize(
+        "family,excesses", [("maximal", (0, 1, 1, 2, 2, 3)), ("next", (1, 1, 2, 2, 3, 3))]
+    )
+    def test_general_families(self, models, family, excesses):
+        for n, excess in zip(range(2, 8), excesses):
+            model = models(f"{family}:n={n}")
+            assert model.hamiltonian.clifford.m - self.bound(model) == excess, n
