@@ -23,7 +23,6 @@ from .grading import census
 from .models import ModelSpec, ModelSpecError, build
 from .verify import (
     central_rank,
-    check_block_bytes,
     check_centrality,
     check_defining_relations,
     count_generated_operators,
@@ -80,9 +79,12 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
 
     A table file (prefix '@' or an existing path) holds one superpotential
     value per grid point; its derivative is taken by central differences.
+    The grid is checked before the table is read, W evaluated or numpy
+    imported.
     """
-    from .realizations import GridRealization
+    from .realizations import GridRealization, check_grid
 
+    check_grid(points, spacing)
     path = w_expr[1:] if w_expr.startswith("@") else w_expr
     if w_expr.startswith("@") or Path(path).is_file():
         import numpy as np
@@ -232,7 +234,6 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
     if args.grid:
         points = 201 if args.points is None else args.points
         spacing = 0.05 if args.spacing is None else args.spacing
-        check_block_bytes(points)  # before W is read or evaluated on the grid
         return make_grid_realization(points, spacing, "x" if args.w is None else args.w)
     return None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 # Model building is capped at this rank for every general family.  The checks
 # work on the bits of each Pauli string, so the dimension no longer matters;
@@ -122,18 +122,13 @@ def default_degree_key(a: DegreeVector) -> tuple[int, int]:
     return (a.weight, -a.mask)
 
 
-def enumerate_odd_degrees(
-    n: int, key: Callable[[DegreeVector], object] | None = None
-) -> list[DegreeVector]:
-    """All 2**(n-1) parity-1 degrees of rank n in canonical order.
-
-    ``key`` overrides the ordering; the default ordering is the one the
-    intermediate-family generator tables are written against.
-    """
+def enumerate_odd_degrees(n: int) -> list[DegreeVector]:
+    """All 2**(n-1) parity-1 degrees of rank n in canonical order, the one
+    the intermediate-family generator tables are written against."""
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
     odd = [DegreeVector(n, m) for m in range(1 << n) if (m.bit_count() & 1)]
-    odd.sort(key=key or default_degree_key)
+    odd.sort(key=default_degree_key)
     return odd
 
 

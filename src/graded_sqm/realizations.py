@@ -3,11 +3,14 @@
 A realization substitutes concrete matrices for the letters of the formal
 word algebra in :mod:`graded_sqm.sqm_block`: a truncated harmonic Fock
 space (superpotential fixed to x, exact integer spectrum) or a
-finite-difference grid with a user superpotential.  Only ``spectrum``
-uses them, so this module is imported where a realization is built, not
-by the exact checks.  The Fock space reads balanced entries and ladder
-kernels off as exact integers without numpy; every dense matrix, and every
-grid, imports numpy where it is built.
+finite-difference grid with a user superpotential.  ``spectrum`` reads
+the levels of both partner Hamiltonians Ad A and A Ad, and both ladder
+kernels, off the pair alone: the Fock space gives them in closed form as
+exact integers without numpy, the grid from one SVD of its lowering
+matrix.  The dense matrices of ``realize`` are the tests' oracle.  Only
+``spectrum`` uses this module, so it is imported where a realization is
+built, not by the exact checks; every dense matrix, and every grid,
+imports numpy where it is built.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ if TYPE_CHECKING:
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
+# bytes of the dense complex Hamiltonian block, 2 x points on a side, that
+# bound a grid; its spectrum holds three points x points float matrices
+MAX_SPECTRUM_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -33,12 +39,9 @@ class FockRealization:
     The lowering letter acts as the standard annihilation operator on levels
     0..cutoff.  Words are realized by walking levels with exact integer
     radicands; matrix elements are the untruncated ones, restricted to
-    levels <= cutoff.  A balanced word (as many lowering as raising letters)
-    sends each level to an exact integer multiple of itself, so an entry of
-    balanced words with real integer coefficients, such as either diagonal
-    entry of the Hamiltonian block, is read off exactly by
-    :meth:`exact_diagonal`, and the ladder kernels are exact level sets
-    (:meth:`kernel_levels`).
+    levels <= cutoff.  Both partner Hamiltonians are diagonal with integer
+    levels (:meth:`partner_levels`) and both ladder kernels are exact level
+    sets (:meth:`kernel_levels`).
     """
 
     cutoff: int
@@ -69,32 +72,15 @@ class FockRealization:
             out += coeff * self._word_matrix(word)
         return out
 
-    def exact_diagonal(self, ws: WordSum) -> tuple[int, ...] | None:
-        """The entry's value on each level 0..cutoff, as exact integers.
+    def partner_levels(self) -> tuple[range, range]:
+        """Levels of Ad A and of A Ad on Fock levels 0..cutoff.
 
-        Returns None, refusing the entry, unless every word is balanced and
-        every coefficient a real integer: only then is the realized entry
-        diagonal with integer eigenvalues equal to these values.
+        Ad A sends level k to k times itself and A Ad to k + 1 times itself.
+        These are the untruncated matrix elements, which the dense entries
+        of :meth:`realize_entry` also carry, so the top level of A Ad lies
+        above the cutoff.
         """
-        terms = []
-        for word, coeff in ws.items():
-            c = _real_integer(coeff)
-            if c is None or word.count(LOWER) != word.count(RAISE):
-                return None
-            terms.append((word, c))
-        levels = []
-        for k in range(self.dim):
-            total = 0
-            for word, c in terms:
-                rad = _walk(word, k)[1]
-                # every edge of a closed walk is climbed as often as it is
-                # descended, so the radicand is a perfect square
-                r = math.isqrt(rad)
-                if r * r != rad:
-                    return None
-                total += c * r
-            levels.append(total)
-        return tuple(levels)
+        return range(self.dim), range(1, self.dim + 1)
 
     def kernel_levels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Levels below the cutoff that the lowering and the raising letter
@@ -138,19 +124,31 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
     return lvl, rad
 
 
-def _real_integer(coeff) -> int | None:
-    if isinstance(coeff, int):
-        return coeff
-    c = complex(coeff)
-    if c.imag != 0 or not c.real.is_integer():
-        return None
-    return int(c.real)
+def check_grid(points: int, spacing: float) -> None:
+    """Refuse a grid before any array of it is built.
 
-
-def _check_spacing(spacing: float) -> None:
+    A grid needs at least 3 points, a dense complex Hamiltonian block
+    (2 x points on a side) within ``MAX_SPECTRUM_BYTES``, a finite positive
+    spacing and an odd point count: the doubler pairing that the spectrum's
+    multiplicity check counts on holds only on odd grids.
+    """
+    if points < 3:
+        raise ValueError(f"need at least 3 grid points, got {points}")
+    side = 2 * points
+    nbytes = 16 * side * side  # complex128
+    if nbytes > MAX_SPECTRUM_BYTES:
+        raise ValueError(
+            f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
+            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the cutoff or grid size"
+        )
     # an infinite spacing zeroes the derivative; a nan one poisons every entry
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
+    if points % 2 == 0:
+        raise ValueError(
+            f"grid point count {points} is even; the doubler pairing that "
+            "the multiplicity check counts on holds only on odd grids, so use an odd count"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,10 +167,8 @@ class GridRealization:
     label: str = "W"
 
     def __post_init__(self) -> None:
+        check_grid(self.points, self.spacing)
         import numpy as np
-        if self.points < 3:
-            raise ValueError(f"need at least 3 grid points, got {self.points}")
-        _check_spacing(self.spacing)
         w = np.asarray(self.w_values, dtype=float)
         if w.shape != (self.points,):
             raise ValueError("w_values must have one value per grid point")
@@ -196,8 +192,8 @@ class GridRealization:
         w_prime: Callable[[np.ndarray], np.ndarray] | None = None,
         label: str = "W",
     ) -> "GridRealization":
+        check_grid(points, spacing)  # before W is evaluated on the grid
         import numpy as np
-        _check_spacing(spacing)  # before W is evaluated on the grid
         x = (np.arange(points) - (points - 1) / 2) * spacing
         return cls(
             points,
@@ -279,21 +275,33 @@ class GridRealization:
         return out
 
     @cached_property
-    def _raw_kernels(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        # one SVD per ladder matrix and instance: w_values is read-only, so
-        # the cache cannot go stale, and its vectors are made read-only too
-        ka, kd = _svd_kernel(self.lowering_matrix()), _svd_kernel(self.raising_matrix())
-        for v in (*ka, *kd):
+    def _svd(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        # One SVD L = U s V^T per instance.  The raising matrix is L^T, so
+        # Ad A = V s^2 V^T and A Ad = U s^2 U^T share the levels s^2, and
+        # the rows of V^T and columns of U whose s is at or below the kernel
+        # threshold span the kernels of L and L^T.  w_values is read-only,
+        # so the cache cannot go stale, and its arrays are made read-only too.
+        import numpy as np
+        u, s, vt = np.linalg.svd(self.lowering_matrix())
+        null = s <= KERNEL_REL_TOL * s[0]
+        levels, ka, kd = s * s, list(vt[null]), list(u.T[null])
+        for v in (levels, *ka, *kd):
             v.setflags(write=False)
-        return ka, kd
+        return levels, ka, kd
+
+    def partner_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Levels of Ad A and of A Ad: both are the squared singular values
+        of the lowering matrix, in descending order."""
+        levels = self._svd[0]
+        return levels, levels
 
     def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        ka, kd = self._raw_kernels
+        _, ka, kd = self._svd
         return [v for v in ka if _is_smooth(v)], [v for v in kd if _is_smooth(v)]
 
     def raw_kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Kernels without the checkerboard-artifact filter."""
-        ka, kd = self._raw_kernels
+        _, ka, kd = self._svd
         return list(ka), list(kd)
 
     def describe(self) -> str:
@@ -301,18 +309,6 @@ class GridRealization:
 
 
 NumericRealization = FockRealization | GridRealization
-
-
-def _svd_kernel(mat: np.ndarray) -> list[np.ndarray]:
-    import numpy as np
-    _, s, vh = np.linalg.svd(mat)
-    tol = KERNEL_REL_TOL * (s[0] if len(s) else 0.0)
-    out = []
-    for i in range(vh.shape[0]):
-        sv = s[i] if i < len(s) else 0.0  # rows past len(s) are exact nulls
-        if sv <= tol:
-            out.append(vh[i].conj())
-    return out
 
 
 def _is_smooth(v: np.ndarray) -> bool:

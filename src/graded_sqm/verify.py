@@ -8,30 +8,29 @@ zero tests, ranks, orbits and operator closures into closed forms over
 GF(2), the two-element field (Dehaene & De Moor, quant-ph/0304125).
 The centrality sweep holds one bit per operator in Python integers ("bit
 planes"), so the exact checks need no numpy.  Fock spectra are exact too:
-the Hamiltonian's diagonal entries are read off level by level as
-integers.  numpy is imported only for grid and fallback spectra, where
-floating point is genuinely numeric.
+the partner Hamiltonians' levels are integers in closed form.  numpy is
+imported only for grid spectra, where floating point is genuinely numeric.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .clifford import PHASES, PauliOperator
 from .grading import DegreeVector, bracket_kind, bracket_sign, dot
 from .models import GradedOperator, Model
-from .sqm_block import SqmBlock, ground_state_pair, realize
+# realize stays importable here: the benchmark's tracer wraps this name
+from .sqm_block import SqmBlock, canonical_blocks, ground_state_pair, realize  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .realizations import NumericRealization
 
-# bytes of the dense complex Hamiltonian block that spectrum() diagonalizes
-MAX_SPECTRUM_BYTES = 1 << 27
-# levels x letters that the exact Fock reader walks: cutoff 65535, about 1 s with its report
-MAX_FOCK_WORK = 1 << 18
+# Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
+MAX_FOCK_LEVELS = 1 << 16
 
 FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
@@ -446,18 +445,6 @@ class SpectrumReport(NamedTuple):
         return "\n".join(lines)
 
 
-def check_block_bytes(dim: int) -> None:
-    """Refuse a realization of dimension ``dim`` whose dense complex
-    Hamiltonian block, 2 x dim on a side, would exceed ``MAX_SPECTRUM_BYTES``."""
-    side = 2 * dim
-    nbytes = 16 * side * side  # complex128
-    if nbytes > MAX_SPECTRUM_BYTES:
-        raise ValueError(
-            f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
-            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the cutoff or grid size"
-        )
-
-
 def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
     """Clusters of sorted values, each multiplicity counted ``copies`` times."""
     import numpy as np
@@ -471,32 +458,22 @@ def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
     return clusters
 
 
-def _eigvalsh(sub: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, real arithmetic when it is real."""
-    import numpy as np
-    return np.linalg.eigvalsh(sub if sub.imag.any() else sub.real)
-
-
 def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     """Cluster the Hamiltonian's eigenvalues and count its zero modes.
 
     The Hamiltonian of every family is the Clifford identity times the
-    block diag(Ad A, A Ad) of the two partner Hamiltonians, so its spectrum
-    is the union of the two diagonal entries' spectra with every
-    multiplicity multiplied by clifford-dim.  Both structural facts are
-    checked exactly on the formal operator.  On a Fock realization each
-    entry of balanced words with real integer coefficients is read off
-    level by level as exact integers (``FockRealization.exact_diagonal``),
-    so the clusters are exact counts and the zero modes exact kernel levels,
-    with no eigensolver and no numpy.  Otherwise, on the grid or for an
-    entry the exact reader refuses, each entry, a realization-dim matrix, is
-    realized and diagonalized on its own, by the real symmetric solver when
-    its imaginary part is exactly zero.  A realization whose dense complex
-    2 x dim block would exceed ``MAX_SPECTRUM_BYTES`` is refused before
-    any dense matrix is built, and so is a grid of an even point count, on
-    which the doubler pairing below fails; a Fock realization whose levels
-    times the entries' letters exceed ``MAX_FOCK_WORK`` is refused before
-    any level is read.
+    canonical block diag(Ad A, A Ad) of the two partner Hamiltonians, so
+    its spectrum is the union of the partners' levels with every
+    multiplicity multiplied by clifford-dim.  Both facts are checked exactly
+    on the formal operator, and any other Hamiltonian is refused before a
+    matrix is built.  The realization then gives both partners' levels and
+    both ladder kernels from the ladder pair alone: on Fock in closed form
+    (``FockRealization.partner_levels`` and ``kernel_levels``), so the
+    clusters are exact counts with no numpy; on the grid from one SVD of
+    the lowering matrix L, since Ad A = L^T L and A Ad = L L^T share the
+    levels s^2.  A Fock realization of more than ``MAX_FOCK_LEVELS``
+    levels is refused before any level is read; a grid is checked where it
+    is built (``realizations.check_grid``).
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -510,52 +487,37 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
         )
-    if not model.hamiltonian.block.is_diagonal():
-        raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diagonal")
+    if model.hamiltonian.block != canonical_blocks()[1]:
+        raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diag(Ad A, A Ad)")
     from .realizations import FockRealization
 
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
-    entries = [model.hamiltonian.block.entries[i][i] for i in range(2)]
 
     artifact_modes = 0
     if is_fock:
-        work = realization.dim * sum(len(word) for e in entries for word, _ in e.items())
-        if work > MAX_FOCK_WORK:
-            raise ValueError(f"Fock work {work} (levels x letters) is over {MAX_FOCK_WORK}; reduce the cutoff")
-        kernel_a, kernel_ad = realization.kernel_levels()
-        levels = [realization.exact_diagonal(e) for e in entries]
-        if None in levels:  # the numeric fallback below builds dense matrices
-            check_block_bytes(realization.dim)
-    else:
-        if realization.dim % 2 == 0:
+        if realization.dim > MAX_FOCK_LEVELS:
             raise ValueError(
-                f"grid point count {realization.dim} is even; the doubler pairing that "
-                "the multiplicity check counts on holds only on odd grids, so use an odd count"
+                f"Fock levels {realization.dim} are over {MAX_FOCK_LEVELS}; reduce the cutoff"
             )
-        check_block_bytes(realization.dim)
-        kernel_a, kernel_ad = ground_state_pair(realization)
-        raw_a, raw_ad = realization.raw_kernel_pair()
-        artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
-        levels = [None, None]
-    physical = len(kernel_a) + len(kernel_ad)
-    zero_modes = cliffdim * physical
-
-    if None in levels:
-        import numpy as np
-        evals = np.sort(np.concatenate([_eigvalsh(realize(e, realization)) for e in entries]))
-        all_clusters = _cluster(evals, tol, cliffdim)
-    else:
-        counts = Counter(levels[0] + levels[1])
+        kernel_a, kernel_ad = realization.kernel_levels()
+        counts = Counter(chain(*realization.partner_levels()))
         all_clusters = [EigenCluster(float(v), cliffdim * counts[v]) for v in sorted(counts)]
-
-    clusters, excluded = [], []
-    if is_fock:
         # levels at or above the cutoff are truncation-affected
         edge = realization.cutoff - 0.5
     else:
+        import numpy as np
+        kernel_a, kernel_ad = ground_state_pair(realization)
+        raw_a, raw_ad = realization.raw_kernel_pair()
+        artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
+        evals = np.sort(np.concatenate(realization.partner_levels()))
+        all_clusters = _cluster(evals, tol, cliffdim)
         # the upper part of the lattice band is not discretization-faithful
         edge = 0.25 * float(evals[-1])
+    physical = len(kernel_a) + len(kernel_ad)
+    zero_modes = cliffdim * physical
+
+    clusters, excluded = [], []
     for c in all_clusters:
         (excluded if c.value > edge else clusters).append(c)
 

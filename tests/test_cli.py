@@ -13,7 +13,7 @@ import graded_sqm
 import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
 from graded_sqm.realizations import FockRealization, GridRealization
-from graded_sqm.verify import MAX_FOCK_WORK, PairCheck, RelationReport
+from graded_sqm.verify import MAX_FOCK_LEVELS, PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -310,13 +310,13 @@ class TestSpectrumCommand:
             pytest.fail("realize called past the work guard")
 
         def refuse_exact(*args):
-            pytest.fail("the exact Fock reader called past the work guard")
+            pytest.fail("a Fock level was read past the work guard")
 
         monkeypatch.setattr("graded_sqm.verify.realize", refuse)
-        monkeypatch.setattr(FockRealization, "exact_diagonal", refuse_exact)
+        monkeypatch.setattr(FockRealization, "partner_levels", refuse_exact)
         monkeypatch.setattr(FockRealization, "kernel_levels", refuse_exact)
-        # two entries of two letters each: this cutoff is one level over the budget
-        cutoff = str(MAX_FOCK_WORK // 4)
+        # levels 0..cutoff: this cutoff is one level over the budget
+        cutoff = str(MAX_FOCK_LEVELS)
         code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--fock", cutoff)
         assert code == 2
         assert "reduce the cutoff" in err

@@ -111,10 +111,6 @@ class TestEnumerateOddDegrees:
         assert len(set(odd)) == len(odd)
         assert all(a.parity == 1 for a in odd)
 
-    def test_key_override(self):
-        rev = enumerate_odd_degrees(3, key=lambda a: (-a.weight, a.mask))
-        assert rev[0] == dv(1, 1, 1)
-
 
 class TestCensus:
     # supercharge / central / subspace-dimension counts for ranks 2..10

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graded_sqm.models import Model
 from graded_sqm.realizations import FockRealization, GridRealization
 from graded_sqm.sqm_block import (
     LOWER,
@@ -13,6 +15,7 @@ from graded_sqm.sqm_block import (
     ground_state_pair,
     realize,
 )
+from graded_sqm.verify import spectrum
 
 
 class TestWordSum:
@@ -84,16 +87,13 @@ def fock_dense_oracle(cutoff, word):
     return out[: cutoff + 1, : cutoff + 1]
 
 
-def random_balanced_sum(rng) -> WordSum:
-    """Balanced words of length 0-6 with integer coefficients, always with
-    one word whose walk climbs three levels above its start."""
-    terms = {(LOWER,) * 3 + (RAISE,) * 3: int(rng.integers(1, 4))}
-    for _ in range(int(rng.integers(1, 6))):
-        half = int(rng.integers(0, 4))
-        word = tuple(rng.permutation([LOWER] * half + [RAISE] * half).tolist())
-        coeff = int(rng.integers(-5, 6))
-        terms[word] = terms.get(word, 0) + (complex(coeff) if rng.integers(2) else coeff)
-    return WordSum(terms)
+def svd_kernel(mat):
+    """Oracle: the right null vectors of a dense SVD, at the relative
+    threshold the grid uses."""
+    _, s, vh = np.linalg.svd(mat)
+    tol = 1e-8 * (s[0] if len(s) else 0.0)
+    # rows past len(s) are exact nulls
+    return [vh[i].conj() for i in range(vh.shape[0]) if (s[i] if i < len(s) else 0.0) <= tol]
 
 
 class TestFockRealization:
@@ -104,20 +104,18 @@ class TestFockRealization:
         want = np.diag([0, 1, 2, 3, 4, 1, 2, 3, 4, 5]).astype(complex)
         assert np.array_equal(got, want)
         assert np.array_equal(realize(h.entries[1][1], r), want[5:, 5:])
-        assert r.exact_diagonal(h.entries[0][0]) == (0, 1, 2, 3, 4)
-        assert r.exact_diagonal(h.entries[1][1]) == (1, 2, 3, 4, 5)
+        assert [list(levels) for levels in r.partner_levels()] == [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]
 
     @pytest.mark.parametrize("cutoff", [1, 2, 6, 17])
     def test_exact_diagonal_against_dense_entry(self, cutoff):
-        rng = np.random.default_rng(cutoff)
+        # the closed-form levels are the diagonals of the dense partner
+        # entries and of the padded oracle's products
+        _, h, _ = canonical_blocks()
         r = FockRealization(cutoff)
-        for _ in range(25):
-            ws = random_balanced_sum(rng)
-            dense = r.realize_entry(ws)
-            diag = np.diag(dense)
-            assert np.array_equal(dense, np.diag(diag))
-            assert not diag.imag.any()
-            assert r.exact_diagonal(ws) == tuple(int(v) for v in diag.real)
+        for i, (levels, word) in enumerate(zip(r.partner_levels(), [(RAISE, LOWER), (LOWER, RAISE)])):
+            dense = r.realize_entry(h.entries[i][i])
+            assert np.array_equal(dense, np.diag(list(levels)))
+            assert fock_dense_oracle(cutoff, word) == pytest.approx(np.diag(list(levels)), abs=1e-12)
 
     @pytest.mark.parametrize(
         "terms",
@@ -132,19 +130,24 @@ class TestFockRealization:
         ],
         ids=["unbalanced", "mixed", "complex-hermitian", "imaginary", "gaussian", "half", "nan"],
     )
-    def test_exact_diagonal_refuses(self, terms):
-        # at cutoff 1 every radicand of a single letter is a perfect square
+    def test_exact_diagonal_refuses(self, models, terms):
+        # a Hamiltonian block with this entry in place of Ad A is not the
+        # canonical one, so the spectrum refuses it before reading a level
+        m = models("minimal:n=2")
+        e = m.hamiltonian.block.entries
+        block = SqmBlock([[WordSum(terms), e[0][1]], [e[1][0], e[1][1]]])
+        h = replace(m.hamiltonian, block=block)
+        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
         for cutoff in (1, 4):
-            assert FockRealization(cutoff).exact_diagonal(WordSum(terms)) is None
+            with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+                spectrum(broken, FockRealization(cutoff))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 6])
     def test_kernel_levels_against_dense_svd(self, cutoff):
-        from graded_sqm.realizations import _svd_kernel
-
         r = FockRealization(cutoff)
         for letter, levels in zip((LOWER, RAISE), r.kernel_levels()):
             sub = fock_dense_oracle(cutoff, (letter,))[:, :cutoff]
-            want = [int(np.argmax(abs(v))) for v in _svd_kernel(sub)]
+            want = [int(np.argmax(abs(v))) for v in svd_kernel(sub)]
             assert list(levels) == sorted(want)
 
     def test_entry_against_padded_dense_oracle(self):

@@ -24,10 +24,12 @@ from graded_sqm.sqm_block import (
     realize,
 )
 from graded_sqm.verify import (
-    MAX_FOCK_WORK,
+    GRID_CLUSTER_TOL,
+    MAX_FOCK_LEVELS,
     TensorSum,
     TensorTerm,
     _block_pattern,
+    _cluster,
     _vanishing,
     central_rank,
     check_centrality,
@@ -491,9 +493,9 @@ class TestSpectrum:
         assert rep.ok, rep.problems
 
     def test_dimension_guard(self, models):
-        # four letters per level: a cutoff of a quarter of the budget is over it
+        # levels 0..cutoff: a cutoff equal to the budget is one level over it
         with pytest.raises(ValueError, match="reduce the cutoff"):
-            spectrum(models("minimal:n=8"), FockRealization(MAX_FOCK_WORK // 4))
+            spectrum(models("minimal:n=8"), FockRealization(MAX_FOCK_LEVELS))
 
     @pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
     def test_grid_spacing_must_be_finite_and_positive(self, spacing):
@@ -517,43 +519,56 @@ class TestSpectrum:
             for name, w in (("x", lambda x: x), ("x^3", lambda x: x**3))
         ],
     )
-    def test_block_spectrum_matches_dense_kron(self, models, sel, w, cutoff, monkeypatch):
-        if w is not None:
-            assert_spectrum_matches_dense(models(sel), GridRealization.from_function(41, 0.25, w))
-            return
-        real = FockRealization(cutoff)
+    def test_block_spectrum_matches_dense_kron(self, models, sel, w, cutoff):
+        real = FockRealization(cutoff) if w is None else GridRealization.from_function(41, 0.25, w)
         assert_spectrum_matches_dense(models(sel), real)
-        # the exact report is the one the numeric path gives
-        exact = spectrum(models(sel), real)
-        monkeypatch.setattr(FockRealization, "exact_diagonal", lambda self, ws: None)
-        assert spectrum(models(sel), real) == exact
 
-    def test_complex_diagonal_entry_matches_dense_kron(self, models):
-        # A Hermitian entry with a nonzero imaginary part, Ad A + i(A - Ad),
-        # must not lose it to the real solver.
+    @pytest.mark.parametrize(
+        "sel,points,spacing,w",
+        [("minimal:n=2", 401, 0.025, lambda x: x**3), ("next:n=3", 101, 0.1, lambda x: x)],
+        ids=["minimal:n=2-grid401-x^3", "next:n=3-grid101-x"],
+    )
+    def test_grid_partner_levels_match_dense_eigvalsh(self, models, sel, points, spacing, w):
+        # the squared singular values of L are the eigenvalues of both
+        # realized partner entries, and they cluster alike
+        grid = GridRealization.from_function(points, spacing, w)
+        _, h, _ = canonical_blocks()
+        dense = [np.linalg.eigvalsh(realize(h.entries[i][i], grid).real) for i in range(2)]
+        top = dense[0][-1]
+        for levels, want in zip(grid.partner_levels(), dense):
+            assert np.sort(levels) == pytest.approx(want, rel=1e-9, abs=1e-9 * top)
+        rep = spectrum(models(sel), grid)
+        got = [*rep.clusters, *rep.excluded]
+        want = _cluster(np.sort(np.concatenate(dense)), GRID_CLUSTER_TOL, models(sel).clifford_dim)
+        assert len(got) == len(want) > 10
+        assert [c.multiplicity for c in got] == [c.multiplicity for c in want]
+        for g, c in zip(got, want):
+            assert g.value == pytest.approx(c.value, rel=1e-9, abs=1e-9 * top)
+
+    @pytest.mark.parametrize("kind", ["complex", "doubled"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["fock", "grid"])
+    def test_refuses_a_non_canonical_hamiltonian_block(self, models, monkeypatch, kind, grid):
+        # Ad A + i(A - Ad) is Hermitian but complex; 2 Ad A is balanced with
+        # integer levels.  Neither is the canonical entry, so the spectrum
+        # refuses both before any ladder matrix, realized entry or SVD.
+        def refuse(*args, **kwargs):
+            pytest.fail("the spectrum built a matrix for a non-canonical Hamiltonian")
+
         m = models("minimal:n=2")
         a, ad = WordSum.letter(LOWER), WordSum.letter(RAISE)
         e = m.hamiltonian.block.entries
-        block = SqmBlock([[e[0][0] + (a - ad) * 1j, e[0][1]], [e[1][0], e[1][1]]])
+        entry = e[0][0] + (a - ad) * 1j if kind == "complex" else e[0][0] * 2
+        block = SqmBlock([[entry, e[0][1]], [e[1][0], e[1][1]]])
         h = replace(m.hamiltonian, block=block)
         broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
-        assert_spectrum_matches_dense(broken, FockRealization(6))
-
-    def test_byte_guard_bounds_the_fock_fallback(self, models, monkeypatch):
-        # the complex entry sends a cutoff well under the work guard to the
-        # dense fallback, whose 4002 x 4002 complex block would take 256 MB
-        def refuse(*args):
-            pytest.fail("realize called past the byte guard")
-
-        m = models("minimal:n=2")
-        a, ad = WordSum.letter(LOWER), WordSum.letter(RAISE)
-        e = m.hamiltonian.block.entries
-        block = SqmBlock([[e[0][0] + (a - ad) * 1j, e[0][1]], [e[1][0], e[1][1]]])
-        h = replace(m.hamiltonian, block=block)
-        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
+        real = GridRealization.from_function(41, 0.25, lambda x: x) if grid else FockRealization(6)
         monkeypatch.setattr("graded_sqm.verify.realize", refuse)
-        with pytest.raises(ValueError, match="bytes"):
-            spectrum(broken, FockRealization(2000))
+        monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(GridRealization, "_ladders", property(refuse))
+        monkeypatch.setattr(FockRealization, "partner_levels", refuse)
+        with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+            spectrum(broken, real)
 
     def test_requires_identity_hamiltonian_factor(self, models):
         m = models("minimal:n=3")
@@ -567,28 +582,35 @@ class TestSpectrum:
         q, h, _ = canonical_blocks()
         broken_h = replace(m.hamiltonian, block=h + q)
         broken = Model(m.spec, m.odd_degrees, broken_h, m.supercharges, m.centrals)
-        with pytest.raises(ValueError, match="not diagonal"):
+        with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
             spectrum(broken, FockRealization(4))
 
     def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
-        import graded_sqm.realizations as realizations
-
+        # one SVD of the lowering matrix per instance gives both partner
+        # spectra and both kernels: no eigensolve and no realized entry
         shapes = []
-        svd_kernel = realizations._svd_kernel
+        svd = np.linalg.svd
 
-        def counted(mat):
+        def counted(mat, *args, **kwargs):
             shapes.append(mat.shape)
-            return svd_kernel(mat)
+            return svd(mat, *args, **kwargs)
 
-        monkeypatch.setattr(realizations, "_svd_kernel", counted)
+        def refuse(*args, **kwargs):
+            pytest.fail("the grid spectrum ran an eigensolve or realized an entry")
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(GridRealization, "realize_entry", refuse)
         grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
         rep = spectrum(models("minimal:n=2"), grid)
         assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
-        assert shapes == [(41, 41), (41, 41)]
-        # the filtered and the raw kernels both come from the cached pair
+        assert shapes == [(41, 41)]
+        # the filtered and the raw kernels and a second spectrum all read the cache
         assert [len(k) for k in grid.raw_kernel_pair()] == [1, 1]
         assert [len(k) for k in grid.kernel_pair()] == [1, 0]
-        assert len(shapes) == 2
+        assert spectrum(models("next:n=2"), grid).ok
+        assert shapes == [(41, 41)]
 
 
 def orbit_sizes_bfs(model) -> tuple[int, ...]:
