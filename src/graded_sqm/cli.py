@@ -358,8 +358,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs.choices
 
 
+def _glue_w_value(argv: list[str]) -> list[str]:
+    """argv with ``--W VALUE`` spelled ``--W=VALUE`` when VALUE starts with
+    a single "-": argparse would take a superpotential such as -x for an
+    option and report --W as missing its argument."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--W" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--W={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _glue_w_value(sys.argv[1:] if argv is None else list(argv))
     parser, commands = build_parser()
     try:
         if argv and argv[0] in commands:

@@ -212,25 +212,39 @@ def _ordered_degrees(spec: ModelSpec) -> list[DegreeVector]:
 
 
 def _assemble_product_family(
-    spec: ModelSpec, degrees: list[DegreeVector], gens: list[PauliOperator]
+    spec: ModelSpec,
+    degrees: list[DegreeVector],
+    gens: list[PauliOperator],
+    block_bits: list[int] | None = None,
 ) -> Model:
-    """Families of the form Q_a = G_a x qblock, Z_ab = c * G_a G_b x hblock."""
-    qb, hb, _ = canonical_blocks()
+    """Q_a = G_a x B_a and Z_ab = (-i)**(1 - a.b) G_a G_b x B_a B_b.
+
+    B_a is the supercharge block Q for block bit s_a = 0 (every degree when
+    ``block_bits`` is None) and i Q S for s_a = 1, so B_a B_b is H when
+    s_a == s_b and +-i H S when they differ.  Each phase-scaled central
+    block is built once and shared.
+    """
+    qb, hb, sb = canonical_blocks()
+    charge_blocks = (qb, (qb @ sb) * 1j)
+    bits = block_bits or [0] * len(degrees)
     for a, g in zip(degrees, gens):
         _check_generator(g, f"generator for degree {a}")
     supercharges = {
-        a: GradedOperator(g, qb, a, SUPERCHARGE) for a, g in zip(degrees, gens)
+        a: GradedOperator(g, charge_blocks[s], a, SUPERCHARGE)
+        for a, g, s in zip(degrees, gens, bits)
     }
+    shared: dict[tuple[int, int, int], SqmBlock] = {}
     centrals: dict[tuple[DegreeVector, DegreeVector], GradedOperator] = {}
     for k, a in enumerate(degrees):
-        for b in degrees[k + 1 :]:
-            coeff = (-1j) ** (1 - dot(a, b))
+        for l in range(k + 1, len(degrees)):
+            b = degrees[l]
+            key = (bits[k], bits[l], dot(a, b))
+            block = shared.get(key)
+            if block is None:
+                s_a, s_b, d = key
+                block = shared[key] = (charge_blocks[s_a] @ charge_blocks[s_b]) * (-1j) ** (1 - d)
             centrals[(a, b)] = GradedOperator(
-                supercharges[a].clifford @ supercharges[b].clifford,
-                hb * coeff,
-                a + b,
-                CENTRAL,
-                (a, b),
+                gens[k] @ gens[l], block, a + b, CENTRAL, (a, b)
             )
     ham = GradedOperator(
         PauliOperator.identity(gens[0].dim), hb, DegreeVector.zero(spec.n), HAMILTONIAN
@@ -242,41 +256,16 @@ def build_minimal(n: int, ordering: str = "default") -> Model:
     """Smallest family: total dimension 2**n.
 
     The generator product for a degree uses only its first n-1 components;
-    the last component selects between the plain supercharge block and its
-    involution-twisted companion, and likewise splits the central elements
-    between the two diagonal block forms.
+    the last component a_n sets the block bit s_a = 1 - a_n, which selects
+    between the plain supercharge block and its involution-twisted
+    companion, and likewise splits the central elements between the two
+    diagonal block forms.
     """
     spec = ModelSpec("minimal", n, ordering)
     degrees = _ordered_degrees(spec)
     m = n - 1
-    qb, hb, sb = canonical_blocks()
-    iqs = (qb @ sb) * 1j
-    hs = hb @ sb
-
-    factors: dict[DegreeVector, PauliOperator] = {}
-    for a in degrees:
-        x = _gamma_word(a.bits[:m], m).scale(minimal_phase_exponent(a))
-        _check_generator(x, f"generator for degree {a}")
-        factors[a] = x
-
-    supercharges = {
-        a: GradedOperator(factors[a], qb if a.bits[-1] else iqs, a, SUPERCHARGE)
-        for a in degrees
-    }
-    centrals: dict[tuple[DegreeVector, DegreeVector], GradedOperator] = {}
-    for k, a in enumerate(degrees):
-        for b in degrees[k + 1 :]:
-            d = dot(a, b)
-            cliff = factors[a] @ factors[b]
-            if a.bits[-1] == b.bits[-1]:
-                block = hb * ((-1j) ** (1 - d))
-            else:
-                block = hs * ((-1) ** b.bits[-1] * 1j**d)
-            centrals[(a, b)] = GradedOperator(cliff, block, a + b, CENTRAL, (a, b))
-    ham = GradedOperator(
-        PauliOperator.identity(1 << m), hb, DegreeVector.zero(n), HAMILTONIAN
-    )
-    return Model(spec, tuple(degrees), ham, supercharges, centrals)
+    gens = [_gamma_word(a.bits[:m], m).scale(minimal_phase_exponent(a)) for a in degrees]
+    return _assemble_product_family(spec, degrees, gens, [1 - a.bits[-1] for a in degrees])
 
 
 def build_next(n: int, ordering: str = "default") -> Model:

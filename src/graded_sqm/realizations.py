@@ -86,15 +86,13 @@ class FockRealization:
         """Levels below the cutoff that the lowering and the raising letter
         send to zero: the exact kernels of the two ladder matrices.
 
-        The domain stops below the cutoff because the raising operator only
-        fails to be injective at the truncation edge, and that artifact must
-        not count as a zero mode.
+        The lowering letter sends only the vacuum to zero, and the cutoff is
+        at least 1, so its kernel is level 0; the raising letter sends no
+        level to zero.  The domain stops below the cutoff because the
+        raising operator only fails to be injective at the truncation edge,
+        and that artifact must not count as a zero mode.
         """
-        ka, kd = (
-            tuple(k for k in range(self.cutoff) if _walk((letter,), k)[1] == 0)
-            for letter in (LOWER, RAISE)
-        )
-        return ka, kd
+        return (0,), ()
 
     def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         import numpy as np

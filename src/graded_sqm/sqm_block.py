@@ -97,17 +97,6 @@ class WordSum:
             }
         )
 
-    def proportional(self, other: "WordSum") -> complex | None:
-        """Scalar s with self == s * other, if one exists (other nonzero)."""
-        if other.is_zero():
-            return None
-        if set(self._terms) != set(other._terms):
-            return None
-        ratios = {self._terms[w] / other._terms[w] for w in self._terms}
-        if len(ratios) != 1:
-            return None
-        return ratios.pop()
-
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
@@ -178,28 +167,6 @@ class SqmBlock:
     def adjoint(self) -> "SqmBlock":
         e = self.entries
         return SqmBlock([[e[j][i].adjoint() for j in range(2)] for i in range(2)])
-
-    def is_diagonal(self) -> bool:
-        return self.entries[0][1].is_zero() and self.entries[1][0].is_zero()
-
-    def is_antidiagonal(self) -> bool:
-        return self.entries[0][0].is_zero() and self.entries[1][1].is_zero()
-
-    def proportional(self, other: "SqmBlock") -> complex | None:
-        """Scalar s with self == s * other, if one exists (other nonzero)."""
-        s: complex | None = None
-        for i in range(2):
-            for j in range(2):
-                a, b = self.entries[i][j], other.entries[i][j]
-                if b.is_zero():
-                    if not a.is_zero():
-                        return None
-                    continue
-                r = a.proportional(b)
-                if r is None or (s is not None and r != s):
-                    return None
-                s = r
-        return s
 
     def __repr__(self) -> str:
         e = self.entries

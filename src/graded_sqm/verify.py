@@ -3,10 +3,12 @@
 Every Clifford factor is a Pauli string (see :mod:`graded_sqm.clifford`)
 and every ladder block a free word matrix, so all algebraic checks are
 exact: a passing check has zero residual by construction, not small
-residual.  Distinct Pauli strings are linearly independent, which turns
-zero tests, ranks, orbits and operator closures into closed forms over
-GF(2), the two-element field (Dehaene & De Moor, quant-ph/0304125).
-The centrality sweep holds one bit per operator in Python integers ("bit
+residual.  Every block is a monomial i**k S**s Q**e, so the checks read
+each operator once into a packed record, a Pauli string with the block as
+one more qubit (:func:`_records`).  Distinct Pauli strings are linearly
+independent, which turns zero tests, ranks, orbits and operator closures
+into closed forms over GF(2), the two-element field (Dehaene & De Moor,
+quant-ph/0304125).  The centrality sweep holds one bit per operator in Python integers ("bit
 planes"), so the exact checks need no numpy.  Fock spectra are exact too:
 the partner Hamiltonians' levels are integers in closed form.  numpy is
 imported only for grid spectra, where floating point is genuinely numeric.
@@ -15,11 +17,12 @@ imported only for grid spectra, where floating point is genuinely numeric.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .clifford import PHASES, PauliOperator
-from .grading import DegreeVector, bracket_kind, bracket_sign, dot
+from .grading import ANTICOMMUTATOR, COMMUTATOR, DegreeVector, bracket_kind, bracket_sign
 from .models import GradedOperator, Model
 # realize stays importable here: the benchmark's tracer wraps this name
 from .sqm_block import SqmBlock, canonical_blocks, ground_state_pair, realize  # noqa: F401
@@ -83,6 +86,81 @@ def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTer
         TensorTerm(u.clifford @ v.clifford, u.block @ v.block),
         TensorTerm(v.clifford @ u.clifford, (v.block @ u.block) * (-s)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# packed records: the block as one more qubit
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _canonical_q_s() -> tuple[SqmBlock, SqmBlock]:
+    """The canonical Q and S, once the identities that the packed records
+    rest on hold as free-word identities: Q Q = H, Q S = -S Q, S S = 1."""
+    q, h, s = canonical_blocks()
+    if not (q @ q == h and q @ s == -(s @ q) and s @ s == SqmBlock.identity()):
+        raise RuntimeError("the canonical blocks break Q Q = H, Q S = -S Q or S S = 1")
+    return q, s
+
+
+@cache
+def _monomial(k: int, s: int, e: int) -> SqmBlock:
+    """The block i**k S**s Q**e."""
+    q, sb = _canonical_q_s()
+    power = SqmBlock.identity()
+    for _ in range(e):
+        power = power @ q
+    return (sb @ power if s else power) * PHASES[k]
+
+
+def _read_block(block: SqmBlock) -> tuple[int, int, int]:
+    """The (k, s, e) with ``block == i**k S**s Q**e``.
+
+    Such a block has one word, of length e and with coefficient i**k, in its
+    first row's nonzero entry.  Any other block raises ValueError.
+    """
+    (left, right), _ = block.entries
+    terms = list((right if left.is_zero() else left).items())
+    if len(terms) == 1 and terms[0][1] in PHASES:
+        word, c = terms[0]
+        k = PHASES.index(c)
+        for s in (0, 1):
+            if block == _monomial(k, s, len(word)):
+                return k, s, len(word)
+    raise ValueError(
+        f"block {block!r} is not a monomial i**k S**s Q**e; the exact checks accept no other"
+    )
+
+
+Record = tuple[int, int, int, int]
+
+
+def _records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
+    """Each operator as its packed record (x, z, k, e) on m + 1 qubits.
+
+    A monomial block i**k S**s Q**e multiplies like the one-qubit Pauli
+    string i**k Z**s X**(e mod 2) with the powers of Q added: S
+    anticommutes with Q as Z with X, and S S = 1, Q Q = H (checked in
+    :func:`_canonical_q_s`).  So the block becomes one more qubit, the last,
+    with x bit e mod 2 and z bit s, and the operator is i**k X**x Z**z on
+    m + 1 qubits, its phase k with the block's folded in, times the ladder
+    power e.  A product XORs the words, adds 2 |z_1 & x_2| to the phase and
+    adds the powers, as :class:`~graded_sqm.clifford.PauliOperator` does.
+    Each distinct block is read once.
+    """
+    read: dict[int, tuple] = {}  # id(block) -> (block, k, s, e); the block stays alive
+    out = []
+    for op in ops:
+        p, block = op.clifford, op.block
+        if p.m != m:
+            raise ValueError(f"dimension mismatch: {p.dim} vs {1 << m}")
+        got = read.get(id(block))
+        if got is None:
+            got = read[id(block)] = (block, *_read_block(block))
+        _, k, s, e = got
+        odd = e & 1
+        out.append((p.x << 1 | odd, p.z << 1 | s, (p.k + k + 2 * (s & odd)) & 3, e))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,99 +228,94 @@ def check_defining_relations(model: Model) -> RelationReport:
     degree-dependent phase.  Both orientations of each pair are checked,
     which exercises the antisymmetry convention of the derived accessor.
 
-    The residual Q_a Q_b - s Q_b Q_a - coeff T has Pauli strings P_a P_b and
-    P_b P_a, which differ only in phase, and the target's string P_T.  Its
-    zero test therefore depends only on the blocks, s, coeff, the three
-    phase exponents and whether P_T has the (x, z) of P_a P_b; each such
-    class is decided by one tensor sum, and a failing pair still gets the
-    residual text of its own.
+    In packed records (see :func:`_records`) Q_a Q_b and Q_b Q_a share their
+    word and power and differ by the sign (-1)**w, w the commutation parity
+    of the two words.  The bracket Q_a Q_b - s Q_b Q_a is therefore zero
+    when s == (-1)**w and 2 Q_a Q_b otherwise, and the pair holds exactly
+    when it is 2 Q_a Q_b and the target term -coeff T has the record of
+    2 Q_a Q_b.  A failing pair gets the residual text of its tensor sum.
     """
     degrees = model.odd_degrees
-    verdicts: dict[tuple, bool] = {}
+    m = model.hamiltonian.clifford.m
+    charges = [model.supercharge(a) for a in degrees]
+    h, *q = _records([model.hamiltonian, *charges], m)
+    position = {a.mask: i for i, a in enumerate(degrees)}
+    stored = {
+        (position[a.mask], position[b.mask]): (z, rec)
+        for ((a, b), z), rec in zip(model.centrals.items(), _records(model.centrals.values(), m))
+    }
+    labels = [f"Q[{a}]" for a in degrees]
+    kinds = (COMMUTATOR, ANTICOMMUTATOR)  # bracket_kind by a.b
     results = []
-    for a in degrees:
-        qa = model.supercharge(a)
-        for b in degrees:
-            qb = model.supercharge(b)
-            if a == b:
-                target, coeff = model.hamiltonian, -2
+    for i, a in enumerate(degrees):
+        xa, za, ka, ea = q[i]
+        for j, b in enumerate(degrees):
+            xb, zb, kb, eb = q[j]
+            d = (a.mask & b.mask).bit_count() & 1
+            if i == j:
+                (target, t), coeff, c = (model.hamiltonian, h), -2, 0
             else:
-                # the orientation sign of a reversed pair rides on coeff
-                target, sign = model.stored_central(a, b)
-                coeff = -2 * sign * PHASES[(1 - dot(a, b)) % 4]
-            ab, ba, t = qa.clifford @ qb.clifford, qb.clifford @ qa.clifford, target.clifford
-            key = (
-                qa.block, qb.block, bracket_sign(a, b), target.block, coeff,
-                ab.k, ba.k, t.k, (t.x, t.z) == (ab.x, ab.z),
+                # a reversed pair reads the stored element with the sign of
+                # Model.stored_central, which rides on coeff
+                if (i, j) in stored:
+                    (target, t), sign = stored[i, j], 1
+                else:
+                    (target, t), sign = stored[j, i], -1 if d == 0 else 1
+                coeff = -2 * sign * PHASES[(1 - d) % 4]
+                c = 1 - d + (1 - sign)  # coeff == -2 * i**c
+            w = ((xa & zb).bit_count() + (za & xb).bit_count()) & 1
+            ok = (
+                d != w
+                and t[0] == xa ^ xb
+                and t[1] == za ^ zb
+                and t[3] == ea + eb
+                and (ka + kb + 2 * (za & xb).bit_count() - c - t[2]) % 4 == 0
             )
             res = None
-            if not verdicts.get(key, False):
-                terms = graded_bracket_terms(qa, qb)
-                terms.append(TensorTerm(t, target.block * coeff))
+            if not ok:
+                terms = graded_bracket_terms(charges[i], charges[j])
+                terms.append(TensorTerm(target.clifford, target.block * coeff))
                 res = TensorSum(terms).residual()
-                verdicts[key] = res is None
-            results.append(PairCheck(f"Q[{a}]", f"Q[{b}]", bracket_kind(a, b), res is None, res))
+            results.append(PairCheck(labels[i], labels[j], kinds[d], ok, res))
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
 
-def _vanishing(ops: Sequence[GradedOperator], rows: Iterable[int]) -> Iterator[int]:
+def _nonzero_brackets(ops: Sequence[GradedOperator], rows: Iterable[int]) -> Iterator[int]:
     """For each row i, the bit mask of the columns j whose graded bracket of
-    ``ops[i]`` with ``ops[j]`` vanishes.
+    ``ops[i]`` with ``ops[j]`` is not zero.
 
-    Write u = P_u x c_u F_f and v = P_v x c_v F_g, with P a Pauli string, c
-    a nonzero scalar and F the representative of the block's form, a
-    proportionality class of blocks.  Then P_v P_u = (-1)**w P_u P_v, w the
-    commutation parity of the strings, and the bracket is
-    P_u P_v x c_u c_v (F_f F_g - sigma F_g F_f) with
-    sigma = (-1)**(a.b + w), a.b the degree inner product.  It vanishes
-    exactly when F_f F_g == sigma F_g F_f, a lookup in the form table.
+    In packed records (see :func:`_records`) u v and v u share their word
+    and power and differ by the sign (-1)**w, w the commutation parity of
+    the words, block qubit included.  So the bracket u v - sigma v u, with
+    sigma = (-1)**(a.b) and a.b the degree inner product, is nonzero
+    exactly when the parity a.b + w is 1.
 
-    The parity a.b + w of row i against every column at once is an XOR of
-    bit planes: bit j of plane b is bit b of column j's word (x, z,
-    degree), and row i picks the planes set in its word (z, x, degree).
-    The columns of form g vanish where that parity matches an entry of the
-    table row of form f.
+    That parity of row i against every column at once is an XOR of bit
+    planes: bit j of plane b is bit b of column j's word (x, z, degree),
+    and row i picks the planes set in its word (z, x, degree).  Rows that
+    pick the same planes share their mask.
     """
-    m = ops[0].clifford.m
-    words = [op.clifford.x | op.clifford.z << m | op.degree.mask << 2 * m for op in ops]
+    w = ops[0].clifford.m + 1
+    records = _records(ops, w - 1)
+    words = [x | z << w | op.degree.mask << 2 * w for (x, z, _, _), op in zip(records, ops)]
     width = max(words).bit_length()
     # zip yields the most significant bit first; reversed() puts column 0 last
-    columns = zip(*(format(w, f"0{width}b") for w in reversed(words)))
+    columns = zip(*(format(v, f"0{width}b") for v in reversed(words)))
     planes = [int("".join(c), 2) for c in columns][::-1]
 
-    forms: list[SqmBlock] = []  # one representative block per form
-    form_mask: list[int] = []  # the columns of each form
-    form_index: list[int] = []
-    for j, op in enumerate(ops):
-        for f, block in enumerate(forms):
-            if op.block.proportional(block) is not None:
-                break
-        else:
-            f = len(forms)
-            forms.append(op.block)
-            form_mask.append(0)
-        form_mask[f] |= 1 << j
-        form_index.append(f)
-    # columns of each form g with F_f F_g == F_g F_f (even) or == -F_g F_f (odd)
-    even, odd = [0] * len(forms), [0] * len(forms)
-    for f, bf in enumerate(forms):
-        for g, bg in enumerate(forms):
-            fg, gf = bf @ bg, bg @ bf
-            if fg == gf:
-                even[f] |= form_mask[g]
-            if fg == -gf:
-                odd[f] |= form_mask[g]
-
+    masks: dict[int, int] = {}
     for i in rows:
-        p = ops[i].clifford
-        pick = p.z | p.x << m | ops[i].degree.mask << 2 * m
-        parity = 0
-        while pick:
-            low = pick & -pick
-            parity ^= planes[low.bit_length() - 1]
-            pick ^= low
-        f = form_index[i]
-        yield odd[f] & parity | even[f] & ~parity
+        x, z, _, _ = records[i]
+        pick = z | x << w | ops[i].degree.mask << 2 * w
+        parity = masks.get(pick)
+        if parity is None:
+            parity, bits = 0, pick
+            while bits:
+                low = bits & -bits
+                parity ^= planes[low.bit_length() - 1]
+                bits ^= low
+            masks[pick] = parity
+        yield parity
 
 
 def check_centrality(model: Model) -> RelationReport:
@@ -252,8 +325,8 @@ def check_centrality(model: Model) -> RelationReport:
     The left operators are H, then every Z, in ``model.operators()`` order;
     the partners of a left operator are every supercharge and every operator
     after it.  The pair set is therefore H x (Q and Z), Z x Q and Z_i x Z_j
-    for i < j, each decided by :func:`_vanishing` in one sweep over the
-    left operators.  A left operator whose partners all vanish gets one
+    for i < j, each decided by :func:`_nonzero_brackets` in one sweep over
+    the left operators.  A left operator whose partners all vanish gets one
     aggregate row; otherwise it gets one row per failing pair, with the
     residual of that pair's tensor sum.
     """
@@ -262,13 +335,14 @@ def check_centrality(model: Model) -> RelationReport:
     supercharges = ((1 << nq) - 1) << 1
     left = [0, *range(1 + nq, len(ops))]
     results: list[PairCheck] = []
-    for i, vanishing in zip(left, _vanishing(ops, left)):
+    for i, nonzero in zip(left, _nonzero_brackets(ops, left)):
         u = ops[i]
-        later = (1 << len(ops)) - (2 << i)
-        bad = (supercharges | later) & ~vanishing
-        if not bad:
+        # bit_length finds a later column in O(1), where a shift copies the mask
+        if not (nonzero & supercharges or nonzero.bit_length() > i + 1):
             right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
             results.append(PairCheck(u.label(), right, "graded", True))
+            continue
+        bad = nonzero & (supercharges | (1 << len(ops)) - (2 << i))
         while bad:
             low = bad & -bad
             bad ^= low
@@ -342,52 +416,39 @@ class RankReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _share_form(ops: Sequence[GradedOperator]) -> bool:
-    """True if every block is a nonzero multiple of the first one."""
-    return all(op.block.proportional(ops[0].block) is not None for op in ops)
-
-
 def central_rank(model: Model) -> RankReport:
     """Group central elements by degree and rank each span exactly.
 
-    Within a degree group all ladder blocks share one form, so each element
-    is a nonzero multiple of its Pauli string times that form: the rank is
-    the number of distinct strings, and the proportionality classes are the
-    elements sharing a string, in order of first appearance.  A model-wide
-    rank is also computed when every block shares the same form (all
-    product families).
+    Each element is a phase times its packed word (see :func:`_records`):
+    distinct words, or equal words with distinct ladder powers, are linearly
+    independent, and the rest are proportional.  So the rank of a group is
+    the number of distinct (word, power) keys, and the proportionality
+    classes are the elements sharing a key, in order of first appearance.
+    The model-wide rank is reported when every central element has the same
+    block bits, as in every family but minimal.  minimal's report keeps the
+    null it has always had there: filling it changes the report schema.
     """
-    groups: dict[DegreeVector, list[GradedOperator]] = {}
-    for z in model.centrals.values():
-        groups.setdefault(z.degree, []).append(z)
+    zs = list(model.centrals.values())
+    groups: dict[DegreeVector, tuple[list[str], dict[tuple[int, int, int], list[str]]]] = {}
+    keys = []
+    for z, (x, zbits, _, e) in zip(zs, _records(zs, model.hamiltonian.clifford.m)):
+        key = (x, zbits, e)
+        keys.append(key)
+        label = z.label()
+        elements, classes = groups.setdefault(z.degree, ([], {}))
+        elements.append(label)
+        classes.setdefault(key, []).append(label)
+    entries = tuple(
+        DegreeRankEntry(str(degree), tuple(elements), len(classes), tuple(map(tuple, classes.values())))
+        for degree, (elements, classes) in groups.items()
+    )
 
-    entries = []
-    for degree, zs in groups.items():
-        if not _share_form(zs):
-            raise NotImplementedError(
-                f"central elements of degree {degree} have non-proportional blocks"
-            )
-        classes: dict[tuple[int, int], list[str]] = {}
-        for z in zs:
-            classes.setdefault((z.clifford.x, z.clifford.z), []).append(z.label())
-        entries.append(
-            DegreeRankEntry(
-                str(degree),
-                tuple(z.label() for z in zs),
-                pauli_rank(z.clifford for z in zs),
-                tuple(tuple(c) for c in classes.values()),
-            )
-        )
-
-    all_z = list(model.centrals.values())
     total_rank = None
     all_independent = None
-    if all_z and _share_form(all_z):
-        total_rank = pauli_rank(z.clifford for z in all_z)
-        all_independent = total_rank == len(all_z)
-    return RankReport(
-        model.spec.selector, tuple(entries), len(all_z), total_rank, all_independent
-    )
+    if len({(zbits & 1, e) for _, zbits, e in keys}) == 1:
+        total_rank = len(set(keys))
+        all_independent = total_rank == len(zs)
+    return RankReport(model.spec.selector, entries, len(zs), total_rank, all_independent)
 
 
 # ---------------------------------------------------------------------------
@@ -612,61 +673,30 @@ def _gf2_rank(vectors: Iterable[int]) -> int:
 def orbit_decomposition(model: Model) -> OrbitReport:
     """Connected components of the tensor-basis lines under the supercharges.
 
-    A supercharge with Pauli factor i**k X**x Z**z and an antidiagonal block
-    maps basis line (c, i) to a multiple of line (c ^ x, 1 - i).  The
-    component of a line is therefore its coset under the GF(2) span of the
-    vectors (x_q, 1): with r the rank of that span there are 2**(m+1-r)
-    components, each of size 2**r.
+    A supercharge whose packed record has the x word x (see
+    :func:`_records`; its last bit is the block's e mod 2, 1 for an
+    antidiagonal block) maps basis line (c, i) to a multiple of line
+    (c, i) ^ x.  The component of a line is therefore its coset under the
+    GF(2) span of the x words: with r the rank of that span there are
+    2**(m+1-r) components, each of size 2**r.
     """
-    for q in model.supercharges.values():
-        if not q.block.is_antidiagonal():
-            raise ValueError(f"{q.label()} has a non-antidiagonal block")
     m = model.hamiltonian.clifford.m
-    r = _gf2_rank(q.clifford.x << 1 | 1 for q in model.supercharges.values())
+    r = _gf2_rank(x for x, _, _, _ in _records(model.supercharges.values(), m))
     sizes = (1 << r,) * (1 << (m + 1 - r))
     return OrbitReport(model.spec.selector, 2 * model.clifford_dim, sizes)
-
-
-def _block_pattern(block: SqmBlock) -> tuple[int, int]:
-    """Quotient-group class of a single-word 2x2 block, modulo phase.
-
-    First bit: antidiagonal.  Second bit: relative sign of the two nonzero
-    entries.  Multiplication of such blocks XORs the bits, which is all the
-    closure count needs once overall phases are dropped.
-    """
-    e = block.entries
-    if block.is_antidiagonal():
-        anti, pair = 1, (e[0][1], e[1][0])
-    elif block.is_diagonal():
-        anti, pair = 0, (e[0][0], e[1][1])
-    else:
-        raise ValueError(f"block is neither diagonal nor antidiagonal: {block!r}")
-    coeffs = []
-    for ws in pair:
-        terms = list(ws.items())
-        if len(terms) != 1:
-            raise ValueError(f"block entry {ws!r} is not a single word")
-        coeffs.append(terms[0][1])
-    ratio = coeffs[0] / coeffs[1]
-    if ratio == 1:
-        return (anti, 0)
-    if ratio == -1:
-        return (anti, 1)
-    raise ValueError(f"block entries have non-real ratio {ratio!r}")
 
 
 def count_generated_operators(model: Model) -> int:
     """Size of the supercharge-generated operator set, counted up to scalars.
 
     Elements are classes (Clifford factor up to phase, block pattern in the
-    four-element quotient of the block group).  A product XORs both the
-    string bits (x, z) and the pattern bits, and every class is its own
-    inverse, so the set is the GF(2) span of the supercharges' vectors
-    (x, z, anti, sign) and has 2**rank elements.
+    four-element quotient of the block group: antidiagonal or not, and the
+    relative sign of the two nonzero entries).  The pattern of
+    i**k S**s Q**e is (e mod 2, s), the block qubit of the packed record
+    (see :func:`_records`).  A product XORs the record's (x, z) words, and
+    every class is its own inverse, so the set is the GF(2) span of the
+    supercharges' words and has 2**rank elements.
     """
     m = model.hamiltonian.clifford.m
-    vectors = []
-    for q in model.supercharges.values():
-        anti, sign = _block_pattern(q.block)
-        vectors.append((q.clifford.x << m | q.clifford.z) << 2 | anti << 1 | sign)
-    return 1 << _gf2_rank(vectors)
+    records = _records(model.supercharges.values(), m)
+    return 1 << _gf2_rank(x << m + 1 | z for x, z, _, _ in records)

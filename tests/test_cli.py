@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 import graded_sqm
 import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
+from graded_sqm.models import Model, build_from_selector
 from graded_sqm.realizations import FockRealization, GridRealization
+from graded_sqm.sqm_block import canonical_blocks
 from graded_sqm.verify import MAX_FOCK_LEVELS, PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,6 +112,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=2")
         assert code == 1
         assert "FAIL" in out
+
+    def test_non_monomial_block_exits_2(self, capsys, monkeypatch):
+        # the exact checks accept only blocks i**k S**s Q**e
+        q, h, _ = canonical_blocks()
+        m = build_from_selector("minimal:n=2")
+        a = m.odd_degrees[0]
+        charges = {**m.supercharges, a: replace(m.supercharges[a], block=q + h)}
+        broken = Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
+        monkeypatch.setattr(cli, "build", lambda spec: broken)
+        code, out, err = run(capsys, "verify", "--model", "minimal:n=2", "--rank")
+        assert (code, out) == (2, "")
+        assert "not a monomial" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=2", "--format", "csv")
@@ -359,6 +374,14 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2")
         assert code == 2
         assert "out of memory" in err
+
+    def test_negative_superpotential_as_a_separate_value(self, capsys):
+        # argparse reads a separate value starting with "-" as an option
+        grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "101", "--spacing", "0.1")
+        glued = run(capsys, *grid, "--W=-x")
+        assert glued[0] in (0, 1) and glued[1]
+        assert run(capsys, *grid, "--W", "-x") == glued
+        assert run(capsys, *grid, "--W", "-2*x^3 + x") == run(capsys, *grid, "--W=-2*x^3 + x")
 
     def test_conflicting_realizations(self, capsys):
         code, _, err = run(

@@ -142,9 +142,12 @@ class TestMinimalFamily:
         iqs = (qb @ sb) * 1j
         for a, q in m.supercharges.items():
             assert q.block == (qb if a.bits[-1] else iqs)
+        # Z_ab = (-i)**(1 - a.b) G_a G_b x B_a B_b, B the supercharge blocks:
+        # H when the last components agree, a multiple of H S when they differ
         for (a, b), z in m.centrals.items():
-            want = hb if a.bits[-1] == b.bits[-1] else hb @ sb
-            assert z.block.proportional(want) is not None
+            pair = m.supercharges[a].block @ m.supercharges[b].block
+            assert z.block == pair * (-1j) ** (1 - dot(a, b))
+            assert pair == (hb if a.bits[-1] == b.bits[-1] else hb @ sb * (1j if a.bits[-1] else -1j))
 
 
 class TestNextFamily:

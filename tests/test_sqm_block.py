@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graded_sqm.models import Model
-from graded_sqm.realizations import FockRealization, GridRealization
+from graded_sqm.realizations import FockRealization, GridRealization, _walk
 from graded_sqm.sqm_block import (
     LOWER,
     RAISE,
@@ -38,13 +38,6 @@ class TestWordSum:
         assert w.adjoint() == (a * ad * ad) * (-1j)
         assert w.adjoint().adjoint() == w
 
-    def test_proportional(self):
-        a = WordSum.letter(LOWER)
-        ad = WordSum.letter(RAISE)
-        w = a * ad + 2 * ad
-        assert w.proportional(w * (-1j)) == 1j
-        assert w.proportional(a * ad) is None
-
 
 class TestCanonicalBlocks:
     def test_square_of_charge_is_hamiltonian(self):
@@ -67,10 +60,12 @@ class TestCanonicalBlocks:
         assert iqs @ iqs == h
 
     def test_diagonal_patterns(self):
+        # Q is antidiagonal, H and S diagonal, and no other entry is zero
         q, h, s = canonical_blocks()
-        assert q.is_antidiagonal()
-        assert h.is_diagonal()
-        assert s.is_diagonal()
+        for block, anti in ((q, True), (h, False), (s, False)):
+            (tl, tr), (bl, br) = block.entries
+            on, off = ((tr, bl), (tl, br)) if anti else ((tl, br), (tr, bl))
+            assert all(e.is_zero() for e in off) and not any(e.is_zero() for e in on)
 
 
 def fock_dense_oracle(cutoff, word):
@@ -149,6 +144,20 @@ class TestFockRealization:
             sub = fock_dense_oracle(cutoff, (letter,))[:, :cutoff]
             want = [int(np.argmax(abs(v))) for v in svd_kernel(sub)]
             assert list(levels) == sorted(want)
+
+    def test_kernel_levels_closed_form_against_the_walk(self):
+        # the levels below the cutoff that each letter's walk sends to zero
+        for cutoff in range(65):
+            walked = tuple(
+                tuple(k for k in range(cutoff) if _walk((letter,), k)[1] == 0)
+                for letter in (LOWER, RAISE)
+            )
+            if cutoff == 0:
+                assert walked == ((), ())
+                with pytest.raises(ValueError):
+                    FockRealization(cutoff)
+            else:
+                assert FockRealization(cutoff).kernel_levels() == walked
 
     def test_entry_against_padded_dense_oracle(self):
         r = FockRealization(5)

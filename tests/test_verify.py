@@ -1,11 +1,12 @@
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from graded_sqm.clifford import PHASES, PauliOperator, gamma
+from graded_sqm.clifford import PHASES, PauliOperator, gamma, proportional
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
     COMMUTATOR,
@@ -28,9 +29,8 @@ from graded_sqm.verify import (
     MAX_FOCK_LEVELS,
     TensorSum,
     TensorTerm,
-    _block_pattern,
     _cluster,
-    _vanishing,
+    _nonzero_brackets,
     central_rank,
     check_centrality,
     check_defining_relations,
@@ -138,7 +138,7 @@ class TestDefiningRelations:
     @pytest.mark.parametrize("sel", ["minimal:n=4", "next:n=3", "maximal:n=3", "n4cl10"])
     def test_verdict_classes_agree_with_tensor_sum(self, models, sel):
         # sparse changes, so that most pairs pass and a failing pair often
-        # shares all but one entry of its verdict key with a passing one: a
+        # differs from a passing one in one bit of its packed records: a
         # supercharge gets a random string or its block times i; a central
         # element gets one x bit flipped, its string times i or its block
         # times i.  Odd trials change the intact model, even trials a model
@@ -196,6 +196,75 @@ class TestDefiningRelations:
         d = rep.to_dict()
         assert d["overall"] is True
         assert "PASS" in rep.to_markdown()
+
+
+def flip_block_bit(model: Model, rng) -> Model:
+    """Flip the block bit s (S times the block) of one random Q or Z, or
+    raise its ladder power e by one (times Q) or by two (times H, which
+    keeps e mod 2)."""
+    q, h, s = canonical_blocks()
+    charges, cents = dict(model.supercharges), dict(model.centrals)
+    pool = [(charges, key) for key in charges] + [(cents, key) for key in cents]
+    table, key = pool[int(rng.integers(0, len(pool)))]
+    block = table[key].block
+    block = (s @ block, block @ q, block @ h)[int(rng.integers(0, 3))]
+    table[key] = replace(table[key], block=block)
+    return Model(model.spec, model.odd_degrees, model.hamiltonian, charges, cents)
+
+
+def mutate_like_bench(model: Model, kind: str, rng: random.Random) -> Model:
+    """The benchmark's four mutation kinds: a supercharge block times i, a
+    central block times -1, a supercharge given another's Clifford factor,
+    and a central factor times a supercharge factor that is not a multiple
+    of the identity."""
+    charges, cents = dict(model.supercharges), dict(model.centrals)
+    degrees = list(model.odd_degrees)
+    if kind == "q-times-i":
+        a = rng.choice(degrees)
+        charges[a] = replace(charges[a], block=charges[a].block * 1j)
+    elif kind == "z-times-minus-1":
+        key = rng.choice(list(cents))
+        cents[key] = replace(cents[key], block=cents[key].block * -1)
+    elif kind == "q-factor":
+        a = rng.choice(degrees)
+        donors = [b for b in degrees if proportional(charges[b].clifford, charges[a].clifford) is None]
+        charges[a] = replace(charges[a], clifford=charges[rng.choice(donors)].clifford)
+    else:
+        key = rng.choice(list(cents))
+        donors = [c for c in degrees if charges[c].clifford.scalar_of_identity() is None]
+        z = cents[key]
+        cents[key] = replace(z, clifford=z.clifford @ charges[rng.choice(donors)].clifford)
+    return Model(model.spec, model.odd_degrees, model.hamiltonian, charges, cents)
+
+
+class TestPackedRecords:
+    @pytest.mark.parametrize("sel", [*SMALL_SET, "minimal:n=5", "next:n=5", "maximal:n=4"])
+    def test_block_bit_flip_detected(self, models, sel):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            broken = flip_block_bit(models(sel), rng)
+            assert not (check_defining_relations(broken).overall and check_centrality(broken).overall)
+
+    @pytest.mark.parametrize("kind", ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"])
+    def test_benchmark_mutation_kinds_detected(self, models, kind):
+        for sel in ["minimal:n=3", "minimal:n=5", "next:n=3", "next:n=5", "maximal:n=4", "n4cl10"]:
+            for seed in range(4):
+                broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
+                rel, cen = check_defining_relations(broken), check_centrality(broken)
+                assert not (rel.overall and cen.overall), (sel, kind, seed)
+
+    def test_non_monomial_block_refused(self, models):
+        q, h, _ = canonical_blocks()
+        m = models("minimal:n=3")
+        a = m.odd_degrees[0]
+        charges = dict(m.supercharges)
+        charges[a] = replace(charges[a], block=q + h)
+        broken = Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
+        for check in (
+            check_defining_relations, check_centrality, orbit_decomposition, count_generated_operators
+        ):
+            with pytest.raises(ValueError, match="not a monomial"):
+                check(broken)
 
 
 class TestCentrality:
@@ -278,9 +347,9 @@ class TestCentrality:
         for m in variants:
             ops = m.operators()
             want = [[TensorSum(graded_bracket_terms(u, v)).is_zero() for v in ops] for u in ops]
-            masks = list(_vanishing(ops, range(len(ops))))
+            masks = list(_nonzero_brackets(ops, range(len(ops))))
             assert all(0 <= mask < 1 << len(ops) for mask in masks)
-            assert [[bool(mask >> j & 1) for j in range(len(ops))] for mask in masks] == want
+            assert [[not mask >> j & 1 for j in range(len(ops))] for mask in masks] == want
 
             nq = len(m.supercharges)
             rows = []
@@ -671,6 +740,17 @@ class TestOrbits:
         assert sorted(fwd.component_sizes) == sorted(rev.component_sizes)
 
 
+def block_pattern(block: SqmBlock) -> tuple[int, int]:
+    """Quotient-group class of a single-word 2x2 block, modulo phase: whether
+    it is antidiagonal, and the relative sign of its two nonzero entries."""
+    e = block.entries
+    anti = int(e[0][0].is_zero())
+    pair = (e[0][1], e[1][0]) if anti else (e[0][0], e[1][1])
+    (_, top), (_, bottom) = (next(iter(ws.items())) for ws in pair)
+    assert all(len(list(ws.items())) == 1 for ws in pair) and top / bottom in (1, -1)
+    return anti, int(top / bottom == -1)
+
+
 def generated_count_bfs(model) -> int:
     """Independent oracle: breadth-first closure over the dense Clifford
     factors, each taken up to phase by dividing out its first nonzero
@@ -682,7 +762,7 @@ def generated_count_bfs(model) -> int:
         norm = mat * np.conj(unit)  # unit entries stay exact
         return norm.real.astype(np.int8).tobytes(), norm.imag.astype(np.int8).tobytes(), pattern
 
-    gens = [(q.clifford.to_dense(), _block_pattern(q.block)) for q in model.supercharges.values()]
+    gens = [(q.clifford.to_dense(), block_pattern(q.block)) for q in model.supercharges.values()]
     start = (np.eye(model.clifford_dim, dtype=complex), (0, 0))
     seen = {key(*start)}
     frontier = [start]
