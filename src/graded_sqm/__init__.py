@@ -39,7 +39,7 @@ _EXPORTS = {
     "verify": (
         "OrbitReport", "RankReport", "RelationReport", "SpectrumReport", "TensorSum",
         "TensorTerm", "central_rank", "check_centrality", "check_defining_relations",
-        "count_generated_operators", "pauli_rank", "orbit_decomposition", "spectrum",
+        "count_generated_operators", "orbit_decomposition", "spectrum",
     ),
 }
 # public name -> the submodule that defines it

@@ -100,10 +100,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     def w(x: np.ndarray) -> np.ndarray:
         return sum(c * x**p for c, p in terms)
 
-    def w_prime(x: np.ndarray) -> np.ndarray:
-        return sum(c * p * x ** (p - 1) for c, p in terms if p > 0) + 0.0 * x
-
-    return GridRealization.from_function(points, spacing, w, w_prime, label=w_expr)
+    return GridRealization.from_function(points, spacing, w, label=w_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,11 @@ class GridRealization:
 
     The momentum is the central-difference stencil; the lowering matrix is
     (derivative + superpotential)/sqrt(2) and the raising matrix is its
-    numeric adjoint.
+    numeric adjoint.  The derivative's norm is at most 1/spacing, so every
+    level is at most (max|W| + 1/spacing)**2 / 2, and the 2 x points levels
+    of both partners, which a cluster's mean adds up, sum to at most
+    points x (max|W| + 1/spacing)**2.  A grid on which that bound overflows
+    float64 is refused.
     """
 
     points: int
@@ -172,6 +176,13 @@ class GridRealization:
             raise ValueError("w_values must have one value per grid point")
         if not np.all(np.isfinite(w)):
             raise ValueError("superpotential values must be finite")
+        norm = float(np.max(np.abs(w))) + 1.0 / self.spacing
+        if not math.isfinite(self.points * norm * norm):
+            raise ValueError(
+                "grid levels overflow float64: their sum, at most "
+                "points x (max|W| + 1/spacing)**2, is not finite; "
+                "use a smaller superpotential or a larger spacing"
+            )
         w.setflags(write=False)
         object.__setattr__(self, "w_values", w)
         if self.w_prime_values is not None:
@@ -193,13 +204,11 @@ class GridRealization:
         check_grid(points, spacing)  # before W is evaluated on the grid
         import numpy as np
         x = (np.arange(points) - (points - 1) / 2) * spacing
-        return cls(
-            points,
-            spacing,
-            np.asarray(w(x), dtype=float),
-            None if w_prime is None else np.asarray(w_prime(x), dtype=float),
-            label,
-        )
+        # an overflowing W is refused by the finiteness check, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(w(x), dtype=float)
+            slopes = None if w_prime is None else np.asarray(w_prime(x), dtype=float)
+        return cls(points, spacing, values, slopes, label)
 
     @property
     def dim(self) -> int:

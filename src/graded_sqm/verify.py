@@ -22,7 +22,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .clifford import PHASES, PauliOperator
-from .grading import ANTICOMMUTATOR, COMMUTATOR, DegreeVector, bracket_kind, bracket_sign
+from .grading import ANTICOMMUTATOR, COMMUTATOR, DegreeVector, bracket_sign
 from .models import GradedOperator, Model
 # realize stays importable here: the benchmark's tracer wraps this name
 from .sqm_block import SqmBlock, canonical_blocks, ground_state_pair, realize  # noqa: F401
@@ -72,11 +72,53 @@ class TensorSum:
             groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
         for (x, z), total in groups.items():
             if not total.is_zero():
-                return f"nonzero residual block {total!r} on clifford string x={x} z={z}"
+                return f"nonzero residual block {total!r} on clifford string {_string_text(x, z)}"
         return None
 
     def is_zero(self) -> bool:
         return self.residual() is None
+
+
+def _string_text(x: int, z: int) -> str:
+    return f"x={x} z={z}"
+
+
+def _residual(
+    memo: dict,
+    key: tuple,
+    strings: Sequence[tuple[int, int]],
+    u: GradedOperator,
+    v: GradedOperator,
+    target: GradedOperator | None = None,
+    coeff: complex = 0,
+) -> str | None:
+    """The residual text of the tensor sum of the graded bracket of u and v,
+    plus ``coeff`` times ``target`` if given, its block algebra run once per
+    ``key`` in ``memo``.
+
+    ``strings`` are the distinct Clifford strings (x, z) of the sum's terms,
+    in the order the terms meet them.  The text depends on the strings only
+    through the one it names, last: ``key`` must hold everything else, the
+    blocks, phases and coefficients of the terms and which of their strings
+    coincide.  So the text of one pair, cut before that name, serves every
+    pair with its key, each naming its own string in the same position.
+    """
+    hit = memo.get(key)
+    if hit is None:
+        terms = graded_bracket_terms(u, v)
+        if target is not None:
+            terms.append(TensorTerm(target.clifford, target.block * coeff))
+        text = TensorSum(terms).residual()
+        if text is None:
+            hit = memo[key] = (None, 0)
+        else:
+            hit = memo[key] = next(
+                (text.removesuffix(tail), n)
+                for n, tail in enumerate(_string_text(*xz) for xz in strings)
+                if text.endswith(tail)
+            )
+    head, n = hit
+    return None if head is None else head + _string_text(*strings[n])
 
 
 def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTerm]:
@@ -168,6 +210,9 @@ def _records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
 # ---------------------------------------------------------------------------
 
 
+_KINDS = (COMMUTATOR, ANTICOMMUTATOR)  # bracket_kind by the parity of a.b
+
+
 class PairCheck(NamedTuple):
     left: str
     right: str
@@ -233,7 +278,10 @@ def check_defining_relations(model: Model) -> RelationReport:
     of the two words.  The bracket Q_a Q_b - s Q_b Q_a is therefore zero
     when s == (-1)**w and 2 Q_a Q_b otherwise, and the pair holds exactly
     when it is 2 Q_a Q_b and the target term -coeff T has the record of
-    2 Q_a Q_b.  A failing pair gets the residual text of its tensor sum.
+    2 Q_a Q_b.  A failing pair gets the residual text of its tensor sum
+    (:func:`_residual`), keyed on the blocks, the phases of the two product
+    strings and of the target's string, whether the target's string is the
+    pair's, and the integers that coeff is built from.
     """
     degrees = model.odd_degrees
     m = model.hamiltonian.clifford.m
@@ -245,7 +293,8 @@ def check_defining_relations(model: Model) -> RelationReport:
         for ((a, b), z), rec in zip(model.centrals.items(), _records(model.centrals.values(), m))
     }
     labels = [f"Q[{a}]" for a in degrees]
-    kinds = (COMMUTATOR, ANTICOMMUTATOR)  # bracket_kind by a.b
+    # the model holds every block for the call, so no id is reused
+    memo: dict[tuple, tuple[str | None, int]] = {}
     results = []
     for i, a in enumerate(degrees):
         xa, za, ka, ea = q[i]
@@ -253,7 +302,7 @@ def check_defining_relations(model: Model) -> RelationReport:
             xb, zb, kb, eb = q[j]
             d = (a.mask & b.mask).bit_count() & 1
             if i == j:
-                (target, t), coeff, c = (model.hamiltonian, h), -2, 0
+                (target, t), sign, e = (model.hamiltonian, h), 1, 0
             else:
                 # a reversed pair reads the stored element with the sign of
                 # Model.stored_central, which rides on coeff
@@ -261,8 +310,8 @@ def check_defining_relations(model: Model) -> RelationReport:
                     (target, t), sign = stored[i, j], 1
                 else:
                     (target, t), sign = stored[j, i], -1 if d == 0 else 1
-                coeff = -2 * sign * PHASES[(1 - d) % 4]
-                c = 1 - d + (1 - sign)  # coeff == -2 * i**c
+                e = 1 - d
+            c = e + 1 - sign  # coeff == -2 * sign * i**e == -2 * i**c
             w = ((xa & zb).bit_count() + (za & xb).bit_count()) & 1
             ok = (
                 d != w
@@ -273,10 +322,19 @@ def check_defining_relations(model: Model) -> RelationReport:
             )
             res = None
             if not ok:
-                terms = graded_bracket_terms(charges[i], charges[j])
-                terms.append(TensorTerm(target.clifford, target.block * coeff))
-                res = TensorSum(terms).residual()
-            results.append(PairCheck(labels[i], labels[j], kinds[d], ok, res))
+                u, v = charges[i], charges[j]
+                pu, pv, pt = u.clifford, v.clifford, target.clifford
+                pair = (pu.x ^ pv.x, pu.z ^ pv.z)
+                same = pair == (pt.x, pt.z)
+                key = (
+                    id(u.block), id(v.block), d,
+                    (pu.k + pv.k + 2 * (pu.z & pv.x).bit_count()) & 3,
+                    (pu.k + pv.k + 2 * (pv.z & pu.x).bit_count()) & 3,
+                    id(target.block), pt.k, same, sign, e,
+                )
+                strings = (pair,) if same else (pair, (pt.x, pt.z))
+                res = _residual(memo, key, strings, u, v, target, -2 * sign * PHASES[e])
+            results.append(PairCheck(labels[i], labels[j], _KINDS[d], ok, res))
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
 
@@ -328,28 +386,40 @@ def check_centrality(model: Model) -> RelationReport:
     for i < j, each decided by :func:`_nonzero_brackets` in one sweep over
     the left operators.  A left operator whose partners all vanish gets one
     aggregate row; otherwise it gets one row per failing pair, with the
-    residual of that pair's tensor sum.
+    residual of that pair's tensor sum (:func:`_residual`), keyed on the
+    blocks, the bracket sign and the phases of the two product strings.
     """
     ops = model.operators()  # H, then the supercharges, then the centrals
     nq = len(model.supercharges)
     supercharges = ((1 << nq) - 1) << 1
     left = [0, *range(1 + nq, len(ops))]
+    labels = [op.label() for op in ops]
+    # the model holds every block for the call, so no id is reused
+    memo: dict[tuple, tuple[str | None, int]] = {}
     results: list[PairCheck] = []
     for i, nonzero in zip(left, _nonzero_brackets(ops, left)):
-        u = ops[i]
         # bit_length finds a later column in O(1), where a shift copies the mask
         if not (nonzero & supercharges or nonzero.bit_length() > i + 1):
             right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
-            results.append(PairCheck(u.label(), right, "graded", True))
+            results.append(PairCheck(labels[i], right, "graded", True))
             continue
+        u = ops[i]
+        pu = u.clifford
         bad = nonzero & (supercharges | (1 << len(ops)) - (2 << i))
         while bad:
             low = bad & -bad
             bad ^= low
-            v = ops[low.bit_length() - 1]
-            res = TensorSum(graded_bracket_terms(u, v)).residual()
-            kind = bracket_kind(u.degree, v.degree)
-            results.append(PairCheck(u.label(), v.label(), kind, False, res))
+            j = low.bit_length() - 1
+            v = ops[j]
+            pv = v.clifford
+            d = (u.degree.mask & v.degree.mask).bit_count() & 1
+            key = (
+                id(u.block), id(v.block), d,
+                (pu.k + pv.k + 2 * (pu.z & pv.x).bit_count()) & 3,
+                (pu.k + pv.k + 2 * (pv.z & pu.x).bit_count()) & 3,
+            )
+            res = _residual(memo, key, ((pu.x ^ pv.x, pu.z ^ pv.z),), u, v)
+            results.append(PairCheck(labels[i], labels[j], _KINDS[d], False, res))
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)
     )
@@ -358,15 +428,6 @@ def check_centrality(model: Model) -> RelationReport:
 # ---------------------------------------------------------------------------
 # exact rank of central subspaces
 # ---------------------------------------------------------------------------
-
-
-def pauli_rank(paulis: Iterable[PauliOperator]) -> int:
-    """Exact rank of the span of a set of Pauli strings.
-
-    Distinct strings are linearly independent and equal strings are
-    proportional, so the rank is the number of distinct (x, z).
-    """
-    return len({(p.x, p.z) for p in paulis})
 
 
 class DegreeRankEntry(NamedTuple):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -382,6 +383,32 @@ class TestSpectrumCommand:
         assert glued[0] in (0, 1) and glued[1]
         assert run(capsys, *grid, "--W", "-x") == glued
         assert run(capsys, *grid, "--W", "-2*x^3 + x") == run(capsys, *grid, "--W=-2*x^3 + x")
+
+    @pytest.mark.parametrize(
+        "grid",
+        [("--points", "101", "--spacing", "1e-200", "--W", "x"),
+         ("--points", "401", "--spacing", "0.1", "--W", "x^200")],
+        ids=["tiny-spacing", "steep-W"],
+    )
+    def test_overflowing_grid_levels_exit_2(self, capsys, grid):
+        # the squared singular values would pass about 1.8e308 and the JSON
+        # report would hold "value": Infinity
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "spectrum", "--model", "minimal:n=2", "--grid", *grid, "--format", "json"
+            )
+        assert (code, out, caught) == (2, "", [])
+        assert err.startswith("error: grid levels overflow float64") and err.count("\n") == 1
+
+    def test_overflowing_polynomial_prints_only_its_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "spectrum", "--model", "minimal:n=2", "--grid", "--W", "x^999999"
+            )
+        assert (code, out, caught) == (2, "", [])
+        assert err == "error: superpotential values must be finite\n"
 
     def test_conflicting_realizations(self, capsys):
         code, _, err = run(
