@@ -9,11 +9,12 @@ orbit structure.
 Layout: :mod:`~graded_sqm.clifford` (Pauli strings), :mod:`~graded_sqm.grading`
 (degrees and counts), :mod:`~graded_sqm.sqm_block` (the formal ladder
 block), :mod:`~graded_sqm.models` (the families), :mod:`~graded_sqm.verify`
-(the exact checks and spectra), :mod:`~graded_sqm.realizations` (the numeric
-Fock and grid realizations) and :mod:`~graded_sqm.cli`.  The public names
-below resolve lazily (PEP 562): ``import graded_sqm`` loads no submodule,
-and the first use of a name loads only the module that defines it, so a
-command-line call compiles just the modules it runs.
+(the exact checks), :mod:`~graded_sqm.realizations` (the numeric Fock and
+grid realizations and the spectrum read off them) and
+:mod:`~graded_sqm.cli`.  The public names below resolve lazily (PEP 562):
+``import graded_sqm`` loads no submodule, and the first use of a name loads
+only the module that defines it, so a command-line call compiles just the
+modules it runs.
 """
 
 from importlib import import_module
@@ -34,12 +35,14 @@ _EXPORTS = {
         "build_from_selector", "build_maximal", "build_minimal", "build_next",
         "hermitizing_phase", "minimal_phase_exponent",
     ),
-    "realizations": ("FockRealization", "GridRealization", "NumericRealization"),
+    "realizations": (
+        "FockRealization", "GridRealization", "NumericRealization", "SpectrumReport", "spectrum",
+    ),
     "sqm_block": ("SqmBlock", "WordSum", "canonical_blocks", "ground_state_pair", "realize"),
     "verify": (
-        "OrbitReport", "RankReport", "RelationReport", "SpectrumReport", "TensorSum",
-        "TensorTerm", "central_rank", "check_centrality", "check_defining_relations",
-        "count_generated_operators", "orbit_decomposition", "spectrum",
+        "OrbitReport", "RankReport", "RelationReport", "TensorSum", "TensorTerm",
+        "central_rank", "check_centrality", "check_defining_relations",
+        "count_generated_operators", "orbit_decomposition",
     ),
 }
 # public name -> the submodule that defines it

@@ -3,11 +3,13 @@
 Three subcommands: ``census`` prints the algebra counting table, ``verify``
 builds a model and runs the exact relation/centrality checks (plus optional
 rank, orbit and spectrum reports), ``spectrum`` reports eigenvalue clusters
-and degeneracies for a numeric realization.  A ``--config`` file's
-``key = value`` lines are turned into the flags they stand for and parsed
-ahead of the command line's own, so argparse checks both alike and the
-command line wins.  Exit status: 0 all selected checks pass, 1 verification
-failure, 2 usage or configuration error.
+and degeneracies for a numeric realization.  Each subcommand imports the
+modules it runs when it runs: ``census`` loads no model, ``spectrum`` no
+exact check, and ``verify`` the spectrum only for a realization.  A
+``--config`` file's ``key = value`` lines are turned into the flags they
+stand for and parsed ahead of the command line's own, so argparse checks
+both alike and the command line wins.  Exit status: 0 all selected checks
+pass, 1 verification failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -19,20 +21,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .grading import census
-from .models import ModelSpec, ModelSpecError, build
-from .verify import (
-    central_rank,
-    check_centrality,
-    check_defining_relations,
-    count_generated_operators,
-    orbit_decomposition,
-    spectrum,
-)
-
 if TYPE_CHECKING:
     import numpy as np
 
+    from .models import Model
     from .realizations import GridRealization, NumericRealization
 
 EXIT_OK = 0
@@ -77,7 +69,9 @@ def parse_polynomial(expr: str) -> list[tuple[float, int]]:
 def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridRealization:
     """Grid realization from a polynomial expression or a table file.
 
-    A table file (prefix '@' or an existing path) holds one superpotential
+    A value that parses as a polynomial is that polynomial, even when a
+    file of that name exists.  A table file, named with the prefix '@' or
+    by a path that does not parse as a polynomial, holds one superpotential
     value per grid point; its derivative is taken by central differences.
     The grid is checked before the table is read, W evaluated or numpy
     imported.
@@ -85,22 +79,28 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     from .realizations import GridRealization, check_grid
 
     check_grid(points, spacing)
-    path = w_expr[1:] if w_expr.startswith("@") else w_expr
-    if w_expr.startswith("@") or Path(path).is_file():
-        import numpy as np
-        values = np.loadtxt(path, dtype=float).reshape(-1)
-        if values.shape != (points,):
-            raise ValueError(
-                f"superpotential table {path!r} has {values.shape[0]} values, "
-                f"expected {points}"
-            )
-        return GridRealization(points, spacing, values, label=f"table:{Path(path).name}")
-    terms = parse_polynomial(w_expr)
+    if w_expr.startswith("@"):
+        path = w_expr[1:]
+    else:
+        try:
+            terms = parse_polynomial(w_expr)
+        except ValueError:
+            if not Path(w_expr).is_file():
+                raise
+            path = w_expr
+        else:
+            def w(x: np.ndarray) -> np.ndarray:
+                return sum(c * x**p for c, p in terms)
 
-    def w(x: np.ndarray) -> np.ndarray:
-        return sum(c * x**p for c, p in terms)
-
-    return GridRealization.from_function(points, spacing, w, label=w_expr)
+            return GridRealization.from_function(points, spacing, w, label=w_expr)
+    import numpy as np
+    values = np.loadtxt(path, dtype=float).reshape(-1)
+    if values.shape != (points,):
+        raise ValueError(
+            f"superpotential table {path!r} has {values.shape[0]} values, "
+            f"expected {points}"
+        )
+    return GridRealization(points, spacing, values, label=f"table:{Path(path).name}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,8 @@ def _relation_rows(rep) -> list[tuple]:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .grading import census
+
     lo, hi = args.n_from, args.n_to
     if not 2 <= lo <= hi <= 10:
         raise ValueError(f"census range must satisfy 2 <= from <= to <= 10, got {lo}..{hi}")
@@ -221,6 +223,12 @@ def cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _model_from(args: argparse.Namespace) -> Model:
+    from .models import ModelSpec, build
+
+    return build(ModelSpec.parse(args.model))
+
+
 def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
     if not args.grid and (args.points, args.spacing, args.w) != (None, None, None):
         raise ValueError("--points, --spacing and --W apply only with --grid")
@@ -236,21 +244,26 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    model = build(ModelSpec.parse(args.model))
+    model = _model_from(args)
     # the spectrum runs first, so a realization it refuses costs no exact check,
     # but its section is reported last
     realization = _realization_from(args)
-    spectral = None if realization is None else spectrum(model, realization)
+    spectral = None
+    if realization is not None:
+        from .realizations import spectrum
+
+        spectral = spectrum(model, realization)
+    from . import verify
 
     sections: dict[str, object] = {}
-    sections["defining_relations"] = check_defining_relations(model)
-    sections["centrality"] = check_centrality(model)
+    sections["defining_relations"] = verify.check_defining_relations(model)
+    sections["centrality"] = verify.check_centrality(model)
     if args.rank:
-        sections["rank"] = central_rank(model)
+        sections["rank"] = verify.central_rank(model)
     if args.orbits:
-        sections["orbits"] = orbit_decomposition(model)
+        sections["orbits"] = verify.orbit_decomposition(model)
     if args.counts:
-        sections["generated_operators"] = count_generated_operators(model)
+        sections["generated_operators"] = verify.count_generated_operators(model)
     if spectral is not None:
         sections["spectrum"] = spectral
 
@@ -286,9 +299,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    model = build(ModelSpec.parse(args.model))
+    model = _model_from(args)
     if args.fock is None and not args.grid:
         args.fock = 8  # the default realization
+    from .realizations import spectrum
+
     rep = spectrum(model, _realization_from(args))
     if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
@@ -379,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse has printed its error line or the help
         return exc.code
-    except (ModelSpecError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ModelSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -3,33 +3,45 @@
 A realization substitutes concrete matrices for the letters of the formal
 word algebra in :mod:`graded_sqm.sqm_block`: a truncated harmonic Fock
 space (superpotential fixed to x, exact integer spectrum) or a
-finite-difference grid with a user superpotential.  ``spectrum`` reads
-the levels of both partner Hamiltonians Ad A and A Ad, and both ladder
-kernels, off the pair alone: the Fock space gives them in closed form as
-exact integers without numpy, the grid from one SVD of its lowering
-matrix.  The dense matrices of ``realize`` are the tests' oracle.  Only
-``spectrum`` uses this module, so it is imported where a realization is
-built, not by the exact checks; every dense matrix, and every grid,
-imports numpy where it is built.
+finite-difference grid with a user superpotential.
+
+This is the numeric layer of the package, and :func:`spectrum` is its one
+entry point: it reads the levels of both partner Hamiltonians Ad A and
+A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
+them in closed form as exact integers without numpy, the grid from one SVD
+of its lowering matrix.  The dense matrices of ``realize`` are the tests'
+oracle.  The module is imported where a realization is built and never
+loads the exact engine (:mod:`graded_sqm.verify`), so a spectrum call
+compiles no exact check; every dense matrix, and every grid, imports numpy
+where it is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .sqm_block import LOWER, RAISE, Word, WordSum
+from .sqm_block import LOWER, RAISE, Word, WordSum, canonical_blocks, ground_state_pair
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .models import Model
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
 # bytes of the dense complex Hamiltonian block, 2 x points on a side, that
 # bound a grid; its spectrum holds three points x points float matrices
 MAX_SPECTRUM_BYTES = 1 << 27
+# Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
+MAX_FOCK_LEVELS = 1 << 16
+
+FOCK_CLUSTER_TOL = 1e-9
+GRID_CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,7 +149,7 @@ def check_grid(points: int, spacing: float) -> None:
     if nbytes > MAX_SPECTRUM_BYTES:
         raise ValueError(
             f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
-            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the cutoff or grid size"
+            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the grid size"
         )
     # an infinite spacing zeroes the derivative; a nan one poisons every entry
     if not (math.isfinite(spacing) and spacing > 0):
@@ -325,3 +337,186 @@ def _is_smooth(v: np.ndarray) -> bool:
     d = float((abs(v[1:] - v[:-1]) ** 2).sum())
     s = float((abs(v[1:] + v[:-1]) ** 2).sum())
     return s > d
+
+
+# ---------------------------------------------------------------------------
+# spectra
+# ---------------------------------------------------------------------------
+
+
+class EigenCluster(NamedTuple):
+    value: float
+    multiplicity: int
+
+
+class SpectrumReport(NamedTuple):
+    model: str
+    realization: str
+    tolerance: float
+    total_dim: int
+    clusters: tuple[EigenCluster, ...]
+    excluded: tuple[EigenCluster, ...]
+    zero_modes: int
+    artifact_modes: int
+    expected_zero: int
+    expected_excited: int
+    problems: tuple[str, ...]
+    # copies of each excited level the check counts: 2 for a grid's doublers;
+    # stated in the markdown, kept out of the JSON
+    lattice_copies: int = 1
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def to_dict(self) -> dict:
+        d = self._asdict()
+        del d["lattice_copies"]
+        for key in ("clusters", "excluded"):
+            d[key] = tuple(c._asdict() for c in d[key])
+        d["ok"] = self.ok
+        return d
+
+    def to_markdown(self) -> str:
+        excited = f"excited multiplicity {self.expected_excited * self.lattice_copies}"
+        if self.lattice_copies != 1:
+            excited += f" ({self.expected_excited} x {self.lattice_copies} lattice copies)"
+        lines = [
+            f"## spectrum — {self.model} on {self.realization}",
+            "",
+            f"zero modes: {self.zero_modes}"
+            + (f" (+{self.artifact_modes} discretization artifacts excluded)" if self.artifact_modes else ""),
+            f"expected: zero multiplicity {self.expected_zero}, {excited}",
+            "",
+            "| energy | multiplicity |",
+            "|---|---|",
+        ]
+        lines += [f"| {c.value:.9g} | {c.multiplicity} |" for c in self.clusters]
+        if self.excluded:
+            lines += ["", "truncation-excluded clusters: " + ", ".join(
+                f"{c.value:.6g} (x{c.multiplicity})" for c in self.excluded
+            )]
+        lines += ["", f"result: **{'PASS' if self.ok else 'FAIL'}**"]
+        lines += [f"- {p}" for p in self.problems]
+        return "\n".join(lines)
+
+
+def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
+    """Clusters of sorted values, each multiplicity counted ``copies`` times."""
+    import numpy as np
+    clusters: list[EigenCluster] = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol * max(1.0, abs(values[i])):
+            chunk = values[start:i]
+            clusters.append(EigenCluster(float(np.mean(chunk)), copies * len(chunk)))
+            start = i
+    return clusters
+
+
+def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
+    """Cluster the Hamiltonian's eigenvalues and count its zero modes.
+
+    The Hamiltonian of every family is the Clifford identity times the
+    canonical block diag(Ad A, A Ad) of the two partner Hamiltonians, so
+    its spectrum is the union of the partners' levels with every
+    multiplicity multiplied by clifford-dim.  Both facts are checked exactly
+    on the formal operator, and any other Hamiltonian is refused before a
+    matrix is built.  The realization then gives both partners' levels and
+    both ladder kernels from the ladder pair alone: on Fock in closed form
+    (``FockRealization.partner_levels`` and ``kernel_levels``), so the
+    clusters are exact counts with no numpy; on the grid from one SVD of
+    the lowering matrix L, since Ad A = L^T L and A Ad = L L^T share the
+    levels s^2.  A Fock realization of more than ``MAX_FOCK_LEVELS``
+    levels is refused before any level is read; a grid is checked where it
+    is built (:func:`check_grid`).
+
+    The expected pattern for every family is the one its ground-state and
+    degeneracy statements specialize to on these realizations: the zero
+    cluster is absent or clifford-dim fold, every reported excited cluster
+    is (2 x clifford dim) fold.  Fock clusters must sit on integers; levels
+    at or above the cutoff are truncation-affected and excluded.
+    """
+    cliffdim = model.clifford_dim
+    side = 2 * realization.dim
+    if model.hamiltonian.clifford.scalar_of_identity() != 1:
+        raise ValueError(
+            f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
+        )
+    if model.hamiltonian.block != canonical_blocks()[1]:
+        raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diag(Ad A, A Ad)")
+    is_fock = isinstance(realization, FockRealization)
+    tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
+
+    artifact_modes = 0
+    if is_fock:
+        if realization.dim > MAX_FOCK_LEVELS:
+            raise ValueError(
+                f"Fock levels {realization.dim} are over {MAX_FOCK_LEVELS}; reduce the cutoff"
+            )
+        kernel_a, kernel_ad = realization.kernel_levels()
+        counts = Counter(chain(*realization.partner_levels()))
+        all_clusters = [EigenCluster(float(v), cliffdim * counts[v]) for v in sorted(counts)]
+        # levels at or above the cutoff are truncation-affected
+        edge = realization.cutoff - 0.5
+    else:
+        import numpy as np
+        kernel_a, kernel_ad = ground_state_pair(realization)
+        raw_a, raw_ad = realization.raw_kernel_pair()
+        artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
+        evals = np.sort(np.concatenate(realization.partner_levels()))
+        all_clusters = _cluster(evals, tol, cliffdim)
+        # the upper part of the lattice band is not discretization-faithful
+        edge = 0.25 * float(evals[-1])
+    physical = len(kernel_a) + len(kernel_ad)
+    zero_modes = cliffdim * physical
+
+    clusters, excluded = [], []
+    for c in all_clusters:
+        (excluded if c.value > edge else clusters).append(c)
+
+    expected_zero = cliffdim if physical else 0
+    expected_excited = 2 * cliffdim
+    # On an odd grid, central differences pair every nonzero eigenvalue of
+    # one diagonal block with an exactly equal doubler eigenvalue of the
+    # other (checkerboard symmetry composed with the singular-value pairing),
+    # so raw grid multiplicities carry an exact factor 2 of artifacts.
+    lattice_copies = 1 if is_fock else 2
+    problems: list[str] = []
+    if physical > 1:
+        problems.append(
+            f"both ladder kernels nonempty ({len(kernel_a)}, {len(kernel_ad)}); "
+            "zero modes should come from one chirality only"
+        )
+    for c in clusters:
+        if abs(c.value) <= tol:
+            want = expected_zero + artifact_modes
+            if c.multiplicity != want:
+                problems.append(
+                    f"zero cluster multiplicity {c.multiplicity}, expected {want}"
+                )
+        else:
+            if c.multiplicity != expected_excited * lattice_copies:
+                problems.append(
+                    f"cluster at {c.value:.6g} has multiplicity {c.multiplicity}, "
+                    f"expected {expected_excited * lattice_copies}"
+                )
+            if is_fock and abs(c.value - round(c.value)) > tol:
+                problems.append(f"cluster at {c.value!r} is not integer-valued")
+    if expected_zero and not any(abs(c.value) <= tol for c in clusters):
+        problems.append("expected a zero cluster but found none")
+
+    return SpectrumReport(
+        model.spec.selector,
+        realization.describe(),
+        tol,
+        cliffdim * side,
+        tuple(clusters),
+        tuple(excluded),
+        zero_modes,
+        artifact_modes,
+        expected_zero,
+        expected_excited,
+        tuple(problems),
+        lattice_copies,
+    )

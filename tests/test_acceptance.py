@@ -18,14 +18,13 @@ from graded_sqm.clifford import (
 )
 from graded_sqm.cli import main
 from graded_sqm.grading import dot
-from graded_sqm.realizations import FockRealization
+from graded_sqm.realizations import FockRealization, spectrum
 from graded_sqm.verify import (
     central_rank,
     check_centrality,
     check_defining_relations,
     count_generated_operators,
     orbit_decomposition,
-    spectrum,
 )
 from test_verify import mutate_model
 

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import graded_sqm
-import graded_sqm.cli as cli
 from graded_sqm.cli import main, make_grid_realization, parse_polynomial
 from graded_sqm.models import Model, build_from_selector
-from graded_sqm.realizations import FockRealization, GridRealization
+from graded_sqm.realizations import MAX_FOCK_LEVELS, FockRealization, GridRealization
 from graded_sqm.sqm_block import canonical_blocks
-from graded_sqm.verify import MAX_FOCK_LEVELS, PairCheck, RelationReport
+from graded_sqm.verify import PairCheck, RelationReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,7 +108,7 @@ class TestVerifyCommand:
             "defining-relations",
             pair_results=(PairCheck("Q[01]", "Q[01]", "anticommutator", False, "boom"),),
         )
-        monkeypatch.setattr(cli, "check_defining_relations", lambda m: broken)
+        monkeypatch.setattr("graded_sqm.verify.check_defining_relations", lambda m: broken)
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=2")
         assert code == 1
         assert "FAIL" in out
@@ -121,7 +120,7 @@ class TestVerifyCommand:
         a = m.odd_degrees[0]
         charges = {**m.supercharges, a: replace(m.supercharges[a], block=q + h)}
         broken = Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
-        monkeypatch.setattr(cli, "build", lambda spec: broken)
+        monkeypatch.setattr("graded_sqm.models.build", lambda spec: broken)
         code, out, err = run(capsys, "verify", "--model", "minimal:n=2", "--rank")
         assert (code, out) == (2, "")
         assert "not a monomial" in err
@@ -174,7 +173,7 @@ class TestVerifyCommand:
         def refuse(model):
             pytest.fail("an exact check ran before the realization was refused")
 
-        monkeypatch.setattr(cli, "check_defining_relations", refuse)
+        monkeypatch.setattr("graded_sqm.verify.check_defining_relations", refuse)
         args = ("--model", "maximal:n=8", "--rank", "--orbits", "--counts", *flags)
         code, out, _ = run(capsys, "verify", *args)
         assert (code, out) == (2, "")
@@ -249,6 +248,21 @@ class TestSpectrumCommand:
         else:
             assert (code, out) == (2, "")
             assert "only on odd grids" in err
+
+    def test_grid_markdown_states_the_multiplicity_it_checks(self, capsys):
+        # the lattice doubles every excited grid level, and the expected line
+        # states the doubled count the check uses; the JSON keeps the count per level
+        grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "101", "--spacing", "0.1")
+        code, out, _ = run(capsys, *grid)
+        assert code == 0
+        assert "expected: zero multiplicity 2, excited multiplicity 8 (4 x 2 lattice copies)\n" in out
+        rows = [line.split(" | ") for line in out.splitlines() if line.startswith("| ")]
+        assert rows[0] == ["| energy", "multiplicity |"]
+        assert [int(m.rstrip(" |")) for _, m in rows[2:]] == [8] * len(rows[2:])
+        code, out, _ = run(capsys, *grid, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["expected_excited"] == 4 and "lattice_copies" not in doc
 
     def test_grid_cubic_zero_modes(self, capsys):
         code, out, _ = run(
@@ -328,7 +342,8 @@ class TestSpectrumCommand:
         def refuse_exact(*args):
             pytest.fail("a Fock level was read past the work guard")
 
-        monkeypatch.setattr("graded_sqm.verify.realize", refuse)
+        monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
+        monkeypatch.setattr(FockRealization, "realize_entry", refuse)
         monkeypatch.setattr(FockRealization, "partner_levels", refuse_exact)
         monkeypatch.setattr(FockRealization, "kernel_levels", refuse_exact)
         # levels 0..cutoff: this cutoff is one level over the budget
@@ -349,7 +364,7 @@ class TestSpectrumCommand:
             "--grid", "--points", "1000000000", "--W", "x^3",
         )
         assert code == 2
-        assert "bytes" in err
+        assert "bytes" in err and "reduce the grid size" in err and "cutoff" not in err
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize(
@@ -371,7 +386,7 @@ class TestSpectrumCommand:
         def exhausted(model, realization):
             raise MemoryError("cannot allocate")
 
-        monkeypatch.setattr(cli, "spectrum", exhausted)
+        monkeypatch.setattr("graded_sqm.realizations.spectrum", exhausted)
         code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2")
         assert code == 2
         assert "out of memory" in err
@@ -577,6 +592,21 @@ class TestSuperpotentialParsing:
         r = make_grid_realization(51, 0.1, str(path))
         assert r.w_values == pytest.approx(x**3)
 
+    def test_polynomial_wins_over_a_file_of_its_name(self, capsys, monkeypatch, tmp_path):
+        # beside a file named x, --W x is still the oscillator; @x is the table
+        monkeypatch.chdir(tmp_path)
+        x = (np.arange(51) - 25) * 0.1
+        np.savetxt("x", x**3)
+        r = make_grid_realization(51, 0.1, "x")
+        assert r.label == "x" and r.w_values == pytest.approx(x)
+        r = make_grid_realization(51, 0.1, "@x")
+        assert r.label == "table:x" and r.w_values == pytest.approx(x**3)
+        grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "51", "--spacing", "0.1")
+        code, out, _ = run(capsys, *grid, "--W", "x")
+        assert code == 0 and "W=x)" in out
+        code, out, _ = run(capsys, *grid, "--W", "@x")
+        assert "W=table:x)" in out
+
     def test_table_length_mismatch(self, tmp_path):
         path = tmp_path / "w.txt"
         np.savetxt(path, np.zeros(10))
@@ -684,6 +714,31 @@ class TestStartup:
             """
         )
         assert "graded_sqm.realizations" in loaded and "numpy" not in loaded
+        assert "graded_sqm.verify" not in loaded
+
+    def test_grid_spectrum_loads_no_exact_engine(self, tmp_path):
+        out = str(tmp_path / "report.md")
+        loaded = self.loaded(
+            f"""
+            from graded_sqm import cli
+
+            grid = ["--grid", "--points", "41", "--spacing", "0.25", "--W", "x"]
+            assert cli.main(["spectrum", "--model", "minimal:n=2", *grid, "--out", {out!r}]) == 0
+            """
+        )
+        assert "graded_sqm.realizations" in loaded and "numpy" in loaded
+        assert "graded_sqm.verify" not in loaded
+
+    def test_census_loads_no_model(self, tmp_path):
+        out = str(tmp_path / "census.md")
+        loaded = self.loaded(
+            f"""
+            from graded_sqm import cli
+
+            assert cli.main(["census", "--out", {out!r}]) == 0
+            """
+        )
+        assert loaded == {"graded_sqm", "graded_sqm.cli", "graded_sqm.grading"}
 
     def test_every_public_name_resolves_to_its_module(self):
         import importlib

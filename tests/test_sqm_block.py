@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graded_sqm.models import Model
-from graded_sqm.realizations import FockRealization, GridRealization, _walk
+from graded_sqm.realizations import FockRealization, GridRealization, _walk, spectrum
 from graded_sqm.sqm_block import (
     LOWER,
     RAISE,
@@ -15,7 +15,6 @@ from graded_sqm.sqm_block import (
     ground_state_pair,
     realize,
 )
-from graded_sqm.verify import spectrum
 
 
 class TestWordSum:

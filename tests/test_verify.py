@@ -15,7 +15,14 @@ from graded_sqm.grading import (
     dot,
 )
 from graded_sqm.models import GradedOperator, Model
-from graded_sqm.realizations import FockRealization, GridRealization
+from graded_sqm.realizations import (
+    GRID_CLUSTER_TOL,
+    MAX_FOCK_LEVELS,
+    FockRealization,
+    GridRealization,
+    _cluster,
+    spectrum,
+)
 from graded_sqm.sqm_block import (
     LOWER,
     RAISE,
@@ -25,11 +32,8 @@ from graded_sqm.sqm_block import (
     realize,
 )
 from graded_sqm.verify import (
-    GRID_CLUSTER_TOL,
-    MAX_FOCK_LEVELS,
     TensorSum,
     TensorTerm,
-    _cluster,
     _nonzero_brackets,
     central_rank,
     check_centrality,
@@ -37,7 +41,6 @@ from graded_sqm.verify import (
     count_generated_operators,
     graded_bracket_terms,
     orbit_decomposition,
-    spectrum,
 )
 
 
@@ -658,8 +661,9 @@ class TestSpectrum:
         h = replace(m.hamiltonian, block=block)
         broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
         real = GridRealization.from_function(41, 0.25, lambda x: x) if grid else FockRealization(6)
-        monkeypatch.setattr("graded_sqm.verify.realize", refuse)
         monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
+        monkeypatch.setattr(FockRealization, "realize_entry", refuse)
+        monkeypatch.setattr(GridRealization, "realize_entry", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(GridRealization, "_ladders", property(refuse))
         monkeypatch.setattr(FockRealization, "partner_levels", refuse)
