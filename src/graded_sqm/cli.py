@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -72,7 +73,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     A value that parses as a polynomial is that polynomial, even when a
     file of that name exists.  A table file, named with the prefix '@' or
     by a path that does not parse as a polynomial, holds one superpotential
-    value per grid point; its derivative is taken by central differences.
+    value per grid point.
     The grid is checked before the table is read, W evaluated or numpy
     imported.
     """
@@ -184,8 +185,13 @@ def _table_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # a reader that stops early is no error: the command keeps its exit
+        # status, and the interpreter's last flush of stdout goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _relation_rows(rep) -> list[tuple]:

@@ -177,7 +177,6 @@ class GridRealization:
     points: int
     spacing: float
     w_values: np.ndarray
-    w_prime_values: np.ndarray | None = None
     label: str = "W"
 
     def __post_init__(self) -> None:
@@ -197,12 +196,6 @@ class GridRealization:
             )
         w.setflags(write=False)
         object.__setattr__(self, "w_values", w)
-        if self.w_prime_values is not None:
-            wp = np.asarray(self.w_prime_values, dtype=float)
-            if wp.shape != (self.points,) or not np.all(np.isfinite(wp)):
-                raise ValueError("w_prime_values must be finite, one per point")
-            wp.setflags(write=False)
-            object.__setattr__(self, "w_prime_values", wp)
 
     @classmethod
     def from_function(
@@ -210,7 +203,6 @@ class GridRealization:
         points: int,
         spacing: float,
         w: Callable[[np.ndarray], np.ndarray],
-        w_prime: Callable[[np.ndarray], np.ndarray] | None = None,
         label: str = "W",
     ) -> "GridRealization":
         check_grid(points, spacing)  # before W is evaluated on the grid
@@ -219,8 +211,7 @@ class GridRealization:
         # an overflowing W is refused by the finiteness check, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(w(x), dtype=float)
-            slopes = None if w_prime is None else np.asarray(w_prime(x), dtype=float)
-        return cls(points, spacing, values, slopes, label)
+        return cls(points, spacing, values, label)
 
     @property
     def dim(self) -> int:
@@ -260,37 +251,6 @@ class GridRealization:
             for letter in word[1:]:
                 m = m @ self._ladders[letter]
             out += coeff * m
-        return out
-
-    def w_prime(self) -> np.ndarray:
-        import numpy as np
-        if self.w_prime_values is not None:
-            return self.w_prime_values
-        # central difference of the tabulated superpotential, one-sided ends
-        wp = np.gradient(self.w_values, self.spacing)
-        return wp
-
-    def stencil_hamiltonian(self) -> np.ndarray:
-        """Direct discretization of the Hamiltonian block, 2*points total.
-
-        Upper block (p^2 + W^2 - W')/2, lower block (p^2 + W^2 + W')/2, with
-        the standard 3-point second-derivative stencil.
-        """
-        import numpy as np
-        p = self.points
-        h2 = self.spacing * self.spacing
-        lap = np.zeros((p, p))
-        for j in range(p):
-            lap[j, j] = -2.0 / h2
-            if j > 0:
-                lap[j, j - 1] = 1.0 / h2
-            if j < p - 1:
-                lap[j, j + 1] = 1.0 / h2
-        base = 0.5 * (-lap + np.diag(self.w_values**2))
-        wp = 0.5 * np.diag(self.w_prime())
-        out = np.zeros((2 * p, 2 * p))
-        out[:p, :p] = base - wp
-        out[p:, p:] = base + wp
         return out
 
     @cached_property
@@ -378,6 +338,10 @@ class SpectrumReport(NamedTuple):
         return d
 
     def to_markdown(self) -> str:
+        # each count is the one the check compares a cluster with
+        zero = f"zero multiplicity {self.expected_zero + self.artifact_modes}"
+        if self.artifact_modes:
+            zero += f" ({self.expected_zero} + {self.artifact_modes} discretization artifacts)"
         excited = f"excited multiplicity {self.expected_excited * self.lattice_copies}"
         if self.lattice_copies != 1:
             excited += f" ({self.expected_excited} x {self.lattice_copies} lattice copies)"
@@ -386,7 +350,7 @@ class SpectrumReport(NamedTuple):
             "",
             f"zero modes: {self.zero_modes}"
             + (f" (+{self.artifact_modes} discretization artifacts excluded)" if self.artifact_modes else ""),
-            f"expected: zero multiplicity {self.expected_zero}, {excited}",
+            f"expected: {zero}, {excited}",
             "",
             "| energy | multiplicity |",
             "|---|---|",

@@ -8,7 +8,10 @@ each operator once into a packed record, a Pauli string with the block as
 one more qubit (:func:`_records`).  Distinct Pauli strings are linearly
 independent, which turns zero tests, ranks, orbits and operator closures
 into closed forms over GF(2), the two-element field (Dehaene & De Moor,
-quant-ph/0304125).  The centrality sweep holds one bit per operator in Python integers ("bit
+quant-ph/0304125).  A graded bracket of two such operators is exactly 0 or
+2 u v, so a failing pair's residual block is also a closed form of its two
+blocks, phases and target, built once per distinct such input.  The
+centrality sweep holds one bit per operator in Python integers ("bit
 planes"), so the exact checks need no numpy.  This module holds the exact
 engine only: spectra of a numeric realization are
 :func:`graded_sqm.realizations.spectrum`, which never loads this module.
@@ -42,7 +45,9 @@ class TensorSum:
     Supports one question, asked exactly: is the sum the zero operator?
     Distinct Pauli strings are linearly independent, so the sum vanishes
     exactly when, for each string, the blocks of the terms carrying it,
-    weighted by their phases, add up to the zero block.
+    weighted by their phases, add up to the zero block.  The checks below
+    never build one: they read each bracket off packed records, and a sum
+    of generic terms is the oracle their residual texts are tested against.
     """
 
     def __init__(self, terms: Iterable[TensorTerm]):
@@ -58,54 +63,23 @@ class TensorSum:
             key = (t.clifford.x, t.clifford.z)
             groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
         for (x, z), total in groups.items():
-            if not total.is_zero():
-                return f"nonzero residual block {total!r} on clifford string {_string_text(x, z)}"
+            head = _residual_head(total)
+            if head is not None:
+                return head + _string_text(x, z)
         return None
 
     def is_zero(self) -> bool:
         return self.residual() is None
 
 
+def _residual_head(total: SqmBlock) -> str | None:
+    """None if ``total`` is the zero block, else the residual text that
+    names it, up to the Clifford string it sits on."""
+    return None if total.is_zero() else f"nonzero residual block {total!r} on clifford string "
+
+
 def _string_text(x: int, z: int) -> str:
     return f"x={x} z={z}"
-
-
-def _residual(
-    memo: dict,
-    key: tuple,
-    strings: Sequence[tuple[int, int]],
-    u: GradedOperator,
-    v: GradedOperator,
-    target: GradedOperator | None = None,
-    coeff: complex = 0,
-) -> str | None:
-    """The residual text of the tensor sum of the graded bracket of u and v,
-    plus ``coeff`` times ``target`` if given, its block algebra run once per
-    ``key`` in ``memo``.
-
-    ``strings`` are the distinct Clifford strings (x, z) of the sum's terms,
-    in the order the terms meet them.  The text depends on the strings only
-    through the one it names, last: ``key`` must hold everything else, the
-    blocks, phases and coefficients of the terms and which of their strings
-    coincide.  So the text of one pair, cut before that name, serves every
-    pair with its key, each naming its own string in the same position.
-    """
-    hit = memo.get(key)
-    if hit is None:
-        terms = graded_bracket_terms(u, v)
-        if target is not None:
-            terms.append(TensorTerm(target.clifford, target.block * coeff))
-        text = TensorSum(terms).residual()
-        if text is None:
-            hit = memo[key] = (None, 0)
-        else:
-            hit = memo[key] = next(
-                (text.removesuffix(tail), n)
-                for n, tail in enumerate(_string_text(*xz) for xz in strings)
-                if text.endswith(tail)
-            )
-    head, n = hit
-    return None if head is None else head + _string_text(*strings[n])
 
 
 def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTerm]:
@@ -251,6 +225,19 @@ class RelationReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _product_phase(pu: PauliOperator, pv: PauliOperator) -> int:
+    """The phase k of the Pauli product pu @ pv."""
+    return (pu.k + pv.k + 2 * (pu.z & pv.x).bit_count()) & 3
+
+
+def _bracket_block(u: GradedOperator, v: GradedOperator, k: int) -> SqmBlock:
+    """The block of a nonzero graded bracket of u and v, times the phase k
+    of its string P_u P_v as in a group of :class:`TensorSum`.  For monomial
+    blocks v u is +-u v (see :func:`_records`), so a bracket
+    u v - sigma v u is 0 or 2 u v."""
+    return (u.block @ v.block) * (2 * PHASES[k])
+
+
 def check_defining_relations(model: Model) -> RelationReport:
     """Exact check of the graded bracket of every ordered supercharge pair.
 
@@ -265,10 +252,13 @@ def check_defining_relations(model: Model) -> RelationReport:
     of the two words.  The bracket Q_a Q_b - s Q_b Q_a is therefore zero
     when s == (-1)**w and 2 Q_a Q_b otherwise, and the pair holds exactly
     when it is 2 Q_a Q_b and the target term -coeff T has the record of
-    2 Q_a Q_b.  A failing pair gets the residual text of its tensor sum
-    (:func:`_residual`), keyed on the blocks, the phases of the two product
-    strings and of the target's string, whether the target's string is the
-    pair's, and the integers that coeff is built from.
+    2 Q_a Q_b.  A failing pair's residual is the bracket
+    (:func:`_bracket_block`) on the pair's string, plus coeff T when T sits
+    there; a zero bracket leaves coeff T alone, on T's string.  Its text is
+    built once per distinct input: the two blocks, the bracket's phase (None
+    for a zero bracket), T's block and phase, whether T sits on the pair's
+    string, and the integers coeff is built from.  Each row appends its
+    own string.
     """
     degrees = model.odd_degrees
     m = model.hamiltonian.clifford.m
@@ -281,7 +271,7 @@ def check_defining_relations(model: Model) -> RelationReport:
     }
     labels = [f"Q[{a}]" for a in degrees]
     # the model holds every block for the call, so no id is reused
-    memo: dict[tuple, tuple[str | None, int]] = {}
+    memo: dict[tuple, str | None] = {}
     results = []
     for i, a in enumerate(degrees):
         xa, za, ka, ea = q[i]
@@ -313,14 +303,18 @@ def check_defining_relations(model: Model) -> RelationReport:
                 pu, pv, pt = u.clifford, v.clifford, target.clifford
                 pair = (pu.x ^ pv.x, pu.z ^ pv.z)
                 same = pair == (pt.x, pt.z)
-                key = (
-                    id(u.block), id(v.block), d,
-                    (pu.k + pv.k + 2 * (pu.z & pv.x).bit_count()) & 3,
-                    (pu.k + pv.k + 2 * (pv.z & pu.x).bit_count()) & 3,
-                    id(target.block), pt.k, same, sign, e,
-                )
-                strings = (pair,) if same else (pair, (pt.x, pt.z))
-                res = _residual(memo, key, strings, u, v, target, -2 * sign * PHASES[e])
+                k = _product_phase(pu, pv) if d != w else None
+                key = (id(u.block), id(v.block), k, id(target.block), pt.k, same, sign, e)
+                if key not in memo:
+                    total = SqmBlock.zero()
+                    if k is not None:
+                        total += _bracket_block(u, v, k)
+                    if same or k is None:
+                        total += (target.block * (-2 * sign * PHASES[e])) * PHASES[pt.k]
+                    memo[key] = _residual_head(total)
+                head = memo[key]
+                if head is not None:
+                    res = head + _string_text(*(pair if k is not None else (pt.x, pt.z)))
             results.append(PairCheck(labels[i], labels[j], _KINDS[d], ok, res))
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
@@ -372,9 +366,10 @@ def check_centrality(model: Model) -> RelationReport:
     after it.  The pair set is therefore H x (Q and Z), Z x Q and Z_i x Z_j
     for i < j, each decided by :func:`_nonzero_brackets` in one sweep over
     the left operators.  A left operator whose partners all vanish gets one
-    aggregate row; otherwise it gets one row per failing pair, with the
-    residual of that pair's tensor sum (:func:`_residual`), keyed on the
-    blocks, the bracket sign and the phases of the two product strings.
+    aggregate row; otherwise it gets one row per failing pair.  A failing
+    bracket is 2 u v (:func:`_bracket_block`), so its residual text is built
+    once per pair of blocks and phase of P_u P_v, and each row appends its
+    own string.
     """
     ops = model.operators()  # H, then the supercharges, then the centrals
     nq = len(model.supercharges)
@@ -382,7 +377,7 @@ def check_centrality(model: Model) -> RelationReport:
     left = [0, *range(1 + nq, len(ops))]
     labels = [op.label() for op in ops]
     # the model holds every block for the call, so no id is reused
-    memo: dict[tuple, tuple[str | None, int]] = {}
+    memo: dict[tuple, str] = {}
     results: list[PairCheck] = []
     for i, nonzero in zip(left, _nonzero_brackets(ops, left)):
         # bit_length finds a later column in O(1), where a shift copies the mask
@@ -399,13 +394,13 @@ def check_centrality(model: Model) -> RelationReport:
             j = low.bit_length() - 1
             v = ops[j]
             pv = v.clifford
+            k = _product_phase(pu, pv)
+            key = (id(u.block), id(v.block), k)
+            head = memo.get(key)
+            if head is None:
+                head = memo[key] = _residual_head(SqmBlock.zero() + _bracket_block(u, v, k))
             d = (u.degree.mask & v.degree.mask).bit_count() & 1
-            key = (
-                id(u.block), id(v.block), d,
-                (pu.k + pv.k + 2 * (pu.z & pv.x).bit_count()) & 3,
-                (pu.k + pv.k + 2 * (pv.z & pu.x).bit_count()) & 3,
-            )
-            res = _residual(memo, key, ((pu.x ^ pv.x, pu.z ^ pv.z),), u, v)
+            res = head + _string_text(pu.x ^ pv.x, pu.z ^ pv.z)
             results.append(PairCheck(labels[i], labels[j], _KINDS[d], False, res))
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)

@@ -250,19 +250,24 @@ class TestSpectrumCommand:
             assert "only on odd grids" in err
 
     def test_grid_markdown_states_the_multiplicity_it_checks(self, capsys):
-        # the lattice doubles every excited grid level, and the expected line
-        # states the doubled count the check uses; the JSON keeps the count per level
+        # the lattice doubles every excited grid level and adds artifacts to
+        # the zero cluster, and the expected line states the counts the check
+        # uses; the JSON keeps the count per level and the physical zero count
         grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "101", "--spacing", "0.1")
         code, out, _ = run(capsys, *grid)
         assert code == 0
-        assert "expected: zero multiplicity 2, excited multiplicity 8 (4 x 2 lattice copies)\n" in out
+        assert (
+            "expected: zero multiplicity 4 (2 + 2 discretization artifacts), "
+            "excited multiplicity 8 (4 x 2 lattice copies)\n"
+        ) in out
         rows = [line.split(" | ") for line in out.splitlines() if line.startswith("| ")]
         assert rows[0] == ["| energy", "multiplicity |"]
-        assert [int(m.rstrip(" |")) for _, m in rows[2:]] == [8] * len(rows[2:])
+        assert [int(m.rstrip(" |")) for _, m in rows[1:]] == [4] + [8] * len(rows[2:])
         code, out, _ = run(capsys, *grid, "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["expected_excited"] == 4 and "lattice_copies" not in doc
+        assert (doc["expected_zero"], doc["artifact_modes"]) == (2, 2)
 
     def test_grid_cubic_zero_modes(self, capsys):
         code, out, _ = run(
@@ -612,6 +617,42 @@ class TestSuperpotentialParsing:
         np.savetxt(path, np.zeros(10))
         with pytest.raises(ValueError):
             make_grid_realization(51, 0.1, str(path))
+
+
+class TestClosedStdout:
+    # the child waits for a line on stdin, so its stdout has no reader left
+    # when it writes the report
+    CHILD = """
+import sys
+from graded_sqm import cli, verify
+from graded_sqm.verify import PairCheck, RelationReport
+if sys.argv[1] == "verify":
+    row = PairCheck("Q[01]", "Q[01]", "anticommutator", False, "boom")
+    broken = RelationReport("minimal:n=2", "defining-relations", pair_results=(row,))
+    verify.check_defining_relations = lambda model: broken
+sys.stdin.readline()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.parametrize(
+        "argv, status", [(["census"], 0), (["verify", "--model", "minimal:n=2"], 1)]
+    )
+    def test_reader_that_stops_early_is_not_an_error(self, argv, status):
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.CHILD, *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        proc.stdin.write(b"\n")
+        proc.stdin.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (status, b"")
 
 
 class TestNumpyFree:

@@ -212,8 +212,22 @@ class TestFockRealization:
             FockRealization(0)
 
 
-def make_grid(points=201, spacing=0.05, w=lambda x: x, wp=lambda x: np.ones_like(x)):
-    return GridRealization.from_function(points, spacing, w, wp)
+def make_grid(points=201, spacing=0.05, w=lambda x: x):
+    return GridRealization.from_function(points, spacing, w)
+
+
+def stencil_hamiltonian(r: GridRealization, w, w_prime) -> np.ndarray:
+    """Direct discretization of the Hamiltonian block on the grid of r:
+    upper block (p^2 + W^2 - W')/2, lower block (p^2 + W^2 + W')/2, with the
+    3-point second-derivative stencil and the analytic W and W'."""
+    p, h2, x = r.points, r.spacing * r.spacing, r.x
+    lap = (np.diag(np.full(p - 1, 1.0), 1) + np.diag(np.full(p - 1, 1.0), -1) - 2 * np.eye(p)) / h2
+    base = 0.5 * (-lap + np.diag(w(x) ** 2))
+    wp = 0.5 * np.diag(w_prime(x))
+    out = np.zeros((2 * p, 2 * p))
+    out[:p, :p] = base - wp
+    out[p:, p:] = base + wp
+    return out
 
 
 class TestGridRealization:
@@ -224,7 +238,7 @@ class TestGridRealization:
             GridRealization(5, -0.1, np.zeros(5))
 
     def test_ladders_built_once_read_only_as_the_loop_builds_them(self):
-        r = make_grid(41, 0.25, lambda x: x**3, lambda x: 3 * x**2)
+        r = make_grid(41, 0.25, lambda x: x**3)
         d = np.zeros((41, 41))
         for j in range(40):
             d[j, j + 1] = 1.0 / (2.0 * r.spacing)
@@ -237,7 +251,7 @@ class TestGridRealization:
         assert not r.raising_matrix().flags.writeable
 
     def test_entry_against_identity_started_products(self):
-        r = make_grid(41, 0.25, lambda x: x**3, lambda x: 3 * x**2)
+        r = make_grid(41, 0.25, lambda x: x**3)
         mats = {LOWER: r.lowering_matrix(), RAISE: r.raising_matrix()}
         _, h, _ = canonical_blocks()
         extra = WordSum({(): 2, (LOWER, LOWER, RAISE): 1j, (RAISE,): -3})
@@ -265,7 +279,7 @@ class TestGridRealization:
 
     def test_ground_states_sign_flipped(self):
         # flipping the superpotential sign moves the kernel to the raising side
-        r = make_grid(w=lambda x: -x, wp=lambda x: -np.ones_like(x))
+        r = make_grid(w=lambda x: -x)
         ka, kd = ground_state_pair(r)
         assert (len(ka), len(kd)) == (0, 1)
         ref = np.exp(-r.x**2 / 2)
@@ -273,7 +287,7 @@ class TestGridRealization:
         assert abs(np.dot(kd[0], ref)) > 0.999
 
     def test_ground_states_cubic(self):
-        r = make_grid(w=lambda x: x**3, wp=lambda x: 3 * x**2)
+        r = make_grid(w=lambda x: x**3)
         ka, kd = ground_state_pair(r)
         assert (len(ka), len(kd)) == (1, 0)
         ref = np.exp(-r.x**4 / 4)
@@ -290,11 +304,9 @@ class TestGridRealization:
         q, _, _ = canonical_blocks()
         errs = []
         for points, spacing in ((201, 10.0 / 200), (401, 10.0 / 400)):
-            r = GridRealization.from_function(
-                points, spacing, lambda x: x**3, lambda x: 3 * x**2
-            )
+            r = GridRealization.from_function(points, spacing, lambda x: x**3)
             qn = realize(q, r)
-            diff = qn @ qn - r.stencil_hamiltonian()
+            diff = qn @ qn - stencil_hamiltonian(r, lambda x: x**3, lambda x: 3 * x**2)
             x = r.x
             f = np.exp(-(x**2))
             smooth = np.concatenate([f, f])
@@ -307,11 +319,3 @@ class TestGridRealization:
         ratio = errs[0] / errs[1]
         # central differences: second-order stencil
         assert 3.0 < ratio < 5.0
-
-    def test_w_prime_fallback(self):
-        x = (np.arange(101) - 50) * 0.1
-        r = GridRealization(101, 0.1, x**2)
-        got = r.w_prime()
-        # central differences are exact on quadratics away from the ends
-        assert got[1:-1] == pytest.approx(2 * x[1:-1], abs=1e-9)
-        assert got == pytest.approx(2 * x, abs=0.11)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from graded_sqm import verify
 from graded_sqm.clifford import PHASES, PauliOperator, gamma, proportional
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
@@ -255,6 +256,17 @@ def mutate_like_bench(model: Model, kind: str, rng: random.Random) -> Model:
     return Model(model.spec, model.odd_degrees, model.hamiltonian, charges, cents)
 
 
+def refuse_tensor_sums(monkeypatch) -> None:
+    """Make every way to a tensor sum fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("the exact checks build no tensor sum")
+
+    monkeypatch.setattr(TensorSum, "__init__", refuse)
+    monkeypatch.setattr(TensorSum, "residual", refuse)
+    monkeypatch.setattr(verify, "graded_bracket_terms", refuse)
+
+
 class TestPackedRecords:
     @pytest.mark.parametrize("sel", [*SMALL_SET, "minimal:n=5", "next:n=5", "maximal:n=4"])
     def test_block_bit_flip_detected(self, models, sel):
@@ -282,17 +294,56 @@ class TestPackedRecords:
 
     def test_residual_algebra_runs_once_per_distinct_sum(self, models, monkeypatch):
         # the benchmark's z-times-q mutation of next:n=8 at seed 1 fails
-        # 4,161 rows whose tensor sums come in a few dozen distinct kinds
-        calls = []
-        residual = TensorSum.residual
-        monkeypatch.setattr(TensorSum, "residual", lambda s: calls.append(1) or residual(s))
+        # 4,161 rows whose residuals come in a few dozen distinct closed
+        # forms: the checks build no tensor sum and multiply the blocks of
+        # each form once.  The first, unpatched pass counts the failing rows
+        # and fills the caches of the block reader.
         sel, kind = "next:n=8", "z-times-q"
         broken = mutate_like_bench(models(sel), kind, random.Random(f"1:{sel}:{kind}"))
         failing = len(check_defining_relations(broken).failures()) + len(
             check_centrality(broken).failures()
         )
         assert failing == 4161
-        assert 0 < len(calls) < failing / 20
+        refuse_tensor_sums(monkeypatch)
+        calls = []
+        matmul = SqmBlock.__matmul__
+        monkeypatch.setattr(SqmBlock, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        check_defining_relations(broken)
+        check_centrality(broken)
+        assert 0 < len(calls) < failing / 100
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_mutants_match_their_tensor_sums(self, models, seed):
+        # the seven invocations of the benchmark's mutants workload, which
+        # reach minimal:n=6 and next:n=6: every row's residual text is that
+        # of its own tensor sum
+        invocations = [
+            ("minimal:n=5", "q-factor"), ("minimal:n=6", "z-times-q"),
+            ("next:n=5", "z-times-q"), ("next:n=6", "q-times-i"),
+            ("maximal:n=4", "z-times-minus-1"), ("n4cl10", "z-times-q"),
+            ("n5cl26", "q-factor"),
+        ]
+        for sel, kind in invocations:
+            broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
+            rel, cen = check_defining_relations(broken), check_centrality(broken)
+            assert not (rel.overall and cen.overall), (sel, kind)
+            assert [p.residual for p in rel.pair_results] == relation_residuals(broken)
+            rows = cen.centrality_results
+            assert [p.residual for p in rows] == centrality_residuals(broken, rows)
+
+    def test_checks_build_no_tensor_sum(self, models, monkeypatch):
+        # one zero test on the checks' path: with every way to a tensor sum
+        # refused, both checks still return the residuals of the oracle
+        cases = []
+        for sel in SMALL_SET:
+            for kind in ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"]:
+                broken = mutate_like_bench(models(sel), kind, random.Random(f"1:{sel}:{kind}"))
+                rows = check_centrality(broken).centrality_results
+                cases.append((broken, relation_residuals(broken), centrality_residuals(broken, rows)))
+        refuse_tensor_sums(monkeypatch)
+        for broken, relations, centrality in cases:
+            assert [p.residual for p in check_defining_relations(broken).pair_results] == relations
+            assert [p.residual for p in check_centrality(broken).centrality_results] == centrality
 
     def test_non_monomial_block_refused(self, models):
         q, h, _ = canonical_blocks()
@@ -584,9 +635,7 @@ class TestSpectrum:
         assert counted == rep.total_dim
 
     def test_grid_zero_modes(self, models):
-        r = GridRealization.from_function(
-            121, 0.1, lambda x: x**3, lambda x: 3 * x**2, label="x^3"
-        )
+        r = GridRealization.from_function(121, 0.1, lambda x: x**3, label="x^3")
         rep = spectrum(models("minimal:n=2"), r)
         assert rep.zero_modes == 2
         assert rep.ok, rep.problems
