@@ -32,8 +32,7 @@ _EXPORTS = {
     ),
     "models": (
         "FAMILIES", "GradedOperator", "Model", "ModelSpec", "ModelSpecError", "build",
-        "build_from_selector", "build_maximal", "build_minimal", "build_next",
-        "hermitizing_phase", "minimal_phase_exponent",
+        "build_from_selector", "hermitizing_phase", "minimal_phase_exponent",
     ),
     "realizations": (
         "FockRealization", "GridRealization", "NumericRealization", "SpectrumReport", "spectrum",

@@ -177,9 +177,13 @@ def _table_markdown(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _table_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    return "\n".join(lines)
+    """RFC 4180 rows: a field holding a comma or a quote is quoted."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()[:-1]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -250,6 +254,8 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.format == "csv" and (args.rank or args.orbits or args.counts):
+        raise ValueError("--rank, --orbits and --counts have no CSV form; use json or markdown")
     model = _model_from(args)
     # the spectrum runs first, so a realization it refuses costs no exact check,
     # but its section is reported last
@@ -290,6 +296,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         header = ("check", "left", "right", "kind", "status", "residual")
         rows = _relation_rows(sections["defining_relations"])
         rows += _relation_rows(sections["centrality"])
+        if spectral is not None:
+            status = "pass" if spectral.ok else "FAIL"
+            problems = "; ".join(spectral.problems)
+            rows.append(("spectrum", "H", spectral.realization, "multiplicities", status, problems))
         text = _table_csv(header, rows)
     else:
         parts = []

@@ -111,14 +111,19 @@ class ModelSpec:
         return f"{self.family}:n={self.n}"
 
     @property
-    def clifford_dim(self) -> int:
+    def qubits(self) -> int:
+        """The number m of qubits of the Clifford factor."""
         if self.family == "minimal":
-            return 1 << (self.n - 1)
+            return self.n - 1
         if self.family == "next":
-            return 1 << self.n
+            return self.n
         if self.family == "maximal":
-            return 1 << ((1 << (self.n - 1)) - 1)
-        return 1 << CUSTOM_FAMILIES[self.family][1]
+            return (1 << (self.n - 1)) - 1
+        return CUSTOM_FAMILIES[self.family][1]
+
+    @property
+    def clifford_dim(self) -> int:
+        return 1 << self.qubits
 
     @property
     def total_dim(self) -> int:
@@ -252,7 +257,7 @@ def _assemble_product_family(
     return Model(spec, tuple(degrees), ham, supercharges, centrals)
 
 
-def build_minimal(n: int, ordering: str = "default") -> Model:
+def _build_minimal(spec: ModelSpec) -> Model:
     """Smallest family: total dimension 2**n.
 
     The generator product for a degree uses only its first n-1 components;
@@ -261,33 +266,27 @@ def build_minimal(n: int, ordering: str = "default") -> Model:
     companion, and likewise splits the central elements between the two
     diagonal block forms.
     """
-    spec = ModelSpec("minimal", n, ordering)
     degrees = _ordered_degrees(spec)
-    m = n - 1
+    m = spec.qubits
     gens = [_gamma_word(a.bits[:m], m).scale(minimal_phase_exponent(a)) for a in degrees]
     return _assemble_product_family(spec, degrees, gens, [1 - a.bits[-1] for a in degrees])
 
 
-def build_next(n: int, ordering: str = "default") -> Model:
+def _build_next(spec: ModelSpec) -> Model:
     """Next-to-minimal family: total dimension 2**(n+1).
 
     Generator products now use all n components.  The all-ones degree has
     parity 1 only for odd n; its supercharge is the identity factor, which
     is why the family partially splits central elements apart for odd n.
     """
-    spec = ModelSpec("next", n, ordering)
     degrees = _ordered_degrees(spec)
-    ones = DegreeVector.ones(n)
-    gens = []
-    for a in degrees:
-        if a == ones:
-            gens.append(PauliOperator.identity(1 << n))
-        else:
-            gens.append(_gamma_word(a.bits, n).scale(hermitizing_phase(a, n)))
+    n, m = spec.n, spec.qubits
+    ones, identity = DegreeVector.ones(n), PauliOperator.identity(1 << m)
+    gens = [identity if a == ones else _gamma_word(a.bits, m).scale(hermitizing_phase(a, n)) for a in degrees]
     return _assemble_product_family(spec, degrees, gens)
 
 
-def build_maximal(n: int, ordering: str = "default") -> Model:
+def _build_maximal(spec: ModelSpec) -> Model:
     """Maximal family: total dimension 2**(2**(n-1)).
 
     One Clifford generator pair per supercharge except the last; diagonal
@@ -295,10 +294,9 @@ def build_maximal(n: int, ordering: str = "default") -> Model:
     exactly when their degrees have mod-2 inner product zero, and the final
     generator is a pure product of diagonal involutions.
     """
-    spec = ModelSpec("maximal", n, ordering)
     degrees = _ordered_degrees(spec)
-    M = 1 << (n - 1)
-    mp = M - 1
+    mp = spec.qubits
+    M = mp + 1
     dim = 1 << mp
     involutions = [big_gamma(j, mp) for j in range(1, mp + 1)]
 
@@ -389,29 +387,25 @@ def _n5cl26_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
     ]
 
 
-def build_custom(family: str) -> Model:
+def _build_custom(spec: ModelSpec) -> Model:
     """Intermediate rank-4 / rank-5 families from fixed generator tables.
 
     The table of family F is ``_F_generators``; it indexes the gamma,
     gamma-tilde and big-gamma alphabets on the family's m qubits from 1.
     """
-    n, m = CUSTOM_FAMILIES[family]
-    spec = ModelSpec(family, n)
+    m = spec.qubits
     g, gt, G = (
         [None] + [letter(j, m) for j in range(1, m + 1)] for letter in (gamma, gamma_tilde, big_gamma)
     )
-    table = globals()[f"_{family}_generators"]
+    table = globals()[f"_{spec.family}_generators"]
     return _assemble_product_family(spec, _ordered_degrees(spec), table(g, gt, G))
 
 
+_BUILDERS = {"minimal": _build_minimal, "next": _build_next, "maximal": _build_maximal}
+
+
 def build(spec: ModelSpec) -> Model:
-    if spec.family == "minimal":
-        return build_minimal(spec.n, spec.ordering)
-    if spec.family == "next":
-        return build_next(spec.n, spec.ordering)
-    if spec.family == "maximal":
-        return build_maximal(spec.n, spec.ordering)
-    return build_custom(spec.family)
+    return _BUILDERS.get(spec.family, _build_custom)(spec)
 
 
 def build_from_selector(selector: str) -> Model:

@@ -9,11 +9,12 @@ one more qubit (:func:`_records`).  Distinct Pauli strings are linearly
 independent, which turns zero tests, ranks, orbits and operator closures
 into closed forms over GF(2), the two-element field (Dehaene & De Moor,
 quant-ph/0304125).  A graded bracket of two such operators is exactly 0 or
-2 u v, so a failing pair's residual block is also a closed form of its two
-blocks, phases and target, built once per distinct such input.  The
-centrality sweep holds one bit per operator in Python integers ("bit
-planes"), so the exact checks need no numpy.  This module holds the exact
-engine only: spectra of a numeric realization are
+2 u v, so a failing pair's residual is read off the same records, as
+Gaussian-integer multiples of S**s Q**e on a Pauli string
+(:func:`_residual`); after the records are read, no check multiplies a
+block or a Pauli string.  The bracket sweep holds one bit per operator in
+Python integers ("bit planes"), so the exact checks need no numpy.  This
+module holds the exact engine only: spectra of a numeric realization are
 :func:`graded_sqm.realizations.spectrum`, which never loads this module.
 """
 
@@ -47,7 +48,7 @@ class TensorSum:
     exactly when, for each string, the blocks of the terms carrying it,
     weighted by their phases, add up to the zero block.  The checks below
     never build one: they read each bracket off packed records, and a sum
-    of generic terms is the oracle their residual texts are tested against.
+    of generic terms is the oracle their residuals are tested against.
     """
 
     def __init__(self, terms: Iterable[TensorTerm]):
@@ -63,23 +64,12 @@ class TensorSum:
             key = (t.clifford.x, t.clifford.z)
             groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
         for (x, z), total in groups.items():
-            head = _residual_head(total)
-            if head is not None:
-                return head + _string_text(x, z)
+            if not total.is_zero():
+                return f"nonzero residual block {total!r} on clifford string x={x} z={z}"
         return None
 
     def is_zero(self) -> bool:
         return self.residual() is None
-
-
-def _residual_head(total: SqmBlock) -> str | None:
-    """None if ``total`` is the zero block, else the residual text that
-    names it, up to the Clifford string it sits on."""
-    return None if total.is_zero() else f"nonzero residual block {total!r} on clifford string "
-
-
-def _string_text(x: int, z: int) -> str:
-    return f"x={x} z={z}"
 
 
 def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTerm]:
@@ -166,6 +156,52 @@ def _records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
     return out
 
 
+def _product(u: Record, v: Record) -> Record:
+    """The record of the product u v (see :func:`_records`)."""
+    xu, zu, ku, eu = u
+    xv, zv, kv, ev = v
+    return xu ^ xv, zu ^ zv, (ku + kv + 2 * (zu & xv).bit_count()) & 3, eu + ev
+
+
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i**k as (real part, imaginary part)
+
+
+def _gaussian(re: int, im: int) -> str:
+    """A Gaussian integer as exact ASCII text: 2, -4, 2i, (-2+2i)."""
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"({re}{im:+d}i)"
+
+
+def _residual(terms: Iterable[tuple[Record, int]]) -> str | None:
+    """The text of the sum of 2 i**c R over the (R, c) terms, None if it is zero.
+
+    A record (x, z, k, e) splits back into the tensor term
+    i**(k + 2 (s & e & 1)) P(x >> 1, z >> 1) x S**s Q**e with s = z & 1,
+    which undoes the fold of :func:`_records`.  Distinct Pauli strings are
+    linearly independent, and so are the monomials S**s Q**e of distinct
+    (s, e), so the sum is zero exactly when the coefficients of each
+    monomial on each string add up to zero.  The text names the first
+    string, in the order of the terms, whose monomials do not all cancel.
+    """
+    strings: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
+    for (x, z, k, e), c in terms:
+        s = z & 1
+        re, im = _UNITS[(k + c + 2 * (s & e)) & 3]
+        monomials = strings.setdefault((x >> 1, z >> 1), {})
+        r0, i0 = monomials.get((s, e), (0, 0))
+        monomials[s, e] = (r0 + 2 * re, i0 + 2 * im)
+    for (x, z), monomials in strings.items():
+        text = " + ".join(
+            f"{_gaussian(*c)}*S^{s}*Q^{e}" for (s, e), c in monomials.items() if c != (0, 0)
+        )
+        if text:
+            return f"nonzero residual {text} on clifford string x={x} z={z}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # relation reports
 # ---------------------------------------------------------------------------
@@ -225,17 +261,44 @@ class RelationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _product_phase(pu: PauliOperator, pv: PauliOperator) -> int:
-    """The phase k of the Pauli product pu @ pv."""
-    return (pu.k + pv.k + 2 * (pu.z & pv.x).bit_count()) & 3
+def _nonzero_brackets(
+    records: Sequence[Record], masks: Sequence[int], rows: Iterable[int]
+) -> Iterator[int]:
+    """For each row i, the bit mask of the columns j whose graded bracket of
+    operator i with operator j is not zero, from their packed records and
+    degree masks.
 
+    In packed records (see :func:`_records`) u v and v u share their word
+    and power and differ by the sign (-1)**w, w the commutation parity of
+    the words, block qubit included.  So the bracket u v - sigma v u, with
+    sigma = (-1)**(a.b) and a.b the degree inner product, is 2 u v when the
+    parity a.b + w is 1 and zero otherwise.
 
-def _bracket_block(u: GradedOperator, v: GradedOperator, k: int) -> SqmBlock:
-    """The block of a nonzero graded bracket of u and v, times the phase k
-    of its string P_u P_v as in a group of :class:`TensorSum`.  For monomial
-    blocks v u is +-u v (see :func:`_records`), so a bracket
-    u v - sigma v u is 0 or 2 u v."""
-    return (u.block @ v.block) * (2 * PHASES[k])
+    That parity of row i against every column at once is an XOR of bit
+    planes: bit j of plane b is bit b of column j's word (x, z, degree),
+    and row i picks the planes set in its word (z, x, degree).  Rows that
+    pick the same planes share their mask.
+    """
+    w = max(x | z for x, z, _, _ in records).bit_length()
+    words = [x | z << w | mask << 2 * w for (x, z, _, _), mask in zip(records, masks)]
+    width = max(words).bit_length()
+    # zip yields the most significant bit first; reversed() puts column 0 last
+    columns = zip(*(format(v, f"0{width}b") for v in reversed(words)))
+    planes = [int("".join(c), 2) for c in columns][::-1]
+
+    found: dict[int, int] = {}
+    for i in rows:
+        x, z, _, _ = records[i]
+        pick = z | x << w | masks[i] << 2 * w
+        parity = found.get(pick)
+        if parity is None:
+            parity, bits = 0, pick
+            while bits:
+                low = bits & -bits
+                parity ^= planes[low.bit_length() - 1]
+                bits ^= low
+            found[pick] = parity
+        yield parity
 
 
 def check_defining_relations(model: Model) -> RelationReport:
@@ -243,118 +306,48 @@ def check_defining_relations(model: Model) -> RelationReport:
 
     The bracket of a supercharge with itself must be exactly twice the
     Hamiltonian (the same-degree central element is zero by convention);
-    distinct pairs must close on the stored central element with the
-    degree-dependent phase.  Both orientations of each pair are checked,
-    which exercises the antisymmetry convention of the derived accessor.
+    distinct pairs must close on their central element with the
+    degree-dependent phase.  Both orientations of each pair are checked: a
+    reversed pair reads the stored element of its two degrees with the sign
+    that :meth:`Model.stored_central` gives it, applied here to the record.
 
-    In packed records (see :func:`_records`) Q_a Q_b and Q_b Q_a share their
-    word and power and differ by the sign (-1)**w, w the commutation parity
-    of the two words.  The bracket Q_a Q_b - s Q_b Q_a is therefore zero
-    when s == (-1)**w and 2 Q_a Q_b otherwise, and the pair holds exactly
-    when it is 2 Q_a Q_b and the target term -coeff T has the record of
-    2 Q_a Q_b.  A failing pair's residual is the bracket
-    (:func:`_bracket_block`) on the pair's string, plus coeff T when T sits
-    there; a zero bracket leaves coeff T alone, on T's string.  Its text is
-    built once per distinct input: the two blocks, the bracket's phase (None
-    for a zero bracket), T's block and phase, whether T sits on the pair's
-    string, and the integers coeff is built from.  Each row appends its
-    own string.
+    In packed records (see :func:`_records`) the bracket of Q_a and Q_b is
+    2 Q_a Q_b or zero, as :func:`_nonzero_brackets` decides, and the target
+    term is 2 i**c T.  The pair holds exactly when the bracket is
+    2 Q_a Q_b and the record of Q_a Q_b is that of -i**c T.  A failing
+    pair's residual is the sum of the bracket and the target term
+    (:func:`_residual`).
     """
     degrees = model.odd_degrees
     m = model.hamiltonian.clifford.m
-    charges = [model.supercharge(a) for a in degrees]
-    h, *q = _records([model.hamiltonian, *charges], m)
-    position = {a.mask: i for i, a in enumerate(degrees)}
+    h, *q = _records([model.hamiltonian, *(model.supercharge(a) for a in degrees)], m)
+    masks = [a.mask for a in degrees]
+    position = {mask: i for i, mask in enumerate(masks)}
     stored = {
-        (position[a.mask], position[b.mask]): (z, rec)
-        for ((a, b), z), rec in zip(model.centrals.items(), _records(model.centrals.values(), m))
+        (position[a.mask], position[b.mask]): rec
+        for (a, b), rec in zip(model.centrals, _records(model.centrals.values(), m))
     }
     labels = [f"Q[{a}]" for a in degrees]
-    # the model holds every block for the call, so no id is reused
-    memo: dict[tuple, str | None] = {}
     results = []
-    for i, a in enumerate(degrees):
-        xa, za, ka, ea = q[i]
-        for j, b in enumerate(degrees):
-            xb, zb, kb, eb = q[j]
-            d = (a.mask & b.mask).bit_count() & 1
+    for i, nonzero in enumerate(_nonzero_brackets(q, masks, range(len(q)))):
+        for j in range(len(q)):
+            d = (masks[i] & masks[j]).bit_count() & 1
+            # the target term is -2 H, -2 i**(1 - d) Z for a stored pair and
+            # -2 sign i**(1 - d) Z, sign = -(-1)**d, for a reversed one
             if i == j:
-                (target, t), sign, e = (model.hamiltonian, h), 1, 0
+                t, c = h, 2
+            elif (i, j) in stored:
+                t, c = stored[i, j], 3 - d
             else:
-                # a reversed pair reads the stored element with the sign of
-                # Model.stored_central, which rides on coeff
-                if (i, j) in stored:
-                    (target, t), sign = stored[i, j], 1
-                else:
-                    (target, t), sign = stored[j, i], -1 if d == 0 else 1
-                e = 1 - d
-            c = e + 1 - sign  # coeff == -2 * sign * i**e == -2 * i**c
-            w = ((xa & zb).bit_count() + (za & xb).bit_count()) & 1
-            ok = (
-                d != w
-                and t[0] == xa ^ xb
-                and t[1] == za ^ zb
-                and t[3] == ea + eb
-                and (ka + kb + 2 * (za & xb).bit_count() - c - t[2]) % 4 == 0
-            )
+                t, c = stored[j, i], 1 + d
+            tx, tz, tk, te = t
+            bracket = _product(q[i], q[j]) if nonzero >> j & 1 else None
+            ok = bracket == (tx, tz, (tk + c + 2) & 3, te)
             res = None
             if not ok:
-                u, v = charges[i], charges[j]
-                pu, pv, pt = u.clifford, v.clifford, target.clifford
-                pair = (pu.x ^ pv.x, pu.z ^ pv.z)
-                same = pair == (pt.x, pt.z)
-                k = _product_phase(pu, pv) if d != w else None
-                key = (id(u.block), id(v.block), k, id(target.block), pt.k, same, sign, e)
-                if key not in memo:
-                    total = SqmBlock.zero()
-                    if k is not None:
-                        total += _bracket_block(u, v, k)
-                    if same or k is None:
-                        total += (target.block * (-2 * sign * PHASES[e])) * PHASES[pt.k]
-                    memo[key] = _residual_head(total)
-                head = memo[key]
-                if head is not None:
-                    res = head + _string_text(*(pair if k is not None else (pt.x, pt.z)))
+                res = _residual([(bracket, 0), (t, c)] if bracket else [(t, c)])
             results.append(PairCheck(labels[i], labels[j], _KINDS[d], ok, res))
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
-
-
-def _nonzero_brackets(ops: Sequence[GradedOperator], rows: Iterable[int]) -> Iterator[int]:
-    """For each row i, the bit mask of the columns j whose graded bracket of
-    ``ops[i]`` with ``ops[j]`` is not zero.
-
-    In packed records (see :func:`_records`) u v and v u share their word
-    and power and differ by the sign (-1)**w, w the commutation parity of
-    the words, block qubit included.  So the bracket u v - sigma v u, with
-    sigma = (-1)**(a.b) and a.b the degree inner product, is nonzero
-    exactly when the parity a.b + w is 1.
-
-    That parity of row i against every column at once is an XOR of bit
-    planes: bit j of plane b is bit b of column j's word (x, z, degree),
-    and row i picks the planes set in its word (z, x, degree).  Rows that
-    pick the same planes share their mask.
-    """
-    w = ops[0].clifford.m + 1
-    records = _records(ops, w - 1)
-    words = [x | z << w | op.degree.mask << 2 * w for (x, z, _, _), op in zip(records, ops)]
-    width = max(words).bit_length()
-    # zip yields the most significant bit first; reversed() puts column 0 last
-    columns = zip(*(format(v, f"0{width}b") for v in reversed(words)))
-    planes = [int("".join(c), 2) for c in columns][::-1]
-
-    masks: dict[int, int] = {}
-    for i in rows:
-        x, z, _, _ = records[i]
-        pick = z | x << w | ops[i].degree.mask << 2 * w
-        parity = masks.get(pick)
-        if parity is None:
-            parity, bits = 0, pick
-            while bits:
-                low = bits & -bits
-                parity ^= planes[low.bit_length() - 1]
-                bits ^= low
-            masks[pick] = parity
-        yield parity
 
 
 def check_centrality(model: Model) -> RelationReport:
@@ -366,41 +359,30 @@ def check_centrality(model: Model) -> RelationReport:
     after it.  The pair set is therefore H x (Q and Z), Z x Q and Z_i x Z_j
     for i < j, each decided by :func:`_nonzero_brackets` in one sweep over
     the left operators.  A left operator whose partners all vanish gets one
-    aggregate row; otherwise it gets one row per failing pair.  A failing
-    bracket is 2 u v (:func:`_bracket_block`), so its residual text is built
-    once per pair of blocks and phase of P_u P_v, and each row appends its
-    own string.
+    aggregate row; otherwise it gets one row per failing pair, whose
+    residual is the bracket 2 u v (:func:`_residual`).
     """
     ops = model.operators()  # H, then the supercharges, then the centrals
+    records = _records(ops, model.hamiltonian.clifford.m)
+    masks = [op.degree.mask for op in ops]
     nq = len(model.supercharges)
     supercharges = ((1 << nq) - 1) << 1
     left = [0, *range(1 + nq, len(ops))]
     labels = [op.label() for op in ops]
-    # the model holds every block for the call, so no id is reused
-    memo: dict[tuple, str] = {}
     results: list[PairCheck] = []
-    for i, nonzero in zip(left, _nonzero_brackets(ops, left)):
+    for i, nonzero in zip(left, _nonzero_brackets(records, masks, left)):
         # bit_length finds a later column in O(1), where a shift copies the mask
         if not (nonzero & supercharges or nonzero.bit_length() > i + 1):
             right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
             results.append(PairCheck(labels[i], right, "graded", True))
             continue
-        u = ops[i]
-        pu = u.clifford
         bad = nonzero & (supercharges | (1 << len(ops)) - (2 << i))
         while bad:
             low = bad & -bad
             bad ^= low
             j = low.bit_length() - 1
-            v = ops[j]
-            pv = v.clifford
-            k = _product_phase(pu, pv)
-            key = (id(u.block), id(v.block), k)
-            head = memo.get(key)
-            if head is None:
-                head = memo[key] = _residual_head(SqmBlock.zero() + _bracket_block(u, v, k))
-            d = (u.degree.mask & v.degree.mask).bit_count() & 1
-            res = head + _string_text(pu.x ^ pv.x, pu.z ^ pv.z)
+            d = (masks[i] & masks[j]).bit_count() & 1
+            res = _residual([(_product(records[i], records[j]), 0)])
             results.append(PairCheck(labels[i], labels[j], _KINDS[d], False, res))
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -130,6 +131,38 @@ class TestVerifyCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "check,left,right,kind,status,residual"
+
+    def test_csv_rows_have_six_fields(self, capsys):
+        # every central label holds a comma; a quoted field keeps each row
+        # at the header's width
+        code, out, _ = run(capsys, "verify", "--model", "minimal:n=3", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) == 24 and {len(row) for row in rows} == {6}
+        assert ["centrality", "Z[001,010]"] in [row[:2] for row in rows]
+
+    @pytest.mark.parametrize(
+        "flags,status",
+        [(["--fock", "4"], "pass"), (["--grid", "--W", "x+1"], "FAIL")],
+        ids=["fock-pass", "grid-fail"],
+    )
+    def test_csv_reports_the_spectrum(self, capsys, flags, status):
+        code, out, _ = run(capsys, "verify", "--model", "minimal:n=2", *flags, "--format", "csv")
+        assert code == (0 if status == "pass" else 1)
+        rows = list(csv.reader(out.splitlines()))
+        assert {len(row) for row in rows} == {6}
+        *relations, last = rows[1:]
+        assert all(row[4] == "pass" for row in relations)
+        assert last[:2] == ["spectrum", "H"] and last[4] == status
+        assert (last[5] == "") == (status == "pass")
+        code, doc, _ = run(capsys, "verify", "--model", "minimal:n=2", *flags, "--format", "json")
+        assert last[5] == "; ".join(json.loads(doc)["spectrum"]["problems"])
+
+    @pytest.mark.parametrize("flag", ["--rank", "--orbits", "--counts"])
+    def test_csv_refuses_sections_it_cannot_hold(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--model", "minimal:n=2", flag, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_verify_with_spectrum_section(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=3", "--fock", "6")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -117,8 +118,54 @@ SMALL_SET = [
 ]
 
 
-def relation_residuals(model: Model) -> list[str | None]:
-    """The residual text of every ordered supercharge pair's tensor sum."""
+def first_group(terms) -> tuple[SqmBlock, int, int] | None:
+    """The first Clifford string, in the order of the terms, whose blocks
+    weighted by their phases do not cancel: (total block, x, z), or None
+    when the sum is zero."""
+    groups: dict[tuple[int, int], SqmBlock] = {}
+    for t in terms:
+        key = (t.clifford.x, t.clifford.z)
+        groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
+    for (x, z), total in groups.items():
+        if not total.is_zero():
+            return total, x, z
+    return None
+
+
+RESIDUAL = re.compile(r"nonzero residual (.+) on clifford string x=(\d+) z=(\d+)")
+MONOMIAL = re.compile(r"(-?\d+|-?\d+i|\(-?\d+[+-]\d+i\))\*S\^([01])\*Q\^(\d+)")
+
+
+def read_residual(text: str | None) -> tuple[SqmBlock, int, int] | None:
+    """A check's residual text read back as (sum of c S**s Q**e, x, z)."""
+    if text is None:
+        return None
+    assert text.isascii() and "," not in text and "j" not in text and "." not in text, text
+    head = RESIDUAL.fullmatch(text)
+    assert head, text
+    q, _, s = canonical_blocks()
+    total = SqmBlock.zero()
+    for monomial in head.group(1).split(" + "):
+        coeff, sbit, e = MONOMIAL.fullmatch(monomial).groups()
+        block = s if sbit == "1" else SqmBlock.identity()
+        for _ in range(int(e)):
+            block = block @ q
+        total = total + block * complex(coeff.replace("i", "j"))
+    assert not total.is_zero(), text
+    return total, int(head.group(2)), int(head.group(3))
+
+
+def assert_residuals_match(rows, groups) -> None:
+    """Each row's residual is its oracle group exactly, on the same string,
+    and a row passes exactly when its group is None."""
+    assert len(rows) == len(groups)
+    for p, want in zip(rows, groups):
+        assert read_residual(p.residual) == want, (p, want)
+        assert p.ok == (want is None) == (p.residual is None), p
+
+
+def relation_groups(model: Model) -> list[tuple[SqmBlock, int, int] | None]:
+    """The first non-cancelling group of every ordered supercharge pair's tensor sum."""
     want = []
     for a in model.odd_degrees:
         for b in model.odd_degrees:
@@ -128,18 +175,27 @@ def relation_residuals(model: Model) -> list[str | None]:
             else:
                 target, coeff = model.central(a, b), -2 * PHASES[(1 - dot(a, b)) % 4]
             terms.append(TensorTerm(target.clifford, target.block * coeff))
-            want.append(TensorSum(terms).residual())
+            want.append(first_group(terms))
     return want
 
 
-def centrality_residuals(model: Model, rows) -> list[str | None]:
-    """The residual text of each failing centrality row's tensor sum, and
-    None for each aggregate row."""
+def centrality_groups(model: Model, rows) -> list[tuple[SqmBlock, int, int] | None]:
+    """The first non-cancelling group of each failing centrality row's
+    bracket, and None for each aggregate row."""
     ops = {op.label(): op for op in model.operators()}
     return [
-        None if p.ok else TensorSum(graded_bracket_terms(ops[p.left], ops[p.right])).residual()
+        None if p.ok else first_group(graded_bracket_terms(ops[p.left], ops[p.right]))
         for p in rows
     ]
+
+
+def assert_checks_match_oracle(model: Model):
+    """Both checks' rows against the oracle groups; returns both reports."""
+    rel, cen = check_defining_relations(model), check_centrality(model)
+    assert_residuals_match(rel.pair_results, relation_groups(model))
+    rows = cen.centrality_results
+    assert_residuals_match(rows, centrality_groups(model, rows))
+    return rel, cen
 
 
 class TestDefiningRelations:
@@ -171,8 +227,8 @@ class TestDefiningRelations:
         # element gets one x bit flipped, its string times i or its block
         # times i.  Odd trials change the intact model, even trials a model
         # with random supercharge strings and each central string the
-        # product of its pair's strings times a random phase.  Every pair
-        # must match its own tensor sum, residual text included.
+        # product of its pair's strings times a random phase.  Every pair's
+        # residual must be its own tensor sum's, read back as a block.
         rng = np.random.default_rng(23)
         model = models(sel)
         m = model.hamiltonian.clifford.m
@@ -205,9 +261,8 @@ class TestDefiningRelations:
                 elif change == 2:
                     cents[key] = replace(z, block=z.block * 1j)
             broken = Model(model.spec, model.odd_degrees, model.hamiltonian, charges, cents)
-            want = relation_residuals(broken)
-            got = [p.residual for p in check_defining_relations(broken).pair_results]
-            assert got == want
+            want = relation_groups(broken)
+            assert_residuals_match(check_defining_relations(broken).pair_results, want)
             assert None in want and any(want)
 
     def test_report_serialization(self, models):
@@ -270,15 +325,18 @@ def refuse_tensor_sums(monkeypatch) -> None:
 class TestPackedRecords:
     @pytest.mark.parametrize("sel", [*SMALL_SET, "minimal:n=5", "next:n=5", "maximal:n=4"])
     def test_block_bit_flip_detected(self, models, sel):
+        # a flipped block bit can leave a pair's bracket and its target on
+        # one string with different monomials: a residual of two terms
         rng = np.random.default_rng(31)
         for _ in range(8):
             broken = flip_block_bit(models(sel), rng)
-            assert not (check_defining_relations(broken).overall and check_centrality(broken).overall)
+            rel, cen = assert_checks_match_oracle(broken)
+            assert not (rel.overall and cen.overall)
 
     @pytest.mark.parametrize("kind", ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"])
     def test_benchmark_mutation_kinds_detected(self, models, kind):
-        # every failing row's residual text, which the checks take from one
-        # tensor sum per distinct key, must be that of its own tensor sum
+        # every failing row's residual, read back as a block, must be its
+        # own tensor sum's first non-cancelling group, on the same string
         selectors = [
             "minimal:n=3", "minimal:n=4", "minimal:n=5", "next:n=3", "next:n=4", "next:n=5",
             "maximal:n=3", "maximal:n=4", "n4cl10", "n4cl12",
@@ -286,37 +344,34 @@ class TestPackedRecords:
         for sel in selectors:
             for seed in range(4):
                 broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
-                rel, cen = check_defining_relations(broken), check_centrality(broken)
+                rel, cen = assert_checks_match_oracle(broken)
                 assert not (rel.overall and cen.overall), (sel, kind, seed)
-                assert [p.residual for p in rel.pair_results] == relation_residuals(broken)
-                rows = cen.centrality_results
-                assert [p.residual for p in rows] == centrality_residuals(broken, rows)
 
-    def test_residual_algebra_runs_once_per_distinct_sum(self, models, monkeypatch):
+    def test_checks_multiply_nothing(self, models, monkeypatch):
         # the benchmark's z-times-q mutation of next:n=8 at seed 1 fails
-        # 4,161 rows whose residuals come in a few dozen distinct closed
-        # forms: the checks build no tensor sum and multiply the blocks of
-        # each form once.  The first, unpatched pass counts the failing rows
-        # and fills the caches of the block reader.
+        # 4,161 rows.  Once the first pass has filled the caches of the block
+        # reader, both checks run on the packed records alone: no block sum or
+        # product and no Pauli product, and the same reports.
         sel, kind = "next:n=8", "z-times-q"
         broken = mutate_like_bench(models(sel), kind, random.Random(f"1:{sel}:{kind}"))
-        failing = len(check_defining_relations(broken).failures()) + len(
-            check_centrality(broken).failures()
-        )
-        assert failing == 4161
+        rel, cen = check_defining_relations(broken), check_centrality(broken)
+        assert len(rel.failures()) + len(cen.failures()) == 4161
+
+        def refuse(*args):
+            raise AssertionError("the exact checks multiply no block or Pauli string")
+
         refuse_tensor_sums(monkeypatch)
-        calls = []
-        matmul = SqmBlock.__matmul__
-        monkeypatch.setattr(SqmBlock, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
-        check_defining_relations(broken)
-        check_centrality(broken)
-        assert 0 < len(calls) < failing / 100
+        for name in ("__matmul__", "__mul__", "__rmul__", "__add__"):
+            monkeypatch.setattr(SqmBlock, name, refuse)
+        monkeypatch.setattr(PauliOperator, "__matmul__", refuse)
+        assert check_defining_relations(broken) == rel
+        assert check_centrality(broken) == cen
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_mutants_match_their_tensor_sums(self, models, seed):
         # the seven invocations of the benchmark's mutants workload, which
-        # reach minimal:n=6 and next:n=6: every row's residual text is that
-        # of its own tensor sum
+        # reach minimal:n=6 and next:n=6: every row's residual, read back as
+        # a block, is its own tensor sum's
         invocations = [
             ("minimal:n=5", "q-factor"), ("minimal:n=6", "z-times-q"),
             ("next:n=5", "z-times-q"), ("next:n=6", "q-times-i"),
@@ -325,25 +380,22 @@ class TestPackedRecords:
         ]
         for sel, kind in invocations:
             broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
-            rel, cen = check_defining_relations(broken), check_centrality(broken)
+            rel, cen = assert_checks_match_oracle(broken)
             assert not (rel.overall and cen.overall), (sel, kind)
-            assert [p.residual for p in rel.pair_results] == relation_residuals(broken)
-            rows = cen.centrality_results
-            assert [p.residual for p in rows] == centrality_residuals(broken, rows)
 
     def test_checks_build_no_tensor_sum(self, models, monkeypatch):
-        # one zero test on the checks' path: with every way to a tensor sum
-        # refused, both checks still return the residuals of the oracle
+        # with every way to a tensor sum refused, both checks still return
+        # the residuals of the oracle, computed before the refusal
         cases = []
         for sel in SMALL_SET:
             for kind in ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"]:
                 broken = mutate_like_bench(models(sel), kind, random.Random(f"1:{sel}:{kind}"))
                 rows = check_centrality(broken).centrality_results
-                cases.append((broken, relation_residuals(broken), centrality_residuals(broken, rows)))
+                cases.append((broken, relation_groups(broken), centrality_groups(broken, rows)))
         refuse_tensor_sums(monkeypatch)
         for broken, relations, centrality in cases:
-            assert [p.residual for p in check_defining_relations(broken).pair_results] == relations
-            assert [p.residual for p in check_centrality(broken).centrality_results] == centrality
+            assert_residuals_match(check_defining_relations(broken).pair_results, relations)
+            assert_residuals_match(check_centrality(broken).centrality_results, centrality)
 
     def test_non_monomial_block_refused(self, models):
         q, h, _ = canonical_blocks()
@@ -439,7 +491,9 @@ class TestCentrality:
         for m in variants:
             ops = m.operators()
             want = [[TensorSum(graded_bracket_terms(u, v)).is_zero() for v in ops] for u in ops]
-            masks = list(_nonzero_brackets(ops, range(len(ops))))
+            records = verify._records(ops, m.hamiltonian.clifford.m)
+            degrees = [op.degree.mask for op in ops]
+            masks = list(_nonzero_brackets(records, degrees, range(len(ops))))
             assert all(0 <= mask < 1 << len(ops) for mask in masks)
             assert [[not mask >> j & 1 for j in range(len(ops))] for mask in masks] == want
 
@@ -458,7 +512,7 @@ class TestCentrality:
             ]
             assert got == rows
             rows = rep.centrality_results
-            assert [p.residual for p in rows] == centrality_residuals(m, rows)
+            assert_residuals_match(rows, centrality_groups(m, rows))
             if m is model:
                 assert len(rep.centrality_results) == 1 + len(m.centrals)
                 assert rep.overall
