@@ -9,13 +9,17 @@ integer operations on (x, z, k) whatever the dimension 2**m, following the
 binary (symplectic) representation of Aaronson & Gottesman
 (quant-ph/0406196).  Dense complex matrices appear only through
 :meth:`PauliOperator.to_dense`, the bridge to the tests' numpy oracles and
-the only place this module imports numpy.
+the only place this module imports numpy.  The generator letters are
+defined on the integer bits in :mod:`graded_sqm.models`, which builds every
+model from them; here they are Pauli strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .models import big_gamma_bits, gamma_bits, gamma_tilde_bits
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,41 +135,21 @@ class PauliOperator:
 
 
 def gamma(j: int, m: int) -> PauliOperator:
-    """Generator j of the 2m-generator Clifford algebra, dimension 2**m.
-
-    gamma_1 is a pure sigma_1 tensor chain; for j >= 2 a sigma_3 factor sits
-    after m-j+1 leading sigma_1 factors.
-    """
-    if not 1 <= j <= m:
-        raise ValueError(f"index {j} out of range 1..{m}")
-    return PauliOperator(m, _leading_ones(j, m), 0 if j == 1 else 1 << (j - 2))
+    """Generator j of the 2m-generator Clifford algebra, dimension 2**m
+    (see :func:`graded_sqm.models.gamma_bits`)."""
+    return PauliOperator(m, *gamma_bits(j, m))
 
 
 def gamma_tilde(j: int, m: int) -> PauliOperator:
-    """Generator j+m of the same algebra: sigma_2 after m-j sigma_1 factors.
-
-    Has the same x bits, so its nonzero entries sit at the same positions,
-    as gamma(j, m).
-    """
-    if not 1 <= j <= m:
-        raise ValueError(f"index {j} out of range 1..{m}")
-    return PauliOperator(m, _leading_ones(j, m), 1 << (j - 1), 1)
+    """Generator j+m of the same algebra (see
+    :func:`graded_sqm.models.gamma_tilde_bits`)."""
+    return PauliOperator(m, *gamma_tilde_bits(j, m))
 
 
 def big_gamma(j: int, m: int) -> PauliOperator:
-    """i * gamma_j * gamma_tilde_j: diagonal, hermitian, squares to identity.
-
-    The sigma_1 factors cancel and the sigma_3 and sigma_2 factors leave
-    -Z on the one or two tensor factors they occupy.
-    """
-    if not 1 <= j <= m:
-        raise ValueError(f"index {j} out of range 1..{m}")
-    return PauliOperator(m, 0, (3 << (j - 2)) if j > 1 else 1, 2)
-
-
-def _leading_ones(j: int, m: int) -> int:
-    # sigma_1 on the first m-j+1 tensor factors, i.e. the top m-j+1 bits
-    return ((1 << (m - j + 1)) - 1) << (j - 1)
+    """i * gamma_j * gamma_tilde_j: diagonal, hermitian, squares to identity
+    (see :func:`graded_sqm.models.big_gamma_bits`)."""
+    return PauliOperator(m, *big_gamma_bits(j, m))
 
 
 def proportional(x: PauliOperator, y: PauliOperator) -> complex | None:

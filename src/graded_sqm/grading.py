@@ -10,8 +10,6 @@ of parity-1 degrees used everywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 # Model building is capped at this rank for every general family.  The checks
@@ -24,18 +22,37 @@ COMMUTATOR = "commutator"
 ANTICOMMUTATOR = "anticommutator"
 
 
-@dataclass(frozen=True)
 class DegreeVector:
-    """Element of Z2^n, bit-packed: bit j-1 of ``mask`` is component a_j."""
+    """Element of Z2^n, bit-packed: bit j-1 of ``mask`` is component a_j.
 
-    n: int
-    mask: int
+    Immutable, compared and hashed by value.  Not a dataclass: every
+    command-line call loads this module, and importing ``dataclasses``
+    costs more than checking a small model.
+    """
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.n <= 64:
-            raise ValueError(f"rank must be in 2..64, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for rank {self.n}")
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n: int, mask: int) -> None:
+        if not 2 <= n <= 64:
+            raise ValueError(f"rank must be in 2..64, got {n}")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask:#x} out of range for rank {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DegreeVector is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DegreeVector:
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __reduce__(self):
+        return DegreeVector, (self.n, self.mask)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "DegreeVector":
@@ -75,17 +92,16 @@ class DegreeVector:
         _check_rank(self, other)
         return DegreeVector(self.n, self.mask ^ other.mask)
 
-    @cached_property
-    def _text(self) -> str:
-        # a_1 leftmost: the binary digits of mask, least significant first
-        return format(self.mask, f"0{self.n}b")[::-1]
-
     def __str__(self) -> str:
-        # the rendering used in all reports, made once per instance
-        return self._text
+        return degree_text(self.n, self.mask)
 
     def __repr__(self) -> str:
         return f"DegreeVector('{self}')"
+
+
+def degree_text(n: int, mask: int) -> str:
+    """The rendering of a degree in every report: a_1 leftmost."""
+    return format(mask, f"0{n}b")[::-1]
 
 
 def _check_rank(a: DegreeVector, b: DegreeVector) -> None:
@@ -112,24 +128,25 @@ def bracket_sign(a: DegreeVector, b: DegreeVector) -> int:
     return -1 if dot(a, b) else 1
 
 
-def default_degree_key(a: DegreeVector) -> tuple[int, int]:
-    """Sort key for the canonical parity-1 ordering.
+def odd_masks(n: int) -> list[int]:
+    """The masks of all 2**(n-1) parity-1 degrees of rank n in canonical
+    order, the one the intermediate-family generator tables are written
+    against.
 
     Degrees are sorted by weight, and inside a weight class the single set
     bit (resp. the single unset bit) walks from the last component to the
     first; ``-mask`` realizes exactly that.
     """
-    return (a.weight, -a.mask)
+    if n < 2:
+        raise ValueError(f"rank must be >= 2, got {n}")
+    odd = [m for m in range(1 << n) if m.bit_count() & 1]
+    odd.sort(key=lambda m: (m.bit_count(), -m))
+    return odd
 
 
 def enumerate_odd_degrees(n: int) -> list[DegreeVector]:
-    """All 2**(n-1) parity-1 degrees of rank n in canonical order, the one
-    the intermediate-family generator tables are written against."""
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
-    odd = [DegreeVector(n, m) for m in range(1 << n) if (m.bit_count() & 1)]
-    odd.sort(key=default_degree_key)
-    return odd
+    """All parity-1 degrees of rank n in canonical order."""
+    return [DegreeVector(n, m) for m in odd_masks(n)]
 
 
 class AlgebraCensus(NamedTuple):

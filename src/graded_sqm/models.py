@@ -1,29 +1,28 @@
 """Model families of graded supersymmetric quantum mechanics.
 
 Every family realizes the full graded algebra {H, Q_a, Z_ab} as tensor
-operators: an exact Pauli-string Clifford factor times a formal 2x2 ladder
-block.  The minimal family uses the smallest Clifford algebra (two block
-types distinguish the last degree component), the next-to-minimal and
-maximal families use a single supercharge block with per-degree generator
-products, and the rank-4/rank-5 intermediate families come from hard-coded
-generator tables.  All generator factors are checked hermitian and
-idempotent at build time so a transcription error fails fast.
+operators: a Pauli-string Clifford factor times a 2x2 ladder block that is
+a monomial i**k S**s Q**e.  A model is held as packed tables, one record
+per operator (see :class:`Model`), and the builders make the records from
+the integer bits of the generators, with no operator object.  The minimal
+family uses the smallest Clifford algebra (two block types distinguish the
+last degree component), the next-to-minimal and maximal families use a
+single supercharge block with per-degree generator products, and the
+rank-4/rank-5 intermediate families come from hard-coded generator tables.
+All generator factors are checked hermitian at build time (a Pauli string
+is hermitian exactly when it squares to the identity), so a transcription
+error fails fast.  The operator objects are views, made on demand by
+:mod:`graded_sqm.operators`, which a ``verify`` call never loads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .clifford import PauliOperator, big_gamma, gamma, gamma_tilde
-from .grading import (
-    MAX_RANK,
-    DegreeVector,
-    dot,
-    enumerate_odd_degrees,
-)
-from .sqm_block import SqmBlock, canonical_blocks
+from .grading import MAX_RANK, DegreeVector, degree_text, dot, odd_masks
+
+if TYPE_CHECKING:
+    from .operators import GradedOperator
 
 HAMILTONIAN = "hamiltonian"
 SUPERCHARGE = "supercharge"
@@ -34,56 +33,45 @@ CUSTOM_FAMILIES = {"n4cl12": (4, 6), "n4cl10": (4, 5), "n5cl28": (5, 14), "n5cl2
 FAMILIES = ("minimal", "next", "maximal", *CUSTOM_FAMILIES)
 
 
+def __getattr__(name: str):
+    # the operator view resolves here lazily, for code that imports it from
+    # this module; a verify call never loads it
+    if name == "GradedOperator":
+        from .operators import GradedOperator
+
+        return GradedOperator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class ModelSpecError(ValueError):
     """Invalid model selector, rank out of cap, or incompatible options."""
 
 
-@dataclass(frozen=True)
-class GradedOperator:
-    """Tensor operator: Pauli-string Clifford factor x formal ladder block."""
+class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering", str)])):
+    """Which family to build, at which rank, with which degree ordering.
 
-    clifford: PauliOperator
-    block: SqmBlock
-    degree: DegreeVector
-    role: str
-    pair: tuple[DegreeVector, DegreeVector] | None = None
+    Checked when made.  A named tuple rather than a frozen dataclass, so
+    that a command-line call never imports ``dataclasses``.
+    """
 
-    @property
-    def total_dim(self) -> int:
-        return self.clifford.dim * 2
+    __slots__ = ()
 
-    def label(self) -> str:
-        if self.role == SUPERCHARGE:
-            return f"Q[{self.degree}]"
-        if self.role == CENTRAL:
-            a, b = self.pair
-            return f"Z[{a},{b}]"
-        return "H"
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which family to build, at which rank, with which degree ordering."""
-
-    family: str
-    n: int
-    ordering: str = "default"
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ModelSpecError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.ordering not in ("default", "reversed"):
-            raise ModelSpecError(f"ordering must be 'default' or 'reversed', got {self.ordering!r}")
-        if self.family in CUSTOM_FAMILIES:
-            want = CUSTOM_FAMILIES[self.family][0]
-            if self.n != want:
-                raise ModelSpecError(f"family {self.family} requires n={want}, got n={self.n}")
-            if self.ordering != "default":
+    def __new__(cls, family: str, n: int, ordering: str = "default") -> "ModelSpec":
+        if family not in FAMILIES:
+            raise ModelSpecError(f"unknown family {family!r}; choose from {FAMILIES}")
+        if ordering not in ("default", "reversed"):
+            raise ModelSpecError(f"ordering must be 'default' or 'reversed', got {ordering!r}")
+        if family in CUSTOM_FAMILIES:
+            want = CUSTOM_FAMILIES[family][0]
+            if n != want:
+                raise ModelSpecError(f"family {family} requires n={want}, got n={n}")
+            if ordering != "default":
                 raise ModelSpecError(
-                    f"family {self.family} has a fixed generator table; ordering overrides not supported"
+                    f"family {family} has a fixed generator table; ordering overrides not supported"
                 )
-        elif not 2 <= self.n <= MAX_RANK:
-            raise ModelSpecError(f"{self.family} family limited to 2 <= n <= {MAX_RANK}, got n={self.n}")
+        elif not 2 <= n <= MAX_RANK:
+            raise ModelSpecError(f"{family} family limited to 2 <= n <= {MAX_RANK}, got n={n}")
+        return super().__new__(cls, family, n, ordering)
 
     @classmethod
     def parse(cls, selector: str, ordering: str = "default") -> "ModelSpec":
@@ -130,27 +118,127 @@ class ModelSpec:
         return 2 * self.clifford_dim
 
 
-class Model(NamedTuple):
-    """A fully built family: Hamiltonian, supercharges and central elements.
+# ---------------------------------------------------------------------------
+# packed records
+# ---------------------------------------------------------------------------
 
-    Central elements are stored for ordered degree pairs (earlier, later) in
-    the model's degree ordering; the opposite orientation is available
-    through :meth:`central`, scaled by the graded antisymmetry sign.
+Record = tuple[int, int, int, int]
+
+# the Hamiltonian 1 x Q Q: Q Q is the canonical block diag(Ad A, A Ad)
+HAMILTONIAN_RECORD: Record = (0, 0, 0, 2)
+
+
+def product(u: Record, v: Record) -> Record:
+    """The record of the product u v: the words XOR, the phase gains
+    2 |z_u & x_v| (Z**z X**x = (-1)**|z & x| X**x Z**z) and the ladder
+    powers add."""
+    xu, zu, ku, eu = u
+    xv, zv, kv, ev = v
+    return xu ^ xv, zu ^ zv, (ku + kv + 2 * (zu & xv).bit_count()) & 3, eu + ev
+
+
+def central(u: Record, v: Record, d: int) -> Record:
+    """The record of Z = (-i)**(1 - d) u v, the central element of the
+    supercharges u and v whose degrees have inner product d: that of
+    :func:`product` with the phase raised by 3 (1 - d)."""
+    xu, zu, ku, eu = u
+    xv, zv, kv, ev = v
+    return xu ^ xv, zu ^ zv, (ku + kv + 2 * (zu & xv).bit_count() + 3 - 3 * d) & 3, eu + ev
+
+
+class Model:
+    """A built model as packed tables: one record (x, z, k, e) per operator.
+
+    A record is the operator i**k X**x Z**z x Q**e: a Pauli string on m + 1
+    qubits, the ladder block the last one, times a ladder power.  A
+    monomial block i**k S**s Q**e multiplies like the one-qubit string
+    i**k Z**s X**(e mod 2) with the powers of Q added, since S anticommutes
+    with Q as Z with X, S S = 1 and Q Q = H.  So the block qubit has x bit
+    e mod 2 and z bit s, the block's phase is folded into k, and a product
+    is :func:`product` (after Aaronson & Gottesman, quant-ph/0406196).
+
+    The tables: ``masks``, the supercharges' degree masks in the model's
+    ordering; ``q``, their records; ``h``, the Hamiltonian's; ``pairs``,
+    the index pairs (i, j) of the stored central elements (i before j in
+    every built model) and ``z``, their records; ``m``, the number of
+    Clifford qubits.  The exact checks read these and nothing else.
+
+    The operators are views, made on demand by :mod:`graded_sqm.operators`:
+    ``hamiltonian``, ``supercharges``, ``centrals``, :meth:`central` and
+    :meth:`operators`.  ``Model(spec, odd_degrees, hamiltonian,
+    supercharges, centrals)`` makes a model from operators: it keeps them
+    as its views, reads each record once and refuses a supercharge or
+    central element whose block is not a monomial.  A Hamiltonian with such
+    a block is kept for the spectrum to refuse by name; a check refuses it
+    when it reads ``h``.
     """
 
-    spec: ModelSpec
-    odd_degrees: tuple[DegreeVector, ...]
-    hamiltonian: GradedOperator
-    supercharges: dict[DegreeVector, GradedOperator]
-    centrals: dict[tuple[DegreeVector, DegreeVector], GradedOperator]
+    __slots__ = ("spec", "m", "masks", "_h", "q", "pairs", "z", "_views")
+
+    def __init__(self, spec: ModelSpec, odd_degrees, hamiltonian, supercharges, centrals) -> None:
+        from .operators import read_tables
+
+        self._fill(spec, *read_tables(odd_degrees, hamiltonian, supercharges, centrals))
+        self._views.update(
+            odd_degrees=tuple(odd_degrees),
+            hamiltonian=hamiltonian,
+            supercharges=supercharges,
+            centrals=centrals,
+        )
+
+    @classmethod
+    def from_tables(cls, spec: ModelSpec, m: int, masks, h: Record, q, pairs, z) -> "Model":
+        model = cls.__new__(cls)
+        model._fill(spec, m, masks, h, q, pairs, z)
+        return model
+
+    def _fill(self, spec, m, masks, h, q, pairs, z) -> None:
+        self.spec, self.m, self._h = spec, m, h
+        self.masks, self.q, self.pairs, self.z = tuple(masks), tuple(q), tuple(pairs), tuple(z)
+        self._views = {}
+
+    @property
+    def h(self) -> Record:
+        if self._h is None:  # refused with the reader's own message
+            from .operators import read_records
+
+            return read_records([self.hamiltonian], self.m)[0]
+        return self._h
 
     @property
     def clifford_dim(self) -> int:
-        return self.hamiltonian.clifford.dim
+        return 1 << self.m
 
     @property
     def total_dim(self) -> int:
-        return self.hamiltonian.total_dim
+        return 2 << self.m
+
+    # -- views --------------------------------------------------------------
+
+    def _view(self, name: str):
+        if name not in self._views:
+            from .operators import views
+
+            self._views.update(views(self))
+        return self._views[name]
+
+    @property
+    def odd_degrees(self) -> tuple[DegreeVector, ...]:
+        return self._view("odd_degrees")
+
+    @property
+    def hamiltonian(self) -> GradedOperator:
+        return self._view("hamiltonian")
+
+    @property
+    def supercharges(self) -> dict[DegreeVector, GradedOperator]:
+        return self._view("supercharges")
+
+    @property
+    def centrals(self) -> dict[tuple[DegreeVector, DegreeVector], GradedOperator]:
+        """Central elements for ordered degree pairs (earlier, later) in the
+        model's degree ordering; :meth:`central` gives either orientation."""
+        return self._view("centrals")
 
     def supercharge(self, a: DegreeVector) -> GradedOperator:
         return self.supercharges[a]
@@ -167,12 +255,78 @@ class Model(NamedTuple):
         stored, sign = self.stored_central(a, b)
         if sign == 1:
             return stored
-        return GradedOperator(
-            stored.clifford, stored.block * sign, stored.degree, CENTRAL, (a, b)
-        )
+        return type(stored)(stored.clifford, stored.block * sign, stored.degree, CENTRAL, (a, b))
 
     def operators(self) -> list[GradedOperator]:
         return [self.hamiltonian, *self.supercharges.values(), *self.centrals.values()]
+
+
+# ---------------------------------------------------------------------------
+# generator letters: Pauli strings i**k X**x Z**z as integer triples (x, z, k)
+# ---------------------------------------------------------------------------
+
+Pauli = tuple[int, int, int]
+
+
+def _leading_ones(j: int, m: int) -> int:
+    # sigma_1 on the first m-j+1 tensor factors, i.e. the top m-j+1 bits
+    return ((1 << (m - j + 1)) - 1) << (j - 1)
+
+
+def _check_index(j: int, m: int) -> None:
+    if not 1 <= j <= m:
+        raise ValueError(f"index {j} out of range 1..{m}")
+
+
+def gamma_bits(j: int, m: int) -> Pauli:
+    """Generator j of the 2m-generator Clifford algebra, dimension 2**m.
+
+    gamma_1 is a pure sigma_1 tensor chain; for j >= 2 a sigma_3 factor sits
+    after m-j+1 leading sigma_1 factors.  Bit order follows ``np.kron``: the
+    first tensor factor is the most significant bit.
+    """
+    _check_index(j, m)
+    return _leading_ones(j, m), 0 if j == 1 else 1 << (j - 2), 0
+
+
+def gamma_tilde_bits(j: int, m: int) -> Pauli:
+    """Generator j+m of the same algebra: sigma_2 after m-j sigma_1 factors.
+
+    Has the same x bits, so its nonzero entries sit at the same positions,
+    as gamma j.
+    """
+    _check_index(j, m)
+    return _leading_ones(j, m), 1 << (j - 1), 1
+
+
+def big_gamma_bits(j: int, m: int) -> Pauli:
+    """i * gamma_j * gamma_tilde_j: diagonal, hermitian, squares to identity.
+
+    The sigma_1 factors cancel and the sigma_3 and sigma_2 factors leave
+    -Z on the one or two tensor factors they occupy.
+    """
+    _check_index(j, m)
+    return 0, (3 << (j - 2)) if j > 1 else 1, 2
+
+
+def _mul(*factors: Pauli) -> Pauli:
+    """The product of Pauli strings, left to right."""
+    x = z = k = 0
+    for fx, fz, fk in factors:
+        k += fk + 2 * (z & fx).bit_count()
+        x ^= fx
+        z ^= fz
+    return x, z, k & 3
+
+
+def _scale(p: Pauli, exponent: int) -> Pauli:
+    """p times i**exponent."""
+    return p[0], p[1], (p[2] + exponent) & 3
+
+
+def _pairs(mask: int) -> int:
+    w = mask.bit_count()
+    return w * (w - 1) // 2
 
 
 def hermitizing_phase(degree: DegreeVector, ncomp: int) -> int:
@@ -182,8 +336,7 @@ def hermitizing_phase(degree: DegreeVector, ncomp: int) -> int:
     reversing a product of that many anticommuting generators, so the
     prefactor makes the generator product hermitian.
     """
-    w = (degree.mask & ((1 << ncomp) - 1)).bit_count()
-    return w * (w - 1) // 2
+    return _pairs(degree.mask & ((1 << ncomp) - 1))
 
 
 def minimal_phase_exponent(a: DegreeVector) -> int:
@@ -197,64 +350,52 @@ def minimal_phase_exponent(a: DegreeVector) -> int:
     return hermitizing_phase(a, a.n - 1)
 
 
-def _gamma_word(bits: tuple[int, ...], m: int) -> PauliOperator:
-    ops = [gamma(j, m) for j in range(1, len(bits) + 1) if bits[j - 1]]
-    return reduce(lambda x, y: x @ y, ops, PauliOperator.identity(1 << m))
+def _gamma_word(mask: int, m: int) -> Pauli:
+    """The product of gamma_j over the components j <= m set in mask, in increasing j."""
+    return _mul(*(gamma_bits(j, m) for j in range(1, m + 1) if mask >> (j - 1) & 1))
 
 
-def _check_generator(g: PauliOperator, what: str) -> None:
-    if not g.is_hermitian():
+def _check_generator(g: Pauli, what: str) -> None:
+    # i**k X**x Z**z is hermitian, and then squares to the identity, exactly
+    # when k = |x & z| mod 2
+    x, z, k = g
+    if (k + (x & z).bit_count()) & 1:
         raise ValueError(f"{what} is not hermitian")
-    if (g @ g).scalar_of_identity() != 1:
-        raise ValueError(f"{what} does not square to identity")
 
 
-def _ordered_degrees(spec: ModelSpec) -> list[DegreeVector]:
-    degrees = enumerate_odd_degrees(spec.n)
+# ---------------------------------------------------------------------------
+# the families
+# ---------------------------------------------------------------------------
+
+
+def _ordered_masks(spec: ModelSpec) -> list[int]:
+    masks = odd_masks(spec.n)
     if spec.ordering == "reversed":
-        degrees.reverse()
-    return degrees
+        masks.reverse()
+    return masks
 
 
 def _assemble_product_family(
-    spec: ModelSpec,
-    degrees: list[DegreeVector],
-    gens: list[PauliOperator],
-    block_bits: list[int] | None = None,
+    spec: ModelSpec, masks: list[int], gens: list[Pauli], block_bits: list[int] | None = None
 ) -> Model:
-    """Q_a = G_a x B_a and Z_ab = (-i)**(1 - a.b) G_a G_b x B_a B_b.
+    """Q_a = G_a x B_a and Z_ab = (-i)**(1 - a.b) Q_a Q_b, as packed records.
 
     B_a is the supercharge block Q for block bit s_a = 0 (every degree when
-    ``block_bits`` is None) and i Q S for s_a = 1, so B_a B_b is H when
-    s_a == s_b and +-i H S when they differ.  Each phase-scaled central
-    block is built once and shared.
+    ``block_bits`` is None) and i Q S = i**3 S Q for s_a = 1.  So Q_a's
+    record is G_a's string with the block qubit (x bit 1, z bit s_a)
+    appended, its phase raised by s_a and ladder power 1, and each central
+    record is :func:`central` of its pair: B_a B_b is H when s_a == s_b
+    and +-i H S when they differ.
     """
-    qb, hb, sb = canonical_blocks()
-    charge_blocks = (qb, (qb @ sb) * 1j)
-    bits = block_bits or [0] * len(degrees)
-    for a, g in zip(degrees, gens):
-        _check_generator(g, f"generator for degree {a}")
-    supercharges = {
-        a: GradedOperator(g, charge_blocks[s], a, SUPERCHARGE)
-        for a, g, s in zip(degrees, gens, bits)
-    }
-    shared: dict[tuple[int, int, int], SqmBlock] = {}
-    centrals: dict[tuple[DegreeVector, DegreeVector], GradedOperator] = {}
-    for k, a in enumerate(degrees):
-        for l in range(k + 1, len(degrees)):
-            b = degrees[l]
-            key = (bits[k], bits[l], dot(a, b))
-            block = shared.get(key)
-            if block is None:
-                s_a, s_b, d = key
-                block = shared[key] = (charge_blocks[s_a] @ charge_blocks[s_b]) * (-1j) ** (1 - d)
-            centrals[(a, b)] = GradedOperator(
-                gens[k] @ gens[l], block, a + b, CENTRAL, (a, b)
-            )
-    ham = GradedOperator(
-        PauliOperator.identity(gens[0].dim), hb, DegreeVector.zero(spec.n), HAMILTONIAN
-    )
-    return Model(spec, tuple(degrees), ham, supercharges, centrals)
+    bits = block_bits or [0] * len(masks)
+    q = []
+    for mask, g, s in zip(masks, gens, bits):
+        _check_generator(g, f"generator for degree {degree_text(spec.n, mask)}")
+        x, z, k = g
+        q.append((x << 1 | 1, z << 1 | s, (k + s) & 3, 1))
+    pairs = [(i, j) for i in range(len(q)) for j in range(i + 1, len(q))]
+    z = [central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1) for i, j in pairs]
+    return Model.from_tables(spec, spec.qubits, masks, HAMILTONIAN_RECORD, q, pairs, z)
 
 
 def _build_minimal(spec: ModelSpec) -> Model:
@@ -266,10 +407,11 @@ def _build_minimal(spec: ModelSpec) -> Model:
     companion, and likewise splits the central elements between the two
     diagonal block forms.
     """
-    degrees = _ordered_degrees(spec)
+    masks = _ordered_masks(spec)
     m = spec.qubits
-    gens = [_gamma_word(a.bits[:m], m).scale(minimal_phase_exponent(a)) for a in degrees]
-    return _assemble_product_family(spec, degrees, gens, [1 - a.bits[-1] for a in degrees])
+    low = (1 << m) - 1
+    gens = [_scale(_gamma_word(mask, m), _pairs(mask & low)) for mask in masks]
+    return _assemble_product_family(spec, masks, gens, [1 - (mask >> m & 1) for mask in masks])
 
 
 def _build_next(spec: ModelSpec) -> Model:
@@ -279,11 +421,11 @@ def _build_next(spec: ModelSpec) -> Model:
     parity 1 only for odd n; its supercharge is the identity factor, which
     is why the family partially splits central elements apart for odd n.
     """
-    degrees = _ordered_degrees(spec)
-    n, m = spec.n, spec.qubits
-    ones, identity = DegreeVector.ones(n), PauliOperator.identity(1 << m)
-    gens = [identity if a == ones else _gamma_word(a.bits, m).scale(hermitizing_phase(a, n)) for a in degrees]
-    return _assemble_product_family(spec, degrees, gens)
+    masks = _ordered_masks(spec)
+    n = spec.n
+    ones = (1 << n) - 1
+    gens = [(0, 0, 0) if mask == ones else _scale(_gamma_word(mask, n), _pairs(mask)) for mask in masks]
+    return _assemble_product_family(spec, masks, gens)
 
 
 def _build_maximal(spec: ModelSpec) -> Model:
@@ -294,96 +436,87 @@ def _build_maximal(spec: ModelSpec) -> Model:
     exactly when their degrees have mod-2 inner product zero, and the final
     generator is a pure product of diagonal involutions.
     """
-    degrees = _ordered_degrees(spec)
+    masks = _ordered_masks(spec)
     mp = spec.qubits
     M = mp + 1
-    dim = 1 << mp
-    involutions = [big_gamma(j, mp) for j in range(1, mp + 1)]
+    involutions = [big_gamma_bits(j, mp) for j in range(1, mp + 1)]
 
-    gens = [gamma(1, mp)]
+    def odd(i: int, j: int) -> int:  # the inner product of degrees i and j (from 1)
+        return (masks[i - 1] & masks[j - 1]).bit_count() & 1
+
+    gens = [gamma_bits(1, mp)]
     for k in range(2, M):
-        g = PauliOperator.identity(dim)
-        for j in range(1, k):
-            if dot(degrees[j - 1], degrees[k - 1]):
-                g = g @ involutions[j - 1]
-        gens.append(g @ gamma(k, mp))
-    last = PauliOperator.identity(dim)
-    for j in range(1, M):
-        if not dot(degrees[j - 1], degrees[M - 1]):
-            last = last @ involutions[j - 1]
-    gens.append(last)
-    return _assemble_product_family(spec, degrees, gens)
+        own = [involutions[j - 1] for j in range(1, k) if odd(j, k)]
+        gens.append(_mul(*own, gamma_bits(k, mp)))
+    gens.append(_mul(*(involutions[j - 1] for j in range(1, M) if not odd(j, M))))
+    return _assemble_product_family(spec, masks, gens)
 
 
-def _product(*ops: PauliOperator) -> PauliOperator:
-    return reduce(lambda x, y: x @ y, ops)
-
-
-def _n4cl12_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
+def _n4cl12_generators(g: list, gt: list, G: list) -> list[Pauli]:
     return [
         g[1],
         g[2],
         g[3],
         g[4],
-        _product(G[1], G[2], G[3], g[5]),
-        _product(G[1], G[2], G[4], g[6]),
-        _product(G[2], G[5], G[6]),
-        _product(g[1], gt[2], gt[3], gt[4]),
+        _mul(G[1], G[2], G[3], g[5]),
+        _mul(G[1], G[2], G[4], g[6]),
+        _mul(G[2], G[5], G[6]),
+        _mul(g[1], gt[2], gt[3], gt[4]),
     ]
 
 
-def _n4cl10_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
+def _n4cl10_generators(g: list, gt: list, G: list) -> list[Pauli]:
     return [
         g[1],
         g[2],
         g[3],
         g[4],
-        _product(G[1], G[2], G[3], g[5]),
-        _product(G[3], G[5]),
-        _product(gt[1], g[2], gt[3], gt[4]),
-        _product(g[2], g[3], g[4]).scale(1),
+        _mul(G[1], G[2], G[3], g[5]),
+        _mul(G[3], G[5]),
+        _mul(gt[1], g[2], gt[3], gt[4]),
+        _scale(_mul(g[2], g[3], g[4]), 1),
     ]
 
 
-def _n5cl28_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
+def _n5cl28_generators(g: list, gt: list, G: list) -> list[Pauli]:
     return [
         g[1],
         g[2],
         g[3],
         g[4],
         g[5],
-        _product(G[1], G[2], G[3], g[6]),
-        _product(G[1], G[2], G[4], g[7]),
-        _product(G[1], G[2], G[5], g[8]),
-        _product(G[1], G[3], G[4], G[8], g[9]),
-        _product(G[1], G[3], G[5], G[7], g[10]),
-        _product(G[1], G[4], G[5], G[6], g[11]),
-        _product(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
-        _product(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
-        _product(G[2], G[4], G[5], G[6], G[9], G[10], g[14]),
-        _product(G[1], G[2], G[9], G[10], G[11], G[12], G[13], G[14]),
-        _product(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
+        _mul(G[1], G[2], G[3], g[6]),
+        _mul(G[1], G[2], G[4], g[7]),
+        _mul(G[1], G[2], G[5], g[8]),
+        _mul(G[1], G[3], G[4], G[8], g[9]),
+        _mul(G[1], G[3], G[5], G[7], g[10]),
+        _mul(G[1], G[4], G[5], G[6], g[11]),
+        _mul(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
+        _mul(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
+        _mul(G[2], G[4], G[5], G[6], G[9], G[10], g[14]),
+        _mul(G[1], G[2], G[9], G[10], G[11], G[12], G[13], G[14]),
+        _mul(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
     ]
 
 
-def _n5cl26_generators(g: list, gt: list, G: list) -> list[PauliOperator]:
+def _n5cl26_generators(g: list, gt: list, G: list) -> list[Pauli]:
     return [
         g[1],
         g[2],
         g[3],
         g[4],
         g[5],
-        _product(G[1], G[2], G[3], g[6]),
-        _product(G[1], G[2], G[4], g[7]),
-        _product(G[1], G[2], G[5], g[8]),
-        _product(G[1], G[3], G[4], G[8], g[9]),
-        _product(G[1], G[3], G[5], G[7], g[10]),
-        _product(G[1], G[4], G[5], G[6], g[11]),
-        _product(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
-        _product(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
-        _product(G[1], G[3], G[7], G[8], G[11], G[12], G[13]),
-        _product(g[3], g[4], g[5], gt[12], gt[13]),
-        _product(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
+        _mul(G[1], G[2], G[3], g[6]),
+        _mul(G[1], G[2], G[4], g[7]),
+        _mul(G[1], G[2], G[5], g[8]),
+        _mul(G[1], G[3], G[4], G[8], g[9]),
+        _mul(G[1], G[3], G[5], G[7], g[10]),
+        _mul(G[1], G[4], G[5], G[6], g[11]),
+        _mul(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
+        _mul(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
+        _mul(G[1], G[3], G[7], G[8], G[11], G[12], G[13]),
+        _mul(g[3], g[4], g[5], gt[12], gt[13]),
+        _mul(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
     ]
 
 
@@ -395,10 +528,11 @@ def _build_custom(spec: ModelSpec) -> Model:
     """
     m = spec.qubits
     g, gt, G = (
-        [None] + [letter(j, m) for j in range(1, m + 1)] for letter in (gamma, gamma_tilde, big_gamma)
+        [None] + [letter(j, m) for j in range(1, m + 1)]
+        for letter in (gamma_bits, gamma_tilde_bits, big_gamma_bits)
     )
     table = globals()[f"_{spec.family}_generators"]
-    return _assemble_product_family(spec, _ordered_degrees(spec), table(g, gt, G))
+    return _assemble_product_family(spec, _ordered_masks(spec), table(g, gt, G))
 
 
 _BUILDERS = {"minimal": _build_minimal, "next": _build_next, "maximal": _build_maximal}

@@ -1,0 +1,236 @@
+"""Operator views of a model, and the tests' tensor-sum oracle.
+
+A :class:`~graded_sqm.models.Model` is packed tables, one record
+(x, z, k, e) per operator.  This module makes the objects that a library
+user and the tests work with: a :class:`GradedOperator` per element, an
+exact Pauli-string Clifford factor (:mod:`graded_sqm.clifford`) times a
+free-word ladder block (:mod:`graded_sqm.sqm_block`).  The views of a
+built model are made on demand (:func:`views`), and a model made from
+operators reads each operator's record here, once (:func:`read_tables`).
+:class:`TensorSum` decides "is this sum of tensor operators zero?" on the
+objects themselves; it shares no code with the exact checks it is the
+oracle of.  A ``verify`` call never loads this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cache
+from typing import Iterable, NamedTuple
+
+from .clifford import PHASES, PauliOperator
+from .grading import DegreeVector, bracket_sign, dot
+from .models import CENTRAL, HAMILTONIAN, SUPERCHARGE, Model, Record
+from .sqm_block import SqmBlock, canonical_blocks
+
+
+@dataclass(frozen=True)
+class GradedOperator:
+    """Tensor operator: Pauli-string Clifford factor x formal ladder block."""
+
+    clifford: PauliOperator
+    block: SqmBlock
+    degree: DegreeVector
+    role: str
+    pair: tuple[DegreeVector, DegreeVector] | None = None
+
+    @property
+    def total_dim(self) -> int:
+        return self.clifford.dim * 2
+
+    def label(self) -> str:
+        if self.role == SUPERCHARGE:
+            return f"Q[{self.degree}]"
+        if self.role == CENTRAL:
+            a, b = self.pair
+            return f"Z[{a},{b}]"
+        return "H"
+
+
+# ---------------------------------------------------------------------------
+# operators to records
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _canonical_q_s() -> tuple[SqmBlock, SqmBlock]:
+    """The canonical Q and S, once the identities that the packed records
+    rest on hold as free-word identities: Q Q = H, Q S = -S Q, S S = 1."""
+    q, h, s = canonical_blocks()
+    if not (q @ q == h and q @ s == -(s @ q) and s @ s == SqmBlock.identity()):
+        raise RuntimeError("the canonical blocks break Q Q = H, Q S = -S Q or S S = 1")
+    return q, s
+
+
+@cache
+def _monomial(k: int, s: int, e: int) -> SqmBlock:
+    """The block i**k S**s Q**e."""
+    q, sb = _canonical_q_s()
+    power = SqmBlock.identity()
+    for _ in range(e):
+        power = power @ q
+    return (sb @ power if s else power) * PHASES[k]
+
+
+def _read_block(block: SqmBlock) -> tuple[int, int, int]:
+    """The (k, s, e) with ``block == i**k S**s Q**e``.
+
+    Such a block has one word, of length e and with coefficient i**k, in its
+    first row's nonzero entry.  Any other block raises ValueError.
+    """
+    (left, right), _ = block.entries
+    terms = list((right if left.is_zero() else left).items())
+    if len(terms) == 1 and terms[0][1] in PHASES:
+        word, c = terms[0]
+        k = PHASES.index(c)
+        for s in (0, 1):
+            if block == _monomial(k, s, len(word)):
+                return k, s, len(word)
+    raise ValueError(
+        f"block {block!r} is not a monomial i**k S**s Q**e; the exact checks accept no other"
+    )
+
+
+def read_records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
+    """Each operator as its packed record on m + 1 qubits (see
+    :class:`~graded_sqm.models.Model`): the block i**k S**s Q**e becomes
+    the last qubit, with x bit e mod 2 and z bit s, and its phase joins the
+    string's.  Each distinct block is read once."""
+    read: dict[int, tuple] = {}  # id(block) -> (block, k, s, e); the block stays alive
+    out = []
+    for op in ops:
+        p, block = op.clifford, op.block
+        if p.m != m:
+            raise ValueError(f"dimension mismatch: {p.dim} vs {1 << m}")
+        got = read.get(id(block))
+        if got is None:
+            got = read[id(block)] = (block, *_read_block(block))
+        _, k, s, e = got
+        odd = e & 1
+        out.append((p.x << 1 | odd, p.z << 1 | s, (p.k + k + 2 * (s & odd)) & 3, e))
+    return out
+
+
+def read_tables(odd_degrees, hamiltonian, supercharges, centrals) -> tuple:
+    """The tables (m, masks, h, q, pairs, z) of a model made from operators.
+
+    A supercharge or central element whose block is not a monomial is
+    refused (ValueError).  The Hamiltonian's record is None when its block
+    is not one; the model keeps it for the spectrum to refuse by name.
+    """
+    m = hamiltonian.clifford.m
+    position = {a: i for i, a in enumerate(odd_degrees)}
+    q = read_records([supercharges[a] for a in odd_degrees], m)
+    pairs = [(position[a], position[b]) for a, b in centrals]
+    z = read_records(centrals.values(), m)
+    try:
+        (h,) = read_records([hamiltonian], m)
+    except ValueError:
+        h = None
+    return m, [a.mask for a in odd_degrees], h, q, pairs, z
+
+
+# ---------------------------------------------------------------------------
+# records to operators
+# ---------------------------------------------------------------------------
+
+
+def views(model: Model) -> dict:
+    """The views of a model's tables, as ``Model`` hands them out: its odd
+    degrees, Hamiltonian, supercharges and central elements.
+
+    Each view carries the block of the build: Q for a supercharge of block
+    bit 0 and i Q S for block bit 1, (B_a B_b) (-i)**(1 - a.b) for Z_ab,
+    and diag(Ad A, A Ad) for H.  Its Clifford factor is the record with
+    that block divided out.  A record whose block qubit that block does not
+    fit, which no build makes, gets the block S**s Q**e.
+    """
+    m = model.m
+    qb, hb, sb = canonical_blocks()
+    charge = (qb, (qb @ sb) * 1j)
+    read: dict[int, tuple] = {}  # id(block) -> (block, k, s, e), as in read_records
+
+    def view(record: Record, block: SqmBlock, degree, role, pair=None) -> GradedOperator:
+        got = read.get(id(block))
+        if got is None:
+            got = read[id(block)] = (block, *_read_block(block))
+        _, kb, s, e = got
+        x, z, k, power = record
+        if (s, e & 1, e) != (z & 1, x & 1, power):
+            if x & 1 != power & 1:
+                raise ValueError(f"record {record} has block x bit {x & 1} but ladder power {power}")
+            kb, s, e = 0, z & 1, power
+            block = _monomial(0, s, e)
+        clifford = PauliOperator(m, x >> 1, z >> 1, k - kb - 2 * (s & e & 1))
+        return GradedOperator(clifford, block, degree, role, pair)
+
+    degrees = tuple(DegreeVector(model.spec.n, mask) for mask in model.masks)
+    supercharges = {
+        a: view(r, charge[r[1] & 1], a, SUPERCHARGE) for a, r in zip(degrees, model.q)
+    }
+    shared: dict[tuple[int, int, int], SqmBlock] = {}
+    centrals = {}
+    for (i, j), r in zip(model.pairs, model.z):
+        a, b = degrees[i], degrees[j]
+        key = (model.q[i][1] & 1, model.q[j][1] & 1, dot(a, b))
+        block = shared.get(key)
+        if block is None:
+            s_a, s_b, d = key
+            block = shared[key] = (charge[s_a] @ charge[s_b]) * (-1j) ** (1 - d)
+        centrals[(a, b)] = view(r, block, a + b, CENTRAL, (a, b))
+    hamiltonian = view(model.h, hb, DegreeVector.zero(model.spec.n), HAMILTONIAN)
+    return {
+        "odd_degrees": degrees, "hamiltonian": hamiltonian, "supercharges": supercharges,
+        "centrals": centrals,
+    }
+
+
+# ---------------------------------------------------------------------------
+# sums of tensor operators and their exact zero test
+# ---------------------------------------------------------------------------
+
+
+class TensorTerm(NamedTuple):
+    clifford: PauliOperator
+    block: SqmBlock
+
+
+class TensorSum:
+    """Formal sum of (Pauli string x block) tensor operators.
+
+    Supports one question, asked exactly: is the sum the zero operator?
+    Distinct Pauli strings are linearly independent, so the sum vanishes
+    exactly when, for each string, the blocks of the terms carrying it,
+    weighted by their phases, add up to the zero block.  The exact checks
+    never build one: they read each bracket off packed records, and a sum
+    of generic terms is the oracle their residuals are tested against.
+    """
+
+    def __init__(self, terms: Iterable[TensorTerm]):
+        self.terms = [t for t in terms if not t.block.is_zero()]
+        dims = {t.clifford.dim for t in self.terms}
+        if len(dims) > 1:
+            raise ValueError(f"mixed clifford dimensions in tensor sum: {sorted(dims)}")
+
+    def residual(self) -> str | None:
+        """None if the sum is exactly zero, else a short description."""
+        groups: dict[tuple[int, int], SqmBlock] = {}
+        for t in self.terms:
+            key = (t.clifford.x, t.clifford.z)
+            groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
+        for (x, z), total in groups.items():
+            if not total.is_zero():
+                return f"nonzero residual block {total!r} on clifford string x={x} z={z}"
+        return None
+
+    def is_zero(self) -> bool:
+        return self.residual() is None
+
+
+def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTerm]:
+    """The two tensor terms of the graded bracket of u and v."""
+    s = bracket_sign(u.degree, v.degree)
+    return [
+        TensorTerm(u.clifford @ v.clifford, u.block @ v.block),
+        TensorTerm(v.clifford @ u.clifford, (v.block @ u.block) * (-s)),
+    ]

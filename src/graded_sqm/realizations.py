@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .sqm_block import LOWER, RAISE, Word, WordSum, canonical_blocks, ground_state_pair
+from .models import HAMILTONIAN_RECORD
+from .sqm_block import LOWER, RAISE, Word, WordSum, ground_state_pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -385,9 +386,10 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     canonical block diag(Ad A, A Ad) of the two partner Hamiltonians, so
     its spectrum is the union of the partners' levels with every
     multiplicity multiplied by clifford-dim.  Both facts are checked exactly
-    on the formal operator, and any other Hamiltonian is refused before a
-    matrix is built.  The realization then gives both partners' levels and
-    both ladder kernels from the ladder pair alone: on Fock in closed form
+    on the model's record of H, which must be that of 1 x Q Q, and any
+    other Hamiltonian is refused before a matrix is built.  The realization
+    then gives both partners' levels and both ladder kernels from the
+    ladder pair alone: on Fock in closed form
     (``FockRealization.partner_levels`` and ``kernel_levels``), so the
     clusters are exact counts with no numpy; on the grid from one SVD of
     the lowering matrix L, since Ad A = L^T L and A Ad = L L^T share the
@@ -403,11 +405,15 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     """
     cliffdim = model.clifford_dim
     side = 2 * realization.dim
-    if model.hamiltonian.clifford.scalar_of_identity() != 1:
+    try:
+        h = model.h
+    except ValueError:  # a model made from operators, whose H block is no monomial
+        h = None
+    if h is not None and (h[0] | h[1]) >> 1:
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
         )
-    if model.hamiltonian.block != canonical_blocks()[1]:
+    if h != HAMILTONIAN_RECORD:
         raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diag(Ad A, A Ad)")
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL

@@ -1,166 +1,52 @@
 """Exact verification engine for built models.
 
-Every Clifford factor is a Pauli string (see :mod:`graded_sqm.clifford`)
-and every ladder block a free word matrix, so all algebraic checks are
-exact: a passing check has zero residual by construction, not small
-residual.  Every block is a monomial i**k S**s Q**e, so the checks read
-each operator once into a packed record, a Pauli string with the block as
-one more qubit (:func:`_records`).  Distinct Pauli strings are linearly
-independent, which turns zero tests, ranks, orbits and operator closures
-into closed forms over GF(2), the two-element field (Dehaene & De Moor,
-quant-ph/0304125).  A graded bracket of two such operators is exactly 0 or
-2 u v, so a failing pair's residual is read off the same records, as
-Gaussian-integer multiples of S**s Q**e on a Pauli string
-(:func:`_residual`); after the records are read, no check multiplies a
-block or a Pauli string.  The bracket sweep holds one bit per operator in
-Python integers ("bit planes"), so the exact checks need no numpy.  This
+A model is packed tables (see :class:`~graded_sqm.models.Model`): one record
+(x, z, k, e) per operator, the Pauli string of its Clifford factor with the
+ladder block as one more qubit, times the ladder power e.  The checks read
+these tables and nothing else, so all of them are exact: a passing check
+has zero residual by construction, not small residual.  Distinct Pauli
+strings are linearly independent, which turns zero tests, ranks, orbits and
+operator closures into closed forms over GF(2), the two-element field
+(Dehaene & De Moor, quant-ph/0304125).  A graded bracket of two such
+operators is exactly 0 or 2 u v, so a failing pair's residual is read off
+the same records, as Gaussian-integer multiples of S**s Q**e on a Pauli
+string (:func:`_residual`).  The bracket sweep holds one bit per operator
+in Python integers ("bit planes"), so the exact checks need no numpy, and
+they load no operator object, block algebra or ``dataclasses``.  This
 module holds the exact engine only: spectra of a numeric realization are
 :func:`graded_sqm.realizations.spectrum`, which never loads this module.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from importlib import import_module
+from typing import Iterable, NamedTuple, Sequence
 
-from .clifford import PHASES, PauliOperator
-from .grading import ANTICOMMUTATOR, COMMUTATOR, DegreeVector, bracket_sign
-from .models import GradedOperator, Model
-# realize and ground_state_pair stay importable here: the benchmark's tracer wraps these names
-from .sqm_block import SqmBlock, canonical_blocks, ground_state_pair, realize  # noqa: F401
+from .grading import ANTICOMMUTATOR, COMMUTATOR, degree_text
+from .models import Model, Record, central, product
 
-
-# ---------------------------------------------------------------------------
-# sums of tensor operators and their exact zero test
-# ---------------------------------------------------------------------------
-
-
-class TensorTerm(NamedTuple):
-    clifford: PauliOperator
-    block: SqmBlock
+# names that resolve here lazily (PEP 562), from the modules that define
+# them: the tests' tensor-sum oracle, and the block realization that the
+# benchmark's tracer wraps
+_LAZY = {
+    "TensorSum": "operators",
+    "TensorTerm": "operators",
+    "graded_bracket_terms": "operators",
+    "realize": "sqm_block",
+    "ground_state_pair": "sqm_block",
+}
 
 
-class TensorSum:
-    """Formal sum of (Pauli string x block) tensor operators.
-
-    Supports one question, asked exactly: is the sum the zero operator?
-    Distinct Pauli strings are linearly independent, so the sum vanishes
-    exactly when, for each string, the blocks of the terms carrying it,
-    weighted by their phases, add up to the zero block.  The checks below
-    never build one: they read each bracket off packed records, and a sum
-    of generic terms is the oracle their residuals are tested against.
-    """
-
-    def __init__(self, terms: Iterable[TensorTerm]):
-        self.terms = [t for t in terms if not t.block.is_zero()]
-        dims = {t.clifford.dim for t in self.terms}
-        if len(dims) > 1:
-            raise ValueError(f"mixed clifford dimensions in tensor sum: {sorted(dims)}")
-
-    def residual(self) -> str | None:
-        """None if the sum is exactly zero, else a short description."""
-        groups: dict[tuple[int, int], SqmBlock] = {}
-        for t in self.terms:
-            key = (t.clifford.x, t.clifford.z)
-            groups[key] = groups.get(key, SqmBlock.zero()) + t.block * PHASES[t.clifford.k]
-        for (x, z), total in groups.items():
-            if not total.is_zero():
-                return f"nonzero residual block {total!r} on clifford string x={x} z={z}"
-        return None
-
-    def is_zero(self) -> bool:
-        return self.residual() is None
-
-
-def graded_bracket_terms(u: GradedOperator, v: GradedOperator) -> list[TensorTerm]:
-    """The two tensor terms of the graded bracket of u and v."""
-    s = bracket_sign(u.degree, v.degree)
-    return [
-        TensorTerm(u.clifford @ v.clifford, u.block @ v.block),
-        TensorTerm(v.clifford @ u.clifford, (v.block @ u.block) * (-s)),
-    ]
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 # ---------------------------------------------------------------------------
-# packed records: the block as one more qubit
+# residuals of failing pairs
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _canonical_q_s() -> tuple[SqmBlock, SqmBlock]:
-    """The canonical Q and S, once the identities that the packed records
-    rest on hold as free-word identities: Q Q = H, Q S = -S Q, S S = 1."""
-    q, h, s = canonical_blocks()
-    if not (q @ q == h and q @ s == -(s @ q) and s @ s == SqmBlock.identity()):
-        raise RuntimeError("the canonical blocks break Q Q = H, Q S = -S Q or S S = 1")
-    return q, s
-
-
-@cache
-def _monomial(k: int, s: int, e: int) -> SqmBlock:
-    """The block i**k S**s Q**e."""
-    q, sb = _canonical_q_s()
-    power = SqmBlock.identity()
-    for _ in range(e):
-        power = power @ q
-    return (sb @ power if s else power) * PHASES[k]
-
-
-def _read_block(block: SqmBlock) -> tuple[int, int, int]:
-    """The (k, s, e) with ``block == i**k S**s Q**e``.
-
-    Such a block has one word, of length e and with coefficient i**k, in its
-    first row's nonzero entry.  Any other block raises ValueError.
-    """
-    (left, right), _ = block.entries
-    terms = list((right if left.is_zero() else left).items())
-    if len(terms) == 1 and terms[0][1] in PHASES:
-        word, c = terms[0]
-        k = PHASES.index(c)
-        for s in (0, 1):
-            if block == _monomial(k, s, len(word)):
-                return k, s, len(word)
-    raise ValueError(
-        f"block {block!r} is not a monomial i**k S**s Q**e; the exact checks accept no other"
-    )
-
-
-Record = tuple[int, int, int, int]
-
-
-def _records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
-    """Each operator as its packed record (x, z, k, e) on m + 1 qubits.
-
-    A monomial block i**k S**s Q**e multiplies like the one-qubit Pauli
-    string i**k Z**s X**(e mod 2) with the powers of Q added: S
-    anticommutes with Q as Z with X, and S S = 1, Q Q = H (checked in
-    :func:`_canonical_q_s`).  So the block becomes one more qubit, the last,
-    with x bit e mod 2 and z bit s, and the operator is i**k X**x Z**z on
-    m + 1 qubits, its phase k with the block's folded in, times the ladder
-    power e.  A product XORs the words, adds 2 |z_1 & x_2| to the phase and
-    adds the powers, as :class:`~graded_sqm.clifford.PauliOperator` does.
-    Each distinct block is read once.
-    """
-    read: dict[int, tuple] = {}  # id(block) -> (block, k, s, e); the block stays alive
-    out = []
-    for op in ops:
-        p, block = op.clifford, op.block
-        if p.m != m:
-            raise ValueError(f"dimension mismatch: {p.dim} vs {1 << m}")
-        got = read.get(id(block))
-        if got is None:
-            got = read[id(block)] = (block, *_read_block(block))
-        _, k, s, e = got
-        odd = e & 1
-        out.append((p.x << 1 | odd, p.z << 1 | s, (p.k + k + 2 * (s & odd)) & 3, e))
-    return out
-
-
-def _product(u: Record, v: Record) -> Record:
-    """The record of the product u v (see :func:`_records`)."""
-    xu, zu, ku, eu = u
-    xv, zv, kv, ev = v
-    return xu ^ xv, zu ^ zv, (ku + kv + 2 * (zu & xv).bit_count()) & 3, eu + ev
 
 
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i**k as (real part, imaginary part)
@@ -180,7 +66,8 @@ def _residual(terms: Iterable[tuple[Record, int]]) -> str | None:
 
     A record (x, z, k, e) splits back into the tensor term
     i**(k + 2 (s & e & 1)) P(x >> 1, z >> 1) x S**s Q**e with s = z & 1,
-    which undoes the fold of :func:`_records`.  Distinct Pauli strings are
+    which undoes the block's fold into the record (see
+    :class:`~graded_sqm.models.Model`).  Distinct Pauli strings are
     linearly independent, and so are the monomials S**s Q**e of distinct
     (s, e), so the sum is zero exactly when the coefficients of each
     monomial on each string add up to zero.  The text names the first
@@ -208,6 +95,9 @@ def _residual(terms: Iterable[tuple[Record, int]]) -> str | None:
 
 
 _KINDS = (COMMUTATOR, ANTICOMMUTATOR)  # bracket_kind by the parity of a.b
+# makes a report row from a full tuple of its fields, without the Python-level
+# __new__ of the named tuple: a check makes one row per pair, 262,144 at next:n=10
+_new = tuple.__new__
 
 
 class PairCheck(NamedTuple):
@@ -257,48 +147,62 @@ class RelationReport(NamedTuple):
         bad = self.failures()
         if bad:
             lines += ["| left | right | bracket | residual |", "|---|---|---|---|"]
-            lines += [f"| {p.left} | {p.right} | {p.kind} | {p.residual} |" for p in bad]
+            # a code span, so that the * of a residual's monomials is not emphasis
+            lines += [f"| {p.left} | {p.right} | {p.kind} | `{p.residual}` |" for p in bad]
         return "\n".join(lines)
 
 
 def _nonzero_brackets(
     records: Sequence[Record], masks: Sequence[int], rows: Iterable[int]
-) -> Iterator[int]:
+) -> list[int]:
     """For each row i, the bit mask of the columns j whose graded bracket of
     operator i with operator j is not zero, from their packed records and
     degree masks.
 
-    In packed records (see :func:`_records`) u v and v u share their word
-    and power and differ by the sign (-1)**w, w the commutation parity of
-    the words, block qubit included.  So the bracket u v - sigma v u, with
-    sigma = (-1)**(a.b) and a.b the degree inner product, is 2 u v when the
-    parity a.b + w is 1 and zero otherwise.
+    In packed records (see :class:`~graded_sqm.models.Model`) u v and v u
+    share their word and power and differ by the sign (-1)**w, w the
+    commutation parity of the words, block qubit included.  So the bracket
+    u v - sigma v u, with sigma = (-1)**(a.b) and a.b the degree inner
+    product, is 2 u v when the parity a.b + w is 1 and zero otherwise.
 
     That parity of row i against every column at once is an XOR of bit
     planes: bit j of plane b is bit b of column j's word (x, z, degree),
     and row i picks the planes set in its word (z, x, degree).  Rows that
-    pick the same planes share their mask.
+    pick the same planes share their mask, which is computed once.
     """
-    w = max(x | z for x, z, _, _ in records).bit_length()
-    words = [x | z << w | mask << 2 * w for (x, z, _, _), mask in zip(records, masks)]
-    width = max(words).bit_length()
-    # zip yields the most significant bit first; reversed() puts column 0 last
-    columns = zip(*(format(v, f"0{width}b") for v in reversed(words)))
-    planes = [int("".join(c), 2) for c in columns][::-1]
+    xs, zs = [r[0] for r in records], [r[1] for r in records]
+    w = (max(xs) | max(zs)).bit_length()
+    words = [x | z << w | mask << 2 * w for x, z, mask in zip(xs, zs, masks)]
+    size = max(1, (max(words).bit_length() + 7) // 8)
+    width = 8 * size
+    # every word as width binary digits in one string, column 0 last, so that
+    # plane b is every width-th digit
+    text = format(
+        int.from_bytes(b"".join([v.to_bytes(size, "big") for v in reversed(words)]), "big"),
+        f"0{width * len(words)}b",
+    )
+    planes = [int(text[width - 1 - b :: width], 2) for b in range(width)]
 
+    picks = [zs[i] | xs[i] << w | masks[i] << 2 * w for i in rows]
     found: dict[int, int] = {}
-    for i in rows:
-        x, z, _, _ = records[i]
-        pick = z | x << w | masks[i] << 2 * w
-        parity = found.get(pick)
-        if parity is None:
-            parity, bits = 0, pick
-            while bits:
-                low = bits & -bits
-                parity ^= planes[low.bit_length() - 1]
-                bits ^= low
-            found[pick] = parity
-        yield parity
+    for pick in set(picks):
+        parity, bits = 0, pick
+        while bits:
+            low = bits & -bits
+            parity ^= planes[low.bit_length() - 1]
+            bits ^= low
+        found[pick] = parity
+    return [found[pick] for pick in picks]
+
+
+def _labels(model: Model, centrals: bool) -> list[str]:
+    """The report labels of the supercharges, then those of the stored
+    central elements if asked for."""
+    texts = [degree_text(model.spec.n, mask) for mask in model.masks]
+    labels = [f"Q[{t}]" for t in texts]
+    if centrals:
+        labels += [f"Z[{texts[i]},{texts[j]}]" for i, j in model.pairs]
+    return labels
 
 
 def check_defining_relations(model: Model) -> RelationReport:
@@ -311,42 +215,61 @@ def check_defining_relations(model: Model) -> RelationReport:
     reversed pair reads the stored element of its two degrees with the sign
     that :meth:`Model.stored_central` gives it, applied here to the record.
 
-    In packed records (see :func:`_records`) the bracket of Q_a and Q_b is
-    2 Q_a Q_b or zero, as :func:`_nonzero_brackets` decides, and the target
-    term is 2 i**c T.  The pair holds exactly when the bracket is
-    2 Q_a Q_b and the record of Q_a Q_b is that of -i**c T.  A failing
+    The bracket of Q_a and Q_b is 2 Q_a Q_b or zero, as
+    :func:`_nonzero_brackets` decides, and the target term is 2 i**c T.  The
+    pair holds exactly when the bracket is 2 Q_a Q_b and the record of
+    Q_a Q_b is that of -i**c T.  For a distinct pair that second condition
+    says that the stored Z_ab is the record of (-i)**(1 - a.b) Q_a Q_b
+    (:func:`~graded_sqm.models.central`) in either orientation, because a
+    nonzero bracket fixes the sign between Q_a Q_b and Q_b Q_a; so it is
+    decided once per stored element, not once per ordered pair.  A failing
     pair's residual is the sum of the bracket and the target term
     (:func:`_residual`).
     """
-    degrees = model.odd_degrees
-    m = model.hamiltonian.clifford.m
-    h, *q = _records([model.hamiltonian, *(model.supercharge(a) for a in degrees)], m)
-    masks = [a.mask for a in degrees]
-    position = {mask: i for i, mask in enumerate(masks)}
-    stored = {
-        (position[a.mask], position[b.mask]): rec
-        for (a, b), rec in zip(model.centrals, _records(model.centrals.values(), m))
-    }
-    labels = [f"Q[{a}]" for a in degrees]
+    q, masks, h, pairs = model.q, model.masks, model.h, model.pairs
+    # bit j of wrong[i]: the target of pair (i, j) is not its product record
+    wrong = [int(product(u, u) != h) << i for i, u in enumerate(q)]
+    holds = [
+        t == central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1)
+        for (i, j), t in zip(pairs, model.z)
+    ]
+    stored = None  # pair -> record, made when a pair fails
+    if not all(holds):
+        stored = dict(zip(pairs, model.z))
+        for (i, j), ok in zip(pairs, holds):
+            if not ok:
+                wrong[i] |= 1 << j
+                if (j, i) not in stored:  # a reversed pair reads the stored element
+                    wrong[j] |= 1 << i
+    labels = _labels(model, centrals=False)
+    everything = (1 << len(q)) - 1
     results = []
     for i, nonzero in enumerate(_nonzero_brackets(q, masks, range(len(q)))):
-        for j in range(len(q)):
-            d = (masks[i] & masks[j]).bit_count() & 1
+        row, left = masks[i], labels[i]
+        kinds = [_KINDS[(row & mask).bit_count() & 1] for mask in masks]
+        bad = everything & ~(nonzero & ~wrong[i])
+        if not bad:
+            results += [
+                _new(PairCheck, (left, right, kind, True, None)) for right, kind in zip(labels, kinds)
+            ]
+            continue
+        if stored is None:
+            stored = dict(zip(pairs, model.z))
+        for j, (right, kind) in enumerate(zip(labels, kinds)):
+            if not bad >> j & 1:
+                results.append(PairCheck(left, right, kind, True))
+                continue
             # the target term is -2 H, -2 i**(1 - d) Z for a stored pair and
             # -2 sign i**(1 - d) Z, sign = -(-1)**d, for a reversed one
+            d = kind == ANTICOMMUTATOR
             if i == j:
                 t, c = h, 2
             elif (i, j) in stored:
                 t, c = stored[i, j], 3 - d
             else:
                 t, c = stored[j, i], 1 + d
-            tx, tz, tk, te = t
-            bracket = _product(q[i], q[j]) if nonzero >> j & 1 else None
-            ok = bracket == (tx, tz, (tk + c + 2) & 3, te)
-            res = None
-            if not ok:
-                res = _residual([(bracket, 0), (t, c)] if bracket else [(t, c)])
-            results.append(PairCheck(labels[i], labels[j], _KINDS[d], ok, res))
+            terms = [(product(q[i], q[j]), 0), (t, c)] if nonzero >> j & 1 else [(t, c)]
+            results.append(PairCheck(left, right, kind, False, _residual(terms)))
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
 
@@ -362,27 +285,27 @@ def check_centrality(model: Model) -> RelationReport:
     aggregate row; otherwise it gets one row per failing pair, whose
     residual is the bracket 2 u v (:func:`_residual`).
     """
-    ops = model.operators()  # H, then the supercharges, then the centrals
-    records = _records(ops, model.hamiltonian.clifford.m)
-    masks = [op.degree.mask for op in ops]
-    nq = len(model.supercharges)
+    records = [model.h, *model.q, *model.z]  # H, then the supercharges, then the centrals
+    masks = [0, *model.masks, *[model.masks[i] ^ model.masks[j] for i, j in model.pairs]]
+    nq = len(model.q)
     supercharges = ((1 << nq) - 1) << 1
-    left = [0, *range(1 + nq, len(ops))]
-    labels = [op.label() for op in ops]
+    left = [0, *range(1 + nq, len(records))]
+    labels = ["H", *_labels(model, centrals=True)]
     results: list[PairCheck] = []
+    last = len(records) - 1
     for i, nonzero in zip(left, _nonzero_brackets(records, masks, left)):
         # bit_length finds a later column in O(1), where a shift copies the mask
         if not (nonzero & supercharges or nonzero.bit_length() > i + 1):
-            right = f"{nq} supercharges and {len(ops) - 1 - max(i, nq)} later central elements"
-            results.append(PairCheck(labels[i], right, "graded", True))
+            right = f"{nq} supercharges and {last - (i or nq)} later central elements"
+            results.append(_new(PairCheck, (labels[i], right, "graded", True, None)))
             continue
-        bad = nonzero & (supercharges | (1 << len(ops)) - (2 << i))
+        bad = nonzero & (supercharges | (1 << len(records)) - (2 << i))
         while bad:
             low = bad & -bad
             bad ^= low
             j = low.bit_length() - 1
             d = (masks[i] & masks[j]).bit_count() & 1
-            res = _residual([(_product(records[i], records[j]), 0)])
+            res = _residual([(product(records[i], records[j]), 0)])
             results.append(PairCheck(labels[i], labels[j], _KINDS[d], False, res))
     return RelationReport(
         model.spec.selector, "centrality", centrality_results=tuple(results)
@@ -444,36 +367,46 @@ class RankReport(NamedTuple):
 def central_rank(model: Model) -> RankReport:
     """Group central elements by degree and rank each span exactly.
 
-    Each element is a phase times its packed word (see :func:`_records`):
-    distinct words, or equal words with distinct ladder powers, are linearly
-    independent, and the rest are proportional.  So the rank of a group is
-    the number of distinct (word, power) keys, and the proportionality
-    classes are the elements sharing a key, in order of first appearance.
-    The model-wide rank is reported when every central element has the same
-    block bits, as in every family but minimal.  minimal's report keeps the
-    null it has always had there: filling it changes the report schema.
+    Each element is a phase times its packed word (see
+    :class:`~graded_sqm.models.Model`): distinct words, or equal words with
+    distinct ladder powers, are linearly independent, and the rest are
+    proportional.  So the rank of a group is the number of distinct
+    (word, power) keys, and the proportionality classes are the elements
+    sharing a key, in order of first appearance.  The model-wide rank is
+    reported when every central element has the same block bits, as in
+    every family but minimal.  minimal's report keeps the null it has always
+    had there: filling it changes the report schema.
     """
-    zs = list(model.centrals.values())
-    groups: dict[DegreeVector, tuple[list[str], dict[tuple[int, int, int], list[str]]]] = {}
-    keys = []
-    for z, (x, zbits, _, e) in zip(zs, _records(zs, model.hamiltonian.clifford.m)):
-        key = (x, zbits, e)
-        keys.append(key)
-        label = z.label()
-        elements, classes = groups.setdefault(z.degree, ([], {}))
-        elements.append(label)
-        classes.setdefault(key, []).append(label)
+    masks = model.masks
+    keys = [(x, zbits, e) for x, zbits, _, e in model.z]
+    degrees = [masks[i] ^ masks[j] for i, j in model.pairs]
+    # by degree, in order of first appearance: the labels, and the labels by key
+    elements: dict[int, list[str]] = {}
+    classes: dict[int, dict[tuple[int, int, int], list[str]]] = {}
+    for degree, label, key in zip(degrees, _labels(model, centrals=True)[len(model.q):], keys):
+        group = classes.get(degree)
+        if group is None:
+            elements[degree], group = [], classes.setdefault(degree, {})
+        elements[degree].append(label)
+        same = group.get(key)
+        if same is None:
+            group[key] = [label]
+        else:
+            same.append(label)
     entries = tuple(
-        DegreeRankEntry(str(degree), tuple(elements), len(classes), tuple(map(tuple, classes.values())))
-        for degree, (elements, classes) in groups.items()
+        DegreeRankEntry(
+            degree_text(model.spec.n, degree), tuple(elements[degree]), len(group),
+            tuple(map(tuple, group.values())),
+        )
+        for degree, group in classes.items()
     )
 
     total_rank = None
     all_independent = None
     if len({(zbits & 1, e) for _, zbits, e in keys}) == 1:
         total_rank = len(set(keys))
-        all_independent = total_rank == len(zs)
-    return RankReport(model.spec.selector, entries, len(zs), total_rank, all_independent)
+        all_independent = total_rank == len(keys)
+    return RankReport(model.spec.selector, entries, len(keys), total_rank, all_independent)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +455,14 @@ def orbit_decomposition(model: Model) -> OrbitReport:
     """Connected components of the tensor-basis lines under the supercharges.
 
     A supercharge whose packed record has the x word x (see
-    :func:`_records`; its last bit is the block's e mod 2, 1 for an
-    antidiagonal block) maps basis line (c, i) to a multiple of line
+    :class:`~graded_sqm.models.Model`; its last bit is the block's e mod 2,
+    1 for an antidiagonal block) maps basis line (c, i) to a multiple of line
     (c, i) ^ x.  The component of a line is therefore its coset under the
     GF(2) span of the x words: with r the rank of that span there are
     2**(m+1-r) components, each of size 2**r.
     """
-    m = model.hamiltonian.clifford.m
-    r = _gf2_rank(x for x, _, _, _ in _records(model.supercharges.values(), m))
-    sizes = (1 << r,) * (1 << (m + 1 - r))
+    r = _gf2_rank(x for x, _, _, _ in model.q)
+    sizes = (1 << r,) * (1 << (model.m + 1 - r))
     return OrbitReport(model.spec.selector, 2 * model.clifford_dim, sizes)
 
 
@@ -541,10 +473,8 @@ def count_generated_operators(model: Model) -> int:
     four-element quotient of the block group: antidiagonal or not, and the
     relative sign of the two nonzero entries).  The pattern of
     i**k S**s Q**e is (e mod 2, s), the block qubit of the packed record
-    (see :func:`_records`).  A product XORs the record's (x, z) words, and
+    (see :class:`~graded_sqm.models.Model`).  A product XORs the record's (x, z) words, and
     every class is its own inverse, so the set is the GF(2) span of the
     supercharges' words and has 2**rank elements.
     """
-    m = model.hamiltonian.clifford.m
-    records = _records(model.supercharges.values(), m)
-    return 1 << _gf2_rank(x << m + 1 | z for x, z, _, _ in records)
+    return 1 << _gf2_rank(x << model.m + 1 | z for x, z, _, _ in model.q)

@@ -120,8 +120,11 @@ class TestVerifyCommand:
         m = build_from_selector("minimal:n=2")
         a = m.odd_degrees[0]
         charges = {**m.supercharges, a: replace(m.supercharges[a], block=q + h)}
-        broken = Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
-        monkeypatch.setattr("graded_sqm.models.build", lambda spec: broken)
+        # the model refuses the block where it is made, inside the CLI's build
+        monkeypatch.setattr(
+            "graded_sqm.models.build",
+            lambda spec: Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals),
+        )
         code, out, err = run(capsys, "verify", "--model", "minimal:n=2", "--rank")
         assert (code, out) == (2, "")
         assert "not a monomial" in err
@@ -777,6 +780,35 @@ class TestStartup:
         )
         assert "graded_sqm.verify" in loaded
         assert "graded_sqm.realizations" not in loaded and "numpy" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "next:n=4", "--rank", "--orbits", "--counts", "--format", "json"],
+            ["--model", "minimal:n=3"],
+        ],
+        ids=["next4-every-section", "minimal3-checks"],
+    )
+    def test_verify_loads_no_dataclasses_block_algebra_or_views(self, tmp_path, argv):
+        # the exact checks read the model's packed tables: no module that
+        # defines an operator object is imported, nor dataclasses
+        out = str(tmp_path / "report")
+        script = f"""
+            import json, sys
+            before = set(sys.modules)
+            from graded_sqm import cli
+
+            assert cli.main(["verify", *{argv!r}, "--out", {out!r}]) == 0
+            print(json.dumps(sorted(set(sys.modules) - before)))
+            """
+        proc = TestNumpyFree.run_fresh(textwrap.dedent(script))
+        assert proc.returncode == 0, proc.stderr
+        added = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert not added & {"dataclasses", "graded_sqm.sqm_block", "graded_sqm.operators"}
+        assert {m for m in added if m.startswith("graded_sqm")} == {
+            "graded_sqm", "graded_sqm.cli", "graded_sqm.grading", "graded_sqm.models",
+            "graded_sqm.verify",
+        }
 
     def test_fock_spectrum_loads_realizations_without_numpy(self, tmp_path):
         out = str(tmp_path / "report.md")

@@ -183,7 +183,7 @@ class TestNextFamily:
 
         ys = {}
         for a in enumerate_odd_degrees(n):
-            ys[a] = _gamma_word(a.bits, n).scale(hermitizing_phase(a, n))
+            ys[a] = PauliOperator(n, *_gamma_word(a.mask, n)).scale(hermitizing_phase(a, n))
         for a, b in itertools.combinations(ys, 2):
             if dot(a, b):
                 assert commutes(ys[a], ys[b])
@@ -321,13 +321,12 @@ class TestModelStructure:
 class TestGeneratorCheck:
     def test_refuses_a_non_hermitian_generator_under_python_O(self):
         # -O strips assert statements; the build-time check must survive it.
-        # The generator is X Z = -iY.
+        # The generator (x, z, k) = (1, 1, 0) is X Z = -iY.
         src = str(Path(graded_sqm.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         script = (
-            "from graded_sqm.clifford import PauliOperator\n"
             "from graded_sqm.models import _check_generator\n"
-            "_check_generator(PauliOperator(1, 1, 1), 'g')\n"
+            "_check_generator((1, 1, 0), 'g')\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],

@@ -17,6 +17,7 @@ from graded_sqm.grading import (
     dot,
 )
 from graded_sqm.models import GradedOperator, Model
+from graded_sqm.operators import read_records
 from graded_sqm.realizations import (
     GRID_CLUSTER_TOL,
     MAX_FOCK_LEVELS,
@@ -403,12 +404,130 @@ class TestPackedRecords:
         a = m.odd_degrees[0]
         charges = dict(m.supercharges)
         charges[a] = replace(charges[a], block=q + h)
-        broken = Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
-        for check in (
-            check_defining_relations, check_centrality, orbit_decomposition, count_generated_operators
-        ):
+        # the model is refused where it is made, so no check ever sees it
+        with pytest.raises(ValueError, match="not a monomial"):
+            Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
+
+    def test_non_monomial_hamiltonian_refused_where_read(self, models):
+        # the model keeps such an H, so that the spectrum can name what is
+        # wrong with it; a check refuses it when it reads H's record
+        q, h, _ = canonical_blocks()
+        m = models("minimal:n=3")
+        broken = Model(m.spec, m.odd_degrees, replace(m.hamiltonian, block=h + q), m.supercharges, m.centrals)
+        for check in (check_defining_relations, check_centrality):
             with pytest.raises(ValueError, match="not a monomial"):
                 check(broken)
+        with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+            spectrum(broken, FockRealization(4))
+        assert orbit_decomposition(broken) == orbit_decomposition(m)
+
+    def test_markdown_residuals_are_code_spans(self, models):
+        # CommonMark reads *S^0* in a bare table cell as emphasis; the JSON
+        # keeps the residual text as it is
+        broken = mutate_like_bench(models("next:n=3"), "q-times-i", random.Random("1:next:n=3:q-times-i"))
+        rel = check_defining_relations(broken)
+        first = rel.failures()[0]
+        assert (first.left, first.right) == ("Q[001]", "Q[010]")
+        assert first.residual == "nonzero residual (2-2i)*S^0*Q^2 on clifford string x=2 z=3"
+        assert rel.to_dict()["pair_results"][1]["residual"] == first.residual
+        text = rel.to_markdown()
+        assert f"| Q[001] | Q[010] | commutator | `{first.residual}` |" in text.splitlines()
+        for p in rel.failures():
+            assert f"`{p.residual}`" in text and "`" not in p.residual
+
+
+# every benchmark ladder selector and both wide ones, in each ordering its family allows
+TABLE_MODELS = [
+    *(f"{family}:n={n}" for family in ("minimal", "next") for n in range(2, 7)),
+    *(f"maximal:n={n}" for n in range(2, 5)),
+    "n4cl12", "n4cl10", "n5cl26", "n5cl28",
+]
+TABLE_SPECS = [
+    (sel, ordering)
+    for sel in TABLE_MODELS
+    for ordering in (("default",) if sel.startswith("n") and sel[1].isdigit() else ("default", "reversed"))
+]
+
+
+class TestRecordsAreTheModel:
+    """A model is packed tables; its operator objects are views of them."""
+
+    @staticmethod
+    def build(sel: str, ordering: str) -> Model:
+        from graded_sqm.models import ModelSpec, build
+
+        return build(ModelSpec.parse(sel, ordering))
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_tables_are_the_records_of_their_views(self, sel, ordering):
+        model = self.build(sel, ordering)
+        ops = model.operators()
+        assert read_records(ops, model.m) == [model.h, *model.q, *model.z]
+        assert model.m == model.hamiltonian.clifford.m == model.spec.qubits
+        assert model.masks == tuple(a.mask for a in model.odd_degrees)
+        position = {a: i for i, a in enumerate(model.odd_degrees)}
+        assert model.pairs == tuple((position[a], position[b]) for a, b in model.centrals)
+        for (a, b), z in model.centrals.items():
+            assert z.degree == a + b and z.pair == (a, b)
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_central_records_are_pair_products(self, sel, ordering):
+        # Z_ab = (-i)**(1 - a.b) Q_a Q_b: the words XOR, the phase adds
+        # 2 |z_a & x_b| and 3 (1 - a.b), the ladder powers add
+        model = self.build(sel, ordering)
+        q, masks = model.q, model.masks
+        for (i, j), z in zip(model.pairs, model.z):
+            (xa, za, ka, ea), (xb, zb, kb, eb) = q[i], q[j]
+            d = (masks[i] & masks[j]).bit_count() & 1
+            phase = (ka + kb + 2 * (za & xb).bit_count() + 3 * (1 - d)) % 4
+            assert z == (xa ^ xb, za ^ zb, phase, ea + eb), (i, j)
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_model_from_its_views_reports_the_same(self, sel, ordering):
+        model = self.build(sel, ordering)
+        again = Model(
+            model.spec, model.odd_degrees, model.hamiltonian, model.supercharges, model.centrals
+        )
+        assert (again.m, again.masks, again.h, again.q, again.pairs, again.z) == (
+            model.m, model.masks, model.h, model.q, model.pairs, model.z
+        )
+        for check in (
+            check_defining_relations, check_centrality, central_rank, orbit_decomposition,
+            count_generated_operators,
+        ):
+            assert check(again) == check(model), check.__name__
+
+    @pytest.mark.parametrize("sel", ["minimal:n=3", "next:n=3", "maximal:n=3"])
+    def test_every_record_flip_is_detected(self, models, sel):
+        # every single-bit flip of x or z, the block qubit included, and
+        # every change of k, in the Hamiltonian's record and in every
+        # supercharge and central record
+        model = models(sel)
+        width = model.m + 1
+
+        def flips(record):
+            x, z, k, e = record
+            for bit in range(width):
+                yield x ^ 1 << bit, z, k, e
+                yield x, z ^ 1 << bit, k, e
+            for dk in (1, 2, 3):
+                yield x, z, (k + dk) % 4, e
+
+        trials = 0
+        for name in ("h", "q", "z"):
+            records = (model.h,) if name == "h" else getattr(model, name)
+            for index, record in enumerate(records):
+                for flipped in flips(record):
+                    tables = {"h": (model.h,), "q": model.q, "z": model.z}
+                    tables[name] = (*records[:index], flipped, *records[index + 1:])
+                    (h,) = tables["h"]
+                    broken = Model.from_tables(
+                        model.spec, model.m, model.masks, h, tables["q"], model.pairs, tables["z"]
+                    )
+                    rel, cen = check_defining_relations(broken), check_centrality(broken)
+                    assert not (rel.overall and cen.overall), (name, index, flipped)
+                    trials += 1
+        assert trials == (1 + len(model.q) + len(model.z)) * (2 * width + 3)
 
 
 class TestCentrality:
@@ -491,7 +610,7 @@ class TestCentrality:
         for m in variants:
             ops = m.operators()
             want = [[TensorSum(graded_bracket_terms(u, v)).is_zero() for v in ops] for u in ops]
-            records = verify._records(ops, m.hamiltonian.clifford.m)
+            records = read_records(ops, m.hamiltonian.clifford.m)
             degrees = [op.degree.mask for op in ops]
             masks = list(_nonzero_brackets(records, degrees, range(len(ops))))
             assert all(0 <= mask < 1 << len(ops) for mask in masks)
