@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -95,7 +96,9 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
 
             return GridRealization.from_function(points, spacing, w, label=w_expr)
     import numpy as np
-    values = np.loadtxt(path, dtype=float).reshape(-1)
+    with warnings.catch_warnings():  # an empty table is refused below, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        values = np.loadtxt(path, dtype=float).reshape(-1)
     if values.shape != (points,):
         raise ValueError(
             f"superpotential table {path!r} has {values.shape[0]} values, "

@@ -33,16 +33,6 @@ CUSTOM_FAMILIES = {"n4cl12": (4, 6), "n4cl10": (4, 5), "n5cl28": (5, 14), "n5cl2
 FAMILIES = ("minimal", "next", "maximal", *CUSTOM_FAMILIES)
 
 
-def __getattr__(name: str):
-    # the operator view resolves here lazily, for code that imports it from
-    # this module; a verify call never loads it
-    if name == "GradedOperator":
-        from .operators import GradedOperator
-
-        return GradedOperator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ModelSpecError(ValueError):
     """Invalid model selector, rank out of cap, or incompatible options."""
 
@@ -123,9 +113,31 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
 # ---------------------------------------------------------------------------
 
 Record = tuple[int, int, int, int]
+Block = tuple[int, int, int]  # (k, s, e): the monomial block i**k S**s Q**e
+
+# the build's supercharge blocks, by block bit: Q, and i Q S = i**3 S Q
+Q_BLOCKS: tuple[Block, Block] = ((0, 0, 1), (3, 1, 1))
 
 # the Hamiltonian 1 x Q Q: Q Q is the canonical block diag(Ad A, A Ad)
 HAMILTONIAN_RECORD: Record = (0, 0, 0, 2)
+
+
+def fold(x: int, z: int, k: int, block: Block) -> Record:
+    """The record of i**k X**x Z**z x i**kb S**s Q**e, for block (kb, s, e):
+    the block is the last qubit, with x bit e mod 2 and z bit s, and its
+    phase kb joins k, with the sign of Z**s X**e = (-1)**(s e) X**e Z**s."""
+    kb, s, e = block
+    odd = e & 1
+    return x << 1 | odd, z << 1 | s, (k + kb + 2 * (s & odd)) & 3, e
+
+
+def split(record: Record) -> tuple[int, int, int, int, int]:
+    """The (x, z, k, s, e) with ``fold(x, z, k, (0, s, e)) == record``:
+    the Clifford string, its phase and the block S**s Q**e.  The block
+    qubit's x bit is read as e mod 2 and not checked."""
+    x, z, k, e = record
+    s = z & 1
+    return x >> 1, z >> 1, (k + 2 * (s & e)) & 3, s, e
 
 
 def product(u: Record, v: Record) -> Record:
@@ -153,9 +165,10 @@ class Model:
     qubits, the ladder block the last one, times a ladder power.  A
     monomial block i**k S**s Q**e multiplies like the one-qubit string
     i**k Z**s X**(e mod 2) with the powers of Q added, since S anticommutes
-    with Q as Z with X, S S = 1 and Q Q = H.  So the block qubit has x bit
-    e mod 2 and z bit s, the block's phase is folded into k, and a product
-    is :func:`product` (after Aaronson & Gottesman, quant-ph/0406196).
+    with Q as Z with X, S S = 1 and Q Q = H.  :func:`fold`, :func:`split`
+    and the build's blocks ``Q_BLOCKS`` are the one statement of this
+    format; a product is :func:`product` (after Aaronson & Gottesman,
+    quant-ph/0406196).
 
     The tables: ``masks``, the supercharges' degree masks in the model's
     ordering; ``q``, their records; ``h``, the Hamiltonian's; ``pairs``,
@@ -163,14 +176,14 @@ class Model:
     every built model) and ``z``, their records; ``m``, the number of
     Clifford qubits.  The exact checks read these and nothing else.
 
-    The operators are views, made on demand by :mod:`graded_sqm.operators`:
-    ``hamiltonian``, ``supercharges``, ``centrals``, :meth:`central` and
-    :meth:`operators`.  ``Model(spec, odd_degrees, hamiltonian,
-    supercharges, centrals)`` makes a model from operators: it keeps them
-    as its views, reads each record once and refuses a supercharge or
-    central element whose block is not a monomial.  A Hamiltonian with such
-    a block is kept for the spectrum to refuse by name; a check refuses it
-    when it reads ``h``.
+    The operators are views, made on demand by :mod:`graded_sqm.operators`
+    by splitting the records: ``hamiltonian``, ``supercharges``,
+    ``centrals``, :meth:`central` and :meth:`operators`.  ``Model(spec,
+    odd_degrees, hamiltonian, supercharges, centrals)`` makes a model from
+    operators: it keeps them as its views, reads each record once and
+    refuses a supercharge or central element whose block is not a monomial.
+    A Hamiltonian with such a block is kept for the spectrum to refuse by
+    name; a check refuses it when it reads ``h``.
     """
 
     __slots__ = ("spec", "m", "masks", "_h", "q", "pairs", "z", "_views")
@@ -380,19 +393,16 @@ def _assemble_product_family(
 ) -> Model:
     """Q_a = G_a x B_a and Z_ab = (-i)**(1 - a.b) Q_a Q_b, as packed records.
 
-    B_a is the supercharge block Q for block bit s_a = 0 (every degree when
-    ``block_bits`` is None) and i Q S = i**3 S Q for s_a = 1.  So Q_a's
-    record is G_a's string with the block qubit (x bit 1, z bit s_a)
-    appended, its phase raised by s_a and ladder power 1, and each central
-    record is :func:`central` of its pair: B_a B_b is H when s_a == s_b
-    and +-i H S when they differ.
+    B_a is ``Q_BLOCKS[s_a]``: Q for block bit s_a = 0 (every degree when
+    ``block_bits`` is None) and i Q S for s_a = 1.  So Q_a's record is the
+    fold of G_a and B_a, and each central record is :func:`central` of its
+    pair: B_a B_b is H when s_a == s_b and +-i H S when they differ.
     """
     bits = block_bits or [0] * len(masks)
     q = []
     for mask, g, s in zip(masks, gens, bits):
         _check_generator(g, f"generator for degree {degree_text(spec.n, mask)}")
-        x, z, k = g
-        q.append((x << 1 | 1, z << 1 | s, (k + s) & 3, 1))
+        q.append(fold(*g, Q_BLOCKS[s]))
     pairs = [(i, j) for i in range(len(q)) for j in range(i + 1, len(q))]
     z = [central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1) for i, j in pairs]
     return Model.from_tables(spec, spec.qubits, masks, HAMILTONIAN_RECORD, q, pairs, z)

@@ -20,7 +20,10 @@ from typing import Iterable, NamedTuple
 
 from .clifford import PHASES, PauliOperator
 from .grading import DegreeVector, bracket_sign, dot
-from .models import CENTRAL, HAMILTONIAN, SUPERCHARGE, Model, Record
+from .models import (
+    CENTRAL, HAMILTONIAN, HAMILTONIAN_RECORD, Q_BLOCKS, SUPERCHARGE, Block, Model, Record, central,
+    fold, split,
+)
 from .sqm_block import SqmBlock, canonical_blocks
 
 
@@ -92,11 +95,10 @@ def _read_block(block: SqmBlock) -> tuple[int, int, int]:
 
 
 def read_records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
-    """Each operator as its packed record on m + 1 qubits (see
-    :class:`~graded_sqm.models.Model`): the block i**k S**s Q**e becomes
-    the last qubit, with x bit e mod 2 and z bit s, and its phase joins the
-    string's.  Each distinct block is read once."""
-    read: dict[int, tuple] = {}  # id(block) -> (block, k, s, e); the block stays alive
+    """Each operator as its packed record on m + 1 qubits: the
+    :func:`~graded_sqm.models.fold` of its Clifford string and its block
+    i**k S**s Q**e.  Each distinct block is read once."""
+    read: dict[int, tuple] = {}  # id(block) -> (block, (k, s, e)); the block stays alive
     out = []
     for op in ops:
         p, block = op.clifford, op.block
@@ -104,10 +106,8 @@ def read_records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
             raise ValueError(f"dimension mismatch: {p.dim} vs {1 << m}")
         got = read.get(id(block))
         if got is None:
-            got = read[id(block)] = (block, *_read_block(block))
-        _, k, s, e = got
-        odd = e & 1
-        out.append((p.x << 1 | odd, p.z << 1 | s, (p.k + k + 2 * (s & odd)) & 3, e))
+            got = read[id(block)] = (block, _read_block(block))
+        out.append(fold(p.x, p.z, p.k, got[1]))
     return out
 
 
@@ -139,49 +139,38 @@ def views(model: Model) -> dict:
     """The views of a model's tables, as ``Model`` hands them out: its odd
     degrees, Hamiltonian, supercharges and central elements.
 
-    Each view carries the block of the build: Q for a supercharge of block
-    bit 0 and i Q S for block bit 1, (B_a B_b) (-i)**(1 - a.b) for Z_ab,
-    and diag(Ad A, A Ad) for H.  Its Clifford factor is the record with
-    that block divided out.  A record whose block qubit that block does not
-    fit, which no build makes, gets the block S**s Q**e.
+    Each view splits its record (:func:`~graded_sqm.models.split`) and
+    carries the block of the build, read off that block's one-qubit record:
+    ``Q_BLOCKS[s]`` for a supercharge of block bit s, :func:`central` of
+    its pair's two for Z_ab, and that of ``HAMILTONIAN_RECORD`` for H.  Its
+    Clifford factor is the record with that block divided out.  A record
+    whose block qubit that block does not fit, which no build makes, gets
+    the block S**s Q**e.
     """
     m = model.m
-    qb, hb, sb = canonical_blocks()
-    charge = (qb, (qb @ sb) * 1j)
-    read: dict[int, tuple] = {}  # id(block) -> (block, k, s, e), as in read_records
+    charge = [fold(0, 0, 0, block) for block in Q_BLOCKS]  # the blocks' one-qubit records
 
-    def view(record: Record, block: SqmBlock, degree, role, pair=None) -> GradedOperator:
-        got = read.get(id(block))
-        if got is None:
-            got = read[id(block)] = (block, *_read_block(block))
-        _, kb, s, e = got
-        x, z, k, power = record
-        if (s, e & 1, e) != (z & 1, x & 1, power):
-            if x & 1 != power & 1:
-                raise ValueError(f"record {record} has block x bit {x & 1} but ladder power {power}")
-            kb, s, e = 0, z & 1, power
-            block = _monomial(0, s, e)
-        clifford = PauliOperator(m, x >> 1, z >> 1, k - kb - 2 * (s & e & 1))
-        return GradedOperator(clifford, block, degree, role, pair)
+    def view(record: Record, block: Block, degree, role, pair=None) -> GradedOperator:
+        x, z, k, s, e = split(record)
+        if fold(x, z, k, (0, s, e)) != record:
+            raise ValueError(f"record {record}: the block's x bit is not its ladder power's parity")
+        kb = block[0] if block[1:] == (s, e) else 0
+        return GradedOperator(PauliOperator(m, x, z, k - kb), _monomial(kb, s, e), degree, role, pair)
 
     degrees = tuple(DegreeVector(model.spec.n, mask) for mask in model.masks)
+    bits = [split(r)[3] for r in model.q]
     supercharges = {
-        a: view(r, charge[r[1] & 1], a, SUPERCHARGE) for a, r in zip(degrees, model.q)
+        a: view(r, Q_BLOCKS[s], a, SUPERCHARGE) for a, r, s in zip(degrees, model.q, bits)
     }
-    shared: dict[tuple[int, int, int], SqmBlock] = {}
     centrals = {}
     for (i, j), r in zip(model.pairs, model.z):
         a, b = degrees[i], degrees[j]
-        key = (model.q[i][1] & 1, model.q[j][1] & 1, dot(a, b))
-        block = shared.get(key)
-        if block is None:
-            s_a, s_b, d = key
-            block = shared[key] = (charge[s_a] @ charge[s_b]) * (-1j) ** (1 - d)
+        block = split(central(charge[bits[i]], charge[bits[j]], dot(a, b)))[2:]
         centrals[(a, b)] = view(r, block, a + b, CENTRAL, (a, b))
-    hamiltonian = view(model.h, hb, DegreeVector.zero(model.spec.n), HAMILTONIAN)
+    zero = DegreeVector.zero(model.spec.n)
     return {
-        "odd_degrees": degrees, "hamiltonian": hamiltonian, "supercharges": supercharges,
-        "centrals": centrals,
+        "odd_degrees": degrees, "supercharges": supercharges, "centrals": centrals,
+        "hamiltonian": view(model.h, split(HAMILTONIAN_RECORD)[2:], zero, HAMILTONIAN),
     }
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .models import HAMILTONIAN_RECORD
+from .models import HAMILTONIAN_RECORD, split
 from .sqm_block import LOWER, RAISE, Word, WordSum, ground_state_pair
 
 if TYPE_CHECKING:
@@ -183,7 +183,7 @@ class GridRealization:
     def __post_init__(self) -> None:
         check_grid(self.points, self.spacing)
         import numpy as np
-        w = np.asarray(self.w_values, dtype=float)
+        w = np.array(self.w_values, dtype=float)  # a private copy, frozen below
         if w.shape != (self.points,):
             raise ValueError("w_values must have one value per grid point")
         if not np.all(np.isfinite(w)):
@@ -409,7 +409,7 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         h = model.h
     except ValueError:  # a model made from operators, whose H block is no monomial
         h = None
-    if h is not None and (h[0] | h[1]) >> 1:
+    if h is not None and split(h)[:2] != (0, 0):
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
         )

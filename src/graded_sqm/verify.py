@@ -23,18 +23,11 @@ from importlib import import_module
 from typing import Iterable, NamedTuple, Sequence
 
 from .grading import ANTICOMMUTATOR, COMMUTATOR, degree_text
-from .models import Model, Record, central, product
+from .models import Model, Record, central, product, split
 
-# names that resolve here lazily (PEP 562), from the modules that define
-# them: the tests' tensor-sum oracle, and the block realization that the
-# benchmark's tracer wraps
-_LAZY = {
-    "TensorSum": "operators",
-    "TensorTerm": "operators",
-    "graded_bracket_terms": "operators",
-    "realize": "sqm_block",
-    "ground_state_pair": "sqm_block",
-}
+# names that resolve here lazily (PEP 562), from the module that defines
+# them: the block realization that the benchmark's tracer wraps
+_LAZY = {"realize": "sqm_block", "ground_state_pair": "sqm_block"}
 
 
 def __getattr__(name: str):
@@ -64,20 +57,18 @@ def _gaussian(re: int, im: int) -> str:
 def _residual(terms: Iterable[tuple[Record, int]]) -> str | None:
     """The text of the sum of 2 i**c R over the (R, c) terms, None if it is zero.
 
-    A record (x, z, k, e) splits back into the tensor term
-    i**(k + 2 (s & e & 1)) P(x >> 1, z >> 1) x S**s Q**e with s = z & 1,
-    which undoes the block's fold into the record (see
-    :class:`~graded_sqm.models.Model`).  Distinct Pauli strings are
-    linearly independent, and so are the monomials S**s Q**e of distinct
+    A record splits back (:func:`~graded_sqm.models.split`) into the tensor
+    term i**k P(x, z) x S**s Q**e.  Distinct Pauli strings are linearly
+    independent, and so are the monomials S**s Q**e of distinct
     (s, e), so the sum is zero exactly when the coefficients of each
     monomial on each string add up to zero.  The text names the first
     string, in the order of the terms, whose monomials do not all cancel.
     """
     strings: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
-    for (x, z, k, e), c in terms:
-        s = z & 1
-        re, im = _UNITS[(k + c + 2 * (s & e)) & 3]
-        monomials = strings.setdefault((x >> 1, z >> 1), {})
+    for record, c in terms:
+        x, z, k, s, e = split(record)
+        re, im = _UNITS[(k + c) & 3]
+        monomials = strings.setdefault((x, z), {})
         r0, i0 = monomials.get((s, e), (0, 0))
         monomials[s, e] = (r0 + 2 * re, i0 + 2 * im)
     for (x, z), monomials in strings.items():
@@ -403,7 +394,7 @@ def central_rank(model: Model) -> RankReport:
 
     total_rank = None
     all_independent = None
-    if len({(zbits & 1, e) for _, zbits, e in keys}) == 1:
+    if len({split(r)[3:] for r in model.z}) == 1:
         total_rank = len(set(keys))
         all_independent = total_rank == len(keys)
     return RankReport(model.spec.selector, entries, len(keys), total_rank, all_independent)

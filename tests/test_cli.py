@@ -655,6 +655,29 @@ class TestSuperpotentialParsing:
             make_grid_realization(51, 0.1, str(path))
 
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("warn", ["default", "error"])
+    @pytest.mark.parametrize("text", ["", "# no values\n"], ids=["empty", "comments"])
+    def test_empty_table_is_one_error_line(self, tmp_path, command, warn, text):
+        # a table with no values is a usage error, with no numpy warning on
+        # stderr, also when warnings are errors
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        argv = [command, "--model", "minimal:n=2", "--grid", "--points", "5", "--W", f"@{path}"]
+        proc = subprocess.run(
+            [sys.executable, "-W", warn, "-m", "graded_sqm", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: superpotential table {str(path)!r} has 0 values, expected 5"
+        ]
+
+
 class TestClosedStdout:
     # the child waits for a line on stdin, so its stdout has no reader left
     # when it writes the report
@@ -845,6 +868,20 @@ class TestStartup:
             """
         )
         assert loaded == {"graded_sqm", "graded_sqm.cli", "graded_sqm.grading"}
+
+    def test_operator_objects_resolve_from_operators_only(self):
+        from graded_sqm import models, operators, sqm_block, verify
+
+        for module, name in [
+            (models, "GradedOperator"), (verify, "TensorSum"), (verify, "TensorTerm"),
+            (verify, "graded_bracket_terms"),
+        ]:
+            assert hasattr(operators, name)
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+        # the benchmark's tracer wraps these where verify looks them up
+        assert verify.realize is sqm_block.realize
+        assert verify.ground_state_pair is sqm_block.ground_state_pair
 
     def test_every_public_name_resolves_to_its_module(self):
         import importlib

@@ -237,6 +237,13 @@ class TestGridRealization:
         with pytest.raises(ValueError):
             GridRealization(5, -0.1, np.zeros(5))
 
+    def test_caller_array_is_copied_not_frozen(self):
+        w = np.linspace(-1.0, 1.0, 5)
+        r = GridRealization(5, 0.5, w)
+        assert w.flags.writeable and not r.w_values.flags.writeable
+        w[0] = 7.0
+        assert r.w_values[0] == -1.0
+
     def test_ladders_built_once_read_only_as_the_loop_builds_them(self):
         r = make_grid(41, 0.25, lambda x: x**3)
         d = np.zeros((41, 41))

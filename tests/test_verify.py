@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graded_sqm import verify
+from graded_sqm import operators
 from graded_sqm.clifford import PHASES, PauliOperator, gamma, proportional
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
@@ -16,8 +16,8 @@ from graded_sqm.grading import (
     bracket_kind,
     dot,
 )
-from graded_sqm.models import GradedOperator, Model
-from graded_sqm.operators import read_records
+from graded_sqm.models import Model, fold, product, split
+from graded_sqm.operators import TensorSum, TensorTerm, graded_bracket_terms, read_records
 from graded_sqm.realizations import (
     GRID_CLUSTER_TOL,
     MAX_FOCK_LEVELS,
@@ -35,14 +35,11 @@ from graded_sqm.sqm_block import (
     realize,
 )
 from graded_sqm.verify import (
-    TensorSum,
-    TensorTerm,
     _nonzero_brackets,
     central_rank,
     check_centrality,
     check_defining_relations,
     count_generated_operators,
-    graded_bracket_terms,
     orbit_decomposition,
 )
 
@@ -320,7 +317,7 @@ def refuse_tensor_sums(monkeypatch) -> None:
 
     monkeypatch.setattr(TensorSum, "__init__", refuse)
     monkeypatch.setattr(TensorSum, "residual", refuse)
-    monkeypatch.setattr(verify, "graded_bracket_terms", refuse)
+    monkeypatch.setattr(operators, "graded_bracket_terms", refuse)
 
 
 class TestPackedRecords:
@@ -496,6 +493,60 @@ class TestRecordsAreTheModel:
             count_generated_operators,
         ):
             assert check(again) == check(model), check.__name__
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_views_are_split_not_multiplied(self, monkeypatch, sel, ordering):
+        model = self.build(sel, ordering)
+        operators.views(model)  # the warm pass fills the monomial cache
+
+        def refuse(*args):
+            raise AssertionError("views multiply or read back no block")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SqmBlock, "__matmul__", refuse)
+            patch.setattr(operators, "_read_block", refuse)
+            got = operators.views(model)
+        # each view's block is the build's, made here in the block algebra
+        q, h, s = canonical_blocks()
+        charge = (q, (q @ s) * 1j)
+        bits = {a: split(r)[3] for a, r in zip(got["odd_degrees"], model.q)}
+        assert got["hamiltonian"].block == h
+        for a, op in got["supercharges"].items():
+            assert op.block == charge[bits[a]], a
+        for (a, b), op in got["centrals"].items():
+            assert op.block == (charge[bits[a]] @ charge[bits[b]]) * (-1j) ** (1 - dot(a, b))
+        ops = [got["hamiltonian"], *got["supercharges"].values(), *got["centrals"].values()]
+        assert read_records(ops, model.m) == [model.h, *model.q, *model.z]
+
+    def test_views_of_records_no_build_makes(self, models):
+        model = models("next:n=2")
+        x, z, k, e = model.q[0]
+
+        def first_view(record):
+            q = (record, *model.q[1:])
+            broken = Model.from_tables(
+                model.spec, model.m, model.masks, model.h, q, model.pairs, model.z
+            )
+            return next(iter(operators.views(broken)["supercharges"].values()))
+
+        # a block the build's does not fit is S**s Q**e; the record reads back
+        op = first_view((x, z, k, e + 2))
+        assert op.block == operators._monomial(0, z & 1, e + 2)
+        assert read_records([op], model.m) == [(x, z, k, e + 2)]
+        with pytest.raises(ValueError, match="x bit"):
+            first_view((x ^ 1, z, k, e))
+
+    def test_fold_against_the_block_algebra(self):
+        blocks = list(itertools.product(range(4), range(2), range(4)))
+        strings = [PauliOperator(2, x, z, k) for x, z, k in ((0, 0, 0), (1, 3, 1), (3, 2, 2))]
+        for p, (kb, s, e) in itertools.product(strings, blocks):
+            assert split(fold(p.x, p.z, p.k, (kb, s, e))) == (p.x, p.z, (p.k + kb) % 4, s, e)
+        for b1, b2 in itertools.product(blocks, repeat=2):
+            block = operators._read_block(operators._monomial(*b1) @ operators._monomial(*b2))
+            for p1, p2 in itertools.product(strings, repeat=2):
+                p = p1 @ p2
+                want = fold(p.x, p.z, p.k, block)
+                assert product(fold(p1.x, p1.z, p1.k, b1), fold(p2.x, p2.z, p2.k, b2)) == want
 
     @pytest.mark.parametrize("sel", ["minimal:n=3", "next:n=3", "maximal:n=3"])
     def test_every_record_flip_is_detected(self, models, sel):
