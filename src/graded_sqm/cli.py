@@ -15,6 +15,7 @@ pass, 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import re
@@ -190,9 +191,13 @@ def _table_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the report as UTF-8, to ``out`` or to stdout, whatever the locale."""
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_text(text + "\n", encoding="utf-8")
         return
+    encoding = getattr(sys.stdout, "encoding", None)  # stdout is None when closed
+    if encoding and codecs.lookup(encoding).name != "utf-8":
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -10,28 +10,30 @@ entry point: it reads the levels of both partner Hamiltonians Ad A and
 A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
 them in closed form as exact integers without numpy, the grid from one SVD
 of its lowering matrix.  The dense matrices of ``realize`` are the tests'
-oracle.  The module is imported where a realization is built and never
-loads the exact engine (:mod:`graded_sqm.verify`), so a spectrum call
-compiles no exact check; every dense matrix, and every grid, imports numpy
-where it is built.
+oracle.  The module is imported where a realization is built and loads
+only what a spectrum runs: not the exact engine (:mod:`graded_sqm.verify`),
+not the word algebra (:mod:`graded_sqm.sqm_block`), whose letters the
+oracle methods import where they run, and not ``dataclasses``, since the
+realizations are plain immutable classes.  Every dense matrix, and every
+grid, imports numpy where it is built.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .models import HAMILTONIAN_RECORD, split
-from .sqm_block import LOWER, RAISE, Word, WordSum, ground_state_pair
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .models import Model
+    from .sqm_block import Word, WordSum
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
@@ -45,8 +47,19 @@ FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class FockRealization:
+class _Frozen:
+    """Fields set once when made, straight into ``__dict__`` (where
+    ``cached_property`` stores its values too): assigning or deleting one
+    raises, and copy and pickle restore the ``__dict__``."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FockRealization(_Frozen):
     """Truncated harmonic Fock space, superpotential fixed to W(x) = x.
 
     The lowering letter acts as the standard annihilation operator on levels
@@ -54,14 +67,25 @@ class FockRealization:
     radicands; matrix elements are the untruncated ones, restricted to
     levels <= cutoff.  Both partner Hamiltonians are diagonal with integer
     levels (:meth:`partner_levels`) and both ladder kernels are exact level
-    sets (:meth:`kernel_levels`).
+    sets (:meth:`kernel_levels`).  Equal and hashed by its cutoff.
     """
 
-    cutoff: int
+    def __init__(self, cutoff: int) -> None:
+        cutoff = operator.index(cutoff)
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        self.__dict__["cutoff"] = cutoff
 
-    def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FockRealization):
+            return NotImplemented
+        return self.cutoff == other.cutoff
+
+    def __hash__(self) -> int:
+        return hash(self.cutoff)
+
+    def __repr__(self) -> str:
+        return f"FockRealization(cutoff={self.cutoff})"
 
     @property
     def dim(self) -> int:
@@ -122,6 +146,8 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
     Returns (level, radicand): the word sends |k> to sqrt(radicand) |level>,
     with radicand 0 when a lowering letter meets the vacuum.
     """
+    from .sqm_block import LOWER
+
     lvl, rad = k, 1
     for letter in reversed(word):
         if letter == LOWER:
@@ -162,8 +188,7 @@ def check_grid(points: int, spacing: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GridRealization:
+class GridRealization(_Frozen):
     """Finite-difference realization on a symmetric Dirichlet grid.
 
     The momentum is the central-difference stencil; the lowering matrix is
@@ -172,31 +197,43 @@ class GridRealization:
     level is at most (max|W| + 1/spacing)**2 / 2, and the 2 x points levels
     of both partners, which a cluster's mean adds up, sum to at most
     points x (max|W| + 1/spacing)**2.  A grid on which that bound overflows
-    float64 is refused.
+    float64 is refused.  Two grids are equal when their points, spacing,
+    label and superpotential values are.
     """
 
-    points: int
-    spacing: float
-    w_values: np.ndarray
-    label: str = "W"
-
-    def __post_init__(self) -> None:
-        check_grid(self.points, self.spacing)
+    def __init__(self, points: int, spacing: float, w_values: np.ndarray, label: str = "W") -> None:
+        check_grid(points, spacing)
         import numpy as np
-        w = np.array(self.w_values, dtype=float)  # a private copy, frozen below
-        if w.shape != (self.points,):
+        w = np.array(w_values, dtype=float)  # a private copy, frozen below
+        if w.shape != (points,):
             raise ValueError("w_values must have one value per grid point")
         if not np.all(np.isfinite(w)):
             raise ValueError("superpotential values must be finite")
-        norm = float(np.max(np.abs(w))) + 1.0 / self.spacing
-        if not math.isfinite(self.points * norm * norm):
+        norm = float(np.max(np.abs(w))) + 1.0 / spacing
+        if not math.isfinite(points * norm * norm):
             raise ValueError(
                 "grid levels overflow float64: their sum, at most "
                 "points x (max|W| + 1/spacing)**2, is not finite; "
                 "use a smaller superpotential or a larger spacing"
             )
         w.setflags(write=False)
-        object.__setattr__(self, "w_values", w)
+        self.__dict__.update(points=points, spacing=spacing, w_values=w, label=label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridRealization):
+            return NotImplemented
+        import numpy as np
+        return (self.points, self.spacing, self.label) == (
+            other.points, other.spacing, other.label
+        ) and np.array_equal(self.w_values, other.w_values)
+
+    def __hash__(self) -> int:
+        # equal grids agree on these three; the values stay out, as array_equal
+        # calls -0.0 and 0.0 equal though their bytes differ
+        return hash((self.points, self.spacing, self.label))
+
+    def __repr__(self) -> str:
+        return f"GridRealization(points={self.points}, spacing={self.spacing!r}, label={self.label!r})"
 
     @classmethod
     def from_function(
@@ -224,33 +261,45 @@ class GridRealization:
         return (np.arange(self.points) - (self.points - 1) / 2) * self.spacing
 
     @cached_property
-    def _ladders(self) -> dict[str, np.ndarray]:
-        # both ladder matrices once per instance, read-only like w_values
+    def _lowering(self) -> np.ndarray:
+        # once per instance, read-only like w_values; the spectrum's SVD
+        # reads only this matrix
         import numpy as np
         off = np.full(self.points - 1, 1.0 / (2.0 * self.spacing))
         d = np.diag(off, 1) - np.diag(off, -1)
-        w = np.diag(self.w_values)
-        out = {LOWER: (d + w) / math.sqrt(2), RAISE: (-d + w) / math.sqrt(2)}
-        for m in out.values():
-            m.setflags(write=False)
+        out = (d + np.diag(self.w_values)) / math.sqrt(2)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _raising(self) -> np.ndarray:
+        # L^T, entry for entry equal to (-d + w)/sqrt(2), made only for the
+        # oracles.  A C-contiguous copy, not a transposed view: products with
+        # a view round differently in the last bits.
+        out = self._lowering.T.copy()
+        out.setflags(write=False)
         return out
 
     def lowering_matrix(self) -> np.ndarray:
-        return self._ladders[LOWER]
+        return self._lowering
 
     def raising_matrix(self) -> np.ndarray:
-        return self._ladders[RAISE]
+        return self._raising
 
     def realize_entry(self, ws: WordSum) -> np.ndarray:
         import numpy as np
+
+        from .sqm_block import LOWER, RAISE
+
+        ladders = {LOWER: self._lowering, RAISE: self._raising}
         out = np.zeros((self.points, self.points), dtype=np.complex128)
         for word, coeff in ws.items():
             if not word:
                 out += coeff * np.eye(self.points)
                 continue
-            m = self._ladders[word[0]]
+            m = ladders[word[0]]
             for letter in word[1:]:
-                m = m @ self._ladders[letter]
+                m = m @ ladders[letter]
             out += coeff * m
         return out
 
@@ -431,7 +480,7 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         edge = realization.cutoff - 0.5
     else:
         import numpy as np
-        kernel_a, kernel_ad = ground_state_pair(realization)
+        kernel_a, kernel_ad = realization.kernel_pair()
         raw_a, raw_ad = realization.raw_kernel_pair()
         artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
         evals = np.sort(np.concatenate(realization.partner_levels()))

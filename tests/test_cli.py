@@ -276,7 +276,8 @@ class TestSpectrumCommand:
             def refuse(self):
                 pytest.fail("a ladder matrix was built for an even grid")
 
-            monkeypatch.setattr(GridRealization, "_ladders", property(refuse))
+            monkeypatch.setattr(GridRealization, "_lowering", property(refuse))
+            monkeypatch.setattr(GridRealization, "_raising", property(refuse))
         grid = ("--grid", "--points", str(points), "--spacing", "0.05", "--W", w)
         code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", *grid)
         if points % 2:
@@ -714,6 +715,35 @@ sys.exit(cli.main(sys.argv[1:]))
         assert (proc.wait(timeout=60), err) == (status, b"")
 
 
+class TestAsciiLocale:
+    """A report is UTF-8 whatever the locale: its headers hold an em dash."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--model", "minimal:n=2"], ["spectrum", "--model", "next:n=3", "--fock", "6"]],
+        ids=["verify", "spectrum"],
+    )
+    def test_markdown_under_the_c_locale_is_the_utf8_report(self, tmp_path, argv):
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        reports = []
+        for utf8, env in [
+            ("1", {}),
+            ("0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+        ]:
+            out = tmp_path / f"utf8-{utf8}.md"
+            for target in (["--out", str(out)], []):
+                proc = subprocess.run(
+                    [sys.executable, "-X", f"utf8={utf8}", "-m", "graded_sqm", *argv, *target],
+                    env={**os.environ, "PYTHONPATH": path, **env},
+                    capture_output=True,
+                )
+                assert (proc.returncode, proc.stderr) == (0, b"")
+                reports.append(out.read_bytes() if target else proc.stdout)
+        assert "—".encode() in reports[0]
+        assert reports == [reports[0]] * 4
+
+
 class TestNumpyFree:
     @staticmethod
     def run_fresh(script: str) -> subprocess.CompletedProcess:
@@ -804,6 +834,21 @@ class TestStartup:
         assert "graded_sqm.verify" in loaded
         assert "graded_sqm.realizations" not in loaded and "numpy" not in loaded
 
+    @staticmethod
+    def added(argv: list[str]) -> set[str]:
+        """The modules a fresh interpreter adds while the CLI runs argv to exit 0."""
+        script = f"""
+            import json, sys
+            before = set(sys.modules)
+            from graded_sqm import cli
+
+            assert cli.main({argv!r}) == 0
+            print(json.dumps(sorted(set(sys.modules) - before)))
+            """
+        proc = TestNumpyFree.run_fresh(textwrap.dedent(script))
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -815,22 +860,34 @@ class TestStartup:
     def test_verify_loads_no_dataclasses_block_algebra_or_views(self, tmp_path, argv):
         # the exact checks read the model's packed tables: no module that
         # defines an operator object is imported, nor dataclasses
-        out = str(tmp_path / "report")
-        script = f"""
-            import json, sys
-            before = set(sys.modules)
-            from graded_sqm import cli
-
-            assert cli.main(["verify", *{argv!r}, "--out", {out!r}]) == 0
-            print(json.dumps(sorted(set(sys.modules) - before)))
-            """
-        proc = TestNumpyFree.run_fresh(textwrap.dedent(script))
-        assert proc.returncode == 0, proc.stderr
-        added = set(json.loads(proc.stdout.splitlines()[-1]))
+        added = self.added(["verify", *argv, "--out", str(tmp_path / "report")])
         assert not added & {"dataclasses", "graded_sqm.sqm_block", "graded_sqm.operators"}
         assert {m for m in added if m.startswith("graded_sqm")} == {
             "graded_sqm", "graded_sqm.cli", "graded_sqm.grading", "graded_sqm.models",
             "graded_sqm.verify",
+        }
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["spectrum", "--model", "next:n=4", "--fock", "8"], set()),
+            (
+                ["spectrum", "--model", "minimal:n=2", "--grid", "--points", "41",
+                 "--spacing", "0.25", "--W", "x"],
+                {"numpy"},
+            ),
+            (["verify", "--model", "next:n=4", "--fock", "8"], {"graded_sqm.verify"}),
+        ],
+        ids=["fock-spectrum", "grid-spectrum", "verify-fock"],
+    )
+    def test_spectrum_loads_no_dataclasses_or_block_algebra(self, tmp_path, argv, extra):
+        # the realizations are plain classes and the spectrum reads the
+        # ladder pair alone, so neither dataclasses nor the word algebra loads
+        added = self.added([*argv, "--out", str(tmp_path / "report")])
+        assert not added & {"dataclasses", "graded_sqm.sqm_block"}
+        assert {m for m in added if m.startswith("graded_sqm") or m == "numpy"} == {
+            "graded_sqm", "graded_sqm.cli", "graded_sqm.grading", "graded_sqm.models",
+            "graded_sqm.realizations", *extra,
         }
 
     def test_fock_spectrum_loads_realizations_without_numpy(self, tmp_path):

@@ -211,6 +211,15 @@ class TestFockRealization:
         with pytest.raises(ValueError):
             FockRealization(0)
 
+    def test_an_immutable_value_of_an_integer_cutoff(self):
+        assert FockRealization(6) == FockRealization(np.int64(6)) != FockRealization(7)
+        assert len({FockRealization(6), FockRealization(6)}) == 1
+        with pytest.raises(AttributeError):
+            FockRealization(6).cutoff = 7
+        # a fractional cutoff fails when made, not when its levels are walked
+        with pytest.raises(TypeError):
+            FockRealization(2.5)
+
 
 def make_grid(points=201, spacing=0.05, w=lambda x: x):
     return GridRealization.from_function(points, spacing, w)
@@ -243,6 +252,19 @@ class TestGridRealization:
         assert w.flags.writeable and not r.w_values.flags.writeable
         w[0] = 7.0
         assert r.w_values[0] == -1.0
+
+    def test_grids_are_immutable_values(self):
+        a = make_grid(41, 0.25, lambda x: x**3)
+        b = make_grid(41, 0.25, lambda x: x**3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != make_grid(41, 0.25, lambda x: x**3 + 1)
+        assert a != GridRealization(41, 0.25, a.w_values, label="x^3")
+        assert a != FockRealization(40)
+        with pytest.raises(AttributeError):
+            a.points = 43
+        with pytest.raises(AttributeError):
+            del a.label
+        assert a._svd is a._svd
 
     def test_ladders_built_once_read_only_as_the_loop_builds_them(self):
         r = make_grid(41, 0.25, lambda x: x**3)

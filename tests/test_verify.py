@@ -938,7 +938,8 @@ class TestSpectrum:
         monkeypatch.setattr(FockRealization, "realize_entry", refuse)
         monkeypatch.setattr(GridRealization, "realize_entry", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(GridRealization, "_ladders", property(refuse))
+        monkeypatch.setattr(GridRealization, "_lowering", property(refuse))
+        monkeypatch.setattr(GridRealization, "_raising", property(refuse))
         monkeypatch.setattr(FockRealization, "partner_levels", refuse)
         with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
             spectrum(broken, real)
