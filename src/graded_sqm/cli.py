@@ -144,7 +144,7 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
         if a.dest not in ("help", "config")
     }
     flags = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -209,7 +209,7 @@ def _emit(text: str, out: str | None) -> None:
 def _relation_rows(rep) -> list[tuple]:
     return [
         (rep.check, p.left, p.right, p.kind, "pass" if p.ok else "FAIL", p.residual or "")
-        for p in (*rep.pair_results, *rep.centrality_results)
+        for p in (*rep.pair_rows(), *rep.centrality_results)
     ]
 
 

@@ -20,6 +20,8 @@ module holds the exact engine only: spectra of a numeric realization are
 from __future__ import annotations
 
 from importlib import import_module
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .grading import ANTICOMMUTATOR, COMMUTATOR, degree_text
@@ -99,7 +101,10 @@ class PairCheck(NamedTuple):
     residual: str | None = None
 
     def to_dict(self) -> dict:
-        return self._asdict()
+        return {
+            "left": self.left, "right": self.right, "kind": self.kind, "ok": self.ok,
+            "residual": self.residual,
+        }
 
 
 class RelationReport(NamedTuple):
@@ -117,12 +122,23 @@ class RelationReport(NamedTuple):
     def failures(self) -> list[PairCheck]:
         return [p for p in (*self.pair_results, *self.centrality_results) if not p.ok]
 
+    def pair_rows(self) -> list[PairCheck]:
+        """The rows the report writes for ``pair_results``, folded as the
+        centrality rows are: a run of pairs with one left operator becomes one
+        passing row if every pair holds, and its failing pairs otherwise."""
+        rows: list[PairCheck] = []
+        for left, run in groupby(self.pair_results, attrgetter("left")):
+            run = list(run)
+            bad = [p for p in run if not p.ok]
+            rows += bad or [_new(PairCheck, (left, f"{len(run)} supercharges", "graded", True, None))]
+        return rows
+
     def to_dict(self) -> dict:
         return {
             "model": self.model,
             "check": self.check,
             "overall": self.overall,
-            "pair_results": [p.to_dict() for p in self.pair_results],
+            "pair_results": [p.to_dict() for p in self.pair_rows()],
             "centrality_results": [p.to_dict() for p in self.centrality_results],
         }
 
@@ -315,7 +331,11 @@ class DegreeRankEntry(NamedTuple):
     classes: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
-        return self._asdict()
+        # the classes partition the elements, so the report gives only their count
+        return {
+            "degree": self.degree, "rank": self.rank, "count": len(self.elements),
+            "classes": self.classes,
+        }
 
 
 class RankReport(NamedTuple):

@@ -141,7 +141,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=3", "--format", "csv")
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
-        assert len(rows) == 24 and {len(row) for row in rows} == {6}
+        assert len(rows) == 12 and {len(row) for row in rows} == {6}
         assert ["centrality", "Z[001,010]"] in [row[:2] for row in rows]
 
     @pytest.mark.parametrize(
@@ -742,6 +742,27 @@ class TestAsciiLocale:
                 reports.append(out.read_bytes() if target else proc.stdout)
         assert "—".encode() in reports[0]
         assert reports == [reports[0]] * 4
+
+    def test_a_utf8_config_is_read_under_the_c_locale(self, tmp_path):
+        # a config file is UTF-8 too, whatever the locale: here in a comment
+        cfg = tmp_path / "utf.cfg"
+        cfg.write_text("model = minimal:n=2  # minimal — smallest\nformat = csv\n", encoding="utf-8")
+        src = str(Path(graded_sqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        reports = []
+        for utf8, env in [
+            ("1", {}),
+            ("0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-X", f"utf8={utf8}", "-m", "graded_sqm", "verify", "--config", str(cfg)],
+                env={**os.environ, "PYTHONPATH": path, **env},
+                capture_output=True,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            reports.append(proc.stdout)
+        assert reports[0].startswith(b"check,left,right,kind,status,residual\n")
+        assert reports[1] == reports[0]
 
 
 class TestNumpyFree:

@@ -1,13 +1,19 @@
+import csv
+import importlib.util
 import itertools
+import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graded_sqm import operators
+from graded_sqm.cli import main
 from graded_sqm.clifford import PHASES, PauliOperator, gamma, proportional
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
@@ -35,6 +41,7 @@ from graded_sqm.sqm_block import (
     realize,
 )
 from graded_sqm.verify import (
+    _labels,
     _nonzero_brackets,
     central_rank,
     check_centrality,
@@ -426,7 +433,9 @@ class TestPackedRecords:
         first = rel.failures()[0]
         assert (first.left, first.right) == ("Q[001]", "Q[010]")
         assert first.residual == "nonzero residual (2-2i)*S^0*Q^2 on clifford string x=2 z=3"
-        assert rel.to_dict()["pair_results"][1]["residual"] == first.residual
+        rows = rel.to_dict()["pair_results"]
+        row = next(r for r in rows if (r["left"], r["right"]) == ("Q[001]", "Q[010]"))
+        assert row["residual"] == first.residual
         text = rel.to_markdown()
         assert f"| Q[001] | Q[010] | commutator | `{first.residual}` |" in text.splitlines()
         for p in rel.failures():
@@ -579,6 +588,111 @@ class TestRecordsAreTheModel:
                     assert not (rel.overall and cen.overall), (name, index, flipped)
                     trials += 1
         assert trials == (1 + len(model.q) + len(model.z)) * (2 * width + 3)
+
+
+def load_fold_script():
+    """scripts/fold_report.py, which rewrites a report of the unfolded schema."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fold_report.py"
+    spec = importlib.util.spec_from_file_location("fold_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unfolded_document(rel, cen, rank) -> dict:
+    """A verify report in the unfolded schema: every ordered pair's row, and
+    every rank entry's element labels."""
+    def section(rep):
+        return {
+            "model": rep.model, "check": rep.check, "overall": rep.overall,
+            "pair_results": [p._asdict() for p in rep.pair_results],
+            "centrality_results": [p._asdict() for p in rep.centrality_results],
+        }
+
+    return {
+        "defining_relations": section(rel),
+        "centrality": section(cen),
+        "rank": {**rank.to_dict(), "entries": [e._asdict() for e in rank.entries]},
+    }
+
+
+MUTATION_KINDS = ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"]
+SMALL_TABLE_MODELS = [sel for sel in TABLE_MODELS if int(sel[-1] if ":" in sel else sel[1]) <= 4]
+
+
+class TestFoldedReports:
+    """A report writes one relation row per supercharge, as it writes one
+    centrality row per left operator, and a count per rank entry; the
+    library reports keep every ordered pair and every element label."""
+
+    @pytest.mark.parametrize("sel", TABLE_MODELS)
+    def test_a_passing_model_has_a_row_per_operator(self, models, capsys, sel):
+        model = models(sel)
+        n, nz = len(model.q), len(model.z)
+        rel = check_defining_relations(model)
+        # the benchmark's tracer replays every ordered pair against these
+        assert len(rel.pair_results) == n * n
+        labels = list(dict.fromkeys(p.left for p in rel.pair_results))
+        assert main(["verify", "--model", sel, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["defining_relations"]["pair_results"] == [
+            {"kind": "graded", "left": left, "ok": True, "residual": None, "right": f"{n} supercharges"}
+            for left in labels
+        ]
+        assert len(doc["centrality"]["centrality_results"]) == 1 + nz
+        assert main(["verify", "--model", sel, "--format", "csv"]) == 0
+        table = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(table) == 1 + n + 1 + nz
+        assert [row[:4] for row in table[1 : n + 1]] == [
+            ["defining-relations", left, f"{n} supercharges", "graded"] for left in labels
+        ]
+
+    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    def test_a_mutated_model_writes_its_failures(self, models, kind):
+        for sel in SMALL_TABLE_MODELS:
+            for seed in range(10):
+                broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
+                rel, cen = check_defining_relations(broken), check_centrality(broken)
+                assert not (rel.overall and cen.overall), (sel, seed)
+                assert len(rel.pair_results) == len(broken.q) ** 2
+                centrals = _labels(broken, centrals=True)[len(broken.q):]
+                lefts = [dict.fromkeys(p.left for p in rel.pair_results), ["H", *centrals]]
+                for rep, expected in zip((rel, cen), lefts):
+                    doc = rep.to_dict()
+                    rows = doc["pair_results"] + doc["centrality_results"]
+                    failing = [(r["left"], r["right"], r["kind"], r["residual"]) for r in rows if not r["ok"]]
+                    assert Counter(failing) == Counter(
+                        (p.left, p.right, p.kind, p.residual) for p in rep.failures()
+                    ), (sel, seed)
+                    failed = {p.left for p in rep.failures()}
+                    passing = [r for r in rows if r["ok"]]
+                    assert sorted(r["left"] for r in passing) == sorted(
+                        left for left in expected if left not in failed
+                    ), (sel, seed)
+                    assert all(r["kind"] == "graded" and r["residual"] is None for r in passing)
+                rank = central_rank(broken)
+                for entry, written in zip(rank.entries, rank.to_dict()["entries"]):
+                    assert sorted(written) == ["classes", "count", "degree", "rank"]
+                    assert written["count"] == len(entry.elements)
+                    assert written["count"] == sum(len(c) for c in written["classes"])
+                    assert sorted(label for c in written["classes"] for label in c) == sorted(
+                        entry.elements
+                    )
+
+    @pytest.mark.parametrize("kind", [None, *MUTATION_KINDS])
+    def test_the_fold_script_turns_the_unfolded_schema_into_the_report(self, models, kind):
+        fold = load_fold_script().fold
+        for sel in SMALL_TABLE_MODELS:
+            for seed in range(3 if kind else 1):
+                model = models(sel)
+                if kind:
+                    model = mutate_like_bench(model, kind, random.Random(f"{seed}:{sel}:{kind}"))
+                rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
+                report = {"defining_relations": rel.to_dict(), "centrality": cen.to_dict(), "rank": rank.to_dict()}
+                folded = fold(unfolded_document(rel, cen, rank))
+                assert json.dumps(folded, indent=2, sort_keys=True) == json.dumps(
+                    report, indent=2, sort_keys=True
+                ), (sel, seed)
 
 
 class TestCentrality:
