@@ -17,6 +17,7 @@ error fails fast.  The operator objects are views, made on demand by
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .grading import MAX_RANK, DegreeVector, degree_text, dot, odd_masks
@@ -47,6 +48,8 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
     __slots__ = ()
 
     def __new__(cls, family: str, n: int, ordering: str = "default") -> "ModelSpec":
+        if not isinstance(n, int):
+            raise ModelSpecError(f"rank must be an int, got {n!r}")
         if family not in FAMILIES:
             raise ModelSpecError(f"unknown family {family!r}; choose from {FAMILIES}")
         if ordering not in ("default", "reversed"):
@@ -72,12 +75,15 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
         if ":" in s:
             family, _, rest = s.partition(":")
             if rest.startswith("n="):
+                rank = rest[2:]
                 try:
-                    return cls(family, int(rest[2:]), ordering)
-                except ValueError as exc:
-                    if isinstance(exc, ModelSpecError):
-                        raise
+                    # int() also reads a sign, underscores and non-ASCII digits
+                    if not (rank.isascii() and rank.isdigit()):
+                        raise ValueError(rank)
+                    n = int(rank)  # and refuses too many digits
+                except ValueError:
                     raise ModelSpecError(f"bad rank in selector {selector!r}") from None
+                return cls(family, n, ordering)
         raise ModelSpecError(
             f"cannot parse selector {selector!r}; expected 'family:n=K' or one of {sorted(CUSTOM_FAMILIES)}"
         )
@@ -170,20 +176,21 @@ class Model:
     format; a product is :func:`product` (after Aaronson & Gottesman,
     quant-ph/0406196).
 
-    The tables: ``masks``, the supercharges' degree masks in the model's
-    ordering; ``q``, their records; ``h``, the Hamiltonian's; ``pairs``,
-    the index pairs (i, j) of the stored central elements (i before j in
-    every built model) and ``z``, their records; ``m``, the number of
-    Clifford qubits.  The exact checks read these and nothing else.
+    The tables: ``masks``, the degree masks of every supercharge in the
+    model's ordering; ``q``, their records; ``h``, the Hamiltonian's;
+    ``pairs``, every index pair i < j, and ``z``, their central records;
+    ``m``, the number of Clifford qubits.  The exact checks read these and
+    nothing else.
 
     The operators are views, made on demand by :mod:`graded_sqm.operators`
     by splitting the records: ``hamiltonian``, ``supercharges``,
     ``centrals``, :meth:`central` and :meth:`operators`.  ``Model(spec,
     odd_degrees, hamiltonian, supercharges, centrals)`` makes a model from
-    operators: it keeps them as its views, reads each record once and
-    refuses a supercharge or central element whose block is not a monomial.
-    A Hamiltonian with such a block is kept for the spectrum to refuse by
-    name; a check refuses it when it reads ``h``.
+    operators in the built layout only (``operators.read_tables``): it
+    keeps them as its views, reads each record once and refuses any other
+    layout or a supercharge or central element whose block is not a
+    monomial.  A Hamiltonian with such a block is kept for the spectrum to
+    refuse by name; a check refuses it when it reads ``h``.
     """
 
     __slots__ = ("spec", "m", "masks", "_h", "q", "pairs", "z", "_views")
@@ -191,23 +198,22 @@ class Model:
     def __init__(self, spec: ModelSpec, odd_degrees, hamiltonian, supercharges, centrals) -> None:
         from .operators import read_tables
 
-        self._fill(spec, *read_tables(odd_degrees, hamiltonian, supercharges, centrals))
-        self._views.update(
-            odd_degrees=tuple(odd_degrees),
-            hamiltonian=hamiltonian,
-            supercharges=supercharges,
-            centrals=centrals,
-        )
+        tables, views = read_tables(spec.n, odd_degrees, hamiltonian, supercharges, centrals)
+        self._fill(spec, *tables)
+        self._views.update(views)
 
     @classmethod
-    def from_tables(cls, spec: ModelSpec, m: int, masks, h: Record, q, pairs, z) -> "Model":
+    def from_tables(cls, spec: ModelSpec, m: int, masks, h: Record, q, z) -> "Model":
         model = cls.__new__(cls)
-        model._fill(spec, m, masks, h, q, pairs, z)
+        model._fill(spec, m, masks, h, q, z)
         return model
 
-    def _fill(self, spec, m, masks, h, q, pairs, z) -> None:
+    def _fill(self, spec, m, masks, h, q, z) -> None:
         self.spec, self.m, self._h = spec, m, h
-        self.masks, self.q, self.pairs, self.z = tuple(masks), tuple(q), tuple(pairs), tuple(z)
+        self.masks, self.q, self.z = tuple(masks), tuple(q), tuple(z)
+        self.pairs = tuple(combinations(range(len(self.q)), 2))
+        if (len(self.masks), len(self.z)) != (len(self.q), len(self.pairs)):
+            raise ValueError("the tables need a mask per supercharge and a record per pair")
         self._views = {}
 
     @property
@@ -257,11 +263,13 @@ class Model:
         return self.supercharges[a]
 
     def stored_central(self, a: DegreeVector, b: DegreeVector) -> tuple[GradedOperator, int]:
-        """The stored central element of a distinct degree pair and the sign
-        s with ``central(a, b)`` equal to s times it."""
+        """The stored central element of a distinct degree pair, and the sign s
+        with ``central(a, b)`` equal to s times it; any other pair is a ValueError."""
         if (a, b) in self.centrals:
             return self.centrals[(a, b)], 1
-        return self.centrals[(b, a)], -1 if dot(a, b) == 0 else 1  # -(-1)**(a.b)
+        if (b, a) in self.centrals:
+            return self.centrals[(b, a)], -1 if dot(a, b) == 0 else 1  # -(-1)**(a.b)
+        raise ValueError(f"no central element Z[{a},{b}]: not two distinct degrees of the model")
 
     def central(self, a: DegreeVector, b: DegreeVector) -> GradedOperator:
         """Central element for any orientation of a distinct degree pair."""
@@ -403,9 +411,9 @@ def _assemble_product_family(
     for mask, g, s in zip(masks, gens, bits):
         _check_generator(g, f"generator for degree {degree_text(spec.n, mask)}")
         q.append(fold(*g, Q_BLOCKS[s]))
-    pairs = [(i, j) for i in range(len(q)) for j in range(i + 1, len(q))]
+    pairs = combinations(range(len(q)), 2)
     z = [central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1) for i, j in pairs]
-    return Model.from_tables(spec, spec.qubits, masks, HAMILTONIAN_RECORD, q, pairs, z)
+    return Model.from_tables(spec, spec.qubits, masks, HAMILTONIAN_RECORD, q, z)
 
 
 def _build_minimal(spec: ModelSpec) -> Model:

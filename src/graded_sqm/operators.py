@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .clifford import PHASES, PauliOperator
-from .grading import DegreeVector, bracket_sign, dot
+from .grading import DegreeVector, bracket_sign, dot, enumerate_odd_degrees
 from .models import (
     CENTRAL, HAMILTONIAN, HAMILTONIAN_RECORD, Q_BLOCKS, SUPERCHARGE, Block, Model, Record, central,
     fold, split,
@@ -111,23 +112,41 @@ def read_records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
     return out
 
 
-def read_tables(odd_degrees, hamiltonian, supercharges, centrals) -> tuple:
-    """The tables (m, masks, h, q, pairs, z) of a model made from operators.
+def _check_keys(what: str, got, want) -> None:
+    missing, extra = set(want).difference(got), set(got).difference(want)
+    if missing or extra or len(got) != len(want):
+        raise ValueError(
+            f"{what} must hold each key of the built layout once: {len(missing)} missing,"
+            f" {len(extra)} extra, {len(got) - len(set(got))} repeated"
+        )
 
-    A supercharge or central element whose block is not a monomial is
-    refused (ValueError).  The Hamiltonian's record is None when its block
-    is not one; the model keeps it for the spectrum to refuse by name.
+
+def read_tables(n: int, odd_degrees, hamiltonian, supercharges, centrals) -> tuple:
+    """The tables (m, masks, h, q, z) of a model of rank n made from
+    operators, and its views in table order.
+
+    Only the built layout is read: each parity-1 degree of rank n once, in
+    any order, a supercharge for each and a central element for each pair
+    (a, b), a before b.  Any other layout, and a supercharge or central
+    element whose block is not a monomial, is refused (ValueError).  The
+    Hamiltonian's record is None when its block is not one; the model keeps
+    it for the spectrum to refuse by name.
     """
+    degrees = tuple(odd_degrees)
+    _check_keys("odd_degrees", degrees, enumerate_odd_degrees(n))
+    pairs = list(combinations(degrees, 2))
+    _check_keys("supercharges", supercharges, degrees)
+    _check_keys("centrals", centrals, pairs)
+    charges = {a: supercharges[a] for a in degrees}
+    cents = {pair: centrals[pair] for pair in pairs}
     m = hamiltonian.clifford.m
-    position = {a: i for i, a in enumerate(odd_degrees)}
-    q = read_records([supercharges[a] for a in odd_degrees], m)
-    pairs = [(position[a], position[b]) for a, b in centrals]
-    z = read_records(centrals.values(), m)
+    q, z = read_records(charges.values(), m), read_records(cents.values(), m)
     try:
         (h,) = read_records([hamiltonian], m)
     except ValueError:
         h = None
-    return m, [a.mask for a in odd_degrees], h, q, pairs, z
+    views = dict(odd_degrees=degrees, hamiltonian=hamiltonian, supercharges=charges, centrals=cents)
+    return (m, [a.mask for a in degrees], h, q, z), views
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ exact word-matrix identities, so every algebraic claim downstream is
 independent of any concrete realization of the ladder pair.
 
 The numeric realizations of the letters live in
-:mod:`graded_sqm.realizations`; :func:`realize` and
-:func:`ground_state_pair` apply any of them to a formal block.
+:mod:`graded_sqm.realizations`; :func:`realize` applies one to a formal
+block, and :func:`ground_state_pair` gives its ladder kernels.
 """
 
 from __future__ import annotations

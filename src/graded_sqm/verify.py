@@ -101,10 +101,7 @@ class PairCheck(NamedTuple):
     residual: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "left": self.left, "right": self.right, "kind": self.kind, "ok": self.ok,
-            "residual": self.residual,
-        }
+        return self._asdict()
 
 
 class RelationReport(NamedTuple):
@@ -135,9 +132,7 @@ class RelationReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
-            "check": self.check,
-            "overall": self.overall,
+            **self._asdict(), "overall": self.overall,
             "pair_results": [p.to_dict() for p in self.pair_rows()],
             "centrality_results": [p.to_dict() for p in self.centrality_results],
         }
@@ -218,9 +213,9 @@ def check_defining_relations(model: Model) -> RelationReport:
     The bracket of a supercharge with itself must be exactly twice the
     Hamiltonian (the same-degree central element is zero by convention);
     distinct pairs must close on their central element with the
-    degree-dependent phase.  Both orientations of each pair are checked: a
-    reversed pair reads the stored element of its two degrees with the sign
-    that :meth:`Model.stored_central` gives it, applied here to the record.
+    degree-dependent phase.  Both orientations of each pair are checked:
+    the model stores Z_ab for a before b, and Z_ba is that record with the
+    sign of :meth:`Model.stored_central`.
 
     The bracket of Q_a and Q_b is 2 Q_a Q_b or zero, as
     :func:`_nonzero_brackets` decides, and the target term is 2 i**c T.  The
@@ -233,21 +228,14 @@ def check_defining_relations(model: Model) -> RelationReport:
     pair's residual is the sum of the bracket and the target term
     (:func:`_residual`).
     """
-    q, masks, h, pairs = model.q, model.masks, model.h, model.pairs
+    q, masks, h = model.q, model.masks, model.h
     # bit j of wrong[i]: the target of pair (i, j) is not its product record
     wrong = [int(product(u, u) != h) << i for i, u in enumerate(q)]
-    holds = [
-        t == central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1)
-        for (i, j), t in zip(pairs, model.z)
-    ]
-    stored = None  # pair -> record, made when a pair fails
-    if not all(holds):
-        stored = dict(zip(pairs, model.z))
-        for (i, j), ok in zip(pairs, holds):
-            if not ok:
-                wrong[i] |= 1 << j
-                if (j, i) not in stored:  # a reversed pair reads the stored element
-                    wrong[j] |= 1 << i
+    stored = dict(zip(model.pairs, model.z))  # (i, j), i < j -> the record of Z_ij
+    for (i, j), t in stored.items():
+        if t != central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1):
+            wrong[i] |= 1 << j
+            wrong[j] |= 1 << i
     labels = _labels(model, centrals=False)
     everything = (1 << len(q)) - 1
     results = []
@@ -260,18 +248,16 @@ def check_defining_relations(model: Model) -> RelationReport:
                 _new(PairCheck, (left, right, kind, True, None)) for right, kind in zip(labels, kinds)
             ]
             continue
-        if stored is None:
-            stored = dict(zip(pairs, model.z))
         for j, (right, kind) in enumerate(zip(labels, kinds)):
             if not bad >> j & 1:
                 results.append(PairCheck(left, right, kind, True))
                 continue
-            # the target term is -2 H, -2 i**(1 - d) Z for a stored pair and
-            # -2 sign i**(1 - d) Z, sign = -(-1)**d, for a reversed one
+            # the target term is -2 H, -2 i**(1 - d) Z_ij for i < j and
+            # -2 sign i**(1 - d) Z_ji, sign = -(-1)**d, for i > j
             d = kind == ANTICOMMUTATOR
             if i == j:
                 t, c = h, 2
-            elif (i, j) in stored:
+            elif i < j:
                 t, c = stored[i, j], 3 - d
             else:
                 t, c = stored[j, i], 1 + d
@@ -331,11 +317,9 @@ class DegreeRankEntry(NamedTuple):
     classes: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
-        # the classes partition the elements, so the report gives only their count
-        return {
-            "degree": self.degree, "rank": self.rank, "count": len(self.elements),
-            "classes": self.classes,
-        }
+        d = self._asdict()  # the classes partition the elements: only their count
+        d["count"] = len(d.pop("elements"))
+        return d
 
 
 class RankReport(NamedTuple):
@@ -346,13 +330,7 @@ class RankReport(NamedTuple):
     all_independent: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "entries": [e.to_dict() for e in self.entries],
-            "total_count": self.total_count,
-            "total_rank": self.total_rank,
-            "all_independent": self.all_independent,
-        }
+        return {**self._asdict(), "entries": [e.to_dict() for e in self.entries]}
 
     def to_markdown(self) -> str:
         lines = [
@@ -435,12 +413,7 @@ class OrbitReport(NamedTuple):
         return len(self.component_sizes)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "num_nodes": self.num_nodes,
-            "num_components": self.num_components,
-            "component_sizes": list(self.component_sizes),
-        }
+        return {**self._asdict(), "num_components": self.num_components}
 
     def to_markdown(self) -> str:
         sizes = ", ".join(str(s) for s in self.component_sizes)

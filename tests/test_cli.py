@@ -67,6 +67,13 @@ class TestVerifyCommand:
         assert doc["defining_relations"]["overall"] is True
         assert doc["centrality"]["overall"] is True
 
+    @pytest.mark.parametrize("sel", ["next:n=+3", "next:n=\u0663", "next:n=3_0"])
+    def test_rank_of_ascii_digits_only(self, capsys, sel):
+        # int() would read these as n=3 and n=30
+        code, out, err = run(capsys, "verify", "--model", sel)
+        assert (code, out) == (2, "")
+        assert "bad rank" in err
+
     def test_centrality_rows_are_aggregated(self, capsys):
         # one row for H and one per central element; one row per (Z, Q)
         # pair made this report 22.5 MB

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,17 @@ class TestModelSpec:
         with pytest.raises(ModelSpecError):
             ModelSpec.parse("maximal:n=9")
         assert build(ModelSpec.parse("maximal:n=6")).clifford_dim == 1 << 31
+
+    @pytest.mark.parametrize("n", [3.0, "3", None])
+    def test_rank_is_an_int(self, n):
+        with pytest.raises(ModelSpecError, match="rank must be an int"):
+            ModelSpec("next", n)
+
+    @pytest.mark.parametrize("sel", ["next:n=+3", "next:n=\u0663", "next:n=3_0", "next:n= 3"])
+    def test_selector_rank_is_ascii_digits(self, sel):
+        # int() reads each of these as 3 or 30
+        with pytest.raises(ModelSpecError, match="bad rank"):
+            ModelSpec.parse(sel)
 
     def test_custom_rank_is_fixed(self):
         with pytest.raises(ModelSpecError):
@@ -285,6 +297,13 @@ class TestModelStructure:
             assert flipped.block == z.block * sign
             assert m.stored_central(a, b) == (z, 1)
             assert m.stored_central(b, a) == (z, sign)
+
+    def test_central_of_no_pair_names_it(self, models):
+        m = models("next:n=3")
+        a, b = m.odd_degrees[:2]
+        for x, y in [(a, a), (a, a + b), (dv(1, 0, 0, 0), b)]:
+            with pytest.raises(ValueError, match=re.escape(f"no central element Z[{x},{y}]")):
+                m.central(x, y)
 
     def test_operators_listing(self, models):
         m = models("minimal:n=2")

@@ -533,9 +533,7 @@ class TestRecordsAreTheModel:
 
         def first_view(record):
             q = (record, *model.q[1:])
-            broken = Model.from_tables(
-                model.spec, model.m, model.masks, model.h, q, model.pairs, model.z
-            )
+            broken = Model.from_tables(model.spec, model.m, model.masks, model.h, q, model.z)
             return next(iter(operators.views(broken)["supercharges"].values()))
 
         # a block the build's does not fit is S**s Q**e; the record reads back
@@ -582,12 +580,77 @@ class TestRecordsAreTheModel:
                     tables[name] = (*records[:index], flipped, *records[index + 1:])
                     (h,) = tables["h"]
                     broken = Model.from_tables(
-                        model.spec, model.m, model.masks, h, tables["q"], model.pairs, tables["z"]
+                        model.spec, model.m, model.masks, h, tables["q"], tables["z"]
                     )
                     rel, cen = check_defining_relations(broken), check_centrality(broken)
                     assert not (rel.overall and cen.overall), (name, index, flipped)
                     trials += 1
         assert trials == (1 + len(model.q) + len(model.z)) * (2 * width + 3)
+
+
+class TestOneLayout:
+    """``Model(...)`` reads only the built layout: every parity-1 degree once,
+    a supercharge for each and a central element for each pair (a, b), a
+    before b.  Most other layouts pass both exact checks, which read only
+    the pairs a model holds, so each is refused where the model is made."""
+
+    REFUSED = r"^(odd_degrees|supercharges|centrals) must "
+
+    @staticmethod
+    def parts(sel: str, ordering: str):
+        model = TestRecordsAreTheModel.build(sel, ordering)
+        return model, list(model.odd_degrees), dict(model.supercharges), dict(model.centrals)
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_other_layouts_are_refused(self, sel, ordering):
+        model, degrees, charges, cents = self.parts(sel, ordering)
+        (a, b), z = next(iter(cents.items()))
+        first = degrees[0]
+        layouts = {
+            "no central elements": (degrees, charges, {}),
+            "a Z under its reversed key": (
+                degrees, charges, {(b, a) if k == (a, b) else k: op for k, op in cents.items()}
+            ),
+            "an extra (a, a) key": (degrees, charges, {**cents, (a, a): z}),
+            "a duplicated degree": ([*degrees, a], charges, cents),
+            "a parity-0 degree": ([a + b, *degrees[1:]], charges, cents),
+            "a dropped Q with its Zs": (
+                degrees[1:],
+                {c: op for c, op in charges.items() if c != first},
+                {key: op for key, op in cents.items() if first not in key},
+            ),
+            "an extra supercharge key": (degrees, {**charges, a + b: charges[a]}, cents),
+        }
+        for what, (odd, supercharges, centrals) in layouts.items():
+            with pytest.raises(ValueError, match=self.REFUSED):
+                Model(model.spec, odd, model.hamiltonian, supercharges, centrals)
+                pytest.fail(f"{what} was not refused")
+
+    @pytest.mark.parametrize("sel", ["next:n=3", "minimal:n=4"])
+    def test_each_dropped_central_is_refused(self, sel):
+        model, degrees, charges, cents = self.parts(sel, "default")
+        for key in cents:
+            kept = {other: op for other, op in cents.items() if other != key}
+            with pytest.raises(ValueError, match=r"^centrals .* 1 missing, 0 extra, 0 repeated$"):
+                Model(model.spec, degrees, model.hamiltonian, charges, kept)
+
+    def test_tables_of_the_wrong_length_are_refused(self, models):
+        # a z table one short would pass both checks, which zip it with the pairs
+        m = models("next:n=3")
+        for masks, z in [(m.masks, m.z[:-1]), (m.masks, (*m.z, m.z[0])), (m.masks[1:], m.z)]:
+            with pytest.raises(ValueError, match="a mask per supercharge and a record per pair"):
+                Model.from_tables(m.spec, m.m, masks, m.h, m.q, z)
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_tables_follow_the_degree_order_not_the_dicts(self, sel, ordering):
+        model, degrees, charges, cents = self.parts(sel, ordering)
+        again = Model(
+            model.spec, degrees, model.hamiltonian,
+            dict(reversed(charges.items())), dict(reversed(cents.items())),
+        )
+        assert (again.q, again.pairs, again.z) == (model.q, model.pairs, model.z)
+        assert list(again.supercharges) == degrees and list(again.centrals) == list(cents)
+        assert check_defining_relations(again) == check_defining_relations(model)
 
 
 def load_fold_script():
