@@ -132,7 +132,8 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
     Each ``key = value`` line becomes ``--key=value``, a true switch a bare
     ``--key`` and a false one nothing, so the parser checks config values
     exactly as it checks flags.  A key must spell an option of ``sub``, in
-    any case and with ``_`` for ``-``.
+    any case and with ``_`` for ``-``.  A ``#`` at the start of a line or
+    after whitespace starts a comment; any other ``#`` is part of the value.
     """
     pre = argparse.ArgumentParser(prog=sub.prog, add_help=False)
     pre.add_argument("--config")
@@ -145,7 +146,7 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
     }
     flags = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

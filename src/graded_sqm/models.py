@@ -188,12 +188,10 @@ class Model:
     odd_degrees, hamiltonian, supercharges, centrals)`` makes a model from
     operators in the built layout only (``operators.read_tables``): it
     keeps them as its views, reads each record once and refuses any other
-    layout or a supercharge or central element whose block is not a
-    monomial.  A Hamiltonian with such a block is kept for the spectrum to
-    refuse by name; a check refuses it when it reads ``h``.
+    layout or an operator whose block is not a monomial.
     """
 
-    __slots__ = ("spec", "m", "masks", "_h", "q", "pairs", "z", "_views")
+    __slots__ = ("spec", "m", "masks", "h", "q", "pairs", "z", "_views")
 
     def __init__(self, spec: ModelSpec, odd_degrees, hamiltonian, supercharges, centrals) -> None:
         from .operators import read_tables
@@ -209,20 +207,12 @@ class Model:
         return model
 
     def _fill(self, spec, m, masks, h, q, z) -> None:
-        self.spec, self.m, self._h = spec, m, h
+        self.spec, self.m, self.h = spec, m, h
         self.masks, self.q, self.z = tuple(masks), tuple(q), tuple(z)
         self.pairs = tuple(combinations(range(len(self.q)), 2))
         if (len(self.masks), len(self.z)) != (len(self.q), len(self.pairs)):
             raise ValueError("the tables need a mask per supercharge and a record per pair")
         self._views = {}
-
-    @property
-    def h(self) -> Record:
-        if self._h is None:  # refused with the reader's own message
-            from .operators import read_records
-
-            return read_records([self.hamiltonian], self.m)[0]
-        return self._h
 
     @property
     def clifford_dim(self) -> int:
@@ -262,21 +252,17 @@ class Model:
     def supercharge(self, a: DegreeVector) -> GradedOperator:
         return self.supercharges[a]
 
-    def stored_central(self, a: DegreeVector, b: DegreeVector) -> tuple[GradedOperator, int]:
-        """The stored central element of a distinct degree pair, and the sign s
-        with ``central(a, b)`` equal to s times it; any other pair is a ValueError."""
-        if (a, b) in self.centrals:
-            return self.centrals[(a, b)], 1
-        if (b, a) in self.centrals:
-            return self.centrals[(b, a)], -1 if dot(a, b) == 0 else 1  # -(-1)**(a.b)
-        raise ValueError(f"no central element Z[{a},{b}]: not two distinct degrees of the model")
-
     def central(self, a: DegreeVector, b: DegreeVector) -> GradedOperator:
-        """Central element for any orientation of a distinct degree pair."""
-        stored, sign = self.stored_central(a, b)
-        if sign == 1:
-            return stored
-        return type(stored)(stored.clifford, stored.block * sign, stored.degree, CENTRAL, (a, b))
+        """The central element Z_ab of a distinct degree pair, in either
+        orientation: the stored one for a before b, else the stored Z_ba
+        times -(-1)**(a.b), labelled Z[a,b].  Any other pair is a ValueError."""
+        z = self.centrals.get((a, b))
+        if z is not None:
+            return z
+        z = self.centrals.get((b, a))
+        if z is None:
+            raise ValueError(f"no central element Z[{a},{b}]: not two distinct degrees of the model")
+        return type(z)(z.clifford, z.block if dot(a, b) else -z.block, z.degree, CENTRAL, (a, b))
 
     def operators(self) -> list[GradedOperator]:
         return [self.hamiltonian, *self.supercharges.values(), *self.centrals.values()]

@@ -127,10 +127,8 @@ def read_tables(n: int, odd_degrees, hamiltonian, supercharges, centrals) -> tup
 
     Only the built layout is read: each parity-1 degree of rank n once, in
     any order, a supercharge for each and a central element for each pair
-    (a, b), a before b.  Any other layout, and a supercharge or central
-    element whose block is not a monomial, is refused (ValueError).  The
-    Hamiltonian's record is None when its block is not one; the model keeps
-    it for the spectrum to refuse by name.
+    (a, b), a before b.  Any other layout, and an operator whose block is
+    not a monomial, is refused (ValueError).
     """
     degrees = tuple(odd_degrees)
     _check_keys("odd_degrees", degrees, enumerate_odd_degrees(n))
@@ -140,11 +138,8 @@ def read_tables(n: int, odd_degrees, hamiltonian, supercharges, centrals) -> tup
     charges = {a: supercharges[a] for a in degrees}
     cents = {pair: centrals[pair] for pair in pairs}
     m = hamiltonian.clifford.m
-    q, z = read_records(charges.values(), m), read_records(cents.values(), m)
-    try:
-        (h,) = read_records([hamiltonian], m)
-    except ValueError:
-        h = None
+    h, *records = read_records([hamiltonian, *charges.values(), *cents.values()], m)
+    q, z = records[: len(degrees)], records[len(degrees) :]
     views = dict(odd_degrees=degrees, hamiltonian=hamiltonian, supercharges=charges, centrals=cents)
     return (m, [a.mask for a in degrees], h, q, z), views
 

@@ -454,15 +454,11 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     """
     cliffdim = model.clifford_dim
     side = 2 * realization.dim
-    try:
-        h = model.h
-    except ValueError:  # a model made from operators, whose H block is no monomial
-        h = None
-    if h is not None and split(h)[:2] != (0, 0):
+    if split(model.h)[:2] != (0, 0):
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
         )
-    if h != HAMILTONIAN_RECORD:
+    if model.h != HAMILTONIAN_RECORD:
         raise ValueError(f"{model.spec.selector}: the Hamiltonian block is not diag(Ad A, A Ad)")
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL

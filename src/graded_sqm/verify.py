@@ -215,7 +215,7 @@ def check_defining_relations(model: Model) -> RelationReport:
     distinct pairs must close on their central element with the
     degree-dependent phase.  Both orientations of each pair are checked:
     the model stores Z_ab for a before b, and Z_ba is that record with the
-    sign of :meth:`Model.stored_central`.
+    sign of :meth:`Model.central`.
 
     The bracket of Q_a and Q_b is 2 Q_a Q_b or zero, as
     :func:`_nonzero_brackets` decides, and the target term is 2 i**c T.  The
@@ -240,21 +240,17 @@ def check_defining_relations(model: Model) -> RelationReport:
     everything = (1 << len(q)) - 1
     results = []
     for i, nonzero in enumerate(_nonzero_brackets(q, masks, range(len(q)))):
-        row, left = masks[i], labels[i]
-        kinds = [_KINDS[(row & mask).bit_count() & 1] for mask in masks]
+        own, left = masks[i], labels[i]
+        kinds = [_KINDS[(own & mask).bit_count() & 1] for mask in masks]
+        row = [_new(PairCheck, (left, right, kind, True, None)) for right, kind in zip(labels, kinds)]
         bad = everything & ~(nonzero & ~wrong[i])
-        if not bad:
-            results += [
-                _new(PairCheck, (left, right, kind, True, None)) for right, kind in zip(labels, kinds)
-            ]
-            continue
-        for j, (right, kind) in enumerate(zip(labels, kinds)):
-            if not bad >> j & 1:
-                results.append(PairCheck(left, right, kind, True))
-                continue
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            j = low.bit_length() - 1
             # the target term is -2 H, -2 i**(1 - d) Z_ij for i < j and
             # -2 sign i**(1 - d) Z_ji, sign = -(-1)**d, for i > j
-            d = kind == ANTICOMMUTATOR
+            d = kinds[j] == ANTICOMMUTATOR
             if i == j:
                 t, c = h, 2
             elif i < j:
@@ -262,7 +258,8 @@ def check_defining_relations(model: Model) -> RelationReport:
             else:
                 t, c = stored[j, i], 1 + d
             terms = [(product(q[i], q[j]), 0), (t, c)] if nonzero >> j & 1 else [(t, c)]
-            results.append(PairCheck(left, right, kind, False, _residual(terms)))
+            row[j] = PairCheck(left, labels[j], kinds[j], False, _residual(terms))
+        results += row
     return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
 
 
@@ -312,14 +309,12 @@ def check_centrality(model: Model) -> RelationReport:
 
 class DegreeRankEntry(NamedTuple):
     degree: str
-    elements: tuple[str, ...]
+    count: int
     rank: int
     classes: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
-        d = self._asdict()  # the classes partition the elements: only their count
-        d["count"] = len(d.pop("elements"))
-        return d
+        return self._asdict()
 
 
 class RankReport(NamedTuple):
@@ -341,9 +336,7 @@ class RankReport(NamedTuple):
         ]
         for e in self.entries:
             classes = "; ".join("{" + ", ".join(c) + "}" for c in e.classes)
-            lines.append(
-                f"| {e.degree} | {len(e.elements)} | {e.rank} | {classes} |"
-            )
+            lines.append(f"| {e.degree} | {e.count} | {e.rank} | {classes} |")
         if self.total_rank is not None:
             lines += [
                 "",
@@ -369,14 +362,12 @@ def central_rank(model: Model) -> RankReport:
     masks = model.masks
     keys = [(x, zbits, e) for x, zbits, _, e in model.z]
     degrees = [masks[i] ^ masks[j] for i, j in model.pairs]
-    # by degree, in order of first appearance: the labels, and the labels by key
-    elements: dict[int, list[str]] = {}
+    # by degree, in order of first appearance: the labels by key
     classes: dict[int, dict[tuple[int, int, int], list[str]]] = {}
     for degree, label, key in zip(degrees, _labels(model, centrals=True)[len(model.q):], keys):
         group = classes.get(degree)
         if group is None:
-            elements[degree], group = [], classes.setdefault(degree, {})
-        elements[degree].append(label)
+            group = classes[degree] = {}
         same = group.get(key)
         if same is None:
             group[key] = [label]
@@ -384,7 +375,7 @@ def central_rank(model: Model) -> RankReport:
             same.append(label)
     entries = tuple(
         DegreeRankEntry(
-            degree_text(model.spec.n, degree), tuple(elements[degree]), len(group),
+            degree_text(model.spec.n, degree), sum(map(len, group.values())), len(group),
             tuple(map(tuple, group.values())),
         )
         for degree, group in classes.items()

@@ -122,19 +122,22 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     def test_non_monomial_block_exits_2(self, capsys, monkeypatch):
-        # the exact checks accept only blocks i**k S**s Q**e
+        # the exact checks accept only blocks i**k S**s Q**e, the Hamiltonian's too
         q, h, _ = canonical_blocks()
         m = build_from_selector("minimal:n=2")
         a = m.odd_degrees[0]
         charges = {**m.supercharges, a: replace(m.supercharges[a], block=q + h)}
-        # the model refuses the block where it is made, inside the CLI's build
-        monkeypatch.setattr(
-            "graded_sqm.models.build",
-            lambda spec: Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals),
-        )
-        code, out, err = run(capsys, "verify", "--model", "minimal:n=2", "--rank")
-        assert (code, out) == (2, "")
-        assert "not a monomial" in err
+        hamiltonian = replace(m.hamiltonian, block=h + q)
+        for parts in [(m.hamiltonian, charges), (hamiltonian, m.supercharges)]:
+            # the model refuses the block where it is made, inside the CLI's build
+            monkeypatch.setattr(
+                "graded_sqm.models.build",
+                lambda spec, parts=parts: Model(m.spec, m.odd_degrees, *parts, m.centrals),
+            )
+            for command in (["verify", "--rank"], ["spectrum", "--fock", "4"]):
+                code, out, err = run(capsys, command[0], "--model", "minimal:n=2", *command[1:])
+                assert (code, out) == (2, "")
+                assert "not a monomial" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=2", "--format", "csv")
@@ -488,6 +491,25 @@ class TestConfigAndOutput:
         code, out, _ = run(capsys, "verify", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_a_hash_inside_a_value_is_part_of_it(self, capsys, monkeypatch, tmp_path):
+        # a # starts a comment only at the start of a line or after
+        # whitespace, so these values mean what they mean as flags
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("table#1.txt", ((np.arange(21) - 10) * 0.1) ** 3)
+        flags = ["--model", "minimal:n=2", "--grid", "--points", "21", "--spacing", "0.1"]
+        flags += ["--W", "@table#1.txt", "--format", "json", "--out", "run#3.json"]
+        written = run(capsys, "spectrum", *flags)
+        report = Path("run#3.json").read_text()
+        assert "W=table:table#1.txt)" in report
+        Path("run#3.json").unlink()
+        Path("run.cfg").write_text(
+            "# a grid spectrum\nmodel = minimal:n=2  # the smallest\nrealization = grid\n"
+            "points = 21\nspacing = 0.1\nW = @table#1.txt\nformat = json\nout = run#3.json #here\n"
+        )
+        assert run(capsys, "spectrum", "--config", "run.cfg") == written
+        assert Path("run#3.json").read_text() == report
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#3.json", "run.cfg", "table#1.txt"]
 
     def test_cli_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -23,6 +23,7 @@ from graded_sqm.models import (
 )
 from graded_sqm.sqm_block import canonical_blocks
 from graded_sqm.verify import _gf2_rank
+from test_verify import TABLE_SPECS
 
 
 def dv(*bits):
@@ -288,15 +289,23 @@ class TestModelStructure:
             m = models(sel)
             assert len(m.centrals) == census(4).num_central
 
-    def test_antisymmetry_accessor(self, models):
-        m = models("minimal:n=3")
-        for (a, b), z in m.centrals.items():
-            flipped = m.central(b, a)
-            sign = -1 if dot(a, b) == 0 else 1
-            assert flipped.clifford == z.clifford
-            assert flipped.block == z.block * sign
-            assert m.stored_central(a, b) == (z, 1)
-            assert m.stored_central(b, a) == (z, sign)
+    def test_antisymmetry_accessor(self):
+        # Z_ba = -(-1)**(a.b) Z_ab, and each orientation is labelled as asked,
+        # for both signs
+        for sel, ordering in TABLE_SPECS:
+            m = build(ModelSpec.parse(sel, ordering))
+            signs = set()
+            for (a, b), z in m.centrals.items():
+                assert m.central(a, b) is z
+                flipped = m.central(b, a)
+                sign = -1 if dot(a, b) == 0 else 1
+                signs.add(sign)
+                assert flipped.pair == (b, a), (sel, ordering)
+                assert flipped.label() == f"Z[{b},{a}]", (sel, ordering)
+                assert (flipped.role, flipped.degree) == (CENTRAL, z.degree)
+                assert flipped.clifford == z.clifford
+                assert flipped.block == z.block * sign
+            assert signs == ({-1, 1} if m.spec.n >= 3 else {-1}), (sel, ordering)
 
     def test_central_of_no_pair_names_it(self, models):
         m = models("next:n=3")

@@ -1,10 +1,8 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from graded_sqm.models import Model
 from graded_sqm.realizations import FockRealization, GridRealization, _walk, spectrum
 from graded_sqm.sqm_block import (
     LOWER,
@@ -15,6 +13,7 @@ from graded_sqm.sqm_block import (
     ground_state_pair,
     realize,
 )
+from test_verify import monomial_non_canonical_hamiltonians, with_hamiltonian_block
 
 
 class TestWordSum:
@@ -125,16 +124,19 @@ class TestFockRealization:
         ids=["unbalanced", "mixed", "complex-hermitian", "imaginary", "gaussian", "half", "nan"],
     )
     def test_exact_diagonal_refuses(self, models, terms):
-        # a Hamiltonian block with this entry in place of Ad A is not the
-        # canonical one, so the spectrum refuses it before reading a level
+        # a Hamiltonian block with this entry in place of Ad A is no
+        # monomial, so the model refuses it where it is made; a monomial
+        # block that is not the canonical one reaches the spectrum, which
+        # refuses it before reading a level
         m = models("minimal:n=2")
         e = m.hamiltonian.block.entries
         block = SqmBlock([[WordSum(terms), e[0][1]], [e[1][0], e[1][1]]])
-        h = replace(m.hamiltonian, block=block)
-        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
-        for cutoff in (1, 4):
-            with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
-                spectrum(broken, FockRealization(cutoff))
+        with pytest.raises(ValueError, match="not a monomial"):
+            with_hamiltonian_block(m, block)
+        for broken in monomial_non_canonical_hamiltonians(m):
+            for cutoff in (1, 4):
+                with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+                    spectrum(broken, FockRealization(cutoff))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 6])
     def test_kernel_levels_against_dense_svd(self, cutoff):

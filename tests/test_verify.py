@@ -316,6 +316,19 @@ def mutate_like_bench(model: Model, kind: str, rng: random.Random) -> Model:
     return Model(model.spec, model.odd_degrees, model.hamiltonian, charges, cents)
 
 
+def with_hamiltonian_block(model: Model, block: SqmBlock) -> Model:
+    """The model made from its operators, with this block in H's place."""
+    h = replace(model.hamiltonian, block=block)
+    return Model(model.spec, model.odd_degrees, h, model.supercharges, model.centrals)
+
+
+def monomial_non_canonical_hamiltonians(model: Model) -> list[Model]:
+    """The model with each Hamiltonian block i Q Q, S Q Q and -Q Q in place
+    of Q Q: monomials, so the model is made, but not the canonical block."""
+    _, h, s = canonical_blocks()
+    return [with_hamiltonian_block(model, block) for block in (h * 1j, s @ h, -h)]
+
+
 def refuse_tensor_sums(monkeypatch) -> None:
     """Make every way to a tensor sum fail the test."""
 
@@ -411,19 +424,26 @@ class TestPackedRecords:
         # the model is refused where it is made, so no check ever sees it
         with pytest.raises(ValueError, match="not a monomial"):
             Model(m.spec, m.odd_degrees, m.hamiltonian, charges, m.centrals)
+        with pytest.raises(ValueError, match="not a monomial"):
+            with_hamiltonian_block(m, h + q)
 
     def test_non_monomial_hamiltonian_refused_where_read(self, models):
-        # the model keeps such an H, so that the spectrum can name what is
-        # wrong with it; a check refuses it when it reads H's record
+        # H's record is read with every other record, where the model is
+        # made, so no check and no spectrum sees a model without one
         q, h, _ = canonical_blocks()
         m = models("minimal:n=3")
-        broken = Model(m.spec, m.odd_degrees, replace(m.hamiltonian, block=h + q), m.supercharges, m.centrals)
-        for check in (check_defining_relations, check_centrality):
-            with pytest.raises(ValueError, match="not a monomial"):
-                check(broken)
-        with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
-            spectrum(broken, FockRealization(4))
-        assert orbit_decomposition(broken) == orbit_decomposition(m)
+        with pytest.raises(ValueError, match="not a monomial"):
+            operators.read_tables(
+                m.spec.n, m.odd_degrees, replace(m.hamiltonian, block=h + q), m.supercharges, m.centrals
+            )
+        # a monomial H other than Q Q is read: no Q Q equals it, S Q Q alone
+        # fails to commute with the supercharges, and the spectrum names it
+        for broken, central in zip(monomial_non_canonical_hamiltonians(m), (True, False, True)):
+            assert not check_defining_relations(broken).overall
+            assert check_centrality(broken).overall is central
+            with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+                spectrum(broken, FockRealization(4))
+            assert orbit_decomposition(broken) == orbit_decomposition(m)
 
     def test_markdown_residuals_are_code_spans(self, models):
         # CommonMark reads *S^0* in a bare table cell as emphasis; the JSON
@@ -675,7 +695,16 @@ def unfolded_document(rel, cen, rank) -> dict:
     return {
         "defining_relations": section(rel),
         "centrality": section(cen),
-        "rank": {**rank.to_dict(), "entries": [e._asdict() for e in rank.entries]},
+        "rank": {
+            **rank.to_dict(),
+            "entries": [
+                {
+                    "classes": e.classes, "degree": e.degree, "rank": e.rank,
+                    "elements": [label for c in e.classes for label in c],
+                }
+                for e in rank.entries
+            ],
+        },
     }
 
 
@@ -736,10 +765,10 @@ class TestFoldedReports:
                 rank = central_rank(broken)
                 for entry, written in zip(rank.entries, rank.to_dict()["entries"]):
                     assert sorted(written) == ["classes", "count", "degree", "rank"]
-                    assert written["count"] == len(entry.elements)
+                    assert written["count"] == entry.count
                     assert written["count"] == sum(len(c) for c in written["classes"])
                     assert sorted(label for c in written["classes"] for label in c) == sorted(
-                        entry.elements
+                        z.label() for z in broken.centrals.values() if str(z.degree) == entry.degree
                     )
 
     @pytest.mark.parametrize("kind", [None, *MUTATION_KINDS])
@@ -982,7 +1011,7 @@ class TestCentralRank:
             rep = central_rank(m)
             cap = 1 << (m.spec.n - 2)
             for e in rep.entries:
-                assert 1 <= e.rank <= min(len(e.elements), cap)
+                assert 1 <= e.rank <= min(e.count, cap)
 
     def test_report_markdown(self, models):
         md = central_rank(models("n4cl10")).to_markdown()
@@ -1098,8 +1127,10 @@ class TestSpectrum:
     @pytest.mark.parametrize("grid", [False, True], ids=["fock", "grid"])
     def test_refuses_a_non_canonical_hamiltonian_block(self, models, monkeypatch, kind, grid):
         # Ad A + i(A - Ad) is Hermitian but complex; 2 Ad A is balanced with
-        # integer levels.  Neither is the canonical entry, so the spectrum
-        # refuses both before any ladder matrix, realized entry or SVD.
+        # integer levels.  Neither block is a monomial, so the model refuses
+        # both where it is made.  A monomial that is not the canonical block
+        # reaches the spectrum, which refuses it before any ladder matrix,
+        # realized entry or SVD.
         def refuse(*args, **kwargs):
             pytest.fail("the spectrum built a matrix for a non-canonical Hamiltonian")
 
@@ -1108,8 +1139,8 @@ class TestSpectrum:
         e = m.hamiltonian.block.entries
         entry = e[0][0] + (a - ad) * 1j if kind == "complex" else e[0][0] * 2
         block = SqmBlock([[entry, e[0][1]], [e[1][0], e[1][1]]])
-        h = replace(m.hamiltonian, block=block)
-        broken = Model(m.spec, m.odd_degrees, h, m.supercharges, m.centrals)
+        with pytest.raises(ValueError, match="not a monomial"):
+            with_hamiltonian_block(m, block)
         real = GridRealization.from_function(41, 0.25, lambda x: x) if grid else FockRealization(6)
         monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
         monkeypatch.setattr(FockRealization, "realize_entry", refuse)
@@ -1118,8 +1149,9 @@ class TestSpectrum:
         monkeypatch.setattr(GridRealization, "_lowering", property(refuse))
         monkeypatch.setattr(GridRealization, "_raising", property(refuse))
         monkeypatch.setattr(FockRealization, "partner_levels", refuse)
-        with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
-            spectrum(broken, real)
+        for broken in monomial_non_canonical_hamiltonians(m):
+            with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+                spectrum(broken, real)
 
     def test_requires_identity_hamiltonian_factor(self, models):
         m = models("minimal:n=3")
@@ -1129,12 +1161,14 @@ class TestSpectrum:
             spectrum(broken, FockRealization(4))
 
     def test_requires_diagonal_hamiltonian_block(self, models):
+        # the off-diagonal monomials Q and Q S, like the diagonal i Q Q, S Q Q
+        # and -Q Q, make a model, and the spectrum refuses each of them
         m = models("minimal:n=3")
-        q, h, _ = canonical_blocks()
-        broken_h = replace(m.hamiltonian, block=h + q)
-        broken = Model(m.spec, m.odd_degrees, broken_h, m.supercharges, m.centrals)
-        with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
-            spectrum(broken, FockRealization(4))
+        q, _, s = canonical_blocks()
+        off_diagonal = [with_hamiltonian_block(m, block) for block in (q, q @ s)]
+        for broken in off_diagonal + monomial_non_canonical_hamiltonians(m):
+            with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
+                spectrum(broken, FockRealization(4))
 
     def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
         # one SVD of the lowering matrix per instance gives both partner
