@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 # value of i**k for k = 0..3
 PHASES = (1, 1j, -1, -1j)
 
-_PHASE_EXPONENT = {1: 0, 1j: 1, -1: 2, -1j: 3, -1 + 0j: 2, 1 + 0j: 0}
+_PHASE_EXPONENT = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
 
 def phase_exponent(scalar: complex) -> int:

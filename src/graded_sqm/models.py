@@ -105,14 +105,6 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
             return (1 << (self.n - 1)) - 1
         return CUSTOM_FAMILIES[self.family][1]
 
-    @property
-    def clifford_dim(self) -> int:
-        return 1 << self.qubits
-
-    @property
-    def total_dim(self) -> int:
-        return 2 * self.clifford_dim
-
 
 # ---------------------------------------------------------------------------
 # packed records
@@ -187,8 +179,8 @@ class Model:
     ``centrals``, :meth:`central` and :meth:`operators`.  ``Model(spec,
     odd_degrees, hamiltonian, supercharges, centrals)`` makes a model from
     operators in the built layout only (``operators.read_tables``): it
-    keeps them as its views, reads each record once and refuses any other
-    layout or an operator whose block is not a monomial.
+    keeps their records, not the objects, and refuses any other layout or
+    an operator whose block is not a monomial.
     """
 
     __slots__ = ("spec", "m", "masks", "h", "q", "pairs", "z", "_views")
@@ -196,9 +188,7 @@ class Model:
     def __init__(self, spec: ModelSpec, odd_degrees, hamiltonian, supercharges, centrals) -> None:
         from .operators import read_tables
 
-        tables, views = read_tables(spec.n, odd_degrees, hamiltonian, supercharges, centrals)
-        self._fill(spec, *tables)
-        self._views.update(views)
+        self._fill(spec, *read_tables(spec.n, odd_degrees, hamiltonian, supercharges, centrals))
 
     @classmethod
     def from_tables(cls, spec: ModelSpec, m: int, masks, h: Record, q, z) -> "Model":

@@ -5,8 +5,8 @@ A :class:`~graded_sqm.models.Model` is packed tables, one record
 user and the tests work with: a :class:`GradedOperator` per element, an
 exact Pauli-string Clifford factor (:mod:`graded_sqm.clifford`) times a
 free-word ladder block (:mod:`graded_sqm.sqm_block`).  The views of a
-built model are made on demand (:func:`views`), and a model made from
-operators reads each operator's record here, once (:func:`read_tables`).
+model are made from its records on demand (:func:`views`), and a model
+made from operators reads their records here (:func:`read_tables`).
 :class:`TensorSum` decides "is this sum of tensor operators zero?" on the
 objects themselves; it shares no code with the exact checks it is the
 oracle of.  A ``verify`` call never loads this module.
@@ -98,17 +98,13 @@ def _read_block(block: SqmBlock) -> tuple[int, int, int]:
 def read_records(ops: Iterable[GradedOperator], m: int) -> list[Record]:
     """Each operator as its packed record on m + 1 qubits: the
     :func:`~graded_sqm.models.fold` of its Clifford string and its block
-    i**k S**s Q**e.  Each distinct block is read once."""
-    read: dict[int, tuple] = {}  # id(block) -> (block, (k, s, e)); the block stays alive
+    i**k S**s Q**e."""
     out = []
     for op in ops:
-        p, block = op.clifford, op.block
+        p = op.clifford
         if p.m != m:
             raise ValueError(f"dimension mismatch: {p.dim} vs {1 << m}")
-        got = read.get(id(block))
-        if got is None:
-            got = read[id(block)] = (block, _read_block(block))
-        out.append(fold(p.x, p.z, p.k, got[1]))
+        out.append(fold(p.x, p.z, p.k, _read_block(op.block)))
     return out
 
 
@@ -123,7 +119,7 @@ def _check_keys(what: str, got, want) -> None:
 
 def read_tables(n: int, odd_degrees, hamiltonian, supercharges, centrals) -> tuple:
     """The tables (m, masks, h, q, z) of a model of rank n made from
-    operators, and its views in table order.
+    operators; only their records are kept.
 
     Only the built layout is read: each parity-1 degree of rank n once, in
     any order, a supercharge for each and a central element for each pair
@@ -135,13 +131,11 @@ def read_tables(n: int, odd_degrees, hamiltonian, supercharges, centrals) -> tup
     pairs = list(combinations(degrees, 2))
     _check_keys("supercharges", supercharges, degrees)
     _check_keys("centrals", centrals, pairs)
-    charges = {a: supercharges[a] for a in degrees}
-    cents = {pair: centrals[pair] for pair in pairs}
     m = hamiltonian.clifford.m
-    h, *records = read_records([hamiltonian, *charges.values(), *cents.values()], m)
-    q, z = records[: len(degrees)], records[len(degrees) :]
-    views = dict(odd_degrees=degrees, hamiltonian=hamiltonian, supercharges=charges, centrals=cents)
-    return (m, [a.mask for a in degrees], h, q, z), views
+    (h,) = read_records([hamiltonian], m)
+    q = read_records([supercharges[a] for a in degrees], m)
+    z = read_records([centrals[pair] for pair in pairs], m)
+    return m, [a.mask for a in degrees], h, q, z
 
 
 # ---------------------------------------------------------------------------

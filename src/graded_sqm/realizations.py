@@ -37,9 +37,9 @@ if TYPE_CHECKING:
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
-# bytes of the dense complex Hamiltonian block, 2 x points on a side, that
-# bound a grid; its spectrum holds three points x points float matrices
-MAX_SPECTRUM_BYTES = 1 << 27
+# bytes of the three points x points float64 matrices that a grid's spectrum
+# holds, the lowering matrix L and the U and V^T of its SVD, that bound a grid
+MAX_SPECTRUM_BYTES = 48 << 20
 # Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
 MAX_FOCK_LEVELS = 1 << 16
 
@@ -164,18 +164,17 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
 def check_grid(points: int, spacing: float) -> None:
     """Refuse a grid before any array of it is built.
 
-    A grid needs at least 3 points, a dense complex Hamiltonian block
-    (2 x points on a side) within ``MAX_SPECTRUM_BYTES``, a finite positive
-    spacing and an odd point count: the doubler pairing that the spectrum's
+    A grid needs at least 3 points, its float64 L, U and V^T (points x
+    points each) within ``MAX_SPECTRUM_BYTES``, a finite positive spacing
+    and an odd point count: the doubler pairing that the spectrum's
     multiplicity check counts on holds only on odd grids.
     """
     if points < 3:
         raise ValueError(f"need at least 3 grid points, got {points}")
-    side = 2 * points
-    nbytes = 16 * side * side  # complex128
+    nbytes = 24 * points * points  # three float64 matrices
     if nbytes > MAX_SPECTRUM_BYTES:
         raise ValueError(
-            f"the dense {side}x{side} Hamiltonian block needs {nbytes} bytes, "
+            f"the float64 L, U and V^T of {points} points need {nbytes} bytes, "
             f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the grid size"
         )
     # an infinite spacing zeroes the derivative; a nan one poisons every entry

@@ -100,9 +100,6 @@ class PairCheck(NamedTuple):
     ok: bool
     residual: str | None = None
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class RelationReport(NamedTuple):
     model: str
@@ -133,8 +130,8 @@ class RelationReport(NamedTuple):
     def to_dict(self) -> dict:
         return {
             **self._asdict(), "overall": self.overall,
-            "pair_results": [p.to_dict() for p in self.pair_rows()],
-            "centrality_results": [p.to_dict() for p in self.centrality_results],
+            "pair_results": [p._asdict() for p in self.pair_rows()],
+            "centrality_results": [p._asdict() for p in self.centrality_results],
         }
 
     def to_markdown(self) -> str:
@@ -313,9 +310,6 @@ class DegreeRankEntry(NamedTuple):
     rank: int
     classes: tuple[tuple[str, ...], ...]
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class RankReport(NamedTuple):
     model: str
@@ -325,7 +319,7 @@ class RankReport(NamedTuple):
     all_independent: bool | None
 
     def to_dict(self) -> dict:
-        return {**self._asdict(), "entries": [e.to_dict() for e in self.entries]}
+        return {**self._asdict(), "entries": [e._asdict() for e in self.entries]}
 
     def to_markdown(self) -> str:
         lines = [

@@ -83,9 +83,8 @@ class TestModelSpec:
         ],
     )
     def test_dimension_formulas(self, sel, total):
-        spec = ModelSpec.parse(sel)
-        assert spec.total_dim == total
-        assert spec.total_dim == 2 * spec.clifford_dim
+        # the qubit count is the spec's one statement of the dimension
+        assert 2 << ModelSpec.parse(sel).qubits == total
 
 
 class TestPhaseExponent:
@@ -341,8 +340,9 @@ class TestModelStructure:
     )
     def test_built_dimensions_match_spec(self, models, sel):
         m = models(sel)
-        assert m.total_dim == m.spec.total_dim
-        assert m.clifford_dim == m.spec.clifford_dim
+        assert m.m == m.spec.qubits
+        assert m.total_dim == 2 * m.clifford_dim == 2 << m.spec.qubits
+        assert m.hamiltonian.total_dim == m.total_dim
         assert len(m.supercharges) == 1 << (m.spec.n - 1)
 
 

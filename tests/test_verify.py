@@ -22,14 +22,16 @@ from graded_sqm.grading import (
     bracket_kind,
     dot,
 )
-from graded_sqm.models import Model, fold, product, split
+from graded_sqm.models import CENTRAL, HAMILTONIAN, SUPERCHARGE, Model, fold, product, split
 from graded_sqm.operators import TensorSum, TensorTerm, graded_bracket_terms, read_records
 from graded_sqm.realizations import (
     GRID_CLUSTER_TOL,
     MAX_FOCK_LEVELS,
+    MAX_SPECTRUM_BYTES,
     FockRealization,
     GridRealization,
     _cluster,
+    check_grid,
     spectrum,
 )
 from graded_sqm.sqm_block import (
@@ -575,7 +577,10 @@ class TestRecordsAreTheModel:
                 want = fold(p.x, p.z, p.k, block)
                 assert product(fold(p1.x, p1.z, p1.k, b1), fold(p2.x, p2.z, p2.k, b2)) == want
 
-    @pytest.mark.parametrize("sel", ["minimal:n=3", "next:n=3", "maximal:n=3"])
+    @pytest.mark.parametrize(
+        "sel",
+        [*(f"{family}:n={n}" for n in (3, 4) for family in ("minimal", "next", "maximal")), "n4cl10", "n4cl12"],
+    )
     def test_every_record_flip_is_detected(self, models, sel):
         # every single-bit flip of x or z, the block qubit included, and
         # every change of k, in the Hamiltonian's record and in every
@@ -671,6 +676,41 @@ class TestOneLayout:
         assert (again.q, again.pairs, again.z) == (model.q, model.pairs, model.z)
         assert list(again.supercharges) == degrees and list(again.centrals) == list(cents)
         assert check_defining_relations(again) == check_defining_relations(model)
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_views_follow_their_keys_not_the_objects_passed(self, sel, ordering):
+        # a model keeps only the records of the operators it is made from, so
+        # each view's degree, role and pair are its key's, whatever the object
+        # under that key says
+        model, degrees, charges, cents = self.parts(sel, ordering)
+        other = dict(zip(degrees, degrees[1:] + degrees[:1]))
+        hamiltonian = replace(model.hamiltonian, degree=degrees[0], role=SUPERCHARGE)
+        charges = {a: replace(op, degree=other[a], role=CENTRAL) for a, op in charges.items()}
+        cents = {
+            (a, b): replace(op, degree=a, role=SUPERCHARGE, pair=(b, a)) for (a, b), op in cents.items()
+        }
+        again = Model(model.spec, degrees, hamiltonian, charges, cents)
+        h = again.hamiltonian
+        assert (h.degree, h.role, h.pair) == (model.hamiltonian.degree, HAMILTONIAN, None)
+        for a, op in again.supercharges.items():
+            assert (op.degree, op.role, op.pair) == (a, SUPERCHARGE, None), a
+        for (a, b), op in again.centrals.items():
+            assert (op.degree, op.role, op.pair) == (a + b, CENTRAL, (a, b)), (a, b)
+        assert [op.label() for op in again.operators()] == [op.label() for op in model.operators()]
+
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_a_reused_central_is_labelled_by_its_key(self, sel, ordering):
+        # each stored Z_ab under the key (b, a) of the reversed degree order:
+        # both orientations are labelled as asked
+        model, degrees, charges, cents = self.parts(sel, ordering)
+        again = Model(
+            model.spec, degrees[::-1], model.hamiltonian, charges,
+            {(b, a): z for (a, b), z in cents.items()},
+        )
+        for a, b in cents:
+            for pair in ((a, b), (b, a)):
+                z = again.central(*pair)
+                assert (z.label(), z.pair) == (f"Z[{pair[0]},{pair[1]}]", pair)
 
 
 def load_fold_script():
@@ -1074,6 +1114,15 @@ class TestSpectrum:
         # levels 0..cutoff: a cutoff equal to the budget is one level over it
         with pytest.raises(ValueError, match="reduce the cutoff"):
             spectrum(models("minimal:n=8"), FockRealization(MAX_FOCK_LEVELS))
+
+    def test_grid_guard_counts_the_matrices_a_grid_builds(self):
+        # L, U and V^T, points x points float64 each: 1447 is the largest
+        # odd point count within the guard, and 1449 is refused by name
+        assert 24 * 1447**2 <= MAX_SPECTRUM_BYTES < 24 * 1449**2
+        check_grid(1447, 0.05)
+        refusal = r"^the float64 L, U and V\^T of 1449 points need 50390424 bytes, .*reduce the grid size$"
+        with pytest.raises(ValueError, match=refusal):
+            check_grid(1449, 0.05)
 
     @pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
     def test_grid_spacing_must_be_finite_and_positive(self, spacing):
