@@ -35,6 +35,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FORMATS = ("markdown", "json", "csv")
+# the Fock cutoff of a spectrum given no realization, and of a config's realization = fock
+DEFAULT_CUTOFF = 8
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,8 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
     exactly as it checks flags.  A key must spell an option of ``sub``, in
     any case and with ``_`` for ``-``.  A ``#`` at the start of a line or
     after whitespace starts a comment; any other ``#`` is part of the value.
+    ``realization = fock`` is ``--fock`` at ``DEFAULT_CUTOFF``, put ahead of
+    every other config flag so that a ``cutoff`` line wins wherever it stands.
     """
     pre = argparse.ArgumentParser(prog=sub.prog, add_help=False)
     pre.add_argument("--config")
@@ -145,7 +149,7 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
         if a.dest not in ("help", "config")
     }
     flags = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -157,16 +161,17 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
         if key == "realization":
             if value not in ("fock", "grid"):
                 raise ValueError(f"realization must be fock or grid, got {value!r}")
-            action, value = options.get("--grid"), str(value == "grid")
+            action = options.get("--" + value)
+            value = str(DEFAULT_CUTOFF) if value == "fock" else "true"
         else:
             action = options.get("--" + key.replace("_", "-"))
         if action is None:
             raise ValueError(f"{sub.prog} has no config key {key!r}")
         flag = action.option_strings[0]
-        if action.nargs != 0:
-            flags.append(f"{flag}={value}")
-        elif _as_bool(value):
-            flags.append(flag)
+        if action.nargs == 0:
+            flags += [flag] if _as_bool(value) else []
+        else:
+            flags.insert(0 if key == "realization" else len(flags), f"{flag}={value}")
     return flags
 
 
@@ -326,7 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     model = _model_from(args)
     if args.fock is None and not args.grid:
-        args.fock = 8  # the default realization
+        args.fock = DEFAULT_CUTOFF
     from .realizations import spectrum
 
     rep = spectrum(model, _realization_from(args))

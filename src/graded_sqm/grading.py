@@ -22,37 +22,21 @@ COMMUTATOR = "commutator"
 ANTICOMMUTATOR = "anticommutator"
 
 
-class DegreeVector:
+class DegreeVector(NamedTuple("DegreeVector", [("n", int), ("mask", int)])):
     """Element of Z2^n, bit-packed: bit j-1 of ``mask`` is component a_j.
 
-    Immutable, compared and hashed by value.  Not a dataclass: every
-    command-line call loads this module, and importing ``dataclasses``
-    costs more than checking a small model.
+    Checked when made.  A named tuple rather than a frozen dataclass, so
+    that a command-line call never imports ``dataclasses``.
     """
 
-    __slots__ = ("n", "mask")
+    __slots__ = ()
 
-    def __init__(self, n: int, mask: int) -> None:
+    def __new__(cls, n: int, mask: int) -> "DegreeVector":
         if not 2 <= n <= 64:
             raise ValueError(f"rank must be in 2..64, got {n}")
         if not 0 <= mask < (1 << n):
             raise ValueError(f"mask {mask:#x} out of range for rank {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"DegreeVector is immutable; cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not DegreeVector:
-            return NotImplemented
-        return self.n == other.n and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __reduce__(self):
-        return DegreeVector, (self.n, self.mask)
+        return super().__new__(cls, n, mask)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "DegreeVector":

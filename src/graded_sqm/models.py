@@ -446,72 +446,55 @@ def _build_maximal(spec: ModelSpec) -> Model:
     return _assemble_product_family(spec, masks, gens)
 
 
+def _n4_generators(g: list, G: list, *own: Pauli) -> list[Pauli]:
+    """Rows 1-5 of both n = 4 tables, then the model's own rows 6-8."""
+    return [g[1], g[2], g[3], g[4], _mul(G[1], G[2], G[3], g[5]), *own]
+
+
 def _n4cl12_generators(g: list, gt: list, G: list) -> list[Pauli]:
-    return [
-        g[1],
-        g[2],
-        g[3],
-        g[4],
-        _mul(G[1], G[2], G[3], g[5]),
-        _mul(G[1], G[2], G[4], g[6]),
-        _mul(G[2], G[5], G[6]),
-        _mul(g[1], gt[2], gt[3], gt[4]),
-    ]
+    return _n4_generators(
+        g, G, _mul(G[1], G[2], G[4], g[6]), _mul(G[2], G[5], G[6]), _mul(g[1], gt[2], gt[3], gt[4])
+    )
 
 
 def _n4cl10_generators(g: list, gt: list, G: list) -> list[Pauli]:
+    return _n4_generators(
+        g, G, _mul(G[3], G[5]), _mul(gt[1], g[2], gt[3], gt[4]), _scale(_mul(g[2], g[3], g[4]), 1)
+    )
+
+
+def _n5_generators(g: list, gt: list, G: list, row14: Pauli, row15: Pauli) -> list[Pauli]:
+    """Rows 1-13 and 16 of both n = 5 tables around the model's own rows 14 and 15."""
     return [
-        g[1],
-        g[2],
-        g[3],
-        g[4],
-        _mul(G[1], G[2], G[3], g[5]),
-        _mul(G[3], G[5]),
-        _mul(gt[1], g[2], gt[3], gt[4]),
-        _scale(_mul(g[2], g[3], g[4]), 1),
+        g[1], g[2], g[3], g[4], g[5],
+        _mul(G[1], G[2], G[3], g[6]),
+        _mul(G[1], G[2], G[4], g[7]),
+        _mul(G[1], G[2], G[5], g[8]),
+        _mul(G[1], G[3], G[4], G[8], g[9]),
+        _mul(G[1], G[3], G[5], G[7], g[10]),
+        _mul(G[1], G[4], G[5], G[6], g[11]),
+        _mul(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
+        _mul(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
+        row14,
+        row15,
+        _mul(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
     ]
 
 
 def _n5cl28_generators(g: list, gt: list, G: list) -> list[Pauli]:
-    return [
-        g[1],
-        g[2],
-        g[3],
-        g[4],
-        g[5],
-        _mul(G[1], G[2], G[3], g[6]),
-        _mul(G[1], G[2], G[4], g[7]),
-        _mul(G[1], G[2], G[5], g[8]),
-        _mul(G[1], G[3], G[4], G[8], g[9]),
-        _mul(G[1], G[3], G[5], G[7], g[10]),
-        _mul(G[1], G[4], G[5], G[6], g[11]),
-        _mul(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
-        _mul(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
+    return _n5_generators(
+        g, gt, G,
         _mul(G[2], G[4], G[5], G[6], G[9], G[10], g[14]),
         _mul(G[1], G[2], G[9], G[10], G[11], G[12], G[13], G[14]),
-        _mul(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
-    ]
+    )
 
 
 def _n5cl26_generators(g: list, gt: list, G: list) -> list[Pauli]:
-    return [
-        g[1],
-        g[2],
-        g[3],
-        g[4],
-        g[5],
-        _mul(G[1], G[2], G[3], g[6]),
-        _mul(G[1], G[2], G[4], g[7]),
-        _mul(G[1], G[2], G[5], g[8]),
-        _mul(G[1], G[3], G[4], G[8], g[9]),
-        _mul(G[1], G[3], G[5], G[7], g[10]),
-        _mul(G[1], G[4], G[5], G[6], g[11]),
-        _mul(G[2], G[3], G[4], G[8], G[10], G[11], g[12]),
-        _mul(G[2], G[3], G[5], G[7], G[9], G[11], g[13]),
+    return _n5_generators(
+        g, gt, G,
         _mul(G[1], G[3], G[7], G[8], G[11], G[12], G[13]),
         _mul(g[3], g[4], g[5], gt[12], gt[13]),
-        _mul(gt[1], gt[2], gt[3], gt[4], gt[5], g[6], g[7], g[8]),
-    ]
+    )
 
 
 def _build_custom(spec: ModelSpec) -> Model:
@@ -519,6 +502,9 @@ def _build_custom(spec: ModelSpec) -> Model:
 
     The table of family F is ``_F_generators``; it indexes the gamma,
     gamma-tilde and big-gamma alphabets on the family's m qubits from 1.
+    n4cl10 -> n4cl12 and n5cl26 -> n5cl28 are steps of the paper's sequences
+    of models, whose larger algebra changes only rows 6-8 of the n = 4 table
+    and rows 14-15 of the n = 5 one: each pair states its shared rows once.
     """
     m = spec.qubits
     g, gt, G = (

@@ -13,9 +13,9 @@ of its lowering matrix.  The dense matrices of ``realize`` are the tests'
 oracle.  The module is imported where a realization is built and loads
 only what a spectrum runs: not the exact engine (:mod:`graded_sqm.verify`),
 not the word algebra (:mod:`graded_sqm.sqm_block`), whose letters the
-oracle methods import where they run, and not ``dataclasses``, since the
-realizations are plain immutable classes.  Every dense matrix, and every
-grid, imports numpy where it is built.
+oracle methods import where they run, and not ``dataclasses``: the Fock
+realization is a named tuple and the grid a plain immutable class.  Every
+dense matrix, and every grid, imports numpy where it is built.
 """
 
 from __future__ import annotations
@@ -47,19 +47,7 @@ FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
 
 
-class _Frozen:
-    """Fields set once when made, straight into ``__dict__`` (where
-    ``cached_property`` stores its values too): assigning or deleting one
-    raises, and copy and pickle restore the ``__dict__``."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class FockRealization(_Frozen):
+class FockRealization(NamedTuple("FockRealization", [("cutoff", int)])):
     """Truncated harmonic Fock space, superpotential fixed to W(x) = x.
 
     The lowering letter acts as the standard annihilation operator on levels
@@ -67,25 +55,17 @@ class FockRealization(_Frozen):
     radicands; matrix elements are the untruncated ones, restricted to
     levels <= cutoff.  Both partner Hamiltonians are diagonal with integer
     levels (:meth:`partner_levels`) and both ladder kernels are exact level
-    sets (:meth:`kernel_levels`).  Equal and hashed by its cutoff.
+    sets (:meth:`kernel_levels`).  A named tuple checked when made, like
+    ``ModelSpec``.
     """
 
-    def __init__(self, cutoff: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, cutoff: int) -> "FockRealization":
         cutoff = operator.index(cutoff)
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        self.__dict__["cutoff"] = cutoff
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockRealization):
-            return NotImplemented
-        return self.cutoff == other.cutoff
-
-    def __hash__(self) -> int:
-        return hash(self.cutoff)
-
-    def __repr__(self) -> str:
-        return f"FockRealization(cutoff={self.cutoff})"
+        return super().__new__(cls, cutoff)
 
     @property
     def dim(self) -> int:
@@ -187,7 +167,7 @@ def check_grid(points: int, spacing: float) -> None:
         )
 
 
-class GridRealization(_Frozen):
+class GridRealization:
     """Finite-difference realization on a symmetric Dirichlet grid.
 
     The momentum is the central-difference stencil; the lowering matrix is
@@ -217,6 +197,14 @@ class GridRealization(_Frozen):
             )
         w.setflags(write=False)
         self.__dict__.update(points=points, spacing=spacing, w_values=w, label=label)
+
+    # the fields live in ``__dict__``, where ``cached_property`` stores its
+    # values too, and copy and pickle restore it; none may be assigned or deleted
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridRealization):
@@ -448,8 +436,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
     cluster is absent or clifford-dim fold, every reported excited cluster
-    is (2 x clifford dim) fold.  Fock clusters must sit on integers; levels
-    at or above the cutoff are truncation-affected and excluded.
+    is (2 x clifford dim) fold.  Fock levels are integers; levels at or
+    above the cutoff are truncation-affected and excluded.
     """
     cliffdim = model.clifford_dim
     side = 2 * realization.dim
@@ -515,8 +503,6 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
                     f"cluster at {c.value:.6g} has multiplicity {c.multiplicity}, "
                     f"expected {expected_excited * lattice_copies}"
                 )
-            if is_fock and abs(c.value - round(c.value)) > tol:
-                problems.append(f"cluster at {c.value!r} is not integer-valued")
     if expected_zero and not any(abs(c.value) <= tol for c in clusters):
         problems.append("expected a zero cluster but found none")
 

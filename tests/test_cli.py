@@ -556,6 +556,31 @@ class TestConfigAndOutput:
         assert code == 2
         assert "grid spacing must be finite and positive" in err
 
+    @pytest.mark.parametrize(
+        "config,flags,cutoff",
+        [
+            ("realization = fock\n", (), 8),
+            ("cutoff = 12\nrealization = fock\n", (), 12),
+            ("realization = fock\ncutoff = 12\n", (), 12),
+            ("realization = fock\n", ("--fock", "20"), 20),
+        ],
+        ids=["default", "cutoff-before", "cutoff-after", "command-line"],
+    )
+    def test_fock_realization_runs_a_spectrum_in_verify(self, capsys, tmp_path, config, flags, cutoff):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = minimal:n=2\n" + config)
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), *flags)
+        assert f"## spectrum — minimal:n=2 on fock(cutoff={cutoff}, W=x)" in out
+        assert (code, out) == run(capsys, "verify", "--model", "minimal:n=2", "--fock", str(cutoff))[:2]
+
+    def test_config_may_start_with_a_byte_order_mark(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = minimal:n=2\nformat = json\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        flags = ("--model", "minimal:n=2", "--format", "json")
+        want = run(capsys, "verify", *flags)
+        assert want[0] == 0 and run(capsys, "verify", "--config", str(cfg)) == want
+
     def test_fock_cutoff_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model=minimal:n=3\nrealization=fock\ncutoff=6\n")
@@ -1068,7 +1093,8 @@ class TestInputSweep:
         for key, value in settings:
             name = cls.ALIASES.get(key.lower(), key.lower()).replace("_", "-")
             if name == "realization" and "grid" in switches and value in ("fock", "grid"):
-                flags += ["--grid"] if value == "grid" else []
+                # fock is the default cutoff, ahead of every flag so that a cutoff wins
+                flags = flags + ["--grid"] if value == "grid" else ["--fock=8", *flags]
             elif name in switches and value.lower() in ("true", "yes", "on", "1"):
                 flags.append(f"--{name}")
             elif name not in switches or value.lower() not in ("false", "no", "off", "0"):

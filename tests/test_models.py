@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import itertools
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from graded_sqm.models import (
     hermitizing_phase,
     minimal_phase_exponent,
 )
+from graded_sqm.realizations import FockRealization, GridRealization
 from graded_sqm.sqm_block import canonical_blocks
 from graded_sqm.verify import _gf2_rank
 from test_verify import TABLE_SPECS
@@ -263,6 +267,61 @@ class TestCustomFamilies:
         assert [str(a) for a in m.odd_degrees] == [
             "0001", "0010", "0100", "1000", "0111", "1011", "1101", "1110",
         ]
+
+    # SHA-256 of repr((model.q, model.z)), the supercharge and central records,
+    # taken when each table was still written out in full
+    RECORD_DIGESTS = {
+        "n4cl10": "dac65ce3ce200e140408b6da69fbc1be4da18c44f77e63cbb93638e6dac12e60",
+        "n4cl12": "08af7e43639dde5fb0104cd7fc2669e0e1c6d196faf7ed923238e0b6a934bbc0",
+        "n5cl26": "1a48ef358e28bfc0ab1de7b518986533442dd9ca1052c9220aab62e51c3f7636",
+        "n5cl28": "4c4b9b4aa3668e215f90f525243c3fb89f7adf585ca666ff8ab44bbfb7c20e73",
+    }
+
+    @pytest.mark.parametrize("sel", sorted(RECORD_DIGESTS))
+    def test_records_are_pinned(self, models, sel):
+        m = models(sel)
+        assert hashlib.sha256(repr((m.q, m.z)).encode()).hexdigest() == self.RECORD_DIGESTS[sel]
+
+
+class TestValueTypes:
+    """Degrees, specs and realizations are immutable values: copies and
+    pickles equal and hash as the original, and the constructors check."""
+
+    VALUES = {
+        "degree": (lambda: DegreeVector(3, 5), "mask"),
+        "spec": (lambda: ModelSpec("next", 3, "reversed"), "n"),
+        "fock": (lambda: FockRealization(8), "cutoff"),
+        "grid": (lambda: GridRealization.from_function(21, 0.1, lambda x: x**3, "x^3"), "points"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_round_trips_are_equal_and_hash_equal(self, name):
+        make, _ = self.VALUES[name]
+        value = make()
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and twin == make()
+            assert hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_fields_cannot_be_assigned(self, name):
+        make, field = self.VALUES[name]
+        value = make()
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize(
+        "make,error",
+        [
+            (lambda: DegreeVector(1, 0), ValueError),
+            (lambda: DegreeVector(3, 8), ValueError),
+            (lambda: FockRealization(0), ValueError),
+            (lambda: FockRealization(2.5), TypeError),
+        ],
+        ids=["rank-1", "mask-over-rank", "cutoff-0", "cutoff-float"],
+    )
+    def test_constructors_refuse(self, make, error):
+        with pytest.raises(error):
+            make()
 
 
 class TestModelStructure:

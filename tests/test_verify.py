@@ -1097,6 +1097,18 @@ class TestSpectrum:
         assert rep.zero_modes == 8
         assert all(c.multiplicity == 16 for c in rep.clusters if c.value > 1e-9)
 
+    @pytest.mark.parametrize("cutoff", [1, 2, 8])
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_fock_report_closed_form(self, sel, ordering, cutoff):
+        # Ad A has levels 0..c and A Ad 1..c+1, each times the Clifford
+        # dimension d; levels c and c+1 lie past the truncation edge
+        model = TestRecordsAreTheModel.build(sel, ordering)
+        d = model.clifford_dim
+        rep = spectrum(model, FockRealization(cutoff))
+        assert rep.clusters == ((0.0, d), *((float(v), 2 * d) for v in range(1, cutoff)))
+        assert rep.excluded == ((float(cutoff), 2 * d), (float(cutoff + 1), d))
+        assert (rep.zero_modes, rep.problems) == (d, ())
+
     def test_multiplicities_partition_dimension(self, models):
         rep = spectrum(models("minimal:n=3"), FockRealization(8))
         counted = sum(c.multiplicity for c in rep.clusters) + sum(
