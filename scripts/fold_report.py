@@ -1,15 +1,19 @@
-"""Rewrite a verify or mutant JSON report of the unfolded schema in the folded one.
+"""Rewrite a verify or mutant JSON report of an earlier schema in the current one.
 
-The unfolded schema wrote one ``defining_relations`` row per ordered
-supercharge pair and listed every central label of a rank entry twice, in
-``elements`` and in ``classes``.  The folded schema writes, for each run of
-pairs with one left operator, one passing row if every pair holds and its
-failing pairs otherwise, and gives a rank entry a ``count`` in place of its
-``elements``.  Everything else is kept as it is.  So an unfolded report run
-through this script must equal, byte for byte, the report that the folded
-schema writes for the same call::
+Two earlier schemas are read.  The per-pair one wrote one
+``defining_relations`` row per ordered supercharge pair, and a rank entry
+with its ``elements`` and every proportionality class.  The per-operator one
+wrote one passing relation row per supercharge whose pairs all hold and a
+rank entry with a ``count`` in place of ``elements``.  Both wrote one
+passing centrality row per left operator whose brackets all vanish.  The
+current schema writes, in each check section, one passing row that counts
+the left operators whose brackets all hold, then the failing rows as
+before, and only the rank classes of two or more labels.  Everything else is
+kept as it is.  The rows are rewritten by the report classes themselves, so
+an earlier report run through this script equals, byte for byte, the report
+that the current schema writes for the same call::
 
-    python scripts/fold_report.py old.json > folded.json
+    PYTHONPATH=src python scripts/fold_report.py old.json > folded.json
     cmp folded.json new.json
 
 It reads the file named by its argument, or stdin, and writes stdout with the
@@ -20,36 +24,39 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import groupby
-from operator import itemgetter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from graded_sqm.verify import DegreeRankEntry, PairCheck, RankReport, RelationReport  # noqa: E402
 
 
-def fold_pairs(rows: list[dict]) -> list[dict]:
-    """One passing row per run of passing pairs with one left operator, or the run's failures."""
-    out: list[dict] = []
-    for left, run in groupby(rows, itemgetter("left")):
-        run = list(run)
-        failing = [row for row in run if not row["ok"]]
-        right = f"{len(run)} supercharges"
-        out += failing or [{"kind": "graded", "left": left, "ok": True, "residual": None, "right": right}]
-    return out
+def fold_section(section: dict) -> dict:
+    """A check section in the current schema, from its rows in either earlier one."""
+    rows = [
+        tuple(PairCheck(**row) for row in section[name])
+        for name in ("pair_results", "centrality_results")
+    ]
+    return RelationReport(section["model"], section["check"], *rows).to_dict()
+
+
+def fold_rank(rank: dict) -> dict:
+    """A rank section in the current schema: its entries keep only the classes of two or more labels."""
+    entries = tuple(
+        DegreeRankEntry(e["degree"], e["count"] if "count" in e else len(e["elements"]), e["rank"], e["classes"])
+        for e in rank["entries"]
+    )
+    return RankReport(**{**rank, "entries": entries}).to_dict()
 
 
 def fold(doc: dict) -> dict:
-    """The folded form of one report document."""
+    """The current form of one report document."""
     doc = dict(doc)
     for name in ("defining_relations", "centrality"):
         if name in doc:
-            section = dict(doc[name])
-            section["pair_results"] = fold_pairs(section["pair_results"])
-            doc[name] = section
+            doc[name] = fold_section(doc[name])
     if "rank" in doc:
-        rank = dict(doc["rank"])
-        rank["entries"] = [
-            {"classes": e["classes"], "count": len(e["elements"]), "degree": e["degree"], "rank": e["rank"]}
-            for e in rank["entries"]
-        ]
-        doc["rank"] = rank
+        doc["rank"] = fold_rank(doc["rank"])
     return doc
 
 

@@ -215,7 +215,7 @@ def _emit(text: str, out: str | None) -> None:
 def _relation_rows(rep) -> list[tuple]:
     return [
         (rep.check, p.left, p.right, p.kind, "pass" if p.ok else "FAIL", p.residual or "")
-        for p in (*rep.pair_rows(), *rep.centrality_results)
+        for rows in rep.written_rows() for p in rows
     ]
 
 

@@ -20,9 +20,8 @@ module holds the exact engine only: spectra of a numeric realization are
 from __future__ import annotations
 
 from importlib import import_module
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from math import isqrt
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .grading import ANTICOMMUTATOR, COMMUTATOR, degree_text
 from .models import Model, Record, central, product, split
@@ -101,6 +100,38 @@ class PairCheck(NamedTuple):
     residual: str | None = None
 
 
+def _supercharges(nz: int) -> int:
+    """The N of N supercharges with N_Z = N (N - 1) / 2 central elements:
+    every model stores one per pair of supercharges."""
+    return (1 + isqrt(1 + 8 * nz)) // 2
+
+
+def _relations_summary(lefts: int, passed: list[str]) -> tuple[str, str]:
+    return f"{len(passed)} of {lefts} supercharges", f"{lefts} supercharges"
+
+
+def _centrality_summary(lefts: int, passed: list[str]) -> tuple[str, str]:
+    nz, h = lefts - 1, passed[:1] == ["H"]
+    left = f"{'H and ' if h else ''}{len(passed) - h} of {nz} central elements"
+    return left, f"{_supercharges(nz)} supercharges and every later central element"
+
+
+def _written(
+    results: Sequence[PairCheck], summary: Callable[[int, list[str]], tuple[str, str]]
+) -> list[PairCheck]:
+    """The rows a report writes for one check section: one passing row that
+    counts the left operators whose brackets all hold, in the words of
+    ``summary(number of left operators, passing left operators)``, then every
+    failing row in check order.  A section with no rows writes none."""
+    if not results:
+        return []
+    bad = [p for p in results if not p.ok]
+    failed = {p.left for p in bad}
+    lefts = dict.fromkeys(p.left for p in results)
+    left, right = summary(len(lefts), [left for left in lefts if left not in failed])
+    return [_new(PairCheck, (left, right, "graded", True, None)), *bad]
+
+
 class RelationReport(NamedTuple):
     model: str
     check: str
@@ -116,34 +147,41 @@ class RelationReport(NamedTuple):
     def failures(self) -> list[PairCheck]:
         return [p for p in (*self.pair_results, *self.centrality_results) if not p.ok]
 
-    def pair_rows(self) -> list[PairCheck]:
-        """The rows the report writes for ``pair_results``, folded as the
-        centrality rows are: a run of pairs with one left operator becomes one
-        passing row if every pair holds, and its failing pairs otherwise."""
-        rows: list[PairCheck] = []
-        for left, run in groupby(self.pair_results, attrgetter("left")):
-            run = list(run)
-            bad = [p for p in run if not p.ok]
-            rows += bad or [_new(PairCheck, (left, f"{len(run)} supercharges", "graded", True, None))]
-        return rows
+    def written_rows(self) -> tuple[list[PairCheck], list[PairCheck]]:
+        """The rows the report writes for ``pair_results`` and for
+        ``centrality_results``: each section's one passing row, then its
+        failing rows (:func:`_written`)."""
+        return (
+            _written(self.pair_results, _relations_summary),
+            _written(self.centrality_results, _centrality_summary),
+        )
+
+    def brackets(self) -> int:
+        """The number of brackets the report decided: N**2 defining relations,
+        and N + N_Z + N_Z N + N_Z (N_Z - 1) / 2 centrality brackets, H and
+        every Z against every supercharge and every later Z."""
+        nz = len(dict.fromkeys(p.left for p in self.centrality_results)) - 1
+        centrality = 0 if nz < 0 else (1 + nz) * _supercharges(nz) + nz + nz * (nz - 1) // 2
+        return len(self.pair_results) + centrality
 
     def to_dict(self) -> dict:
+        pairs, centrality = self.written_rows()
         return {
             **self._asdict(), "overall": self.overall,
-            "pair_results": [p._asdict() for p in self.pair_rows()],
-            "centrality_results": [p._asdict() for p in self.centrality_results],
+            "pair_results": [p._asdict() for p in pairs],
+            "centrality_results": [p._asdict() for p in centrality],
         }
 
     def to_markdown(self) -> str:
-        rows = [*self.pair_results, *self.centrality_results]
+        bad = self.failures()
+        total = self.brackets()
         lines = [
             f"## {self.check} — {self.model}",
             "",
             f"overall: **{'PASS' if self.overall else 'FAIL'}** "
-            f"({sum(p.ok for p in rows)}/{len(rows)} checks)",
+            f"({total - len(bad)}/{total} checks)",
             "",
         ]
-        bad = self.failures()
         if bad:
             lines += ["| left | right | bracket | residual |", "|---|---|---|---|"]
             # a code span, so that the * of a residual's monomials is not emphasis
@@ -319,7 +357,11 @@ class RankReport(NamedTuple):
     all_independent: bool | None
 
     def to_dict(self) -> dict:
-        return {**self._asdict(), "entries": [e._asdict() for e in self.entries]}
+        """The report with only the classes of two or more labels in each
+        entry: the others are one label each, so that
+        rank == len(classes) + count - (labels in classes)."""
+        entries = [{**e._asdict(), "classes": [c for c in e.classes if len(c) > 1]} for e in self.entries]
+        return {**self._asdict(), "entries": entries}
 
     def to_markdown(self) -> str:
         lines = [

@@ -28,6 +28,17 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def central_times_last_supercharge(model: Model) -> Model:
+    """The model with its first stored central element's Clifford factor
+    multiplied by that of the last supercharge: no multiple of the identity,
+    so the central element no longer commutes with every supercharge."""
+    cents = dict(model.centrals)
+    key = next(iter(cents))
+    q = model.supercharges[model.odd_degrees[-1]]
+    cents[key] = replace(cents[key], clifford=cents[key].clifford @ q.clifford)
+    return Model(model.spec, model.odd_degrees, model.hamiltonian, model.supercharges, cents)
+
+
 class TestCensus:
     def test_markdown_golden(self, capsys):
         code, out, _ = run(capsys, "census", "--format", "markdown")
@@ -75,15 +86,35 @@ class TestVerifyCommand:
         assert "bad rank" in err
 
     def test_centrality_rows_are_aggregated(self, capsys):
-        # one row for H and one per central element; one row per (Z, Q)
-        # pair made this report 22.5 MB
+        # one row for H and every central element; one row per (Z, Q) pair
+        # made this report 22.5 MB, and one per left operator 0.4 MB
         code, out, _ = run(capsys, "verify", "--model", "next:n=7", "--format", "json")
         assert code == 0
-        assert len(out.encode()) < 2_000_000
+        assert len(out.encode()) < 10_000
         rows = json.loads(out)["centrality"]["centrality_results"]
-        assert len(rows) == 1 + 2016
-        assert rows[0]["right"] == "64 supercharges and 2016 later central elements"
-        assert rows[-1]["right"] == "64 supercharges and 0 later central elements"
+        assert rows == [
+            {
+                "kind": "graded", "left": "H and 2016 of 2016 central elements", "ok": True,
+                "residual": None, "right": "64 supercharges and every later central element",
+            }
+        ]
+
+    def test_centrality_markdown_counts_brackets(self, capsys, monkeypatch):
+        # next:n=4 decides 8 + 28 + 28 * 8 + 28 * 27 / 2 = 638 centrality
+        # brackets, whatever fails: a central element times a supercharge's
+        # Clifford factor fails 19 of them
+        code, out, _ = run(capsys, "verify", "--model", "next:n=4")
+        assert code == 0
+        lines = out.splitlines()
+        assert "overall: **PASS** (64/64 checks)" in lines
+        assert "overall: **PASS** (638/638 checks)" in lines
+        broken = central_times_last_supercharge(build_from_selector("next:n=4"))
+        monkeypatch.setattr("graded_sqm.cli._model_from", lambda args: broken)
+        code, out, _ = run(capsys, "verify", "--model", "next:n=4")
+        assert code == 1
+        lines = out.splitlines()
+        assert "overall: **FAIL** (62/64 checks)" in lines
+        assert "overall: **FAIL** (619/638 checks)" in lines
 
     def test_rank_flag_reports_dependency(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "n4cl10", "--rank")
@@ -145,14 +176,21 @@ class TestVerifyCommand:
         header = out.splitlines()[0]
         assert header == "check,left,right,kind,status,residual"
 
-    def test_csv_rows_have_six_fields(self, capsys):
-        # every central label holds a comma; a quoted field keeps each row
-        # at the header's width
+    def test_csv_rows_have_six_fields(self, capsys, monkeypatch):
+        # a passing model writes one row per check section; a failing
+        # central element's label holds a comma, and a quoted field keeps
+        # each row at the header's width
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=3", "--format", "csv")
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
-        assert len(rows) == 12 and {len(row) for row in rows} == {6}
-        assert ["centrality", "Z[001,010]"] in [row[:2] for row in rows]
+        assert len(rows) == 3 and {len(row) for row in rows} == {6}
+        broken = central_times_last_supercharge(build_from_selector("minimal:n=3"))
+        monkeypatch.setattr("graded_sqm.cli._model_from", lambda args: broken)
+        code, out, _ = run(capsys, "verify", "--model", "minimal:n=3", "--format", "csv")
+        assert code == 1
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) == 1 + 3 + 6 and {len(row) for row in rows} == {6}
+        assert ["centrality", "Z[001,010]", "Q[010]"] in [row[:3] for row in rows]
 
     @pytest.mark.parametrize(
         "flags,status",

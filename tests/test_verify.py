@@ -714,7 +714,7 @@ class TestOneLayout:
 
 
 def load_fold_script():
-    """scripts/fold_report.py, which rewrites a report of the unfolded schema."""
+    """scripts/fold_report.py, which rewrites a report of an earlier schema."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "fold_report.py"
     spec = importlib.util.spec_from_file_location("fold_report", path)
     module = importlib.util.module_from_spec(spec)
@@ -722,9 +722,10 @@ def load_fold_script():
     return module
 
 
-def unfolded_document(rel, cen, rank) -> dict:
-    """A verify report in the unfolded schema: every ordered pair's row, and
-    every rank entry's element labels."""
+def per_pair_document(rel, cen, rank) -> dict:
+    """A verify report in the per-pair schema: every ordered pair's row, one
+    centrality row per left operator, and every rank entry's element labels
+    with all its classes."""
     def section(rep):
         return {
             "model": rep.model, "check": rep.check, "overall": rep.overall,
@@ -748,36 +749,65 @@ def unfolded_document(rel, cen, rank) -> dict:
     }
 
 
+def per_operator_document(rel, cen, rank) -> dict:
+    """The same report in the per-operator schema: one passing relation row
+    per supercharge whose pairs all hold, or its failing pairs, and every rank
+    entry's count with all its classes."""
+    doc = per_pair_document(rel, cen, rank)
+    rows = []
+    for left, run in itertools.groupby(rel.pair_results, lambda p: p.left):
+        run = list(run)
+        bad = [p._asdict() for p in run if not p.ok]
+        passing = {"kind": "graded", "left": left, "ok": True, "residual": None, "right": f"{len(run)} supercharges"}
+        rows += bad or [passing]
+    doc["defining_relations"]["pair_results"] = rows
+    doc["rank"]["entries"] = [
+        {"classes": e.classes, "count": e.count, "degree": e.degree, "rank": e.rank} for e in rank.entries
+    ]
+    return doc
+
+
 MUTATION_KINDS = ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"]
 SMALL_TABLE_MODELS = [sel for sel in TABLE_MODELS if int(sel[-1] if ":" in sel else sel[1]) <= 4]
 
 
 class TestFoldedReports:
-    """A report writes one relation row per supercharge, as it writes one
-    centrality row per left operator, and a count per rank entry; the
-    library reports keep every ordered pair and every element label."""
+    """A report writes, in each check section, one passing row that counts
+    the left operators whose brackets all hold, then the failing rows, and
+    only the rank classes of two or more labels; the library reports keep
+    every ordered pair, one centrality row per left operator and every class."""
 
     @pytest.mark.parametrize("sel", TABLE_MODELS)
-    def test_a_passing_model_has_a_row_per_operator(self, models, capsys, sel):
+    def test_a_passing_model_has_a_row_per_operator(self, models, sel):
         model = models(sel)
         n, nz = len(model.q), len(model.z)
-        rel = check_defining_relations(model)
-        # the benchmark's tracer replays every ordered pair against these
+        rel, cen = check_defining_relations(model), check_centrality(model)
+        # the benchmark's tracer replays every ordered pair against these,
+        # and counts the centrality rows
         assert len(rel.pair_results) == n * n
-        labels = list(dict.fromkeys(p.left for p in rel.pair_results))
+        assert [p.left for p in cen.centrality_results] == ["H", *_labels(model, centrals=True)[n:]]
+        assert cen.centrality_results[0].right == f"{n} supercharges and {nz} later central elements"
+        rank = central_rank(model)
+        assert sum(len(c) for e in rank.entries for c in e.classes) == nz
+
+    @pytest.mark.parametrize("sel", TABLE_MODELS)
+    def test_a_passing_model_writes_one_row_per_section(self, models, capsys, sel):
+        model = models(sel)
+        n, nz = len(model.q), len(model.z)
+        relations = ["defining-relations", f"{n} of {n} supercharges", f"{n} supercharges", "graded", "pass", ""]
+        centrality = [
+            "centrality", f"H and {nz} of {nz} central elements",
+            f"{n} supercharges and every later central element", "graded", "pass", "",
+        ]
         assert main(["verify", "--model", sel, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["defining_relations"]["pair_results"] == [
-            {"kind": "graded", "left": left, "ok": True, "residual": None, "right": f"{n} supercharges"}
-            for left in labels
-        ]
-        assert len(doc["centrality"]["centrality_results"]) == 1 + nz
+        for name, key, row in (("defining_relations", "pair_results", relations), ("centrality", "centrality_results", centrality)):
+            section = doc[name]
+            assert section[key] == [{"kind": "graded", "left": row[1], "ok": True, "residual": None, "right": row[2]}]
+            assert section["pair_results" if key == "centrality_results" else "centrality_results"] == []
         assert main(["verify", "--model", sel, "--format", "csv"]) == 0
         table = list(csv.reader(capsys.readouterr().out.splitlines()))
-        assert len(table) == 1 + n + 1 + nz
-        assert [row[:4] for row in table[1 : n + 1]] == [
-            ["defining-relations", left, f"{n} supercharges", "graded"] for left in labels
-        ]
+        assert table[1:] == [relations, centrality]
 
     @pytest.mark.parametrize("kind", MUTATION_KINDS)
     def test_a_mutated_model_writes_its_failures(self, models, kind):
@@ -787,27 +817,33 @@ class TestFoldedReports:
                 rel, cen = check_defining_relations(broken), check_centrality(broken)
                 assert not (rel.overall and cen.overall), (sel, seed)
                 assert len(rel.pair_results) == len(broken.q) ** 2
-                centrals = _labels(broken, centrals=True)[len(broken.q):]
-                lefts = [dict.fromkeys(p.left for p in rel.pair_results), ["H", *centrals]]
-                for rep, expected in zip((rel, cen), lefts):
-                    doc = rep.to_dict()
-                    rows = doc["pair_results"] + doc["centrality_results"]
-                    failing = [(r["left"], r["right"], r["kind"], r["residual"]) for r in rows if not r["ok"]]
-                    assert Counter(failing) == Counter(
-                        (p.left, p.right, p.kind, p.residual) for p in rep.failures()
-                    ), (sel, seed)
+                n, nz = len(broken.q), len(broken.z)
+                for rep, key in ((rel, "pair_results"), (cen, "centrality_results")):
+                    rows = rep.to_dict()[key]
+                    # the failing rows as the checks found them, in order
+                    assert rows[1:] == [p._asdict() for p in rep.failures()], (sel, seed)
                     failed = {p.left for p in rep.failures()}
-                    passing = [r for r in rows if r["ok"]]
-                    assert sorted(r["left"] for r in passing) == sorted(
-                        left for left in expected if left not in failed
-                    ), (sel, seed)
-                    assert all(r["kind"] == "graded" and r["residual"] is None for r in passing)
+                    first = rows[0]
+                    assert (first["kind"], first["ok"], first["residual"]) == ("graded", True, None)
+                    if rep is rel:
+                        passed = n - len(failed)
+                        assert (first["left"], first["right"]) == (f"{passed} of {n} supercharges", f"{n} supercharges")
+                    else:
+                        passed = nz - len(failed - {"H"})
+                        h = "" if "H" in failed else "H and "
+                        assert first["left"] == f"{h}{passed} of {nz} central elements", (sel, seed)
+                        assert first["right"] == f"{n} supercharges and every later central element"
                 rank = central_rank(broken)
+                assert len(rank.entries) == len(rank.to_dict()["entries"])
                 for entry, written in zip(rank.entries, rank.to_dict()["entries"]):
                     assert sorted(written) == ["classes", "count", "degree", "rank"]
-                    assert written["count"] == entry.count
-                    assert written["count"] == sum(len(c) for c in written["classes"])
-                    assert sorted(label for c in written["classes"] for label in c) == sorted(
+                    assert (written["degree"], written["count"], written["rank"]) == entry[:3]
+                    assert all(len(c) >= 2 for c in written["classes"])
+                    assert written["classes"] == [c for c in entry.classes if len(c) > 1]
+                    # a class the report leaves out holds one label
+                    listed = sum(len(c) for c in written["classes"])
+                    assert written["rank"] == len(written["classes"]) + written["count"] - listed
+                    assert sorted(label for c in entry.classes for label in c) == sorted(
                         z.label() for z in broken.centrals.values() if str(z.degree) == entry.degree
                     )
 
@@ -821,10 +857,11 @@ class TestFoldedReports:
                     model = mutate_like_bench(model, kind, random.Random(f"{seed}:{sel}:{kind}"))
                 rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
                 report = {"defining_relations": rel.to_dict(), "centrality": cen.to_dict(), "rank": rank.to_dict()}
-                folded = fold(unfolded_document(rel, cen, rank))
-                assert json.dumps(folded, indent=2, sort_keys=True) == json.dumps(
-                    report, indent=2, sort_keys=True
-                ), (sel, seed)
+                for earlier in (per_pair_document, per_operator_document):
+                    folded = fold(json.loads(json.dumps(earlier(rel, cen, rank))))
+                    assert json.dumps(folded, indent=2, sort_keys=True) == json.dumps(
+                        report, indent=2, sort_keys=True
+                    ), (sel, seed, earlier.__name__)
 
 
 class TestCentrality:
