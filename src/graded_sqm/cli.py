@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import json
 import os
 import re
@@ -81,7 +82,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     The grid is checked before the table is read, W evaluated or numpy
     imported.
     """
-    from .realizations import GridRealization, check_grid
+    from .realizations import MAX_SPECTRUM_BYTES, GridRealization, check_grid
 
     check_grid(points, spacing)
     if w_expr.startswith("@"):
@@ -90,7 +91,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
         try:
             terms = parse_polynomial(w_expr)
         except ValueError:
-            if not Path(w_expr).is_file():
+            if not os.path.isfile(w_expr):  # False, not an OSError, for a name too long
                 raise
             path = w_expr
         else:
@@ -98,10 +99,15 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
                 return sum(c * x**p for c, p in terms)
 
             return GridRealization.from_function(points, spacing, w, label=w_expr)
+    # a table of a grid the guard admits is far smaller than the grid's matrices
+    with open(path, "rb") as f:
+        raw = f.read(MAX_SPECTRUM_BYTES + 1)
+    if len(raw) > MAX_SPECTRUM_BYTES:
+        raise ValueError(f"superpotential table {path!r} is over {MAX_SPECTRUM_BYTES} bytes")
     import numpy as np
     with warnings.catch_warnings():  # an empty table is refused below, not warned about
         warnings.simplefilter("ignore", UserWarning)
-        values = np.loadtxt(path, dtype=float).reshape(-1)
+        values = np.loadtxt(io.StringIO(raw.decode(), newline=None), dtype=float).reshape(-1)
     if values.shape != (points,):
         raise ValueError(
             f"superpotential table {path!r} has {values.shape[0]} values, "

@@ -3,12 +3,14 @@
 Every family realizes the full graded algebra {H, Q_a, Z_ab} as tensor
 operators: a Pauli-string Clifford factor times a 2x2 ladder block that is
 a monomial i**k S**s Q**e.  A model is held as packed tables, one record
-per operator (see :class:`Model`), and the builders make the records from
-the integer bits of the generators, with no operator object.  The minimal
-family uses the smallest Clifford algebra (two block types distinguish the
-last degree component), the next-to-minimal and maximal families use a
-single supercharge block with per-degree generator products, and the
-rank-4/rank-5 intermediate families come from hard-coded generator tables.
+per operator (see :class:`Model`).  Each family is one row of one table
+(its fixed rank, qubit count and generator rule), and :func:`build` makes
+the records from the integer bits of the row's generators, with no
+operator object.  The minimal family uses the smallest Clifford algebra
+(two block types distinguish the last degree component), the
+next-to-minimal and maximal families use a single supercharge block with
+per-degree generator products, and the rank-4/rank-5 intermediate
+families come from hard-coded generator tables.
 All generator factors are checked hermitian at build time (a Pauli string
 is hermitian exactly when it squares to the identity), so a transcription
 error fails fast.  The operator objects are views, made on demand by
@@ -18,7 +20,7 @@ error fails fast.  The operator objects are views, made on demand by
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .grading import MAX_RANK, DegreeVector, degree_text, dot, odd_masks
 
@@ -29,10 +31,6 @@ HAMILTONIAN = "hamiltonian"
 SUPERCHARGE = "supercharge"
 CENTRAL = "central"
 
-# the fixed-rank families: rank n and qubit count m of each generator table
-CUSTOM_FAMILIES = {"n4cl12": (4, 6), "n4cl10": (4, 5), "n5cl28": (5, 14), "n5cl26": (5, 13)}
-FAMILIES = ("minimal", "next", "maximal", *CUSTOM_FAMILIES)
-
 
 class ModelSpecError(ValueError):
     """Invalid model selector, rank out of cap, or incompatible options."""
@@ -41,8 +39,9 @@ class ModelSpecError(ValueError):
 class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering", str)])):
     """Which family to build, at which rank, with which degree ordering.
 
-    Checked when made.  A named tuple rather than a frozen dataclass, so
-    that a command-line call never imports ``dataclasses``.
+    Checked when made, against the family's row of ``_FAMILIES``.  A named
+    tuple rather than a frozen dataclass, so that a command-line call never
+    imports ``dataclasses``.
     """
 
     __slots__ = ()
@@ -54,8 +53,8 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
             raise ModelSpecError(f"unknown family {family!r}; choose from {FAMILIES}")
         if ordering not in ("default", "reversed"):
             raise ModelSpecError(f"ordering must be 'default' or 'reversed', got {ordering!r}")
-        if family in CUSTOM_FAMILIES:
-            want = CUSTOM_FAMILIES[family][0]
+        want = _FAMILIES[family].rank
+        if want is not None:
             if n != want:
                 raise ModelSpecError(f"family {family} requires n={want}, got n={n}")
             if ordering != "default":
@@ -70,8 +69,8 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
     def parse(cls, selector: str, ordering: str = "default") -> "ModelSpec":
         """Parse selector strings like 'minimal:n=4' or 'n4cl12'."""
         s = selector.strip().lower()
-        if s in CUSTOM_FAMILIES:
-            return cls(s, CUSTOM_FAMILIES[s][0], ordering)
+        if s in _FAMILIES and _FAMILIES[s].rank is not None:
+            return cls(s, _FAMILIES[s].rank, ordering)
         if ":" in s:
             family, _, rest = s.partition(":")
             if rest.startswith("n="):
@@ -84,26 +83,19 @@ class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering
                 except ValueError:
                     raise ModelSpecError(f"bad rank in selector {selector!r}") from None
                 return cls(family, n, ordering)
+        fixed = sorted(f for f, row in _FAMILIES.items() if row.rank is not None)
         raise ModelSpecError(
-            f"cannot parse selector {selector!r}; expected 'family:n=K' or one of {sorted(CUSTOM_FAMILIES)}"
+            f"cannot parse selector {selector!r}; expected 'family:n=K' or one of {fixed}"
         )
 
     @property
     def selector(self) -> str:
-        if self.family in CUSTOM_FAMILIES:
-            return self.family
-        return f"{self.family}:n={self.n}"
+        return self.family if _FAMILIES[self.family].rank is not None else f"{self.family}:n={self.n}"
 
     @property
     def qubits(self) -> int:
         """The number m of qubits of the Clifford factor."""
-        if self.family == "minimal":
-            return self.n - 1
-        if self.family == "next":
-            return self.n
-        if self.family == "maximal":
-            return (1 << (self.n - 1)) - 1
-        return CUSTOM_FAMILIES[self.family][1]
+        return _FAMILIES[self.family].qubits(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +143,8 @@ def central(u: Record, v: Record, d: int) -> Record:
     """The record of Z = (-i)**(1 - d) u v, the central element of the
     supercharges u and v whose degrees have inner product d: that of
     :func:`product` with the phase raised by 3 (1 - d)."""
-    xu, zu, ku, eu = u
-    xv, zv, kv, ev = v
-    return xu ^ xv, zu ^ zv, (ku + kv + 2 * (zu & xv).bit_count() + 3 - 3 * d) & 3, eu + ev
+    x, z, k, e = product(u, v)
+    return x, z, (k + 3 - 3 * d) & 3, e
 
 
 class Model:
@@ -365,34 +356,7 @@ def _check_generator(g: Pauli, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_masks(spec: ModelSpec) -> list[int]:
-    masks = odd_masks(spec.n)
-    if spec.ordering == "reversed":
-        masks.reverse()
-    return masks
-
-
-def _assemble_product_family(
-    spec: ModelSpec, masks: list[int], gens: list[Pauli], block_bits: list[int] | None = None
-) -> Model:
-    """Q_a = G_a x B_a and Z_ab = (-i)**(1 - a.b) Q_a Q_b, as packed records.
-
-    B_a is ``Q_BLOCKS[s_a]``: Q for block bit s_a = 0 (every degree when
-    ``block_bits`` is None) and i Q S for s_a = 1.  So Q_a's record is the
-    fold of G_a and B_a, and each central record is :func:`central` of its
-    pair: B_a B_b is H when s_a == s_b and +-i H S when they differ.
-    """
-    bits = block_bits or [0] * len(masks)
-    q = []
-    for mask, g, s in zip(masks, gens, bits):
-        _check_generator(g, f"generator for degree {degree_text(spec.n, mask)}")
-        q.append(fold(*g, Q_BLOCKS[s]))
-    pairs = combinations(range(len(q)), 2)
-    z = [central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1) for i, j in pairs]
-    return Model.from_tables(spec, spec.qubits, masks, HAMILTONIAN_RECORD, q, z)
-
-
-def _build_minimal(spec: ModelSpec) -> Model:
+def _minimal_generators(masks: list[int], m: int) -> tuple[list[Pauli], list[int]]:
     """Smallest family: total dimension 2**n.
 
     The generator product for a degree uses only its first n-1 components;
@@ -401,28 +365,24 @@ def _build_minimal(spec: ModelSpec) -> Model:
     companion, and likewise splits the central elements between the two
     diagonal block forms.
     """
-    masks = _ordered_masks(spec)
-    m = spec.qubits
     low = (1 << m) - 1
     gens = [_scale(_gamma_word(mask, m), _pairs(mask & low)) for mask in masks]
-    return _assemble_product_family(spec, masks, gens, [1 - (mask >> m & 1) for mask in masks])
+    return gens, [1 - (mask >> m & 1) for mask in masks]
 
 
-def _build_next(spec: ModelSpec) -> Model:
-    """Next-to-minimal family: total dimension 2**(n+1).
+def _next_generators(masks: list[int], m: int) -> tuple[list[Pauli], None]:
+    """Next-to-minimal family: total dimension 2**(n+1), m = n.
 
     Generator products now use all n components.  The all-ones degree has
     parity 1 only for odd n; its supercharge is the identity factor, which
     is why the family partially splits central elements apart for odd n.
     """
-    masks = _ordered_masks(spec)
-    n = spec.n
-    ones = (1 << n) - 1
-    gens = [(0, 0, 0) if mask == ones else _scale(_gamma_word(mask, n), _pairs(mask)) for mask in masks]
-    return _assemble_product_family(spec, masks, gens)
+    ones = (1 << m) - 1
+    gens = [(0, 0, 0) if mask == ones else _scale(_gamma_word(mask, m), _pairs(mask)) for mask in masks]
+    return gens, None
 
 
-def _build_maximal(spec: ModelSpec) -> Model:
+def _maximal_generators(masks: list[int], mp: int) -> tuple[list[Pauli], None]:
     """Maximal family: total dimension 2**(2**(n-1)).
 
     One Clifford generator pair per supercharge except the last; diagonal
@@ -430,8 +390,6 @@ def _build_maximal(spec: ModelSpec) -> Model:
     exactly when their degrees have mod-2 inner product zero, and the final
     generator is a pure product of diagonal involutions.
     """
-    masks = _ordered_masks(spec)
-    mp = spec.qubits
     M = mp + 1
     involutions = [big_gamma_bits(j, mp) for j in range(1, mp + 1)]
 
@@ -443,7 +401,17 @@ def _build_maximal(spec: ModelSpec) -> Model:
         own = [involutions[j - 1] for j in range(1, k) if odd(j, k)]
         gens.append(_mul(*own, gamma_bits(k, mp)))
     gens.append(_mul(*(involutions[j - 1] for j in range(1, M) if not odd(j, M))))
-    return _assemble_product_family(spec, masks, gens)
+    return gens, None
+
+
+def _table(rows: Callable[[list, list, list], list[Pauli]]) -> Callable:
+    """The generator rule of a fixed table ``rows(g, gt, G)``, which indexes
+    the gamma, gamma-tilde and big-gamma alphabets on m qubits from 1.
+    n4cl10 -> n4cl12 and n5cl26 -> n5cl28 are steps of the paper's sequences
+    of models, whose larger algebra changes only rows 6-8 of the n = 4 table
+    and rows 14-15 of the n = 5 one: each pair states its shared rows once."""
+    letters = (gamma_bits, gamma_tilde_bits, big_gamma_bits)
+    return lambda masks, m: (rows(*([None] + [f(j, m) for j in range(1, m + 1)] for f in letters)), None)
 
 
 def _n4_generators(g: list, G: list, *own: Pauli) -> list[Pauli]:
@@ -497,29 +465,46 @@ def _n5cl26_generators(g: list, gt: list, G: list) -> list[Pauli]:
     )
 
 
-def _build_custom(spec: ModelSpec) -> Model:
-    """Intermediate rank-4 / rank-5 families from fixed generator tables.
-
-    The table of family F is ``_F_generators``; it indexes the gamma,
-    gamma-tilde and big-gamma alphabets on the family's m qubits from 1.
-    n4cl10 -> n4cl12 and n5cl26 -> n5cl28 are steps of the paper's sequences
-    of models, whose larger algebra changes only rows 6-8 of the n = 4 table
-    and rows 14-15 of the n = 5 one: each pair states its shared rows once.
-    """
-    m = spec.qubits
-    g, gt, G = (
-        [None] + [letter(j, m) for j in range(1, m + 1)]
-        for letter in (gamma_bits, gamma_tilde_bits, big_gamma_bits)
-    )
-    table = globals()[f"_{spec.family}_generators"]
-    return _assemble_product_family(spec, _ordered_masks(spec), table(g, gt, G))
+class _Family(NamedTuple):
+    rank: int | None  # the fixed rank of its generator table; None: every rank 2..MAX_RANK
+    qubits: Callable[[int], int]  # the qubit count m at rank n
+    generators: Callable[[list[int], int], tuple[list[Pauli], list[int] | None]]  # of masks on m qubits
 
 
-_BUILDERS = {"minimal": _build_minimal, "next": _build_next, "maximal": _build_maximal}
+# every family, one row each: ModelSpec checks and names a spec by its row,
+# and build assembles a model from it
+_FAMILIES = {
+    "minimal": _Family(None, lambda n: n - 1, _minimal_generators),
+    "next": _Family(None, lambda n: n, _next_generators),
+    "maximal": _Family(None, lambda n: (1 << (n - 1)) - 1, _maximal_generators),
+    "n4cl12": _Family(4, lambda n: 6, _table(_n4cl12_generators)),
+    "n4cl10": _Family(4, lambda n: 5, _table(_n4cl10_generators)),
+    "n5cl28": _Family(5, lambda n: 14, _table(_n5cl28_generators)),
+    "n5cl26": _Family(5, lambda n: 13, _table(_n5cl26_generators)),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def build(spec: ModelSpec) -> Model:
-    return _BUILDERS.get(spec.family, _build_custom)(spec)
+    """Q_a = G_a x B_a and Z_ab = (-i)**(1 - a.b) Q_a Q_b, as packed records.
+
+    The family's row gives G_a and the block bit s_a of each degree, in the
+    spec's ordering; B_a is ``Q_BLOCKS[s_a]``: Q for s_a = 0 (every degree
+    when the row gives no bits) and i Q S for s_a = 1.  So Q_a's record is
+    the fold of G_a and B_a, and each central record is :func:`central` of
+    its pair: B_a B_b is H when s_a == s_b and +-i H S when they differ.
+    """
+    masks = odd_masks(spec.n)
+    if spec.ordering == "reversed":
+        masks.reverse()
+    gens, bits = _FAMILIES[spec.family].generators(masks, spec.qubits)
+    q = []
+    for mask, g, s in zip(masks, gens, bits or [0] * len(masks)):
+        _check_generator(g, f"generator for degree {degree_text(spec.n, mask)}")
+        q.append(fold(*g, Q_BLOCKS[s]))
+    pairs = combinations(range(len(q)), 2)
+    z = [central(q[i], q[j], (masks[i] & masks[j]).bit_count() & 1) for i, j in pairs]
+    return Model.from_tables(spec, spec.qubits, masks, HAMILTONIAN_RECORD, q, z)
 
 
 def build_from_selector(selector: str) -> Model:

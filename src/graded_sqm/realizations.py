@@ -145,8 +145,9 @@ def check_grid(points: int, spacing: float) -> None:
     """Refuse a grid before any array of it is built.
 
     A grid needs at least 3 points, its float64 L, U and V^T (points x
-    points each) within ``MAX_SPECTRUM_BYTES``, a finite positive spacing
-    and an odd point count: the doubler pairing that the spectrum's
+    points each) within ``MAX_SPECTRUM_BYTES``, a finite positive spacing,
+    a finite extent (points - 1)/2 x spacing, so that every coordinate is
+    finite, and an odd point count: the doubler pairing that the spectrum's
     multiplicity check counts on holds only on odd grids.
     """
     if points < 3:
@@ -160,6 +161,10 @@ def check_grid(points: int, spacing: float) -> None:
     # an infinite spacing zeroes the derivative; a nan one poisons every entry
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
+    if not math.isfinite((points - 1) / 2 * spacing):
+        raise ValueError(
+            f"grid extent (points - 1)/2 x spacing overflows float64 at spacing {spacing}; reduce the spacing"
+        )
     if points % 2 == 0:
         raise ValueError(
             f"grid point count {points} is even; the doubler pairing that "
@@ -232,10 +237,9 @@ class GridRealization:
     ) -> "GridRealization":
         check_grid(points, spacing)  # before W is evaluated on the grid
         import numpy as np
-        x = (np.arange(points) - (points - 1) / 2) * spacing
         # an overflowing W is refused by the finiteness check, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(w(x), dtype=float)
+            values = np.asarray(w(_coordinates(points, spacing)), dtype=float)
         return cls(points, spacing, values, label)
 
     @property
@@ -244,8 +248,7 @@ class GridRealization:
 
     @property
     def x(self) -> np.ndarray:
-        import numpy as np
-        return (np.arange(self.points) - (self.points - 1) / 2) * self.spacing
+        return _coordinates(self.points, self.spacing)
 
     @cached_property
     def _lowering(self) -> np.ndarray:
@@ -325,6 +328,11 @@ class GridRealization:
 
 
 NumericRealization = FockRealization | GridRealization
+
+
+def _coordinates(points: int, spacing: float) -> np.ndarray:
+    import numpy as np
+    return (np.arange(points) - (points - 1) / 2) * spacing
 
 
 def _is_smooth(v: np.ndarray) -> bool:

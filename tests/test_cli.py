@@ -515,6 +515,27 @@ class TestSpectrumCommand:
         assert (code, out, caught) == (2, "", [])
         assert err == "error: superpotential values must be finite\n"
 
+    @pytest.mark.parametrize("w", ["0", "x"])
+    def test_grid_of_infinite_extent_is_one_error_line(self, capsys, w):
+        # the outer coordinates (points - 1)/2 x spacing overflow: refused
+        # before a coordinate is computed, with no numpy warning
+        grid = ("--grid", "--points", "5", "--spacing", "1e308", "--W", w)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", *grid)
+        assert (code, out, caught) == (2, "", [])
+        assert err == (
+            "error: grid extent (points - 1)/2 x spacing overflows float64 at spacing 1e+308; "
+            "reduce the spacing\n"
+        )
+
+    def test_zero_cluster_multiplicity_verdict(self, capsys):
+        # W = x^2 - 4 has no normalizable zero mode, but the grid's
+        # near-zero levels form a cluster of 8
+        code, out, _ = run(capsys, "spectrum", "--model", "minimal:n=2", "--grid", "--W", "x^2-4")
+        assert code == 1
+        assert out.endswith("result: **FAIL**\n- zero cluster multiplicity 8, expected 0\n")
+
     def test_conflicting_realizations(self, capsys):
         code, _, err = run(
             capsys, "spectrum", "--model", "minimal:n=2", "--fock", "4", "--grid"
@@ -568,6 +589,13 @@ class TestConfigAndOutput:
         cfg.write_text("model minimal:n=2\n")
         code, _, err = run(capsys, "verify", "--config", str(cfg))
         assert code == 2
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = minimal:n=2\norbits\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: bad config line 'orbits' (expected key=value)\n"
 
     def test_realization_config_keys(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -747,6 +775,35 @@ class TestSuperpotentialParsing:
         with pytest.raises(ValueError):
             make_grid_realization(51, 0.1, str(path))
 
+
+    @pytest.mark.parametrize("w", ["x" * 300, "x^"], ids=["name-too-long", "dangling-power"])
+    def test_unparseable_w_reports_the_parse_error(self, capsys, w):
+        # a W too long to be a file name is no file, not an OS error
+        grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "5")
+        code, out, err = run(capsys, *grid, "--W", w)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse superpotential term {'+' + w!r} in {w!r}\n"
+
+    def test_table_over_the_byte_guard_is_refused(self, capsys, monkeypatch, tmp_path):
+        # the table is read up to the grid's byte guard and no further
+        guard = 1000
+        monkeypatch.setattr("graded_sqm.realizations.MAX_SPECTRUM_BYTES", guard)
+        body = "0\n" * 5
+        path = tmp_path / "w.txt"
+        grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "5", "--W", f"@{path}")
+        path.write_text("#" * (guard - len(body) - 1) + "\n" + body)
+        assert path.stat().st_size == guard
+        assert run(capsys, *grid)[0] == 0
+        path.write_text("#" * (guard - len(body)) + "\n" + body)
+        code, out, err = run(capsys, *grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: superpotential table {str(path)!r} is over {guard} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_table_is_refused(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--grid", "--W", "@/dev/zero")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: superpotential table '/dev/zero' is over ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("warn", ["default", "error"])

@@ -15,7 +15,6 @@ from graded_sqm.clifford import PauliOperator, anticommutes, commutes, gamma, pr
 from graded_sqm.grading import DegreeVector, dot, enumerate_odd_degrees
 from graded_sqm.models import (
     CENTRAL,
-    CUSTOM_FAMILIES,
     SUPERCHARGE,
     Model,
     ModelSpec,
@@ -63,6 +62,12 @@ class TestModelSpec:
         # int() reads each of these as 3 or 30
         with pytest.raises(ModelSpecError, match="bad rank"):
             ModelSpec.parse(sel)
+
+    @pytest.mark.parametrize("ordering", ["Reversed", "random", None])
+    def test_unknown_ordering(self, ordering):
+        refusal = f"^ordering must be 'default' or 'reversed', got {re.escape(repr(ordering))}$"
+        with pytest.raises(ModelSpecError, match=refusal):
+            ModelSpec("next", 3, ordering)
 
     def test_custom_rank_is_fixed(self):
         with pytest.raises(ModelSpecError):
@@ -452,7 +457,7 @@ class TestQubitCountBound:
         "sel,excess", [("n4cl10", 0), ("n4cl12", 0), ("n5cl26", 0), ("n5cl28", 1)]
     )
     def test_tables(self, models, sel, excess):
-        m = CUSTOM_FAMILIES[sel][1]
+        m = ModelSpec.parse(sel).qubits
         assert models(sel).hamiltonian.clifford.m == m
         assert m - self.bound(models(sel)) == excess
 

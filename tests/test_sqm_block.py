@@ -248,6 +248,11 @@ class TestGridRealization:
         with pytest.raises(ValueError):
             GridRealization(5, -0.1, np.zeros(5))
 
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_one_w_value_per_point(self, count):
+        with pytest.raises(ValueError, match="^w_values must have one value per grid point$"):
+            GridRealization(5, 0.1, np.zeros(count))
+
     def test_caller_array_is_copied_not_frozen(self):
         w = np.linspace(-1.0, 1.0, 5)
         r = GridRealization(5, 0.5, w)

@@ -666,6 +666,12 @@ class TestOneLayout:
             with pytest.raises(ValueError, match="a mask per supercharge and a record per pair"):
                 Model.from_tables(m.spec, m.m, masks, m.h, m.q, z)
 
+    def test_operators_on_two_qubit_counts_are_refused(self, models):
+        # minimal:n=3 and next:n=3 share their degrees but not their qubit count
+        small, large = models("minimal:n=3"), models("next:n=3")
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 4 vs 8$"):
+            Model(small.spec, small.odd_degrees, large.hamiltonian, small.supercharges, small.centrals)
+
     @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
     def test_tables_follow_the_degree_order_not_the_dicts(self, sel, ordering):
         model, degrees, charges, cents = self.parts(sel, ordering)
@@ -1172,6 +1178,34 @@ class TestSpectrum:
         refusal = r"^the float64 L, U and V\^T of 1449 points need 50390424 bytes, .*reduce the grid size$"
         with pytest.raises(ValueError, match=refusal):
             check_grid(1449, 0.05)
+
+    @pytest.mark.parametrize("points,spacing", [(5, 1e308), (1447, 1e306)])
+    def test_grid_extent_must_be_finite(self, points, spacing):
+        # every coordinate (j - (points - 1)/2) x spacing must be finite
+        with pytest.raises(ValueError, match="^grid extent .* overflows float64 at spacing .*; reduce the spacing$"):
+            check_grid(points, spacing)
+        check_grid(points, spacing / points)
+
+    # the verdicts a well-formed realization never reaches, pinned on a grid
+    # whose kernels or levels are replaced
+
+    def test_both_ladder_kernels_nonempty(self, models, monkeypatch):
+        monkeypatch.setattr(GridRealization, "kernel_pair", GridRealization.raw_kernel_pair)
+        grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
+        assert spectrum(models("minimal:n=2"), grid).problems == (
+            "both ladder kernels nonempty (1, 1); zero modes should come from one chirality only",
+            "zero cluster multiplicity 4, expected 2",
+        )
+
+    def test_expected_zero_cluster_missing(self, models, monkeypatch):
+        levels = GridRealization.partner_levels
+        monkeypatch.setattr(
+            GridRealization, "partner_levels", lambda self: tuple(v[v > 1e-6] for v in levels(self))
+        )
+        grid = GridRealization.from_function(41, 0.25, lambda x: x)
+        rep = spectrum(models("minimal:n=2"), grid)
+        assert (rep.zero_modes, rep.expected_zero) == (2, 2)
+        assert rep.problems == ("expected a zero cluster but found none",)
 
     @pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
     def test_grid_spacing_must_be_finite_and_positive(self, spacing):
