@@ -20,6 +20,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -38,6 +39,29 @@ EXIT_USAGE = 2
 FORMATS = ("markdown", "json", "csv")
 # the Fock cutoff of a spectrum given no realization, and of a config's realization = fock
 DEFAULT_CUTOFF = 8
+# bytes of a config file: it holds about 15 key = value lines at most
+MAX_CONFIG_BYTES = 64 << 10
+
+
+def read_input(path: str, limit: int, what: str) -> bytes:
+    """The bytes of the regular file ``path``, the ``what`` of a command.
+
+    Opened without blocking, so that a FIFO with no writer cannot hold the
+    call, and refused unless ``fstat`` calls it a regular file: a FIFO, a
+    device such as /dev/zero, a directory or a process substitution.  At
+    most ``limit`` + 1 bytes are read, and a file over ``limit`` is refused.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValueError(f"{what} {path!r} is not a regular file")
+        with open(fd, "rb", closefd=False) as f:
+            raw = f.read(limit + 1)
+    finally:
+        os.close(fd)
+    if len(raw) > limit:
+        raise ValueError(f"{what} {path!r} is over {limit} bytes")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +124,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
 
             return GridRealization.from_function(points, spacing, w, label=w_expr)
     # a table of a grid the guard admits is far smaller than the grid's matrices
-    with open(path, "rb") as f:
-        raw = f.read(MAX_SPECTRUM_BYTES + 1)
-    if len(raw) > MAX_SPECTRUM_BYTES:
-        raise ValueError(f"superpotential table {path!r} is over {MAX_SPECTRUM_BYTES} bytes")
+    raw = read_input(path, MAX_SPECTRUM_BYTES, "superpotential table")
     import numpy as np
     with warnings.catch_warnings():  # an empty table is refused below, not warned about
         warnings.simplefilter("ignore", UserWarning)
@@ -155,7 +176,7 @@ def config_flags(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
         if a.dest not in ("help", "config")
     }
     flags = []
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for raw in read_input(path, MAX_CONFIG_BYTES, "config").decode("utf-8-sig").splitlines():
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -203,9 +224,16 @@ def _table_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write the report as UTF-8, to ``out`` or to stdout, whatever the locale."""
+    """Write the report as UTF-8, to ``out`` or to stdout, whatever the locale.
+
+    ``out`` is opened without blocking, so that a FIFO with no reader fails
+    at once (ENXIO), and is then written as a blocking file.
+    """
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+        with open(fd, "w", encoding="utf-8") as f:
+            os.set_blocking(fd, True)
+            f.write(text + "\n")
         return
     encoding = getattr(sys.stdout, "encoding", None)  # stdout is None when closed
     if encoding and codecs.lookup(encoding).name != "utf-8":
@@ -433,8 +461,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # a ModelSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # raised bare, it has no message
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,11 +22,21 @@ COMMUTATOR = "commutator"
 ANTICOMMUTATOR = "anticommutator"
 
 
-class DegreeVector(NamedTuple("DegreeVector", [("n", int), ("mask", int)])):
-    """Element of Z2^n, bit-packed: bit j-1 of ``mask`` is component a_j.
+class CheckedTuple(tuple):
+    """Base of the value types, each ``class T(CheckedTuple, NamedTuple(...))``
+    checked in its ``__new__``, through which ``_make`` and ``_replace`` build
+    too.  Not a frozen dataclass, so that no call imports ``dataclasses``."""
 
-    Checked when made.  A named tuple rather than a frozen dataclass, so
-    that a command-line call never imports ``dataclasses``.
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class DegreeVector(CheckedTuple, NamedTuple("DegreeVector", [("n", int), ("mask", int)])):
+    """Element of Z2^n, bit-packed: bit j-1 of ``mask`` is component a_j.
+    Checked when made.
     """
 
     __slots__ = ()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .grading import MAX_RANK, DegreeVector, degree_text, dot, odd_masks
+from .grading import MAX_RANK, CheckedTuple, DegreeVector, degree_text, dot, odd_masks
 
 if TYPE_CHECKING:
     from .operators import GradedOperator
@@ -36,12 +36,10 @@ class ModelSpecError(ValueError):
     """Invalid model selector, rank out of cap, or incompatible options."""
 
 
-class ModelSpec(NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering", str)])):
+class ModelSpec(CheckedTuple, NamedTuple("ModelSpec", [("family", str), ("n", int), ("ordering", str)])):
     """Which family to build, at which rank, with which degree ordering.
 
-    Checked when made, against the family's row of ``_FAMILIES``.  A named
-    tuple rather than a frozen dataclass, so that a command-line call never
-    imports ``dataclasses``.
+    Checked when made, against the family's row of ``_FAMILIES``.
     """
 
     __slots__ = ()

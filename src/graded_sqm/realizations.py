@@ -13,9 +13,9 @@ of its lowering matrix.  The dense matrices of ``realize`` are the tests'
 oracle.  The module is imported where a realization is built and loads
 only what a spectrum runs: not the exact engine (:mod:`graded_sqm.verify`),
 not the word algebra (:mod:`graded_sqm.sqm_block`), whose letters the
-oracle methods import where they run, and not ``dataclasses``: the Fock
-realization is a named tuple and the grid a plain immutable class.  Every
-dense matrix, and every grid, imports numpy where it is built.
+oracle methods import where they run, and not ``dataclasses``: both
+realizations are checked named tuples.  Every dense matrix, and every grid,
+imports numpy where it is built.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from .grading import CheckedTuple
 from .models import HAMILTONIAN_RECORD, split
 
 if TYPE_CHECKING:
@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 
     from .models import Model
     from .sqm_block import Word, WordSum
+    Kernels = tuple[list[np.ndarray], list[np.ndarray]]  # of the lowering and the raising matrix
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
@@ -47,7 +48,7 @@ FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
 
 
-class FockRealization(NamedTuple("FockRealization", [("cutoff", int)])):
+class FockRealization(CheckedTuple, NamedTuple("FockRealization", [("cutoff", int)])):
     """Truncated harmonic Fock space, superpotential fixed to W(x) = x.
 
     The lowering letter acts as the standard annihilation operator on levels
@@ -172,7 +173,9 @@ def check_grid(points: int, spacing: float) -> None:
         )
 
 
-class GridRealization:
+class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
+    ("points", int), ("spacing", float), ("w_values", "np.ndarray"), ("label", str),
+])):
     """Finite-difference realization on a symmetric Dirichlet grid.
 
     The momentum is the central-difference stencil; the lowering matrix is
@@ -181,11 +184,14 @@ class GridRealization:
     level is at most (max|W| + 1/spacing)**2 / 2, and the 2 x points levels
     of both partners, which a cluster's mean adds up, sum to at most
     points x (max|W| + 1/spacing)**2.  A grid on which that bound overflows
-    float64 is refused.  Two grids are equal when their points, spacing,
-    label and superpotential values are.
+    float64 is refused.  A named tuple checked when made, which holds a
+    read-only copy of the values; two grids are equal when their points,
+    spacing, label and values are.
     """
 
-    def __init__(self, points: int, spacing: float, w_values: np.ndarray, label: str = "W") -> None:
+    __slots__ = ()
+
+    def __new__(cls, points: int, spacing: float, w_values: np.ndarray, label: str = "W") -> GridRealization:
         check_grid(points, spacing)
         import numpy as np
         w = np.array(w_values, dtype=float)  # a private copy, frozen below
@@ -201,23 +207,20 @@ class GridRealization:
                 "use a smaller superpotential or a larger spacing"
             )
         w.setflags(write=False)
-        self.__dict__.update(points=points, spacing=spacing, w_values=w, label=label)
-
-    # the fields live in ``__dict__``, where ``cached_property`` stores its
-    # values too, and copy and pickle restore it; none may be assigned or deleted
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        return super().__new__(cls, points, spacing, w, label)
 
     def __eq__(self, other: object) -> bool:
+        # never a tuple's ==, which compares the arrays and raises: a grid
+        # equals only a grid, also on the right of a tuple, which asks it first
         if not isinstance(other, GridRealization):
-            return NotImplemented
+            return False
         import numpy as np
         return (self.points, self.spacing, self.label) == (
             other.points, other.spacing, other.label
         ) and np.array_equal(self.w_values, other.w_values)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         # equal grids agree on these three; the values stay out, as array_equal
@@ -250,10 +253,7 @@ class GridRealization:
     def x(self) -> np.ndarray:
         return _coordinates(self.points, self.spacing)
 
-    @cached_property
-    def _lowering(self) -> np.ndarray:
-        # once per instance, read-only like w_values; the spectrum's SVD
-        # reads only this matrix
+    def lowering_matrix(self) -> np.ndarray:
         import numpy as np
         off = np.full(self.points - 1, 1.0 / (2.0 * self.spacing))
         d = np.diag(off, 1) - np.diag(off, -1)
@@ -261,27 +261,20 @@ class GridRealization:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def _raising(self) -> np.ndarray:
+    def raising_matrix(self) -> np.ndarray:
         # L^T, entry for entry equal to (-d + w)/sqrt(2), made only for the
         # oracles.  A C-contiguous copy, not a transposed view: products with
         # a view round differently in the last bits.
-        out = self._lowering.T.copy()
+        out = self.lowering_matrix().T.copy()
         out.setflags(write=False)
         return out
-
-    def lowering_matrix(self) -> np.ndarray:
-        return self._lowering
-
-    def raising_matrix(self) -> np.ndarray:
-        return self._raising
 
     def realize_entry(self, ws: WordSum) -> np.ndarray:
         import numpy as np
 
         from .sqm_block import LOWER, RAISE
 
-        ladders = {LOWER: self._lowering, RAISE: self._raising}
+        ladders = {LOWER: self.lowering_matrix(), RAISE: self.raising_matrix()}
         out = np.zeros((self.points, self.points), dtype=np.complex128)
         for word, coeff in ws.items():
             if not word:
@@ -293,35 +286,31 @@ class GridRealization:
             out += coeff * m
         return out
 
-    @cached_property
-    def _svd(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        # One SVD L = U s V^T per instance.  The raising matrix is L^T, so
-        # Ad A = V s^2 V^T and A Ad = U s^2 U^T share the levels s^2, and
-        # the rows of V^T and columns of U whose s is at or below the kernel
-        # threshold span the kernels of L and L^T.  w_values is read-only,
-        # so the cache cannot go stale, and its arrays are made read-only too.
+    def decompose(self) -> tuple[np.ndarray, Kernels, Kernels]:
+        """The levels s^2, the ladder kernels and the raw ones, from one SVD
+        L = U s V^T of the lowering matrix per call.  The raising matrix is
+        L^T, so Ad A = V s^2 V^T and A Ad = U s^2 U^T share the levels s^2,
+        in descending order, and the rows of V^T and columns of U whose s is
+        at or below the kernel threshold span the kernels of L and L^T."""
         import numpy as np
         u, s, vt = np.linalg.svd(self.lowering_matrix())
         null = s <= KERNEL_REL_TOL * s[0]
-        levels, ka, kd = s * s, list(vt[null]), list(u.T[null])
-        for v in (levels, *ka, *kd):
-            v.setflags(write=False)
-        return levels, ka, kd
+        raw = list(vt[null]), list(u.T[null])
+        smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
+        return s * s, smooth, raw
 
     def partner_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Levels of Ad A and of A Ad: both are the squared singular values
         of the lowering matrix, in descending order."""
-        levels = self._svd[0]
+        levels = self.decompose()[0]
         return levels, levels
 
-    def kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        _, ka, kd = self._svd
-        return [v for v in ka if _is_smooth(v)], [v for v in kd if _is_smooth(v)]
+    def kernel_pair(self) -> Kernels:
+        return self.decompose()[1]
 
-    def raw_kernel_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def raw_kernel_pair(self) -> Kernels:
         """Kernels without the checkerboard-artifact filter."""
-        _, ka, kd = self._svd
-        return list(ka), list(kd)
+        return self.decompose()[2]
 
     def describe(self) -> str:
         return f"grid(points={self.points}, spacing={self.spacing:g}, W={self.label})"
@@ -471,10 +460,9 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         edge = realization.cutoff - 0.5
     else:
         import numpy as np
-        kernel_a, kernel_ad = realization.kernel_pair()
-        raw_a, raw_ad = realization.raw_kernel_pair()
+        levels, (kernel_a, kernel_ad), (raw_a, raw_ad) = realization.decompose()
         artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
-        evals = np.sort(np.concatenate(realization.partner_levels()))
+        evals = np.sort(np.concatenate((levels, levels)))
         all_clusters = _cluster(evals, tol, cliffdim)
         # the upper part of the lattice band is not discretization-faithful
         edge = 0.25 * float(evals[-1])

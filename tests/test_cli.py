@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import graded_sqm
-from graded_sqm.cli import main, make_grid_realization, parse_polynomial
+from graded_sqm.cli import MAX_CONFIG_BYTES, main, make_grid_realization, parse_polynomial
 from graded_sqm.models import Model, build_from_selector
 from graded_sqm.realizations import MAX_FOCK_LEVELS, FockRealization, GridRealization
 from graded_sqm.sqm_block import canonical_blocks
@@ -324,8 +326,8 @@ class TestSpectrumCommand:
             def refuse(self):
                 pytest.fail("a ladder matrix was built for an even grid")
 
-            monkeypatch.setattr(GridRealization, "_lowering", property(refuse))
-            monkeypatch.setattr(GridRealization, "_raising", property(refuse))
+            monkeypatch.setattr(GridRealization, "lowering_matrix", refuse)
+            monkeypatch.setattr(GridRealization, "raising_matrix", refuse)
         grid = ("--grid", "--points", str(points), "--spacing", "0.05", "--W", w)
         code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", *grid)
         if points % 2:
@@ -479,7 +481,14 @@ class TestSpectrumCommand:
         monkeypatch.setattr("graded_sqm.realizations.spectrum", exhausted)
         code, _, err = run(capsys, "spectrum", "--model", "minimal:n=2")
         assert code == 2
-        assert "out of memory" in err
+        assert err == "error: out of memory: cannot allocate\n"
+
+    def test_bare_memory_error_has_no_dangling_colon(self, capsys, monkeypatch):
+        def exhausted(model, realization):
+            raise MemoryError
+
+        monkeypatch.setattr("graded_sqm.realizations.spectrum", exhausted)
+        assert run(capsys, "spectrum", "--model", "minimal:n=2") == (2, "", "error: out of memory\n")
 
     def test_negative_superpotential_as_a_separate_value(self, capsys):
         # argparse reads a separate value starting with "-" as an option
@@ -734,6 +743,85 @@ class TestConfigAndOutput:
         assert json.loads(dest.read_text())[0]["n"] == 2
 
 
+@contextmanager
+def other_side_opened_after(fifo: Path, mode: str, seconds: float = 10.0):
+    """Open ``fifo`` in ``mode`` after ``seconds`` unless the block is done
+    by then: a call that waits on the FIFO then fails, where it would hang."""
+    done = threading.Event()
+
+    def open_other_side():
+        if not done.wait(seconds):
+            with open(fifo, mode):
+                pass
+
+    opener = threading.Thread(target=open_other_side, daemon=True)
+    opener.start()
+    try:
+        yield
+    finally:
+        done.set()
+        opener.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+class TestInputAndOutputFiles:
+    """Only regular files are read, each up to its bound, and no input or
+    output file can hold a call: each refusal is one line and exit 2."""
+
+    def flags(self, which: str, path: str) -> tuple[str, ...]:
+        if which == "config":
+            return ("verify", "--config", path)
+        return ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "5", "--W", f"@{path}")
+
+    @pytest.mark.parametrize(
+        "which,what", [("config", "config"), ("table", "superpotential table")], ids=["config", "table"]
+    )
+    @pytest.mark.parametrize("target", ["fifo", "/dev/zero", "directory"])
+    def test_only_a_regular_file_is_read(self, capsys, tmp_path, which, what, target):
+        if target == "fifo":
+            path = tmp_path / "fifo"
+            os.mkfifo(path)
+        elif target == "directory":
+            path = tmp_path
+        elif os.path.exists(target):
+            path = Path(target)
+        else:
+            pytest.skip(f"no {target}")
+        with other_side_opened_after(path, "wb") if target == "fifo" else nullcontext():
+            got = run(capsys, *self.flags(which, str(path)))
+        assert got == (2, "", f"error: {what} {str(path)!r} is not a regular file\n")
+
+    def test_config_is_read_up_to_its_bound(self, capsys, tmp_path):
+        body = "model = minimal:n=2\nformat = json\n"
+        want = run(capsys, "verify", "--model", "minimal:n=2", "--format", "json")
+        cfg = tmp_path / "run.cfg"
+        for size in (MAX_CONFIG_BYTES, MAX_CONFIG_BYTES + 1):
+            cfg.write_text("#" * (size - len(body) - 1) + "\n" + body)
+            assert cfg.stat().st_size == size
+            got = run(capsys, "verify", "--config", str(cfg))
+            if size == MAX_CONFIG_BYTES:
+                assert want[0] == 0 and got == want
+            else:
+                assert got == (2, "", f"error: config {str(cfg)!r} is over {MAX_CONFIG_BYTES} bytes\n")
+
+    def test_out_to_a_fifo_with_no_reader_is_refused(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with other_side_opened_after(fifo, "rb"):
+            code, out, err = run(capsys, "census", "--out", str(fifo))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 6] ") and err.endswith(f"{str(fifo)!r}\n")
+        assert err.count("\n") == 1
+
+    def test_out_to_a_regular_file_gets_the_report(self, capsys, tmp_path):
+        code, want, _ = run(capsys, "verify", "--model", "minimal:n=2", "--format", "csv")
+        dest = tmp_path / "report.csv"
+        dest.write_text("an older and much longer report\n" * 100)
+        flags = ("verify", "--model", "minimal:n=2", "--format", "csv", "--out", str(dest))
+        assert run(capsys, *flags) == (code, "", "")
+        assert dest.read_bytes() == want.encode()
+
+
 class TestSuperpotentialParsing:
     def test_simple_forms(self):
         assert parse_polynomial("x") == [(1.0, 1)]
@@ -803,7 +891,7 @@ class TestSuperpotentialParsing:
     def test_endless_table_is_refused(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--grid", "--W", "@/dev/zero")
         assert (code, out) == (2, "")
-        assert err.startswith("error: superpotential table '/dev/zero' is over ") and err.count("\n") == 1
+        assert err == "error: superpotential table '/dev/zero' is not a regular file\n"
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("warn", ["default", "error"])

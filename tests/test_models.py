@@ -290,29 +290,52 @@ class TestCustomFamilies:
 
 class TestValueTypes:
     """Degrees, specs and realizations are immutable values: copies and
-    pickles equal and hash as the original, and the constructors check."""
+    pickles equal and hash as the original, and the constructors check,
+    also where ``_replace`` and ``_make`` build a value."""
 
+    # each type's maker, a field, and a value of that field its constructor refuses
     VALUES = {
-        "degree": (lambda: DegreeVector(3, 5), "mask"),
-        "spec": (lambda: ModelSpec("next", 3, "reversed"), "n"),
-        "fock": (lambda: FockRealization(8), "cutoff"),
-        "grid": (lambda: GridRealization.from_function(21, 0.1, lambda x: x**3, "x^3"), "points"),
+        "degree": (lambda: DegreeVector(3, 5), "mask", 99),
+        "spec": (lambda: ModelSpec("next", 3, "reversed"), "n", 100),
+        "fock": (lambda: FockRealization(8), "cutoff", -5),
+        "grid": (lambda: GridRealization.from_function(21, 0.1, lambda x: x**3, "x^3"), "points", 4),
     }
 
     @pytest.mark.parametrize("name", sorted(VALUES))
     def test_round_trips_are_equal_and_hash_equal(self, name):
-        make, _ = self.VALUES[name]
+        make, _, _ = self.VALUES[name]
         value = make()
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value and twin == make()
+            assert not twin != value
             assert hash(twin) == hash(value)
 
     @pytest.mark.parametrize("name", sorted(VALUES))
     def test_fields_cannot_be_assigned(self, name):
-        make, field = self.VALUES[name]
+        make, field, _ = self.VALUES[name]
         value = make()
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_replace_and_make_check_as_the_constructor(self, name):
+        make, field, bad = self.VALUES[name]
+        value = make()
+        row = [bad if f == field else v for f, v in zip(value._fields, value)]
+        with pytest.raises(ValueError) as refused:
+            type(value)(*row)
+        error, message = type(refused.value), f"^{re.escape(str(refused.value))}$"
+        with pytest.raises(error, match=message):
+            value._replace(**{field: bad})
+        with pytest.raises(error, match=message):
+            type(value)._make(row)
+        assert value._replace() == value and type(value)._make(value) == value
+
+    def test_make_checks_a_whole_row(self):
+        with pytest.raises(ModelSpecError, match="^unknown family 'nope'"):
+            ModelSpec._make(["nope", 1, "sideways"])
+        with pytest.raises(TypeError):
+            DegreeVector._make([3])
 
     @pytest.mark.parametrize(
         "make,error",

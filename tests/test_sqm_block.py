@@ -267,13 +267,15 @@ class TestGridRealization:
         assert a != make_grid(41, 0.25, lambda x: x**3 + 1)
         assert a != GridRealization(41, 0.25, a.w_values, label="x^3")
         assert a != FockRealization(40)
+        # a grid is no plain tuple of its fields, from either side
+        twin = (a.points, a.spacing, a.w_values.copy(), a.label)
+        assert a != twin and twin != a and not a == twin
         with pytest.raises(AttributeError):
             a.points = 43
         with pytest.raises(AttributeError):
             del a.label
-        assert a._svd is a._svd
 
-    def test_ladders_built_once_read_only_as_the_loop_builds_them(self):
+    def test_ladders_read_only_as_the_loop_builds_them(self):
         r = make_grid(41, 0.25, lambda x: x**3)
         d = np.zeros((41, 41))
         for j in range(40):
@@ -282,7 +284,6 @@ class TestGridRealization:
         w = np.diag(r.w_values)
         assert np.array_equal(r.lowering_matrix(), (d + w) / math.sqrt(2))
         assert np.array_equal(r.raising_matrix(), (-d + w) / math.sqrt(2))
-        assert r.lowering_matrix() is r.lowering_matrix()
         assert not r.lowering_matrix().flags.writeable
         assert not r.raising_matrix().flags.writeable
 

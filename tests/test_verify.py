@@ -853,6 +853,29 @@ class TestFoldedReports:
                         z.label() for z in broken.centrals.values() if str(z.degree) == entry.degree
                     )
 
+    @pytest.mark.parametrize("kind", [*MUTATION_KINDS, "random"])
+    def test_a_failing_row_names_the_bracket_of_its_degrees(self, models, kind):
+        # the kind column of every failing row of both checks is the bracket
+        # that grading.bracket_kind gives the two operators' degrees, read
+        # from the model's views by label (H has degree 0); "random" is the
+        # seeded mutate_model trials
+        failing = {"defining-relations": 0, "centrality": 0}
+        for sel in SMALL_TABLE_MODELS:
+            for seed in range(4):
+                if kind == "random":
+                    broken = mutate_model(models(sel), np.random.default_rng(seed))
+                else:
+                    broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
+                degree = {op.label(): op.degree for op in broken.operators()}
+                assert degree["H"].mask == 0
+                for rep in (check_defining_relations(broken), check_centrality(broken)):
+                    for p in rep.failures():
+                        assert p.kind == bracket_kind(degree[p.left], degree[p.right]), (sel, seed, p)
+                    failing[rep.check] += len(rep.failures())
+        assert failing["defining-relations"] > 0
+        # a phase or a sign breaks the defining relations alone
+        assert failing["centrality"] > 0 or kind in ("q-times-i", "z-times-minus-1")
+
     @pytest.mark.parametrize("kind", [None, *MUTATION_KINDS])
     def test_the_fold_script_turns_the_unfolded_schema_into_the_report(self, models, kind):
         fold = load_fold_script().fold
@@ -1190,7 +1213,13 @@ class TestSpectrum:
     # whose kernels or levels are replaced
 
     def test_both_ladder_kernels_nonempty(self, models, monkeypatch):
-        monkeypatch.setattr(GridRealization, "kernel_pair", GridRealization.raw_kernel_pair)
+        decompose = GridRealization.decompose
+
+        def unfiltered(self):
+            levels, _, raw = decompose(self)
+            return levels, raw, raw
+
+        monkeypatch.setattr(GridRealization, "decompose", unfiltered)
         grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
         assert spectrum(models("minimal:n=2"), grid).problems == (
             "both ladder kernels nonempty (1, 1); zero modes should come from one chirality only",
@@ -1198,10 +1227,13 @@ class TestSpectrum:
         )
 
     def test_expected_zero_cluster_missing(self, models, monkeypatch):
-        levels = GridRealization.partner_levels
-        monkeypatch.setattr(
-            GridRealization, "partner_levels", lambda self: tuple(v[v > 1e-6] for v in levels(self))
-        )
+        decompose = GridRealization.decompose
+
+        def without_zero_levels(self):
+            levels, kernels, raw = decompose(self)
+            return levels[levels > 1e-6], kernels, raw
+
+        monkeypatch.setattr(GridRealization, "decompose", without_zero_levels)
         grid = GridRealization.from_function(41, 0.25, lambda x: x)
         rep = spectrum(models("minimal:n=2"), grid)
         assert (rep.zero_modes, rep.expected_zero) == (2, 2)
@@ -1278,8 +1310,8 @@ class TestSpectrum:
         monkeypatch.setattr(FockRealization, "realize_entry", refuse)
         monkeypatch.setattr(GridRealization, "realize_entry", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(GridRealization, "_lowering", property(refuse))
-        monkeypatch.setattr(GridRealization, "_raising", property(refuse))
+        monkeypatch.setattr(GridRealization, "lowering_matrix", refuse)
+        monkeypatch.setattr(GridRealization, "raising_matrix", refuse)
         monkeypatch.setattr(FockRealization, "partner_levels", refuse)
         for broken in monomial_non_canonical_hamiltonians(m):
             with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
@@ -1303,7 +1335,7 @@ class TestSpectrum:
                 spectrum(broken, FockRealization(4))
 
     def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
-        # one SVD of the lowering matrix per instance gives both partner
+        # one SVD of the lowering matrix per spectrum call gives both partner
         # spectra and both kernels: no eigensolve and no realized entry
         shapes = []
         svd = np.linalg.svd
@@ -1323,11 +1355,11 @@ class TestSpectrum:
         rep = spectrum(models("minimal:n=2"), grid)
         assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
         assert shapes == [(41, 41)]
-        # the filtered and the raw kernels and a second spectrum all read the cache
+        # nothing is cached: a second spectrum decomposes again
+        assert spectrum(models("next:n=2"), grid).ok
+        assert shapes == [(41, 41)] * 2
         assert [len(k) for k in grid.raw_kernel_pair()] == [1, 1]
         assert [len(k) for k in grid.kernel_pair()] == [1, 0]
-        assert spectrum(models("next:n=2"), grid).ok
-        assert shapes == [(41, 41)]
 
 
 def orbit_sizes_bfs(model) -> tuple[int, ...]:
