@@ -1,17 +1,21 @@
 """Rewrite a verify or mutant JSON report of an earlier schema in the current one.
 
-Two earlier schemas are read.  The per-pair one wrote one
+Three earlier schemas are read.  The per-pair one wrote one
 ``defining_relations`` row per ordered supercharge pair, and a rank entry
 with its ``elements`` and every proportionality class.  The per-operator one
 wrote one passing relation row per supercharge whose pairs all hold and a
 rank entry with a ``count`` in place of ``elements``.  Both wrote one
 passing centrality row per left operator whose brackets all vanish.  The
-current schema writes, in each check section, one passing row that counts
-the left operators whose brackets all hold, then the failing rows as
-before, and only the rank classes of two or more labels.  Everything else is
-kept as it is.  The rows are rewritten by the report classes themselves, so
-an earlier report run through this script equals, byte for byte, the report
-that the current schema writes for the same call::
+classes-of-two schema wrote, in each check section, one passing row that
+counts the left operators whose brackets all hold, then the failing rows as
+before, and only the rank classes of two or more labels.  The current
+schema writes the check sections as that one does, and every rank class but
+the largest of its entry.  Everything else is kept as it is.  A rank entry
+that leaves labels out gets them back from the degree's labels, in the
+model that the CLI builds for the report's selector.  The rows are
+rewritten by the report classes themselves, so an earlier report run
+through this script equals, byte for byte, the report that the current
+schema writes for the same call, and a current report is left as it is::
 
     PYTHONPATH=src python scripts/fold_report.py old.json > folded.json
     cmp folded.json new.json
@@ -24,29 +28,71 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from graded_sqm.verify import DegreeRankEntry, PairCheck, RankReport, RelationReport  # noqa: E402
+from graded_sqm.grading import degree_text  # noqa: E402
+from graded_sqm.models import ModelSpec, build  # noqa: E402
+from graded_sqm.verify import DegreeRankEntry, PairCheck, RankReport, RelationReport, _labels  # noqa: E402
 
 
 def fold_section(section: dict) -> dict:
-    """A check section in the current schema, from its rows in either earlier one."""
-    rows = [
-        tuple(PairCheck(**row) for row in section[name])
-        for name in ("pair_results", "centrality_results")
-    ]
-    return RelationReport(section["model"], section["check"], *rows).to_dict()
+    """A check section in the current schema, from its rows in any earlier one.
+
+    A section whose passing row counts left operators, in words where an
+    operator's label has no space, is in the current schema already.
+    """
+    rows = [section[name] for name in ("pair_results", "centrality_results")]
+    if any(" " in row["left"] for row in (*rows[0], *rows[1])):
+        return section
+    checks = [tuple(PairCheck(**row) for row in part) for part in rows]
+    return RelationReport(section["model"], section["check"], *checks).to_dict()
+
+
+@cache
+def degree_labels(selector: str) -> dict[str, list[str]]:
+    """The labels of each degree's central elements, in report order, in the
+    model the CLI builds for the selector."""
+    model = build(ModelSpec.parse(selector))
+    labels: dict[str, list[str]] = {}
+    for label, (i, j) in zip(_labels(model, centrals=True)[len(model.q):], model.pairs):
+        labels.setdefault(degree_text(model.spec.n, model.masks[i] ^ model.masks[j]), []).append(label)
+    return labels
+
+
+def fold_classes(selector: str, entry: dict, count: int) -> tuple[tuple[str, ...], ...]:
+    """Every proportionality class of a rank entry, in order of first appearance.
+
+    The labels an entry leaves out make rank - len(classes) classes: one
+    class in the current schema, one class each in the classes-of-two one.
+    The model is built only when some labels are left out.
+    """
+    classes = [tuple(c) for c in entry["classes"]]
+    if sum(map(len, classes)) == count:
+        return tuple(classes)
+    order = degree_labels(selector)[entry["degree"]]
+    given = {label for c in classes for label in c}
+    rest = [label for label in order if label not in given]
+    missing = entry["rank"] - len(classes)
+    if missing == len(rest):
+        classes += [(label,) for label in rest]
+    elif missing == 1:
+        classes.append(tuple(rest))
+    else:
+        raise ValueError(f"rank entry {entry['degree']}: {len(rest)} labels left out cannot make {missing} classes")
+    first = {label: k for k, label in enumerate(order)}
+    return tuple(sorted(classes, key=lambda c: first[c[0]]))
 
 
 def fold_rank(rank: dict) -> dict:
-    """A rank section in the current schema: its entries keep only the classes of two or more labels."""
-    entries = tuple(
-        DegreeRankEntry(e["degree"], e["count"] if "count" in e else len(e["elements"]), e["rank"], e["classes"])
-        for e in rank["entries"]
-    )
-    return RankReport(**{**rank, "entries": entries}).to_dict()
+    """A rank section in the current schema: each entry keeps every class but its largest."""
+    entries = []
+    for e in rank["entries"]:
+        count = e["count"] if "count" in e else len(e["elements"])
+        entries.append(DegreeRankEntry(e["degree"], count, e["rank"], fold_classes(rank["model"], e, count)))
+    return RankReport(**{**rank, "entries": tuple(entries)}).to_dict()
 
 
 def fold(doc: dict) -> dict:
@@ -61,7 +107,7 @@ def fold(doc: dict) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    text = open(argv[0], encoding="utf-8").read() if argv else sys.stdin.read()
+    text = Path(argv[0]).read_text(encoding="utf-8") if argv else sys.stdin.read()
     sys.stdout.write(json.dumps(fold(json.loads(text)), indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -328,9 +328,10 @@ def _is_smooth(v: np.ndarray) -> bool:
     # Central differences admit checkerboard (grid-frequency) kernel vectors
     # that converge weakly to zero, not to a continuum function; they are
     # discretization artifacts, excluded just like the Fock truncation edge.
-    d = float((abs(v[1:] - v[:-1]) ** 2).sum())
-    s = float((abs(v[1:] + v[:-1]) ** 2).sum())
-    return s > d
+    # The neighbour overlap sum v_j v_{j+1} of a unit vector is near 1 for a
+    # smooth one and near -1 for a checkerboard; a vector on one sublattice,
+    # as when W vanishes on every even site, has overlap 0 up to rounding.
+    return float(v[1:] @ v[:-1]) > KERNEL_REL_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -357,10 +357,15 @@ class RankReport(NamedTuple):
     all_independent: bool | None
 
     def to_dict(self) -> dict:
-        """The report with only the classes of two or more labels in each
-        entry: the others are one label each, so that
-        rank == len(classes) + count - (labels in classes)."""
-        entries = [{**e._asdict(), "classes": [c for c in e.classes if len(c) > 1]} for e in self.entries]
+        """The report with every class of an entry but its largest (the first
+        of equal largest), the rest of the degree's labels: len(classes) ==
+        rank - 1.  An entry of one-label classes (rank == count) writes []."""
+        entries = []
+        for e in self.entries:
+            rest = list(e.classes) if e.rank < e.count else []
+            if rest:
+                rest.remove(max(rest, key=len))
+            entries.append({**e._asdict(), "classes": rest})
         return {**self._asdict(), "entries": entries}
 
     def to_markdown(self) -> str:
@@ -401,9 +406,7 @@ def central_rank(model: Model) -> RankReport:
     # by degree, in order of first appearance: the labels by key
     classes: dict[int, dict[tuple[int, int, int], list[str]]] = {}
     for degree, label, key in zip(degrees, _labels(model, centrals=True)[len(model.q):], keys):
-        group = classes.get(degree)
-        if group is None:
-            group = classes[degree] = {}
+        group = classes.setdefault(degree, {})
         same = group.get(key)
         if same is None:
             group[key] = [label]

@@ -363,6 +363,23 @@ class TestSpectrumCommand:
         assert code == 0
         assert "zero modes: 2" in out
 
+    @pytest.mark.parametrize(
+        "w,code,zero",
+        # W = 0 vanishes on every site, so each kernel vector lives on one
+        # sublattice with neighbour overlap 0 up to rounding: no zero mode at
+        # any size.  x^2 - 9 fails at every size; the zero modes of each W are
+        # those the grids have always given.
+        [("0", 0, (0, 0, 0, 0)), ("x", 0, (2, 2, 2, 2)), ("-x", 0, (2, 2, 2, 2)),
+         ("x^3", 0, (2, 2, 2, 2)), ("x^2-9", 1, (0, 4, 4, 4))],
+    )
+    def test_grid_zero_modes_do_not_depend_on_rounding(self, capsys, w, code, zero):
+        for (points, spacing), want in zip((("41", "0.25"), ("101", "0.1"), ("201", "0.05"), ("401", "0.025")), zero):
+            status, out, _ = run(
+                capsys, "spectrum", "--model", "minimal:n=2", "--grid", "--points", points,
+                "--spacing", spacing, "--W", w, "--format", "json",
+            )
+            assert (status, json.loads(out)["zero_modes"]) == (code, want), points
+
     def test_next_rank2_fock(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "--model", "next:n=2", "--fock", "8", "--format", "csv"

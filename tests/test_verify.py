@@ -43,6 +43,8 @@ from graded_sqm.sqm_block import (
     realize,
 )
 from graded_sqm.verify import (
+    DegreeRankEntry,
+    RankReport,
     _labels,
     _nonzero_brackets,
     central_rank,
@@ -773,6 +775,41 @@ def per_operator_document(rel, cen, rank) -> dict:
     return doc
 
 
+def current_document(rel, cen, rank) -> dict:
+    """The report in the current schema, as the library's reports write it."""
+    return {"defining_relations": rel.to_dict(), "centrality": cen.to_dict(), "rank": rank.to_dict()}
+
+
+def classes_of_two_document(rel, cen, rank) -> dict:
+    """The same report in the classes-of-two schema: the check sections as
+    now, and every rank entry's classes of two or more labels only."""
+    doc = current_document(rel, cen, rank)
+    doc["rank"]["entries"] = [
+        {"classes": [c for c in e.classes if len(c) > 1], "count": e.count, "degree": e.degree, "rank": e.rank}
+        for e in rank.entries
+    ]
+    return doc
+
+
+def degree_labels(model: Model) -> dict[str, list[str]]:
+    """Each degree's central labels, in model order, read from the operator views."""
+    labels: dict[str, list[str]] = {}
+    for z in model.centrals.values():
+        labels.setdefault(str(z.degree), []).append(z.label())
+    return labels
+
+
+def written_partition(written: dict, labels: list[str]) -> set[frozenset[str]]:
+    """The proportionality classes of a degree rebuilt from its JSON rank
+    entry: the listed classes, then the degree's other labels as one class,
+    or each as a class of its own when rank == count."""
+    classes = [frozenset(c) for c in written["classes"]]
+    rest = set(labels).difference(*classes)
+    if written["rank"] == written["count"]:
+        return {*classes, *(frozenset([label]) for label in rest)}
+    return {*classes, frozenset(rest)}
+
+
 MUTATION_KINDS = ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"]
 SMALL_TABLE_MODELS = [sel for sel in TABLE_MODELS if int(sel[-1] if ":" in sel else sel[1]) <= 4]
 
@@ -780,7 +817,7 @@ SMALL_TABLE_MODELS = [sel for sel in TABLE_MODELS if int(sel[-1] if ":" in sel e
 class TestFoldedReports:
     """A report writes, in each check section, one passing row that counts
     the left operators whose brackets all hold, then the failing rows, and
-    only the rank classes of two or more labels; the library reports keep
+    every rank class of an entry but its largest; the library reports keep
     every ordered pair, one centrality row per left operator and every class."""
 
     @pytest.mark.parametrize("sel", TABLE_MODELS)
@@ -841,17 +878,20 @@ class TestFoldedReports:
                         assert first["right"] == f"{n} supercharges and every later central element"
                 rank = central_rank(broken)
                 assert len(rank.entries) == len(rank.to_dict()["entries"])
+                labels = degree_labels(broken)
                 for entry, written in zip(rank.entries, rank.to_dict()["entries"]):
                     assert sorted(written) == ["classes", "count", "degree", "rank"]
                     assert (written["degree"], written["count"], written["rank"]) == entry[:3]
-                    assert all(len(c) >= 2 for c in written["classes"])
-                    assert written["classes"] == [c for c in entry.classes if len(c) > 1]
-                    # a class the report leaves out holds one label
-                    listed = sum(len(c) for c in written["classes"])
-                    assert written["rank"] == len(written["classes"]) + written["count"] - listed
-                    assert sorted(label for c in entry.classes for label in c) == sorted(
-                        z.label() for z in broken.centrals.values() if str(z.degree) == entry.degree
-                    )
+                    # every class but the first largest, which holds the labels
+                    # the report leaves out; none when every class is one label
+                    if entry.rank == entry.count:
+                        assert written["classes"] == []
+                    else:
+                        assert len(written["classes"]) == written["rank"] - 1
+                        largest = max(entry.classes, key=len)
+                        assert written["classes"] == [c for c in entry.classes if c is not largest]
+                    assert written_partition(written, labels[entry.degree]) == set(map(frozenset, entry.classes))
+                    assert sorted(label for c in entry.classes for label in c) == sorted(labels[entry.degree])
 
     @pytest.mark.parametrize("kind", [*MUTATION_KINDS, "random"])
     def test_a_failing_row_names_the_bracket_of_its_degrees(self, models, kind):
@@ -885,12 +925,76 @@ class TestFoldedReports:
                 if kind:
                     model = mutate_like_bench(model, kind, random.Random(f"{seed}:{sel}:{kind}"))
                 rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
-                report = {"defining_relations": rel.to_dict(), "centrality": cen.to_dict(), "rank": rank.to_dict()}
-                for earlier in (per_pair_document, per_operator_document):
+                report = current_document(rel, cen, rank)
+                # a current report folds into itself
+                for earlier in (per_pair_document, per_operator_document, classes_of_two_document, current_document):
                     folded = fold(json.loads(json.dumps(earlier(rel, cen, rank))))
                     assert json.dumps(folded, indent=2, sort_keys=True) == json.dumps(
                         report, indent=2, sort_keys=True
                     ), (sel, seed, earlier.__name__)
+
+    @pytest.mark.parametrize("sel", TABLE_MODELS)
+    def test_the_fold_script_turns_a_classes_of_two_report_into_the_cli_report(self, models, capsys, sel):
+        # the benchmark's verify calls: --rank --orbits --counts on the ladder,
+        # --rank --orbits on the two wide models
+        flags = ["--rank", "--orbits", *(() if sel.startswith("n5") else ("--counts",))]
+        assert main(["verify", "--model", sel, *flags, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        model = models(sel)
+        rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
+        for earlier in (classes_of_two_document, current_document):
+            doc = json.loads(out)
+            doc["rank"] = earlier(rel, cen, rank)["rank"]
+            folded = load_fold_script().fold(doc)
+            assert json.dumps(folded, indent=2, sort_keys=True) + "\n" == out, earlier.__name__
+
+    @pytest.mark.parametrize(
+        "shape,written",
+        # classes as indices into the 8 labels of a next:n=5 degree, and the
+        # classes a JSON entry writes: every one but the first largest, with
+        # ties and singletons ahead of a listed class
+        [
+            ([(0, 3, 6), (1, 4, 7), (2,), (5,)], [(1, 4, 7), (2,), (5,)]),
+            ([(0,), (1, 2), (3, 4), (5,), (6, 7)], [(0,), (3, 4), (5,), (6, 7)]),
+            ([(0, 7), (1,), (2, 6), (3, 4, 5)], [(0, 7), (1,), (2, 6)]),
+            ([(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], []),
+        ],
+    )
+    def test_the_fold_script_puts_classes_in_order_of_first_appearance(self, models, shape, written):
+        degree, labels = next(iter(degree_labels(models("next:n=5")).items()))
+        classes = tuple(tuple(labels[k] for k in c) for c in shape)
+        report = RankReport("next:n=5", (DegreeRankEntry(degree, 8, len(classes), classes),), 8, None, None)
+        current = json.loads(json.dumps(report.to_dict()))
+        assert current["entries"][0]["classes"] == [[labels[k] for k in c] for c in written]
+        two = {**current, "entries": [{**current["entries"][0], "classes": [c for c in classes if len(c) > 1]}]}
+        for earlier in (two, current):
+            assert json.loads(json.dumps(load_fold_script().fold_rank(earlier))) == current
+
+    def test_the_fold_script_turns_the_classes_of_two_golden_into_the_golden(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        assert load_fold_script().main([str(golden / "verify_minimal_n3_rank_orbits_counts_classes_of_two.json")]) == 0
+        assert capsys.readouterr().out == (golden / "verify_minimal_n3_rank_orbits_counts.json").read_text()
+
+    def test_the_fold_script_refuses_classes_that_do_not_add_up(self):
+        # degree 011 of minimal:n=3 holds two labels, which make one class or two
+        entry = {"classes": [], "count": 2, "degree": "011", "rank": 3}
+        with pytest.raises(ValueError, match="2 labels left out cannot make 3 classes"):
+            load_fold_script().fold_classes("minimal:n=3", entry, 2)
+
+    @pytest.mark.parametrize(
+        "sel,ordering", [*TABLE_SPECS, ("next:n=7", "default"), ("next:n=8", "default"), ("minimal:n=7", "default")]
+    )
+    def test_a_json_rank_entry_is_its_partition(self, sel, ordering):
+        # the listed classes and the degree's other labels, as one class or as
+        # singletons when rank == count, are the classes central_rank found
+        model = TestRecordsAreTheModel.build(sel, ordering)
+        rank = central_rank(model)
+        labels = degree_labels(model)
+        written = rank.to_dict()["entries"]
+        assert [e["degree"] for e in written] == [e.degree for e in rank.entries]
+        for entry, w in zip(rank.entries, written):
+            assert written_partition(w, labels[entry.degree]) == set(map(frozenset, entry.classes)), entry.degree
+            assert len(w["classes"]) == (entry.rank - 1 if entry.rank < entry.count else 0)
 
 
 class TestCentrality:
