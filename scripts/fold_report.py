@@ -10,9 +10,11 @@ classes-of-two schema wrote, in each check section, one passing row that
 counts the left operators whose brackets all hold, then the failing rows as
 before, and only the rank classes of two or more labels.  The current
 schema writes the check sections as that one does, and every rank class but
-the largest of its entry.  Everything else is kept as it is.  A rank entry
-that leaves labels out gets them back from the degree's labels, in the
-model that the CLI builds for the report's selector.  The rows are
+the largest of its entry.  Everything else is kept as it is.  A check
+section of the first two schemas keeps its failing rows, and its counts
+come from the number of supercharges of the model that the CLI builds for
+the report's selector.  A rank entry that leaves labels out gets them back
+from the degree's labels, in the same model.  The rows are
 rewritten by the report classes themselves, so an earlier report run
 through this script equals, byte for byte, the report that the current
 schema writes for the same call, and a current report is left as it is::
@@ -34,28 +36,35 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from graded_sqm.grading import degree_text  # noqa: E402
-from graded_sqm.models import ModelSpec, build  # noqa: E402
+from graded_sqm.models import Model, build_from_selector  # noqa: E402
 from graded_sqm.verify import DegreeRankEntry, PairCheck, RankReport, RelationReport, _labels  # noqa: E402
+
+
+@cache
+def selector_model(selector: str) -> Model:
+    """The model the CLI builds for the selector."""
+    return build_from_selector(selector)
 
 
 def fold_section(section: dict) -> dict:
     """A check section in the current schema, from its rows in any earlier one.
 
     A section whose passing row counts left operators, in words where an
-    operator's label has no space, is in the current schema already.
+    operator's label has no space, is in the current schema already.  An
+    earlier one keeps its failing rows only.
     """
     rows = [section[name] for name in ("pair_results", "centrality_results")]
     if any(" " in row["left"] for row in (*rows[0], *rows[1])):
         return section
-    checks = [tuple(PairCheck(**row) for row in part) for part in rows]
-    return RelationReport(section["model"], section["check"], *checks).to_dict()
+    checks = [tuple(PairCheck(**row) for row in part if not row["ok"]) for part in rows]
+    n = len(selector_model(section["model"]).q)
+    return RelationReport(section["model"], section["check"], n, *checks).to_dict()
 
 
 @cache
 def degree_labels(selector: str) -> dict[str, list[str]]:
-    """The labels of each degree's central elements, in report order, in the
-    model the CLI builds for the selector."""
-    model = build(ModelSpec.parse(selector))
+    """The labels of each degree's central elements, in report order."""
+    model = selector_model(selector)
     labels: dict[str, list[str]] = {}
     for label, (i, j) in zip(_labels(model, centrals=True)[len(model.q):], model.pairs):
         labels.setdefault(degree_text(model.spec.n, model.masks[i] ^ model.masks[j]), []).append(label)
@@ -67,7 +76,7 @@ def fold_classes(selector: str, entry: dict, count: int) -> tuple[tuple[str, ...
 
     The labels an entry leaves out make rank - len(classes) classes: one
     class in the current schema, one class each in the classes-of-two one.
-    The model is built only when some labels are left out.
+    The degree's labels are read only when some are left out.
     """
     classes = [tuple(c) for c in entry["classes"]]
     if sum(map(len, classes)) == count:

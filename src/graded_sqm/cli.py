@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-    from .models import Model
     from .realizations import GridRealization, NumericRealization
 
 EXIT_OK = 0
@@ -281,12 +280,6 @@ def cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_from(args: argparse.Namespace) -> Model:
-    from .models import ModelSpec, build
-
-    return build(ModelSpec.parse(args.model))
-
-
 def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
     if not args.grid and (args.points, args.spacing, args.w) != (None, None, None):
         raise ValueError("--points, --spacing and --W apply only with --grid")
@@ -304,7 +297,9 @@ def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv" and (args.rank or args.orbits or args.counts):
         raise ValueError("--rank, --orbits and --counts have no CSV form; use json or markdown")
-    model = _model_from(args)
+    from .models import build_from_selector
+
+    model = build_from_selector(args.model)
     # the spectrum runs first, so a realization it refuses costs no exact check,
     # but its section is reported last
     realization = _realization_from(args)
@@ -363,7 +358,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    model = _model_from(args)
+    from .models import build_from_selector
+
+    model = build_from_selector(args.model)
     if args.fock is None and not args.grid:
         args.fock = DEFAULT_CUTOFF
     from .realizations import spectrum

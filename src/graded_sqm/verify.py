@@ -20,8 +20,7 @@ module holds the exact engine only: spectra of a numeric realization are
 from __future__ import annotations
 
 from importlib import import_module
-from math import isqrt
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grading import ANTICOMMUTATOR, COMMUTATOR, degree_text
 from .models import Model, Record, central, product, split
@@ -100,41 +99,18 @@ class PairCheck(NamedTuple):
     residual: str | None = None
 
 
-def _supercharges(nz: int) -> int:
-    """The N of N supercharges with N_Z = N (N - 1) / 2 central elements:
-    every model stores one per pair of supercharges."""
-    return (1 + isqrt(1 + 8 * nz)) // 2
-
-
-def _relations_summary(lefts: int, passed: list[str]) -> tuple[str, str]:
-    return f"{len(passed)} of {lefts} supercharges", f"{lefts} supercharges"
-
-
-def _centrality_summary(lefts: int, passed: list[str]) -> tuple[str, str]:
-    nz, h = lefts - 1, passed[:1] == ["H"]
-    left = f"{'H and ' if h else ''}{len(passed) - h} of {nz} central elements"
-    return left, f"{_supercharges(nz)} supercharges and every later central element"
-
-
-def _written(
-    results: Sequence[PairCheck], summary: Callable[[int, list[str]], tuple[str, str]]
-) -> list[PairCheck]:
-    """The rows a report writes for one check section: one passing row that
-    counts the left operators whose brackets all hold, in the words of
-    ``summary(number of left operators, passing left operators)``, then every
-    failing row in check order.  A section with no rows writes none."""
-    if not results:
-        return []
-    bad = [p for p in results if not p.ok]
-    failed = {p.left for p in bad}
-    lefts = dict.fromkeys(p.left for p in results)
-    left, right = summary(len(lefts), [left for left in lefts if left not in failed])
-    return [_new(PairCheck, (left, right, "graded", True, None)), *bad]
-
-
 class RelationReport(NamedTuple):
+    """The rows of one exact check of a model with ``supercharges`` = N.
+
+    ``pair_results`` holds every ordered supercharge pair of the defining
+    relations, ``centrality_results`` only the failing brackets of the
+    centrality check: a passing model has none.  The counts a report writes
+    come from N and the failing rows, and the JSON leaves N out.
+    """
+
     model: str
     check: str
+    supercharges: int
     pair_results: tuple[PairCheck, ...] = ()
     centrality_results: tuple[PairCheck, ...] = ()
 
@@ -149,25 +125,32 @@ class RelationReport(NamedTuple):
 
     def written_rows(self) -> tuple[list[PairCheck], list[PairCheck]]:
         """The rows the report writes for ``pair_results`` and for
-        ``centrality_results``: each section's one passing row, then its
-        failing rows (:func:`_written`)."""
-        return (
-            _written(self.pair_results, _relations_summary),
-            _written(self.centrality_results, _centrality_summary),
-        )
+        ``centrality_results``: in the section of its check, one passing row
+        that counts the left operators whose brackets all hold, then every
+        failing row in check order; none in the other section."""
+        bad = self.failures()
+        failed, n = {p.left for p in bad}, self.supercharges
+        if self.check != "centrality":
+            row = (f"{n - len(failed)} of {n} supercharges", f"{n} supercharges")
+            return [_new(PairCheck, (*row, "graded", True, None)), *bad], []
+        nz, h = n * (n - 1) // 2, "H" not in failed
+        left = f"{'H and ' if h else ''}{nz - len(failed - {'H'})} of {nz} central elements"
+        row = (left, f"{n} supercharges and every later central element")
+        return [], [_new(PairCheck, (*row, "graded", True, None)), *bad]
 
     def brackets(self) -> int:
         """The number of brackets the report decided: N**2 defining relations,
         and N + N_Z + N_Z N + N_Z (N_Z - 1) / 2 centrality brackets, H and
-        every Z against every supercharge and every later Z."""
-        nz = len(dict.fromkeys(p.left for p in self.centrality_results)) - 1
-        centrality = 0 if nz < 0 else (1 + nz) * _supercharges(nz) + nz + nz * (nz - 1) // 2
-        return len(self.pair_results) + centrality
+        every Z against every supercharge and every later Z, for the
+        N_Z = N (N - 1) / 2 central elements a model stores, one per pair."""
+        n = self.supercharges
+        nz = n * (n - 1) // 2
+        return (1 + nz) * n + nz + nz * (nz - 1) // 2 if self.check == "centrality" else n * n
 
     def to_dict(self) -> dict:
         pairs, centrality = self.written_rows()
         return {
-            **self._asdict(), "overall": self.overall,
+            "model": self.model, "check": self.check, "overall": self.overall,
             "pair_results": [p._asdict() for p in pairs],
             "centrality_results": [p._asdict() for p in centrality],
         }
@@ -295,7 +278,7 @@ def check_defining_relations(model: Model) -> RelationReport:
             terms = [(product(q[i], q[j]), 0), (t, c)] if nonzero >> j & 1 else [(t, c)]
             row[j] = PairCheck(left, labels[j], kinds[j], False, _residual(terms))
         results += row
-    return RelationReport(model.spec.selector, "defining-relations", pair_results=tuple(results))
+    return RelationReport(model.spec.selector, "defining-relations", len(q), pair_results=tuple(results))
 
 
 def check_centrality(model: Model) -> RelationReport:
@@ -306,9 +289,9 @@ def check_centrality(model: Model) -> RelationReport:
     the partners of a left operator are every supercharge and every operator
     after it.  The pair set is therefore H x (Q and Z), Z x Q and Z_i x Z_j
     for i < j, each decided by :func:`_nonzero_brackets` in one sweep over
-    the left operators.  A left operator whose partners all vanish gets one
-    aggregate row; otherwise it gets one row per failing pair, whose
-    residual is the bracket 2 u v (:func:`_residual`).
+    the left operators.  The report holds one row per failing pair, whose
+    residual is the bracket 2 u v (:func:`_residual`), and so none when the
+    model passes.
     """
     records = [model.h, *model.q, *model.z]  # H, then the supercharges, then the centrals
     masks = [0, *model.masks, *[model.masks[i] ^ model.masks[j] for i, j in model.pairs]]
@@ -317,12 +300,9 @@ def check_centrality(model: Model) -> RelationReport:
     left = [0, *range(1 + nq, len(records))]
     labels = ["H", *_labels(model, centrals=True)]
     results: list[PairCheck] = []
-    last = len(records) - 1
     for i, nonzero in zip(left, _nonzero_brackets(records, masks, left)):
         # bit_length finds a later column in O(1), where a shift copies the mask
         if not (nonzero & supercharges or nonzero.bit_length() > i + 1):
-            right = f"{nq} supercharges and {last - (i or nq)} later central elements"
-            results.append(_new(PairCheck, (labels[i], right, "graded", True, None)))
             continue
         bad = nonzero & (supercharges | (1 << len(records)) - (2 << i))
         while bad:
@@ -332,9 +312,7 @@ def check_centrality(model: Model) -> RelationReport:
             d = (masks[i] & masks[j]).bit_count() & 1
             res = _residual([(product(records[i], records[j]), 0)])
             results.append(PairCheck(labels[i], labels[j], _KINDS[d], False, res))
-    return RelationReport(
-        model.spec.selector, "centrality", centrality_results=tuple(results)
-    )
+    return RelationReport(model.spec.selector, "centrality", nq, centrality_results=tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class TestVerifyCommand:
         assert "overall: **PASS** (64/64 checks)" in lines
         assert "overall: **PASS** (638/638 checks)" in lines
         broken = central_times_last_supercharge(build_from_selector("next:n=4"))
-        monkeypatch.setattr("graded_sqm.cli._model_from", lambda args: broken)
+        monkeypatch.setattr("graded_sqm.models.build_from_selector", lambda selector: broken)
         code, out, _ = run(capsys, "verify", "--model", "next:n=4")
         assert code == 1
         lines = out.splitlines()
@@ -147,6 +147,7 @@ class TestVerifyCommand:
         broken = RelationReport(
             "minimal:n=2",
             "defining-relations",
+            2,
             pair_results=(PairCheck("Q[01]", "Q[01]", "anticommutator", False, "boom"),),
         )
         monkeypatch.setattr("graded_sqm.verify.check_defining_relations", lambda m: broken)
@@ -187,7 +188,7 @@ class TestVerifyCommand:
         rows = list(csv.reader(out.splitlines()))
         assert len(rows) == 3 and {len(row) for row in rows} == {6}
         broken = central_times_last_supercharge(build_from_selector("minimal:n=3"))
-        monkeypatch.setattr("graded_sqm.cli._model_from", lambda args: broken)
+        monkeypatch.setattr("graded_sqm.models.build_from_selector", lambda selector: broken)
         code, out, _ = run(capsys, "verify", "--model", "minimal:n=3", "--format", "csv")
         assert code == 1
         rows = list(csv.reader(out.splitlines()))
@@ -942,7 +943,7 @@ from graded_sqm import cli, verify
 from graded_sqm.verify import PairCheck, RelationReport
 if sys.argv[1] == "verify":
     row = PairCheck("Q[01]", "Q[01]", "anticommutator", False, "boom")
-    broken = RelationReport("minimal:n=2", "defining-relations", pair_results=(row,))
+    broken = RelationReport("minimal:n=2", "defining-relations", 2, pair_results=(row,))
     verify.check_defining_relations = lambda model: broken
 sys.stdin.readline()
 sys.exit(cli.main(sys.argv[1:]))

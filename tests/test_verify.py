@@ -44,6 +44,7 @@ from graded_sqm.sqm_block import (
 )
 from graded_sqm.verify import (
     DegreeRankEntry,
+    PairCheck,
     RankReport,
     _labels,
     _nonzero_brackets,
@@ -189,13 +190,24 @@ def relation_groups(model: Model) -> list[tuple[SqmBlock, int, int] | None]:
 
 
 def centrality_groups(model: Model, rows) -> list[tuple[SqmBlock, int, int] | None]:
-    """The first non-cancelling group of each failing centrality row's
-    bracket, and None for each aggregate row."""
+    """The first non-cancelling group of each centrality row's bracket."""
     ops = {op.label(): op for op in model.operators()}
-    return [
-        None if p.ok else first_group(graded_bracket_terms(ops[p.left], ops[p.right]))
-        for p in rows
-    ]
+    return [first_group(graded_bracket_terms(ops[p.left], ops[p.right])) for p in rows]
+
+
+def per_left_rows(model: Model, cen) -> list[PairCheck]:
+    """The centrality rows of the schemas that wrote one row per left
+    operator, rebuilt from the failing rows: each left operator's failing
+    rows in check order, or one passing row that names its partners."""
+    nq, nz = len(model.q), len(model.z)
+    failing: dict[str, list[PairCheck]] = {}
+    for p in cen.centrality_results:
+        failing.setdefault(p.left, []).append(p)
+    rows = []
+    for k, left in enumerate(["H", *_labels(model, centrals=True)[nq:]]):
+        right = f"{nq} supercharges and {nz - k} later central elements"
+        rows += failing.get(left) or [PairCheck(left, right, "graded", True)]
+    return rows
 
 
 def assert_checks_match_oracle(model: Model):
@@ -581,7 +593,10 @@ class TestRecordsAreTheModel:
 
     @pytest.mark.parametrize(
         "sel",
-        [*(f"{family}:n={n}" for n in (3, 4) for family in ("minimal", "next", "maximal")), "n4cl10", "n4cl12"],
+        [
+            *(f"{family}:n={n}" for n in (3, 4) for family in ("minimal", "next", "maximal")),
+            "n4cl10", "n4cl12", "n5cl26", "n5cl28", "minimal:n=5",
+        ],
     )
     def test_every_record_flip_is_detected(self, models, sel):
         # every single-bit flip of x or z, the block qubit included, and
@@ -730,20 +745,20 @@ def load_fold_script():
     return module
 
 
-def per_pair_document(rel, cen, rank) -> dict:
+def per_pair_document(model, rel, cen, rank) -> dict:
     """A verify report in the per-pair schema: every ordered pair's row, one
-    centrality row per left operator, and every rank entry's element labels
-    with all its classes."""
-    def section(rep):
+    centrality row per left operator (:func:`per_left_rows`), and every rank
+    entry's element labels with all its classes."""
+    def section(rep, pairs, centrality):
         return {
             "model": rep.model, "check": rep.check, "overall": rep.overall,
-            "pair_results": [p._asdict() for p in rep.pair_results],
-            "centrality_results": [p._asdict() for p in rep.centrality_results],
+            "pair_results": [p._asdict() for p in pairs],
+            "centrality_results": [p._asdict() for p in centrality],
         }
 
     return {
-        "defining_relations": section(rel),
-        "centrality": section(cen),
+        "defining_relations": section(rel, rel.pair_results, ()),
+        "centrality": section(cen, (), per_left_rows(model, cen)),
         "rank": {
             **rank.to_dict(),
             "entries": [
@@ -757,11 +772,11 @@ def per_pair_document(rel, cen, rank) -> dict:
     }
 
 
-def per_operator_document(rel, cen, rank) -> dict:
+def per_operator_document(model, rel, cen, rank) -> dict:
     """The same report in the per-operator schema: one passing relation row
     per supercharge whose pairs all hold, or its failing pairs, and every rank
     entry's count with all its classes."""
-    doc = per_pair_document(rel, cen, rank)
+    doc = per_pair_document(model, rel, cen, rank)
     rows = []
     for left, run in itertools.groupby(rel.pair_results, lambda p: p.left):
         run = list(run)
@@ -775,15 +790,15 @@ def per_operator_document(rel, cen, rank) -> dict:
     return doc
 
 
-def current_document(rel, cen, rank) -> dict:
+def current_document(model, rel, cen, rank) -> dict:
     """The report in the current schema, as the library's reports write it."""
     return {"defining_relations": rel.to_dict(), "centrality": cen.to_dict(), "rank": rank.to_dict()}
 
 
-def classes_of_two_document(rel, cen, rank) -> dict:
+def classes_of_two_document(model, rel, cen, rank) -> dict:
     """The same report in the classes-of-two schema: the check sections as
     now, and every rank entry's classes of two or more labels only."""
-    doc = current_document(rel, cen, rank)
+    doc = current_document(model, rel, cen, rank)
     doc["rank"]["entries"] = [
         {"classes": [c for c in e.classes if len(c) > 1], "count": e.count, "degree": e.degree, "rank": e.rank}
         for e in rank.entries
@@ -818,18 +833,25 @@ class TestFoldedReports:
     """A report writes, in each check section, one passing row that counts
     the left operators whose brackets all hold, then the failing rows, and
     every rank class of an entry but its largest; the library reports keep
-    every ordered pair, one centrality row per left operator and every class."""
+    every ordered pair, the failing centrality brackets and every class."""
 
-    @pytest.mark.parametrize("sel", TABLE_MODELS)
-    def test_a_passing_model_has_a_row_per_operator(self, models, sel):
-        model = models(sel)
+    @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
+    def test_a_passing_model_keeps_every_pair_and_no_centrality_row(self, sel, ordering):
+        model = TestRecordsAreTheModel.build(sel, ordering)
         n, nz = len(model.q), len(model.z)
         rel, cen = check_defining_relations(model), check_centrality(model)
-        # the benchmark's tracer replays every ordered pair against these,
-        # and counts the centrality rows
+        # the benchmark's tracer replays every ordered pair against these
         assert len(rel.pair_results) == n * n
-        assert [p.left for p in cen.centrality_results] == ["H", *_labels(model, centrals=True)[n:]]
-        assert cen.centrality_results[0].right == f"{n} supercharges and {nz} later central elements"
+        assert cen.centrality_results == () and cen.overall
+        # every model stores one central element per pair of supercharges,
+        # and the report's counts come from N, which the JSON leaves out
+        assert rel.supercharges == cen.supercharges == n and nz == n * (n - 1) // 2
+        assert (rel.brackets(), cen.brackets()) == (n * n, (1 + nz) * n + nz + nz * (nz - 1) // 2)
+        assert "supercharges" not in rel.to_dict() and "supercharges" not in cen.to_dict()
+        # the per-left rows of the earlier schemas: one passing row per left operator
+        rows = per_left_rows(model, cen)
+        assert [p.left for p in rows] == ["H", *_labels(model, centrals=True)[n:]]
+        assert rows[0].right == f"{n} supercharges and {nz} later central elements"
         rank = central_rank(model)
         assert sum(len(c) for e in rank.entries for c in e.classes) == nz
 
@@ -925,10 +947,10 @@ class TestFoldedReports:
                 if kind:
                     model = mutate_like_bench(model, kind, random.Random(f"{seed}:{sel}:{kind}"))
                 rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
-                report = current_document(rel, cen, rank)
+                report = current_document(model, rel, cen, rank)
                 # a current report folds into itself
                 for earlier in (per_pair_document, per_operator_document, classes_of_two_document, current_document):
-                    folded = fold(json.loads(json.dumps(earlier(rel, cen, rank))))
+                    folded = fold(json.loads(json.dumps(earlier(model, rel, cen, rank))))
                     assert json.dumps(folded, indent=2, sort_keys=True) == json.dumps(
                         report, indent=2, sort_keys=True
                     ), (sel, seed, earlier.__name__)
@@ -944,7 +966,7 @@ class TestFoldedReports:
         rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
         for earlier in (classes_of_two_document, current_document):
             doc = json.loads(out)
-            doc["rank"] = earlier(rel, cen, rank)["rank"]
+            doc["rank"] = earlier(model, rel, cen, rank)["rank"]
             folded = load_fold_script().fold(doc)
             assert json.dumps(folded, indent=2, sort_keys=True) + "\n" == out, earlier.__name__
 
@@ -1060,7 +1082,7 @@ class TestCentrality:
         # every ordered pair of H, Q and Z, on the intact model, on three
         # Pauli-space mutations and on one block-scalar mutation; the
         # failing rows of check_centrality are exactly the failing pairs of
-        # H x (Q, Z), Z x Q and Z_i x Z_j for i < j, each listed once.
+        # H x (Q, Z), Z x Q and Z_i x Z_j for i < j, each listed once, in order.
         # minimal:n=5 has 137 operators, so its bit planes span more than
         # two 64-bit words; it runs on the intact model and one mutation.
         rng = np.random.default_rng(17)
@@ -1083,25 +1105,20 @@ class TestCentrality:
             assert all(0 <= mask < 1 << len(ops) for mask in masks)
             assert [[not mask >> j & 1 for j in range(len(ops))] for mask in masks] == want
 
+            # the failing pairs, left operator by left operator, in order
             nq = len(m.supercharges)
-            rows = []
-            for i in [0, *range(1 + nq, len(ops))]:
-                bad = [j for j in range(len(ops)) if (1 <= j <= nq or j > i) and not want[i][j]]
-                if bad:
-                    rows += [(ops[i].label(), ops[j].label(), False) for j in bad]
-                else:
-                    rows.append((ops[i].label(), True))
-            rep = check_centrality(m)
-            got = [
-                (p.left, True) if p.ok else (p.left, p.right, False)
-                for p in rep.centrality_results
+            rows = [
+                (ops[i].label(), ops[j].label(), False)
+                for i in [0, *range(1 + nq, len(ops))]
+                for j in range(len(ops))
+                if (1 <= j <= nq or j > i) and not want[i][j]
             ]
-            assert got == rows
+            rep = check_centrality(m)
+            assert [(p.left, p.right, p.ok) for p in rep.centrality_results] == rows
             rows = rep.centrality_results
             assert_residuals_match(rows, centrality_groups(m, rows))
             if m is model:
-                assert len(rep.centrality_results) == 1 + len(m.centrals)
-                assert rep.overall
+                assert rep.centrality_results == () and rep.overall
 
     def test_failing_pairs_carry_residuals(self, models):
         m = models("next:n=3")
@@ -1600,7 +1617,8 @@ class TestMaximalPastTheDenseRange:
         m = models(f"maximal:n={n}")
         assert check_defining_relations(m).overall
         cen = check_centrality(m)
-        assert cen.overall and len(cen.centrality_results) == 1 + centrals
+        assert cen.overall and cen.centrality_results == ()
+        assert cen.to_dict()["centrality_results"][0]["left"] == f"H and {centrals} of {centrals} central elements"
         rep = central_rank(m)
         assert (rep.total_rank, rep.total_count, rep.all_independent) == (centrals, centrals, True)
         nq = len(m.supercharges)
