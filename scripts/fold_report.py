@@ -1,17 +1,19 @@
 """Rewrite a verify or mutant JSON report of an earlier schema in the current one.
 
-Three earlier schemas are read.  The per-pair one wrote one
+Four earlier schemas are read.  The per-pair one wrote one
 ``defining_relations`` row per ordered supercharge pair, and a rank entry
 with its ``elements`` and every proportionality class.  The per-operator one
 wrote one passing relation row per supercharge whose pairs all hold and a
 rank entry with a ``count`` in place of ``elements``.  Both wrote one
 passing centrality row per left operator whose brackets all vanish.  The
 classes-of-two schema wrote, in each check section, one passing row that
-counts the left operators whose brackets all hold, then the failing rows as
-before, and only the rank classes of two or more labels.  The current
-schema writes the check sections as that one does, and every rank class but
-the largest of its entry.  Everything else is kept as it is.  A check
-section of the first two schemas keeps its failing rows, and its counts
+counts the left operators whose brackets all hold, then one row per failing
+bracket, and only the rank classes of two or more labels.  The per-row
+schema wrote the check sections as that one does, and every rank class but
+the largest of its entry.  The current schema writes the rank as the
+per-row one does, and in each check section the count row, then the failing
+rows grouped by the operator they share.  Everything else is kept as it is.
+A check section of an earlier schema keeps its failing rows, and its counts
 come from the number of supercharges of the model that the CLI builds for
 the report's selector.  A rank entry that leaves labels out gets them back
 from the degree's labels, in the same model.  The rows are
@@ -49,12 +51,13 @@ def selector_model(selector: str) -> Model:
 def fold_section(section: dict) -> dict:
     """A check section in the current schema, from its rows in any earlier one.
 
-    A section whose passing row counts left operators, in words where an
-    operator's label has no space, is in the current schema already.  An
-    earlier one keeps its failing rows only.
+    A section that holds only a passing row that counts left operators, in
+    words where an operator's label has no space, and groups of failing rows
+    is in the current schema already.  An earlier one keeps its failing rows
+    only.
     """
     rows = [section[name] for name in ("pair_results", "centrality_results")]
-    if any(" " in row["left"] for row in (*rows[0], *rows[1])):
+    if all("operator" in row or " " in row["left"] for row in (*rows[0], *rows[1])):
         return section
     checks = [tuple(PairCheck(**row) for row in part if not row["ok"]) for part in rows]
     n = len(selector_model(section["model"]).q)

@@ -19,6 +19,7 @@ module holds the exact engine only: spectra of a numeric realization are
 
 from __future__ import annotations
 
+from collections import Counter
 from importlib import import_module
 from typing import Iterable, NamedTuple, Sequence
 
@@ -99,6 +100,37 @@ class PairCheck(NamedTuple):
     residual: str | None = None
 
 
+def _groups(bad: Sequence[PairCheck]) -> list[dict]:
+    """The failing rows of a section as groups, each named for an operator
+    that its rows share, in the order the groups are first met.
+
+    A row joins the group of whichever of its two operators takes part in
+    more of the rows.  On a tie it joins the earlier of the groups the two
+    head, or the left operator's when neither heads one yet, so (a, b) and
+    (b, a) join one group.  A group writes its operator, its count, its
+    partners in check order, split into those it is left of and those it is
+    right of, and its first three rows in full.
+    """
+    part: Counter[str] = Counter()
+    for p in bad:
+        part.update({p.left, p.right})
+    groups: dict[str, list[PairCheck]] = {}
+    heads: dict[str, int] = {}  # the operator that heads a group -> its place
+    for p in bad:
+        head = min((p.left, p.right), key=lambda op: (-part[op], heads.get(op, len(bad))))
+        heads.setdefault(head, len(heads))
+        groups.setdefault(head, []).append(p)
+    return [
+        {
+            "operator": op, "count": len(rows),
+            "left_of": [p.right for p in rows if p.left == op],
+            "right_of": [p.left for p in rows if p.left != op],
+            "first": [p._asdict() for p in rows[:3]],
+        }
+        for op, rows in groups.items()
+    ]
+
+
 class RelationReport(NamedTuple):
     """The rows of one exact check of a model with ``supercharges`` = N.
 
@@ -124,10 +156,11 @@ class RelationReport(NamedTuple):
         return [p for p in (*self.pair_results, *self.centrality_results) if not p.ok]
 
     def written_rows(self) -> tuple[list[PairCheck], list[PairCheck]]:
-        """The rows the report writes for ``pair_results`` and for
+        """The rows a CSV report writes for ``pair_results`` and for
         ``centrality_results``: in the section of its check, one passing row
         that counts the left operators whose brackets all hold, then every
-        failing row in check order; none in the other section."""
+        failing row in check order; none in the other section.  The JSON
+        groups the failing rows (:meth:`to_dict`)."""
         bad = self.failures()
         failed, n = {p.left for p in bad}, self.supercharges
         if self.check != "centrality":
@@ -148,11 +181,15 @@ class RelationReport(NamedTuple):
         return (1 + nz) * n + nz + nz * (nz - 1) // 2 if self.check == "centrality" else n * n
 
     def to_dict(self) -> dict:
-        pairs, centrality = self.written_rows()
+        """The report with, in the section of its check, the passing count
+        row of :meth:`written_rows`, then the failing rows grouped by the
+        operator they share (:func:`_groups`)."""
+        pairs, centrality = (
+            [rows[0]._asdict(), *_groups(rows[1:])] if rows else [] for rows in self.written_rows()
+        )
         return {
             "model": self.model, "check": self.check, "overall": self.overall,
-            "pair_results": [p._asdict() for p in pairs],
-            "centrality_results": [p._asdict() for p in centrality],
+            "pair_results": pairs, "centrality_results": centrality,
         }
 
     def to_markdown(self) -> str:

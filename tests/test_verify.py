@@ -2,8 +2,11 @@ import csv
 import importlib.util
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -46,6 +49,7 @@ from graded_sqm.verify import (
     DegreeRankEntry,
     PairCheck,
     RankReport,
+    RelationReport,
     _labels,
     _nonzero_brackets,
     central_rank,
@@ -469,8 +473,9 @@ class TestPackedRecords:
         first = rel.failures()[0]
         assert (first.left, first.right) == ("Q[001]", "Q[010]")
         assert first.residual == "nonzero residual (2-2i)*S^0*Q^2 on clifford string x=2 z=3"
-        rows = rel.to_dict()["pair_results"]
-        row = next(r for r in rows if (r["left"], r["right"]) == ("Q[001]", "Q[010]"))
+        # the first failing row leads the first group's rows in full
+        row = rel.to_dict()["pair_results"][1]["first"][0]
+        assert (row["left"], row["right"]) == ("Q[001]", "Q[010]")
         assert row["residual"] == first.residual
         text = rel.to_markdown()
         assert f"| Q[001] | Q[010] | commutator | `{first.residual}` |" in text.splitlines()
@@ -595,7 +600,7 @@ class TestRecordsAreTheModel:
         "sel",
         [
             *(f"{family}:n={n}" for n in (3, 4) for family in ("minimal", "next", "maximal")),
-            "n4cl10", "n4cl12", "n5cl26", "n5cl28", "minimal:n=5",
+            "n4cl10", "n4cl12", "n5cl26", "n5cl28", "minimal:n=5", "next:n=5",
         ],
     )
     def test_every_record_flip_is_detected(self, models, sel):
@@ -795,10 +800,22 @@ def current_document(model, rel, cen, rank) -> dict:
     return {"defining_relations": rel.to_dict(), "centrality": cen.to_dict(), "rank": rank.to_dict()}
 
 
+def per_row_document(model, rel, cen, rank) -> dict:
+    """The same report in the per-row schema: the rank as now, and in each
+    check section the count row, then one row per failing bracket."""
+    doc = current_document(model, rel, cen, rank)
+    for name, rep in (("defining_relations", rel), ("centrality", cen)):
+        pairs, centrality = rep.written_rows()
+        doc[name]["pair_results"] = [p._asdict() for p in pairs]
+        doc[name]["centrality_results"] = [p._asdict() for p in centrality]
+    return doc
+
+
 def classes_of_two_document(model, rel, cen, rank) -> dict:
     """The same report in the classes-of-two schema: the check sections as
-    now, and every rank entry's classes of two or more labels only."""
-    doc = current_document(model, rel, cen, rank)
+    in the per-row one, and every rank entry's classes of two or more labels
+    only."""
+    doc = per_row_document(model, rel, cen, rank)
     doc["rank"]["entries"] = [
         {"classes": [c for c in e.classes if len(c) > 1], "count": e.count, "degree": e.degree, "rank": e.rank}
         for e in rank.entries
@@ -825,15 +842,48 @@ def written_partition(written: dict, labels: list[str]) -> set[frozenset[str]]:
     return {*classes, frozenset(rest)}
 
 
+def assert_groups_partition(rep, groups: list[dict]) -> int:
+    """The groups of a JSON check section are a lossless, ordered partition
+    of the report's failing rows; returns the number of pairs (a, b) whose
+    (b, a) also fails, each of which the partition keeps in one group."""
+    bad = rep.failures()
+    place = {(p.left, p.right): k for k, p in enumerate(bad)}
+    part = Counter(op for p in bad for op in {p.left, p.right})
+    group_of: dict[int, int] = {}
+    for g, group in enumerate(groups):
+        assert sorted(group) == ["count", "first", "left_of", "operator", "right_of"]
+        op = group["operator"]
+        # the partners of each orientation in check order
+        left_of = [place[op, right] for right in group["left_of"]]
+        right_of = [place[left, op] for left in group["right_of"]]
+        assert left_of == sorted(left_of) and right_of == sorted(right_of)
+        rows = sorted(left_of + right_of)
+        assert group["count"] == len(rows) > 0
+        # its first three rows in full, residuals included
+        assert group["first"] == [bad[k]._asdict() for k in rows[:3]]
+        for k in rows:
+            assert k not in group_of, (op, bad[k])
+            group_of[k] = g
+            # the operator of the two that takes part in more failing rows
+            assert part[op] >= part[bad[k].right if bad[k].left == op else bad[k].left]
+    # every failing pair exactly once, in groups ordered by their first rows
+    assert sorted(group_of) == list(range(len(bad)))
+    assert list(dict.fromkeys(group_of[k] for k in range(len(bad)))) == list(range(len(groups)))
+    pairs = [(k, place[p.right, p.left]) for k, p in enumerate(bad) if (p.right, p.left) in place]
+    assert all(group_of[k] == group_of[j] for k, j in pairs)
+    return len(pairs)
+
+
 MUTATION_KINDS = ["q-times-i", "z-times-minus-1", "q-factor", "z-times-q"]
 SMALL_TABLE_MODELS = [sel for sel in TABLE_MODELS if int(sel[-1] if ":" in sel else sel[1]) <= 4]
 
 
 class TestFoldedReports:
     """A report writes, in each check section, one passing row that counts
-    the left operators whose brackets all hold, then the failing rows, and
-    every rank class of an entry but its largest; the library reports keep
-    every ordered pair, the failing centrality brackets and every class."""
+    the left operators whose brackets all hold, then the failing rows grouped
+    by the operator they share, and every rank class of an entry but its
+    largest; the library reports keep every ordered pair, the failing
+    centrality brackets and every class."""
 
     @pytest.mark.parametrize("sel,ordering", TABLE_SPECS)
     def test_a_passing_model_keeps_every_pair_and_no_centrality_row(self, sel, ordering):
@@ -874,19 +924,24 @@ class TestFoldedReports:
         table = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert table[1:] == [relations, centrality]
 
-    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    @pytest.mark.parametrize("kind", [*MUTATION_KINDS, "random"])
     def test_a_mutated_model_writes_its_failures(self, models, kind):
+        # "random" is the seeded mutate_model trials
+        both_orientations = 0
         for sel in SMALL_TABLE_MODELS:
             for seed in range(10):
-                broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
+                if kind == "random":
+                    broken = mutate_model(models(sel), np.random.default_rng(seed))
+                else:
+                    broken = mutate_like_bench(models(sel), kind, random.Random(f"{seed}:{sel}:{kind}"))
                 rel, cen = check_defining_relations(broken), check_centrality(broken)
                 assert not (rel.overall and cen.overall), (sel, seed)
                 assert len(rel.pair_results) == len(broken.q) ** 2
                 n, nz = len(broken.q), len(broken.z)
                 for rep, key in ((rel, "pair_results"), (cen, "centrality_results")):
                     rows = rep.to_dict()[key]
-                    # the failing rows as the checks found them, in order
-                    assert rows[1:] == [p._asdict() for p in rep.failures()], (sel, seed)
+                    # the failing rows as the checks found them, grouped
+                    both_orientations += assert_groups_partition(rep, rows[1:])
                     failed = {p.left for p in rep.failures()}
                     first = rows[0]
                     assert (first["kind"], first["ok"], first["residual"]) == ("graded", True, None)
@@ -914,6 +969,19 @@ class TestFoldedReports:
                         assert written["classes"] == [c for c in entry.classes if c is not largest]
                     assert written_partition(written, labels[entry.degree]) == set(map(frozenset, entry.classes))
                     assert sorted(label for c in entry.classes for label in c) == sorted(labels[entry.degree])
+        # some pair failed in both orientations, and its two rows made one group
+        assert both_orientations > 0
+
+    def test_a_tied_row_joins_the_earlier_group(self):
+        # a and b each take part in three failing rows, and each heads a group
+        # when (a, b) comes: it joins a's, the earlier, and so does (b, a)
+        a, b, c, d = "Q[00]", "Q[01]", "Q[10]", "Q[11]"
+        rows = [PairCheck(x, y, "anticommutator", False, x + y) for x, y in ((a, c), (b, d), (a, b), (b, a))]
+        groups = RelationReport("m", "defining-relations", 4, pair_results=tuple(rows)).to_dict()["pair_results"][1:]
+        assert [(g["operator"], g["count"], g["left_of"], g["right_of"]) for g in groups] == [
+            (a, 3, [c, b], [b]), (b, 1, [d], []),
+        ]
+        assert [g["first"] for g in groups] == [[rows[k]._asdict() for k in (0, 2, 3)], [rows[1]._asdict()]]
 
     @pytest.mark.parametrize("kind", [*MUTATION_KINDS, "random"])
     def test_a_failing_row_names_the_bracket_of_its_degrees(self, models, kind):
@@ -949,7 +1017,9 @@ class TestFoldedReports:
                 rel, cen, rank = check_defining_relations(model), check_centrality(model), central_rank(model)
                 report = current_document(model, rel, cen, rank)
                 # a current report folds into itself
-                for earlier in (per_pair_document, per_operator_document, classes_of_two_document, current_document):
+                for earlier in (
+                    per_pair_document, per_operator_document, classes_of_two_document, per_row_document, current_document,
+                ):
                     folded = fold(json.loads(json.dumps(earlier(model, rel, cen, rank))))
                     assert json.dumps(folded, indent=2, sort_keys=True) == json.dumps(
                         report, indent=2, sort_keys=True
@@ -996,6 +1066,24 @@ class TestFoldedReports:
         golden = Path(__file__).parent / "golden"
         assert load_fold_script().main([str(golden / "verify_minimal_n3_rank_orbits_counts_classes_of_two.json")]) == 0
         assert capsys.readouterr().out == (golden / "verify_minimal_n3_rank_orbits_counts.json").read_text()
+
+    def test_the_fold_script_groups_a_per_row_mutant_report(self, capsys, tmp_path):
+        # bench/mutants.py next:n=5 z-times-q at seed 1, written in the
+        # per-row schema: one row per failing bracket
+        golden = Path(__file__).parent / "golden" / "mutant_next_n5_z_times_q_seed1_per_row.json"
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "mutant.json"
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        argv = [sys.executable, str(root / "bench" / "mutants.py"), "next:n=5", "z-times-q", "1", str(out)]
+        subprocess.run(argv, env=env, check=True)
+        assert load_fold_script().main([str(golden)]) == 0
+        folded = capsys.readouterr().out
+        assert folded == out.read_text()
+        doc = json.loads(folded)
+        assert len(folded) < len(golden.read_text()) // 3 and doc["detected"]
+        # a current report folds into itself
+        assert load_fold_script().main([str(out)]) == 0
+        assert capsys.readouterr().out == folded
 
     def test_the_fold_script_refuses_classes_that_do_not_add_up(self):
         # degree 011 of minimal:n=3 holds two labels, which make one class or two
