@@ -1,6 +1,6 @@
 """Rewrite a verify or mutant JSON report of an earlier schema in the current one.
 
-Four earlier schemas are read.  The per-pair one wrote one
+Five earlier schemas are read.  The per-pair one wrote one
 ``defining_relations`` row per ordered supercharge pair, and a rank entry
 with its ``elements`` and every proportionality class.  The per-operator one
 wrote one passing relation row per supercharge whose pairs all hold and a
@@ -10,9 +10,12 @@ classes-of-two schema wrote, in each check section, one passing row that
 counts the left operators whose brackets all hold, then one row per failing
 bracket, and only the rank classes of two or more labels.  The per-row
 schema wrote the check sections as that one does, and every rank class but
-the largest of its entry.  The current schema writes the rank as the
+the largest of its entry.  The all-partners schema wrote the rank as the
 per-row one does, and in each check section the count row, then the failing
-rows grouped by the operator they share.  Everything else is kept as it is.
+rows grouped by the operator they share, every group with its partner lists.
+The current schema writes those lists only in a group of more than three
+rows, whose first three rows in full do not name every partner.  Everything
+else is kept as it is.
 A check section of an earlier schema keeps its failing rows, and its counts
 come from the number of supercharges of the model that the CLI builds for
 the report's selector.  A rank entry that leaves labels out gets them back
@@ -48,17 +51,27 @@ def selector_model(selector: str) -> Model:
     return build_from_selector(selector)
 
 
+def fold_group(row: dict) -> dict:
+    """A row of a grouped section in the current schema: a group of at most
+    three rows, which its rows in full name every partner of, drops its
+    partner lists; any other row is kept."""
+    if "operator" not in row or row["count"] > 3:
+        return row
+    return {key: value for key, value in row.items() if key not in ("left_of", "right_of")}
+
+
 def fold_section(section: dict) -> dict:
     """A check section in the current schema, from its rows in any earlier one.
 
     A section that holds only a passing row that counts left operators, in
     words where an operator's label has no space, and groups of failing rows
-    is in the current schema already.  An earlier one keeps its failing rows
-    only.
+    is grouped already, and only a group of at most three rows loses its
+    partner lists.  An earlier one keeps its failing rows only.
     """
-    rows = [section[name] for name in ("pair_results", "centrality_results")]
+    names = ("pair_results", "centrality_results")
+    rows = [section[name] for name in names]
     if all("operator" in row or " " in row["left"] for row in (*rows[0], *rows[1])):
-        return section
+        return {**section, **{name: [fold_group(row) for row in part] for name, part in zip(names, rows)}}
     checks = [tuple(PairCheck(**row) for row in part if not row["ok"]) for part in rows]
     n = len(selector_model(section["model"]).q)
     return RelationReport(section["model"], section["check"], n, *checks).to_dict()

@@ -8,14 +8,15 @@ finite-difference grid with a user superpotential.
 This is the numeric layer of the package, and :func:`spectrum` is its one
 entry point: it reads the levels of both partner Hamiltonians Ad A and
 A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
-them in closed form as exact integers without numpy, the grid from one SVD
-of its lowering matrix.  The dense matrices of ``realize`` are the tests'
-oracle.  The module is imported where a realization is built and loads
-only what a spectrum runs: not the exact engine (:mod:`graded_sqm.verify`),
-not the word algebra (:mod:`graded_sqm.sqm_block`), whose letters the
-oracle methods import where they run, and not ``dataclasses``: both
-realizations are checked named tuples.  Every dense matrix, and every grid,
-imports numpy where it is built.
+them in closed form as exact integers without numpy, the grid from one
+symmetric eigensolve of its lowering matrix times the checkerboard sign.
+The dense matrices of ``realize`` are the tests' oracle.  The module is
+imported where a realization is built and loads only what a spectrum runs:
+not the exact engine (:mod:`graded_sqm.verify`), not the word algebra
+(:mod:`graded_sqm.sqm_block`), whose letters the oracle methods import
+where they run, and not ``dataclasses``: both realizations are checked
+named tuples.  Every dense matrix, and every grid, imports numpy where it
+is built.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ if TYPE_CHECKING:
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
 # bytes of the three points x points float64 matrices that a grid's spectrum
-# holds, the lowering matrix L and the U and V^T of its SVD, that bound a grid
+# builds, the lowering matrix L, S = L C and the eigenvectors of S, that bound a grid
 MAX_SPECTRUM_BYTES = 48 << 20
 # Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
 MAX_FOCK_LEVELS = 1 << 16
@@ -145,19 +146,21 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
 def check_grid(points: int, spacing: float) -> None:
     """Refuse a grid before any array of it is built.
 
-    A grid needs at least 3 points, its float64 L, U and V^T (points x
-    points each) within ``MAX_SPECTRUM_BYTES``, a finite positive spacing,
-    a finite extent (points - 1)/2 x spacing, so that every coordinate is
-    finite, and an odd point count: the doubler pairing that the spectrum's
-    multiplicity check counts on holds only on odd grids.
+    A grid needs at least 3 points, its float64 L, S = L C and the
+    eigenvectors of S (points x points each, see
+    :meth:`GridRealization.decompose`) within ``MAX_SPECTRUM_BYTES``, a
+    finite positive spacing, a finite extent (points - 1)/2 x spacing, so
+    that every coordinate is finite, and an odd point count: the doubler
+    pairing that the spectrum's multiplicity check counts on holds only on
+    odd grids.
     """
     if points < 3:
         raise ValueError(f"need at least 3 grid points, got {points}")
     nbytes = 24 * points * points  # three float64 matrices
     if nbytes > MAX_SPECTRUM_BYTES:
         raise ValueError(
-            f"the float64 L, U and V^T of {points} points need {nbytes} bytes, "
-            f"over the guard of {MAX_SPECTRUM_BYTES}; reduce the grid size"
+            f"the float64 L, S = L C and the eigenvectors of S, for {points} points, "
+            f"need {nbytes} bytes, over the guard of {MAX_SPECTRUM_BYTES}; reduce the grid size"
         )
     # an infinite spacing zeroes the derivative; a nan one poisons every entry
     if not (math.isfinite(spacing) and spacing > 0):
@@ -254,10 +257,12 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         return _coordinates(self.points, self.spacing)
 
     def lowering_matrix(self) -> np.ndarray:
+        # tridiagonal: W/sqrt(2) on the diagonal, +-1/(2 h sqrt(2)) beside it
         import numpy as np
-        off = np.full(self.points - 1, 1.0 / (2.0 * self.spacing))
-        d = np.diag(off, 1) - np.diag(off, -1)
-        out = (d + np.diag(self.w_values)) / math.sqrt(2)
+        n, step = self.points, 1.0 / (2.0 * self.spacing) / math.sqrt(2)
+        out = np.diag(self.w_values / math.sqrt(2))
+        out.flat[1::n + 1] = step
+        out.flat[n::n + 1] = -step
         out.setflags(write=False)
         return out
 
@@ -287,21 +292,26 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         return out
 
     def decompose(self) -> tuple[np.ndarray, Kernels, Kernels]:
-        """The levels s^2, the ladder kernels and the raw ones, from one SVD
-        L = U s V^T of the lowering matrix per call.  The raising matrix is
-        L^T, so Ad A = V s^2 V^T and A Ad = U s^2 U^T share the levels s^2,
-        in descending order, and the rows of V^T and columns of U whose s is
-        at or below the kernel threshold span the kernels of L and L^T."""
+        """The levels, the ladder kernels and the raw ones, from one
+        symmetric eigensolve per call.  The derivative is antisymmetric with
+        only two off-diagonals, so the checkerboard C = diag((-1)^j) gives
+        C L C = L^T exactly and S = L C is symmetric.  Its eigenvalues l
+        carry the singular values |l| of L: Ad A = L^T L and A Ad = L L^T
+        share the levels l^2, in descending order.  The eigenvectors v of S
+        whose |l| is at or below the kernel threshold span ker L^T = ker S,
+        and their images C v span ker L."""
         import numpy as np
-        u, s, vt = np.linalg.svd(self.lowering_matrix())
-        null = s <= KERNEL_REL_TOL * s[0]
-        raw = list(vt[null]), list(u.T[null])
+        sign = np.resize((1.0, -1.0), self.points)
+        lam, q = np.linalg.eigh(self.lowering_matrix() * sign)
+        size = np.abs(lam)
+        null = q.T[size <= KERNEL_REL_TOL * size.max()]
+        raw = list(sign * null), list(null)
         smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
-        return s * s, smooth, raw
+        return np.sort(lam * lam)[::-1], smooth, raw
 
     def partner_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Levels of Ad A and of A Ad: both are the squared singular values
-        of the lowering matrix, in descending order."""
+        of the lowering matrix, read off S = L C, in descending order."""
         levels = self.decompose()[0]
         return levels, levels
 
@@ -425,11 +435,13 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     then gives both partners' levels and both ladder kernels from the
     ladder pair alone: on Fock in closed form
     (``FockRealization.partner_levels`` and ``kernel_levels``), so the
-    clusters are exact counts with no numpy; on the grid from one SVD of
-    the lowering matrix L, since Ad A = L^T L and A Ad = L L^T share the
-    levels s^2.  A Fock realization of more than ``MAX_FOCK_LEVELS``
-    levels is refused before any level is read; a grid is checked where it
-    is built (:func:`check_grid`).
+    clusters are exact counts with no numpy; on the grid from one
+    eigensolve of the symmetric S = L C, with L the lowering matrix and C
+    the checkerboard sign, since Ad A = L^T L and A Ad = L L^T share the
+    levels l^2 of the eigenvalues l of S (``GridRealization.decompose``).
+    A Fock realization of more than ``MAX_FOCK_LEVELS`` levels is refused
+    before any level is read; a grid is checked where it is built
+    (:func:`check_grid`).
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero

@@ -107,9 +107,10 @@ def _groups(bad: Sequence[PairCheck]) -> list[dict]:
     A row joins the group of whichever of its two operators takes part in
     more of the rows.  On a tie it joins the earlier of the groups the two
     head, or the left operator's when neither heads one yet, so (a, b) and
-    (b, a) join one group.  A group writes its operator, its count, its
-    partners in check order, split into those it is left of and those it is
-    right of, and its first three rows in full.
+    (b, a) join one group.  A group writes its operator, its count and its
+    first three rows in full.  A group of more than three rows also writes
+    its partners in check order, split into those it is left of and those it
+    is right of; in a smaller one the rows in full name every partner.
     """
     part: Counter[str] = Counter()
     for p in bad:
@@ -120,15 +121,14 @@ def _groups(bad: Sequence[PairCheck]) -> list[dict]:
         head = min((p.left, p.right), key=lambda op: (-part[op], heads.get(op, len(bad))))
         heads.setdefault(head, len(heads))
         groups.setdefault(head, []).append(p)
-    return [
-        {
-            "operator": op, "count": len(rows),
-            "left_of": [p.right for p in rows if p.left == op],
-            "right_of": [p.left for p in rows if p.left != op],
-            "first": [p._asdict() for p in rows[:3]],
-        }
-        for op, rows in groups.items()
-    ]
+    out = []
+    for op, rows in groups.items():
+        group = {"operator": op, "count": len(rows), "first": [p._asdict() for p in rows[:3]]}
+        if len(rows) > 3:
+            group["left_of"] = [p.right for p in rows if p.left == op]
+            group["right_of"] = [p.left for p in rows if p.left != op]
+        out.append(group)
+    return out
 
 
 class RelationReport(NamedTuple):

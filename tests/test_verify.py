@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from graded_sqm import operators
-from graded_sqm.cli import main
+from graded_sqm.cli import main, make_grid_realization
 from graded_sqm.clifford import PHASES, PauliOperator, gamma, proportional
 from graded_sqm.grading import (
     ANTICOMMUTATOR,
@@ -29,11 +29,13 @@ from graded_sqm.models import CENTRAL, HAMILTONIAN, SUPERCHARGE, Model, fold, pr
 from graded_sqm.operators import TensorSum, TensorTerm, graded_bracket_terms, read_records
 from graded_sqm.realizations import (
     GRID_CLUSTER_TOL,
+    KERNEL_REL_TOL,
     MAX_FOCK_LEVELS,
     MAX_SPECTRUM_BYTES,
     FockRealization,
     GridRealization,
     _cluster,
+    _is_smooth,
     check_grid,
     spectrum,
 )
@@ -845,19 +847,25 @@ def written_partition(written: dict, labels: list[str]) -> set[frozenset[str]]:
 def assert_groups_partition(rep, groups: list[dict]) -> int:
     """The groups of a JSON check section are a lossless, ordered partition
     of the report's failing rows; returns the number of pairs (a, b) whose
-    (b, a) also fails, each of which the partition keeps in one group."""
+    (b, a) also fails, each of which the partition keeps in one group.  A
+    group of at most three rows names its partners by its rows in full only."""
     bad = rep.failures()
     place = {(p.left, p.right): k for k, p in enumerate(bad)}
     part = Counter(op for p in bad for op in {p.left, p.right})
     group_of: dict[int, int] = {}
     for g, group in enumerate(groups):
-        assert sorted(group) == ["count", "first", "left_of", "operator", "right_of"]
         op = group["operator"]
-        # the partners of each orientation in check order
-        left_of = [place[op, right] for right in group["left_of"]]
-        right_of = [place[left, op] for left in group["right_of"]]
-        assert left_of == sorted(left_of) and right_of == sorted(right_of)
-        rows = sorted(left_of + right_of)
+        if group["count"] <= 3:
+            assert sorted(group) == ["count", "first", "operator"]
+            rows = [place[row["left"], row["right"]] for row in group["first"]]
+            assert op in {bad[k].left for k in rows} | {bad[k].right for k in rows}
+        else:
+            assert sorted(group) == ["count", "first", "left_of", "operator", "right_of"]
+            # the partners of each orientation in check order
+            left_of = [place[op, right] for right in group["left_of"]]
+            right_of = [place[left, op] for left in group["right_of"]]
+            assert left_of == sorted(left_of) and right_of == sorted(right_of)
+            rows = sorted(left_of + right_of)
         assert group["count"] == len(rows) > 0
         # its first three rows in full, residuals included
         assert group["first"] == [bad[k]._asdict() for k in rows[:3]]
@@ -978,10 +986,27 @@ class TestFoldedReports:
         a, b, c, d = "Q[00]", "Q[01]", "Q[10]", "Q[11]"
         rows = [PairCheck(x, y, "anticommutator", False, x + y) for x, y in ((a, c), (b, d), (a, b), (b, a))]
         groups = RelationReport("m", "defining-relations", 4, pair_results=tuple(rows)).to_dict()["pair_results"][1:]
-        assert [(g["operator"], g["count"], g["left_of"], g["right_of"]) for g in groups] == [
-            (a, 3, [c, b], [b]), (b, 1, [d], []),
+        assert groups == [
+            {"operator": a, "count": 3, "first": [rows[k]._asdict() for k in (0, 2, 3)]},
+            {"operator": b, "count": 1, "first": [rows[1]._asdict()]},
         ]
-        assert [g["first"] for g in groups] == [[rows[k]._asdict() for k in (0, 2, 3)], [rows[1]._asdict()]]
+
+    def test_only_a_group_of_more_than_three_rows_lists_its_partners(self):
+        # a group of at most three rows writes them all in full, which name
+        # every partner; from four rows on, the partner lists name the rest
+        a, b, c, d, e = "Q[000]", "Q[001]", "Q[010]", "Q[011]", "Q[100]"
+        pairs = ((a, b), (c, a), (a, d), (e, a))
+        rows = [PairCheck(x, y, "anticommutator", False, x + y) for x, y in pairs]
+        for k in (1, 2, 3, 4):
+            rep = RelationReport("m", "defining-relations", 5, pair_results=tuple(rows[:k]))
+            (group,) = rep.to_dict()["pair_results"][1:]
+            assert (group["operator"], group["count"]) == (a, k)
+            assert group["first"] == [p._asdict() for p in rows[: min(k, 3)]]
+            if k <= 3:
+                assert sorted(group) == ["count", "first", "operator"]
+            else:
+                assert (group["left_of"], group["right_of"]) == ([b, d], [c, e])
+            assert_groups_partition(rep, [group])
 
     @pytest.mark.parametrize("kind", [*MUTATION_KINDS, "random"])
     def test_a_failing_row_names_the_bracket_of_its_degrees(self, models, kind):
@@ -1084,6 +1109,13 @@ class TestFoldedReports:
         # a current report folds into itself
         assert load_fold_script().main([str(out)]) == 0
         assert capsys.readouterr().out == folded
+        # the same call in the all-partners schema, where its group of two
+        # failing relations lists the partners that its two rows name
+        grouped = golden.with_name("mutant_next_n5_z_times_q_seed1_grouped.json")
+        assert load_fold_script().main([str(grouped)]) == 0
+        assert capsys.readouterr().out == folded
+        assert [g["count"] for g in doc["defining_relations"]["pair_results"][1:]] == [2]
+        assert len(folded) < len(grouped.read_text())
 
     def test_the_fold_script_refuses_classes_that_do_not_add_up(self):
         # degree 011 of minimal:n=3 holds two labels, which make one class or two
@@ -1349,6 +1381,91 @@ def assert_spectrum_matches_dense(model, realization):
         start += c.multiplicity
 
 
+def capture_eigh(monkeypatch) -> list[np.ndarray]:
+    """The matrices that np.linalg.eigh is called on from now on, each
+    solved as before."""
+    solved, eigh = [], np.linalg.eigh
+
+    def counted(mat, *args, **kwargs):
+        solved.append(np.array(mat))
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return solved
+
+
+def svd_decompose(grid: GridRealization) -> tuple:
+    """Oracle: the levels s^2, the ladder kernels and the raw ones of a grid
+    from one dense SVD L = U s V^T of its lowering matrix: the rows of V^T
+    and the columns of U whose s is at or below the kernel threshold span
+    the kernels of L and L^T."""
+    u, s, vt = np.linalg.svd(grid.lowering_matrix())
+    null = s <= KERNEL_REL_TOL * s[0]
+    raw = list(vt[null]), list(u.T[null])
+    smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
+    return s * s, smooth, raw
+
+
+# the superpotentials of the grid verdicts (ROADMAP item 7), and x^3 as a
+# table that vanishes on every even or every odd site
+ORACLE_W = ["x", "-x", "x+1", "x^3", "x^3+x^2", "x^4", "x^2-4", "2x^3-x", "x^5", "x^3 odd sites", "x^3 even sites"]
+
+
+def oracle_grid(w: str, points: int = 201, spacing: float = 0.05) -> GridRealization:
+    """The CLI's grid of a polynomial W, or of a table: W on the named
+    sublattice and 0 on the other."""
+    poly, _, sites = w.partition(" ")
+    grid = make_grid_realization(points, spacing, poly)
+    if not sites:
+        return grid
+    values = np.array(grid.w_values)
+    values[0 if sites == "odd sites" else 1 :: 2] = 0.0
+    return GridRealization(points, spacing, values, label="table")
+
+
+class TestGridEigensolve:
+    """The grid decomposes S = L C, with C the checkerboard diag((-1)^j),
+    and agrees with the dense SVD of L that it replaces."""
+
+    @pytest.mark.parametrize("w", ["x^3", "x^2-4", "x^3 odd sites", "x^3 even sites"])
+    def test_the_checkerboard_makes_the_lowering_matrix_symmetric(self, monkeypatch, w):
+        grid = oracle_grid(w)
+        low, sign = grid.lowering_matrix(), np.resize([1.0, -1.0], grid.points)
+        assert np.array_equal(sign[:, None] * low * sign, low.T)
+        solved = capture_eigh(monkeypatch)
+        grid.decompose()
+        (s,) = solved
+        assert np.array_equal(s, low * sign) and np.array_equal(s, s.T)
+
+    @pytest.mark.parametrize("w", ORACLE_W)
+    def test_decompose_and_spectrum_agree_with_the_svd(self, models, monkeypatch, w):
+        grid = oracle_grid(w)
+        (levels, kernels, raw), (want, want_kernels, want_raw) = grid.decompose(), svd_decompose(grid)
+        assert [len(k) for k in (*kernels, *raw)] == [len(k) for k in (*want_kernels, *want_raw)]
+        # each raw kernel spans the oracle's, and holds unit vectors
+        for got, oracle in zip(raw, want_raw):
+            if got:
+                assert np.allclose(np.transpose(got) @ got, np.transpose(oracle) @ oracle, atol=1e-9)
+                assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
+        # levels above the kernel threshold agree to 1e-12 of sqrt(level x top):
+        # a backward-stable solver moves each singular value s by a few
+        # eps x s_max, so the level s^2 by a few eps x s x s_max
+        assert np.array_equal(levels, np.sort(levels)[::-1])
+        top = want[0]
+        above = want > KERNEL_REL_TOL**2 * top
+        assert np.all(np.abs(levels[above] - want[above]) <= 1e-12 * np.sqrt(want[above] * top))
+        for sel in ("minimal:n=2", "next:n=3"):
+            rep = spectrum(models(sel), grid)
+            with monkeypatch.context() as m:
+                m.setattr(GridRealization, "decompose", svd_decompose)
+                oracle = spectrum(models(sel), grid)
+            verdict = [
+                ([c.multiplicity for c in (*r.clusters, *r.excluded)], r.zero_modes, r.artifact_modes, len(r.problems))
+                for r in (rep, oracle)
+            ]
+            assert verdict[0] == verdict[1], sel
+
+
 class TestSpectrum:
     def test_minimal_rank3_fock(self, models):
         rep = spectrum(models("minimal:n=3"), FockRealization(8))
@@ -1403,11 +1520,15 @@ class TestSpectrum:
             spectrum(models("minimal:n=8"), FockRealization(MAX_FOCK_LEVELS))
 
     def test_grid_guard_counts_the_matrices_a_grid_builds(self):
-        # L, U and V^T, points x points float64 each: 1447 is the largest
-        # odd point count within the guard, and 1449 is refused by name
+        # L, S = L C and the eigenvectors of S, points x points float64 each:
+        # 1447 is the largest odd point count within the guard, and 1449 is
+        # refused by name
         assert 24 * 1447**2 <= MAX_SPECTRUM_BYTES < 24 * 1449**2
         check_grid(1447, 0.05)
-        refusal = r"^the float64 L, U and V\^T of 1449 points need 50390424 bytes, .*reduce the grid size$"
+        refusal = (
+            r"^the float64 L, S = L C and the eigenvectors of S, for 1449 points, "
+            r"need 50390424 bytes, .*reduce the grid size$"
+        )
         with pytest.raises(ValueError, match=refusal):
             check_grid(1449, 0.05)
 
@@ -1503,7 +1624,7 @@ class TestSpectrum:
         # integer levels.  Neither block is a monomial, so the model refuses
         # both where it is made.  A monomial that is not the canonical block
         # reaches the spectrum, which refuses it before any ladder matrix,
-        # realized entry or SVD.
+        # realized entry or eigensolve.
         def refuse(*args, **kwargs):
             pytest.fail("the spectrum built a matrix for a non-canonical Hamiltonian")
 
@@ -1518,7 +1639,8 @@ class TestSpectrum:
         monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
         monkeypatch.setattr(FockRealization, "realize_entry", refuse)
         monkeypatch.setattr(GridRealization, "realize_entry", refuse)
-        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(GridRealization, "lowering_matrix", refuse)
         monkeypatch.setattr(GridRealization, "raising_matrix", refuse)
         monkeypatch.setattr(FockRealization, "partner_levels", refuse)
@@ -1544,29 +1666,24 @@ class TestSpectrum:
                 spectrum(broken, FockRealization(4))
 
     def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
-        # one SVD of the lowering matrix per spectrum call gives both partner
-        # spectra and both kernels: no eigensolve and no realized entry
-        shapes = []
-        svd = np.linalg.svd
-
-        def counted(mat, *args, **kwargs):
-            shapes.append(mat.shape)
-            return svd(mat, *args, **kwargs)
+        # one symmetric eigensolve of S = L C per spectrum call gives both
+        # partner spectra and both kernels: no SVD, no other eigensolver and
+        # no realized entry
+        solved = capture_eigh(monkeypatch)
 
         def refuse(*args, **kwargs):
-            pytest.fail("the grid spectrum ran an eigensolve or realized an entry")
+            pytest.fail("the grid spectrum ran an SVD or another eigensolver, or realized an entry")
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        for name in ("svd", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(GridRealization, "realize_entry", refuse)
         grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
         rep = spectrum(models("minimal:n=2"), grid)
         assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
-        assert shapes == [(41, 41)]
+        assert [s.shape for s in solved] == [(41, 41)] and np.array_equal(solved[0], solved[0].T)
         # nothing is cached: a second spectrum decomposes again
         assert spectrum(models("next:n=2"), grid).ok
-        assert shapes == [(41, 41)] * 2
+        assert [s.shape for s in solved] == [(41, 41)] * 2 and np.array_equal(solved[1], solved[1].T)
         assert [len(k) for k in grid.raw_kernel_pair()] == [1, 1]
         assert [len(k) for k in grid.kernel_pair()] == [1, 0]
 
