@@ -40,6 +40,8 @@ FORMATS = ("markdown", "json", "csv")
 DEFAULT_CUTOFF = 8
 # bytes of a config file: it holds about 15 key = value lines at most
 MAX_CONFIG_BYTES = 64 << 10
+# bytes of a superpotential table: a table of a grid the guard admits is far smaller
+MAX_TABLE_BYTES = 48 << 20
 
 
 def read_input(path: str, limit: int, what: str) -> bytes:
@@ -105,7 +107,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     The grid is checked before the table is read, W evaluated or numpy
     imported.
     """
-    from .realizations import MAX_SPECTRUM_BYTES, GridRealization, check_grid
+    from .realizations import GridRealization, check_grid
 
     check_grid(points, spacing)
     if w_expr.startswith("@"):
@@ -122,8 +124,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
                 return sum(c * x**p for c, p in terms)
 
             return GridRealization.from_function(points, spacing, w, label=w_expr)
-    # a table of a grid the guard admits is far smaller than the grid's matrices
-    raw = read_input(path, MAX_SPECTRUM_BYTES, "superpotential table")
+    raw = read_input(path, MAX_TABLE_BYTES, "superpotential table")
     import numpy as np
     with warnings.catch_warnings():  # an empty table is refused below, not warned about
         warnings.simplefilter("ignore", UserWarning)

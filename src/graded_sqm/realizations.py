@@ -39,9 +39,9 @@ if TYPE_CHECKING:
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
-# bytes of the three points x points float64 matrices that a grid's spectrum
-# builds, the lowering matrix L, S = L C and the eigenvectors of S, that bound a grid
-MAX_SPECTRUM_BYTES = 48 << 20
+# bytes of the five points x points float64 arrays of a grid's eigensolve, S = L C,
+# eigh's working copy, its workspace of about two and the eigenvectors, that bound a grid
+MAX_SPECTRUM_BYTES = 80 << 20
 # Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
 MAX_FOCK_LEVELS = 1 << 16
 
@@ -58,7 +58,8 @@ class FockRealization(CheckedTuple, NamedTuple("FockRealization", [("cutoff", in
     levels <= cutoff.  Both partner Hamiltonians are diagonal with integer
     levels (:meth:`partner_levels`) and both ladder kernels are exact level
     sets (:meth:`kernel_levels`).  A named tuple checked when made, like
-    ``ModelSpec``.
+    ``ModelSpec``: a cutoff of more than ``MAX_FOCK_LEVELS`` levels is
+    refused there, before any level is read.
     """
 
     __slots__ = ()
@@ -67,6 +68,8 @@ class FockRealization(CheckedTuple, NamedTuple("FockRealization", [("cutoff", in
         cutoff = operator.index(cutoff)
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        if cutoff + 1 > MAX_FOCK_LEVELS:
+            raise ValueError(f"Fock levels {cutoff + 1} are over {MAX_FOCK_LEVELS}; reduce the cutoff")
         return super().__new__(cls, cutoff)
 
     @property
@@ -146,20 +149,21 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
 def check_grid(points: int, spacing: float) -> None:
     """Refuse a grid before any array of it is built.
 
-    A grid needs at least 3 points, its float64 L, S = L C and the
-    eigenvectors of S (points x points each, see
-    :meth:`GridRealization.decompose`) within ``MAX_SPECTRUM_BYTES``, a
-    finite positive spacing, a finite extent (points - 1)/2 x spacing, so
-    that every coordinate is finite, and an odd point count: the doubler
-    pairing that the spectrum's multiplicity check counts on holds only on
-    odd grids.
+    A grid needs at least 3 points, the five float64 points x points arrays
+    of its eigensolve (S = L C, eigh's working copy, its workspace of about
+    two and the eigenvectors, see :meth:`GridRealization.decompose`) within
+    ``MAX_SPECTRUM_BYTES``, a finite positive spacing, a finite extent
+    (points - 1)/2 x spacing, so that every coordinate is finite, and an odd
+    point count: the doubler pairing that the spectrum's multiplicity check
+    counts on holds only on odd grids.
     """
     if points < 3:
         raise ValueError(f"need at least 3 grid points, got {points}")
-    nbytes = 24 * points * points  # three float64 matrices
+    nbytes = 40 * points * points  # five float64 arrays
     if nbytes > MAX_SPECTRUM_BYTES:
         raise ValueError(
-            f"the float64 L, S = L C and the eigenvectors of S, for {points} points, "
+            f"the float64 S = L C, its working copy, the eigensolver's workspace of two "
+            f"and the eigenvectors of S, for {points} points, "
             f"need {nbytes} bytes, over the guard of {MAX_SPECTRUM_BYTES}; reduce the grid size"
         )
     # an infinite spacing zeroes the derivative; a nan one poisons every entry
@@ -177,7 +181,7 @@ def check_grid(points: int, spacing: float) -> None:
 
 
 class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
-    ("points", int), ("spacing", float), ("w_values", "np.ndarray"), ("label", str),
+    ("points", int), ("spacing", float), ("w_values", "tuple[float, ...]"), ("label", str),
 ])):
     """Finite-difference realization on a symmetric Dirichlet grid.
 
@@ -187,9 +191,9 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
     level is at most (max|W| + 1/spacing)**2 / 2, and the 2 x points levels
     of both partners, which a cluster's mean adds up, sum to at most
     points x (max|W| + 1/spacing)**2.  A grid on which that bound overflows
-    float64 is refused.  A named tuple checked when made, which holds a
-    read-only copy of the values; two grids are equal when their points,
-    spacing, label and values are.
+    float64 is refused.  A named tuple checked when made, which holds the
+    values as a tuple of floats, so it compares, hashes and pickles as the
+    tuple of its fields.  It is read through :meth:`decompose`.
     """
 
     __slots__ = ()
@@ -197,7 +201,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
     def __new__(cls, points: int, spacing: float, w_values: np.ndarray, label: str = "W") -> GridRealization:
         check_grid(points, spacing)
         import numpy as np
-        w = np.array(w_values, dtype=float)  # a private copy, frozen below
+        w = np.asarray(w_values, dtype=float)
         if w.shape != (points,):
             raise ValueError("w_values must have one value per grid point")
         if not np.all(np.isfinite(w)):
@@ -209,26 +213,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
                 "points x (max|W| + 1/spacing)**2, is not finite; "
                 "use a smaller superpotential or a larger spacing"
             )
-        w.setflags(write=False)
-        return super().__new__(cls, points, spacing, w, label)
-
-    def __eq__(self, other: object) -> bool:
-        # never a tuple's ==, which compares the arrays and raises: a grid
-        # equals only a grid, also on the right of a tuple, which asks it first
-        if not isinstance(other, GridRealization):
-            return False
-        import numpy as np
-        return (self.points, self.spacing, self.label) == (
-            other.points, other.spacing, other.label
-        ) and np.array_equal(self.w_values, other.w_values)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        # equal grids agree on these three; the values stay out, as array_equal
-        # calls -0.0 and 0.0 equal though their bytes differ
-        return hash((self.points, self.spacing, self.label))
+        return super().__new__(cls, points, spacing, tuple(w.tolist()), label)
 
     def __repr__(self) -> str:
         return f"GridRealization(points={self.points}, spacing={self.spacing!r}, label={self.label!r})"
@@ -260,7 +245,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         # tridiagonal: W/sqrt(2) on the diagonal, +-1/(2 h sqrt(2)) beside it
         import numpy as np
         n, step = self.points, 1.0 / (2.0 * self.spacing) / math.sqrt(2)
-        out = np.diag(self.w_values / math.sqrt(2))
+        out = np.diag(np.asarray(self.w_values) / math.sqrt(2))
         out.flat[1::n + 1] = step
         out.flat[n::n + 1] = -step
         out.setflags(write=False)
@@ -309,18 +294,8 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
         return np.sort(lam * lam)[::-1], smooth, raw
 
-    def partner_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Levels of Ad A and of A Ad: both are the squared singular values
-        of the lowering matrix, read off S = L C, in descending order."""
-        levels = self.decompose()[0]
-        return levels, levels
-
     def kernel_pair(self) -> Kernels:
         return self.decompose()[1]
-
-    def raw_kernel_pair(self) -> Kernels:
-        """Kernels without the checkerboard-artifact filter."""
-        return self.decompose()[2]
 
     def describe(self) -> str:
         return f"grid(points={self.points}, spacing={self.spacing:g}, W={self.label})"
@@ -439,9 +414,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     eigensolve of the symmetric S = L C, with L the lowering matrix and C
     the checkerboard sign, since Ad A = L^T L and A Ad = L L^T share the
     levels l^2 of the eigenvalues l of S (``GridRealization.decompose``).
-    A Fock realization of more than ``MAX_FOCK_LEVELS`` levels is refused
-    before any level is read; a grid is checked where it is built
-    (:func:`check_grid`).
+    Every realization is refused where it is made: a Fock cutoff of more
+    than ``MAX_FOCK_LEVELS`` levels, and a grid by :func:`check_grid`.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
@@ -462,10 +436,6 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
 
     artifact_modes = 0
     if is_fock:
-        if realization.dim > MAX_FOCK_LEVELS:
-            raise ValueError(
-                f"Fock levels {realization.dim} are over {MAX_FOCK_LEVELS}; reduce the cutoff"
-            )
         kernel_a, kernel_ad = realization.kernel_levels()
         counts = Counter(chain(*realization.partner_levels()))
         all_clusters = [EigenCluster(float(v), cliffdim * counts[v]) for v in sorted(counts)]

@@ -463,6 +463,20 @@ class TestSpectrumCommand:
         assert "reduce the cutoff" in err
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_fock_cutoff_is_refused_where_it_is_made(self, capsys, monkeypatch, command):
+        # one error line from the realization's constructor, ahead of any
+        # exact check and of any Fock level
+        def refuse(*args):
+            pytest.fail("an exact check ran or a Fock level was read past the refused cutoff")
+
+        monkeypatch.setattr("graded_sqm.verify.check_defining_relations", refuse)
+        monkeypatch.setattr(FockRealization, "partner_levels", refuse)
+        monkeypatch.setattr(FockRealization, "kernel_levels", refuse)
+        code, out, err = run(capsys, command, "--model", "minimal:n=2", "--fock", str(MAX_FOCK_LEVELS))
+        assert (code, out) == (2, "")
+        assert err == f"error: Fock levels {MAX_FOCK_LEVELS + 1} are over {MAX_FOCK_LEVELS}; reduce the cutoff\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
     def test_byte_guard_refuses_a_grid_before_building_it(self, capsys, monkeypatch, command):
         # 10**9 points: every float array of the grid would take 8 GB
         def refuse(*args, **kwargs):
@@ -891,9 +905,9 @@ class TestSuperpotentialParsing:
         assert err == f"error: cannot parse superpotential term {'+' + w!r} in {w!r}\n"
 
     def test_table_over_the_byte_guard_is_refused(self, capsys, monkeypatch, tmp_path):
-        # the table is read up to the grid's byte guard and no further
+        # the table is read up to its own byte bound and no further
         guard = 1000
-        monkeypatch.setattr("graded_sqm.realizations.MAX_SPECTRUM_BYTES", guard)
+        monkeypatch.setattr("graded_sqm.cli.MAX_TABLE_BYTES", guard)
         body = "0\n" * 5
         path = tmp_path / "w.txt"
         grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "5", "--W", f"@{path}")

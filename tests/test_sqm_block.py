@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -254,11 +255,15 @@ class TestGridRealization:
             GridRealization(5, 0.1, np.zeros(count))
 
     def test_caller_array_is_copied_not_frozen(self):
+        # the grid keeps its own values: a later write to the caller's array
+        # changes neither them nor the ladder built from them
         w = np.linspace(-1.0, 1.0, 5)
         r = GridRealization(5, 0.5, w)
-        assert w.flags.writeable and not r.w_values.flags.writeable
+        low = r.lowering_matrix()
         w[0] = 7.0
+        assert r == GridRealization(5, 0.5, np.linspace(-1.0, 1.0, 5))
         assert r.w_values[0] == -1.0
+        assert np.array_equal(r.lowering_matrix(), low)
 
     def test_grids_are_immutable_values(self):
         a = make_grid(41, 0.25, lambda x: x**3)
@@ -267,13 +272,43 @@ class TestGridRealization:
         assert a != make_grid(41, 0.25, lambda x: x**3 + 1)
         assert a != GridRealization(41, 0.25, a.w_values, label="x^3")
         assert a != FockRealization(40)
-        # a grid is no plain tuple of its fields, from either side
-        twin = (a.points, a.spacing, a.w_values.copy(), a.label)
-        assert a != twin and twin != a and not a == twin
+        # a grid is the plain tuple of its fields, from either side
+        twin = (a.points, a.spacing, tuple(a.w_values), a.label)
+        assert a == twin and twin == a and not a != twin and hash(a) == hash(twin)
         with pytest.raises(AttributeError):
             a.points = 43
         with pytest.raises(AttributeError):
             del a.label
+
+    def test_values_are_a_tuple_of_floats_bit_for_bit(self):
+        w = np.linspace(-2.0, 2.0, 41) ** 3
+        r = GridRealization(41, 0.1, w)
+        assert type(r.w_values) is tuple and all(type(v) is float for v in r.w_values)
+        assert np.asarray(r.w_values).tobytes() == w.tobytes()
+
+    def test_signed_zeros_compare_and_hash_alike(self):
+        plus = GridRealization(5, 0.5, [0.0, 1.0, 0.0, -1.0, 0.0])
+        minus = GridRealization(5, 0.5, [-0.0, 1.0, -0.0, -1.0, -0.0])
+        assert np.signbit(minus.w_values[0]) and not np.signbit(plus.w_values[0])
+        assert plus == minus and hash(plus) == hash(minus) and len({plus, minus}) == 1
+
+    def test_replace_runs_every_check(self):
+        r = make_grid(41, 0.25, lambda x: x**3)
+        with pytest.raises(ValueError, match="^w_values must have one value per grid point$"):
+            r._replace(w_values=r.w_values[:-1])
+        with pytest.raises(ValueError, match="^superpotential values must be finite$"):
+            r._replace(w_values=(math.inf,) * 41)
+        with pytest.raises(ValueError, match="is even"):
+            r._replace(points=42)
+        with pytest.raises(ValueError, match="grid levels overflow float64"):
+            r._replace(spacing=1e-200)
+        assert r._replace(label="cubic") == (41, 0.25, r.w_values, "cubic")
+
+    def test_pickle_round_trip(self):
+        r = make_grid(41, 0.25, lambda x: x**3)
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is GridRealization and back == r and hash(back) == hash(r)
+        assert np.array_equal(back.lowering_matrix(), r.lowering_matrix())
 
     def test_ladders_read_only_as_the_loop_builds_them(self):
         r = make_grid(41, 0.25, lambda x: x**3)
@@ -333,7 +368,7 @@ class TestGridRealization:
 
     def test_raw_kernels_carry_checkerboard_artifact(self):
         r = make_grid()
-        raw_a, raw_ad = r.raw_kernel_pair()
+        raw_a, raw_ad = r.decompose()[2]
         # one physical mode plus one grid-frequency artifact overall
         assert (len(raw_a), len(raw_ad)) == (1, 1)
 

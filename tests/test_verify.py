@@ -1466,6 +1466,53 @@ class TestGridEigensolve:
             assert verdict[0] == verdict[1], sel
 
 
+def tanh_well(x: np.ndarray) -> np.ndarray:
+    return 3.0 * np.tanh(x)
+
+
+class TestGridAgainstExactLevels:
+    """Central differences are second order: on [-5, 5] each level's error
+    falls fourfold per halving of the spacing, and Richardson extrapolation
+    removes that leading term."""
+
+    # W, and exact excited levels of Ad A: the oscillator's 1 and 2, and
+    # lambda^2/2 - (lambda - n)^2/2 of the Poschl-Teller well W = 3 tanh x
+    CASES = [("x", lambda x: x, (1.0, 2.0)), ("3 tanh x", tanh_well, (2.5, 4.0))]
+    GRIDS = ((201, 0.05), (401, 0.025), (801, 0.0125))
+
+    @staticmethod
+    def level_near(grid: GridRealization, exact: float) -> float:
+        levels = grid.decompose()[0]
+        return float(levels[np.argmin(np.abs(levels - exact))])
+
+    @pytest.mark.parametrize("w,exact", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_errors_fall_fourfold_per_halving(self, w, exact):
+        grids = [GridRealization.from_function(points, spacing, w) for points, spacing in self.GRIDS]
+        for level in exact:
+            got = [self.level_near(g, level) for g in grids]
+            for coarse, fine in zip(got, got[1:]):
+                assert (coarse - level) / (fine - level) == pytest.approx(4.0, abs=0.2)
+                richardson = (4.0 * fine - coarse) / 3.0
+                assert abs(richardson - level) * 10.0 <= abs(fine - level)
+
+    def test_table_levels_through_the_cli(self, capsys, tmp_path):
+        # the well as a table file gives the grid of the function, and the
+        # CLI reports its levels
+        points, spacing = self.GRIDS[0]
+        grid = GridRealization.from_function(points, spacing, tanh_well)
+        path = tmp_path / "tanh.txt"
+        np.savetxt(path, grid.w_values)
+        assert make_grid_realization(points, spacing, f"@{path}").w_values == grid.w_values
+        argv = ["spectrum", "--model", "minimal:n=2", "--grid", "--points", str(points),
+                "--spacing", str(spacing), "--W", f"@{path}", "--format", "json"]
+        assert main(argv) == 0
+        clusters = json.loads(capsys.readouterr().out)["clusters"]
+        for level in (2.5, 4.0):
+            want = self.level_near(grid, level)
+            (c,) = [c for c in clusters if abs(c["value"] - level) < 0.1]
+            assert c["value"] == pytest.approx(want, rel=1e-12) and c["multiplicity"] == 8
+
+
 class TestSpectrum:
     def test_minimal_rank3_fock(self, models):
         rep = spectrum(models("minimal:n=3"), FockRealization(8))
@@ -1514,23 +1561,65 @@ class TestSpectrum:
         assert rep.zero_modes == 2
         assert rep.ok, rep.problems
 
-    def test_dimension_guard(self, models):
-        # levels 0..cutoff: a cutoff equal to the budget is one level over it
-        with pytest.raises(ValueError, match="reduce the cutoff"):
-            spectrum(models("minimal:n=8"), FockRealization(MAX_FOCK_LEVELS))
+    def test_dimension_guard(self):
+        # levels 0..cutoff: a cutoff equal to the budget is one level over it,
+        # and the realization is refused where it is made
+        refusal = f"^Fock levels {MAX_FOCK_LEVELS + 1} are over {MAX_FOCK_LEVELS}; reduce the cutoff$"
+        with pytest.raises(ValueError, match=refusal):
+            FockRealization(MAX_FOCK_LEVELS)
+        assert FockRealization(MAX_FOCK_LEVELS - 1).dim == MAX_FOCK_LEVELS
 
     def test_grid_guard_counts_the_matrices_a_grid_builds(self):
-        # L, S = L C and the eigenvectors of S, points x points float64 each:
-        # 1447 is the largest odd point count within the guard, and 1449 is
-        # refused by name
-        assert 24 * 1447**2 <= MAX_SPECTRUM_BYTES < 24 * 1449**2
+        # S = L C, eigh's working copy, a workspace of two and the
+        # eigenvectors, points x points float64 each: 1447 is the largest odd
+        # point count within the guard, 1448 is even, and 1449 is refused by name
+        assert 40 * 1448**2 <= MAX_SPECTRUM_BYTES == 80 << 20 < 40 * 1449**2
         check_grid(1447, 0.05)
+        with pytest.raises(ValueError, match="^grid point count 1448 is even"):
+            check_grid(1448, 0.05)
         refusal = (
-            r"^the float64 L, S = L C and the eigenvectors of S, for 1449 points, "
-            r"need 50390424 bytes, .*reduce the grid size$"
+            r"^the float64 S = L C, its working copy, the eigensolver's workspace of two "
+            r"and the eigenvectors of S, for 1449 points, "
+            r"need 83984040 bytes, over the guard of 83886080; reduce the grid size$"
         )
         with pytest.raises(ValueError, match=refusal):
             check_grid(1449, 0.05)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_grid_guard_is_the_measured_peak(self, monkeypatch):
+        # the peak RSS that the largest admitted grid's spectrum adds to a
+        # child that has only imported numpy and the realizations lies within
+        # a quarter of what the guard counts for it.  A small launcher starts
+        # both children: a child's peak counts the one of the image it
+        # starts from, and the test runner's is larger than either.
+        launcher = """
+import os, subprocess, sys
+
+def peak_bytes(*argv):
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"{argv} exited {proc.returncode}")
+    return usage.ru_maxrss * 1024
+
+grid = ("--grid", "--points", "1447", "--spacing", "0.01", "--W", "x^3")
+spent = peak_bytes("-m", "graded_sqm", "spectrum", "--model", "minimal:n=2", *grid, "--format", "json")
+print(spent - peak_bytes("-c", "import numpy, graded_sqm.realizations"))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", launcher], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        spent = int(proc.stdout)
+        # what the guard counts, read off its refusal under a zero budget
+        with monkeypatch.context() as m:
+            m.setattr("graded_sqm.realizations.MAX_SPECTRUM_BYTES", 0)
+            with pytest.raises(ValueError, match="reduce the grid size") as refused:
+                check_grid(1447, 0.01)
+        counted = int(re.search(r"need (\d+) bytes", str(refused.value))[1])
+        assert 0.8 <= spent / counted <= 1.25, (spent, counted)
 
     @pytest.mark.parametrize("points,spacing", [(5, 1e308), (1447, 1e306)])
     def test_grid_extent_must_be_finite(self, points, spacing):
@@ -1607,8 +1696,9 @@ class TestSpectrum:
         _, h, _ = canonical_blocks()
         dense = [np.linalg.eigvalsh(realize(h.entries[i][i], grid).real) for i in range(2)]
         top = dense[0][-1]
-        for levels, want in zip(grid.partner_levels(), dense):
-            assert np.sort(levels) == pytest.approx(want, rel=1e-9, abs=1e-9 * top)
+        levels = np.sort(grid.decompose()[0])
+        for want in dense:
+            assert levels == pytest.approx(want, rel=1e-9, abs=1e-9 * top)
         rep = spectrum(models(sel), grid)
         got = [*rep.clusters, *rep.excluded]
         want = _cluster(np.sort(np.concatenate(dense)), GRID_CLUSTER_TOL, models(sel).clifford_dim)
@@ -1684,8 +1774,9 @@ class TestSpectrum:
         # nothing is cached: a second spectrum decomposes again
         assert spectrum(models("next:n=2"), grid).ok
         assert [s.shape for s in solved] == [(41, 41)] * 2 and np.array_equal(solved[1], solved[1].T)
-        assert [len(k) for k in grid.raw_kernel_pair()] == [1, 1]
-        assert [len(k) for k in grid.kernel_pair()] == [1, 0]
+        _, kernels, raw = grid.decompose()
+        assert [len(k) for k in raw] == [1, 1]
+        assert [len(k) for k in kernels] == [1, 0]
 
 
 def orbit_sizes_bfs(model) -> tuple[int, ...]:
