@@ -69,8 +69,9 @@ def read_input(path: str, limit: int, what: str) -> bytes:
 # superpotential parsing
 # ---------------------------------------------------------------------------
 
+# ASCII digits only: float() and int() would read any Unicode digit
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)(?P<coeff>\d+(?:\.\d+)?)?(?:\*?(?P<x>x)(?:\^(?P<pow>\d+))?)?$"
+    r"(?P<sign>[+-]?)(?P<coeff>\d+(?:\.\d+)?)?(?:\*?(?P<x>x)(?:\^(?P<pow>\d+))?)?$", re.ASCII
 )
 
 

@@ -10,21 +10,20 @@ entry point: it reads the levels of both partner Hamiltonians Ad A and
 A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
 them in closed form as exact integers without numpy, the grid from one
 symmetric eigensolve of its lowering matrix times the checkerboard sign.
-The dense matrices of ``realize`` are the tests' oracle.  The module is
-imported where a realization is built and loads only what a spectrum runs:
-not the exact engine (:mod:`graded_sqm.verify`), not the word algebra
-(:mod:`graded_sqm.sqm_block`), whose letters the oracle methods import
-where they run, and not ``dataclasses``: both realizations are checked
-named tuples.  Every dense matrix, and every grid, imports numpy where it
-is built.
+Each realization states the dense matrix of one word, ``word_matrix``,
+and :func:`graded_sqm.sqm_block.realize` sums them into the tests' oracle.
+The module is imported where a realization is built and loads only what a
+spectrum runs: not the exact engine (:mod:`graded_sqm.verify`), not the
+word algebra (:mod:`graded_sqm.sqm_block`), whose letters ``word_matrix``
+imports where it runs, and not ``dataclasses``: both realizations are
+checked named tuples.  Every dense matrix, and every grid, imports numpy
+where it is built.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .grading import CheckedTuple
@@ -34,7 +33,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .models import Model
-    from .sqm_block import Word, WordSum
+    from .sqm_block import Word
     Kernels = tuple[list[np.ndarray], list[np.ndarray]]  # of the lowering and the raising matrix
 
 # relative singular-value threshold for numeric kernel detection
@@ -53,11 +52,11 @@ class FockRealization(CheckedTuple, NamedTuple("FockRealization", [("cutoff", in
     """Truncated harmonic Fock space, superpotential fixed to W(x) = x.
 
     The lowering letter acts as the standard annihilation operator on levels
-    0..cutoff.  Words are realized by walking levels with exact integer
-    radicands; matrix elements are the untruncated ones, restricted to
-    levels <= cutoff.  Both partner Hamiltonians are diagonal with integer
-    levels (:meth:`partner_levels`) and both ladder kernels are exact level
-    sets (:meth:`kernel_levels`).  A named tuple checked when made, like
+    0..cutoff.  A word is realized by walking levels with exact integer
+    radicands (:meth:`word_matrix`); matrix elements are the untruncated
+    ones, restricted to levels <= cutoff, so Ad A is diag(0..cutoff) and
+    A Ad diag(1..cutoff + 1).  Both ladder kernels are exact level sets
+    (:meth:`kernel_levels`).  A named tuple checked when made, like
     ``ModelSpec``: a cutoff of more than ``MAX_FOCK_LEVELS`` levels is
     refused there, before any level is read.
     """
@@ -76,7 +75,7 @@ class FockRealization(CheckedTuple, NamedTuple("FockRealization", [("cutoff", in
     def dim(self) -> int:
         return self.cutoff + 1
 
-    def _word_matrix(self, word: Word) -> np.ndarray:
+    def word_matrix(self, word: Word) -> np.ndarray:
         import numpy as np
         out = np.zeros((self.dim, self.dim))
         for k in range(self.dim):
@@ -86,23 +85,6 @@ class FockRealization(CheckedTuple, NamedTuple("FockRealization", [("cutoff", in
             r = math.isqrt(rad)
             out[lvl, k] = float(r) if r * r == rad else math.sqrt(rad)
         return out
-
-    def realize_entry(self, ws: WordSum) -> np.ndarray:
-        import numpy as np
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for word, coeff in ws.items():
-            out += coeff * self._word_matrix(word)
-        return out
-
-    def partner_levels(self) -> tuple[range, range]:
-        """Levels of Ad A and of A Ad on Fock levels 0..cutoff.
-
-        Ad A sends level k to k times itself and A Ad to k + 1 times itself.
-        These are the untruncated matrix elements, which the dense entries
-        of :meth:`realize_entry` also carry, so the top level of A Ad lies
-        above the cutoff.
-        """
-        return range(self.dim), range(1, self.dim + 1)
 
     def kernel_levels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Levels below the cutoff that the lowering and the raising letter
@@ -146,17 +128,19 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
     return lvl, rad
 
 
-def check_grid(points: int, spacing: float) -> None:
-    """Refuse a grid before any array of it is built.
+def check_grid(points: int, spacing: float) -> int:
+    """Refuse a grid before any array of it is built; return its point count.
 
-    A grid needs at least 3 points, the five float64 points x points arrays
-    of its eigensolve (S = L C, eigh's working copy, its workspace of about
-    two and the eigenvectors, see :meth:`GridRealization.decompose`) within
-    ``MAX_SPECTRUM_BYTES``, a finite positive spacing, a finite extent
-    (points - 1)/2 x spacing, so that every coordinate is finite, and an odd
-    point count: the doubler pairing that the spectrum's multiplicity check
-    counts on holds only on odd grids.
+    A grid needs an integer count of at least 3 points, the five float64
+    points x points arrays of its eigensolve (S = L C, eigh's working copy,
+    its workspace of about two and the eigenvectors, see
+    :meth:`GridRealization.decompose`) within ``MAX_SPECTRUM_BYTES``, a
+    finite positive spacing, a finite extent (points - 1)/2 x spacing, so
+    that every coordinate is finite, and an odd point count: the doubler
+    pairing that the spectrum's multiplicity check counts on holds only on
+    odd grids.
     """
+    points = operator.index(points)
     if points < 3:
         raise ValueError(f"need at least 3 grid points, got {points}")
     nbytes = 40 * points * points  # five float64 arrays
@@ -178,6 +162,7 @@ def check_grid(points: int, spacing: float) -> None:
             f"grid point count {points} is even; the doubler pairing that "
             "the multiplicity check counts on holds only on odd grids, so use an odd count"
         )
+    return points
 
 
 class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
@@ -186,10 +171,10 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
     """Finite-difference realization on a symmetric Dirichlet grid.
 
     The momentum is the central-difference stencil; the lowering matrix is
-    (derivative + superpotential)/sqrt(2) and the raising matrix is its
-    numeric adjoint.  The derivative's norm is at most 1/spacing, so every
-    level is at most (max|W| + 1/spacing)**2 / 2, and the 2 x points levels
-    of both partners, which a cluster's mean adds up, sum to at most
+    (derivative + superpotential)/sqrt(2), and only :meth:`word_matrix`
+    builds its transpose.  The derivative's norm is at most 1/spacing, so
+    every level is at most (max|W| + 1/spacing)**2 / 2, and the 2 x points
+    levels of both partners, which a cluster's mean adds up, sum to at most
     points x (max|W| + 1/spacing)**2.  A grid on which that bound overflows
     float64 is refused.  A named tuple checked when made, which holds the
     values as a tuple of floats, so it compares, hashes and pickles as the
@@ -199,7 +184,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
     __slots__ = ()
 
     def __new__(cls, points: int, spacing: float, w_values: np.ndarray, label: str = "W") -> GridRealization:
-        check_grid(points, spacing)
+        points = check_grid(points, spacing)
         import numpy as np
         w = np.asarray(w_values, dtype=float)
         if w.shape != (points,):
@@ -251,30 +236,20 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         out.setflags(write=False)
         return out
 
-    def raising_matrix(self) -> np.ndarray:
-        # L^T, entry for entry equal to (-d + w)/sqrt(2), made only for the
-        # oracles.  A C-contiguous copy, not a transposed view: products with
-        # a view round differently in the last bits.
-        out = self.lowering_matrix().T.copy()
-        out.setflags(write=False)
-        return out
-
-    def realize_entry(self, ws: WordSum) -> np.ndarray:
+    def word_matrix(self, word: Word) -> np.ndarray:
+        # L^T as a C-contiguous copy: products with a transposed view round differently
         import numpy as np
 
         from .sqm_block import LOWER, RAISE
 
-        ladders = {LOWER: self.lowering_matrix(), RAISE: self.raising_matrix()}
-        out = np.zeros((self.points, self.points), dtype=np.complex128)
-        for word, coeff in ws.items():
-            if not word:
-                out += coeff * np.eye(self.points)
-                continue
-            m = ladders[word[0]]
-            for letter in word[1:]:
-                m = m @ ladders[letter]
-            out += coeff * m
-        return out
+        if not word:
+            return np.eye(self.points)
+        lower = self.lowering_matrix()
+        ladders = {LOWER: lower, RAISE: lower.T.copy()}
+        m = ladders[word[0]]
+        for letter in word[1:]:
+            m = m @ ladders[letter]
+        return m
 
     def decompose(self) -> tuple[np.ndarray, Kernels, Kernels]:
         """The levels, the ladder kernels and the raw ones, from one
@@ -408,12 +383,13 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     on the model's record of H, which must be that of 1 x Q Q, and any
     other Hamiltonian is refused before a matrix is built.  The realization
     then gives both partners' levels and both ladder kernels from the
-    ladder pair alone: on Fock in closed form
-    (``FockRealization.partner_levels`` and ``kernel_levels``), so the
-    clusters are exact counts with no numpy; on the grid from one
-    eigensolve of the symmetric S = L C, with L the lowering matrix and C
-    the checkerboard sign, since Ad A = L^T L and A Ad = L L^T share the
-    levels l^2 of the eigenvalues l of S (``GridRealization.decompose``).
+    ladder pair alone: on Fock in closed form, Ad A's levels 0..cutoff and
+    A Ad's 1..cutoff + 1 counted from the cutoff and the kernels from
+    ``FockRealization.kernel_levels``, so the clusters are exact counts
+    with no numpy; on the grid from one eigensolve of the symmetric
+    S = L C, with L the lowering matrix and C the checkerboard sign, since
+    Ad A = L^T L and A Ad = L L^T share the levels l^2 of the eigenvalues
+    l of S (``GridRealization.decompose``).
     Every realization is refused where it is made: a Fock cutoff of more
     than ``MAX_FOCK_LEVELS`` levels, and a grid by :func:`check_grid`.
 
@@ -437,8 +413,9 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     artifact_modes = 0
     if is_fock:
         kernel_a, kernel_ad = realization.kernel_levels()
-        counts = Counter(chain(*realization.partner_levels()))
-        all_clusters = [EigenCluster(float(v), cliffdim * counts[v]) for v in sorted(counts)]
+        # Ad A has levels 0..cutoff and A Ad 1..top: the ones between are in both
+        top = realization.cutoff + 1
+        all_clusters = [EigenCluster(float(v), cliffdim * (1 if v in (0, top) else 2)) for v in range(top + 1)]
         # levels at or above the cutoff are truncation-affected
         edge = realization.cutoff - 0.5
     else:

@@ -192,20 +192,17 @@ def canonical_blocks() -> tuple[SqmBlock, SqmBlock, SqmBlock]:
 def realize(block: SqmBlock | WordSum, realization: NumericRealization) -> np.ndarray:
     """Substitute numeric ladder matrices into a formal block or entry.
 
-    A single word-sum entry is realized as a dim x dim matrix.  For a block,
-    the block index is the outer tensor slot: the result is 2*dim
+    A single word-sum entry is realized as the dim x dim complex sum of its
+    coefficients times the realization's ``word_matrix`` of each word.  For
+    a block, the block index is the outer tensor slot: the result is 2*dim
     dimensional with the (i, j) entries realized as dim x dim sub-blocks.
     """
-    if isinstance(block, WordSum):
-        return realization.realize_entry(block)
     import numpy as np
-    d = realization.dim
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = realization.realize_entry(
-                block.entries[i][j]
-            )
+    if isinstance(block, SqmBlock):
+        return np.block([[realize(e, realization) for e in row] for row in block.entries])
+    out = np.zeros((realization.dim, realization.dim), dtype=np.complex128)
+    for word, coeff in block.items():
+        out += coeff * realization.word_matrix(word)
     return out
 
 

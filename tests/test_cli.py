@@ -328,7 +328,7 @@ class TestSpectrumCommand:
                 pytest.fail("a ladder matrix was built for an even grid")
 
             monkeypatch.setattr(GridRealization, "lowering_matrix", refuse)
-            monkeypatch.setattr(GridRealization, "raising_matrix", refuse)
+            monkeypatch.setattr(GridRealization, "word_matrix", refuse)
         grid = ("--grid", "--points", str(points), "--spacing", "0.05", "--W", w)
         code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", *grid)
         if points % 2:
@@ -453,8 +453,7 @@ class TestSpectrumCommand:
             pytest.fail("a Fock level was read past the work guard")
 
         monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
-        monkeypatch.setattr(FockRealization, "realize_entry", refuse)
-        monkeypatch.setattr(FockRealization, "partner_levels", refuse_exact)
+        monkeypatch.setattr(FockRealization, "word_matrix", refuse)
         monkeypatch.setattr(FockRealization, "kernel_levels", refuse_exact)
         # levels 0..cutoff: this cutoff is one level over the budget
         cutoff = str(MAX_FOCK_LEVELS)
@@ -470,7 +469,6 @@ class TestSpectrumCommand:
             pytest.fail("an exact check ran or a Fock level was read past the refused cutoff")
 
         monkeypatch.setattr("graded_sqm.verify.check_defining_relations", refuse)
-        monkeypatch.setattr(FockRealization, "partner_levels", refuse)
         monkeypatch.setattr(FockRealization, "kernel_levels", refuse)
         code, out, err = run(capsys, command, "--model", "minimal:n=2", "--fock", str(MAX_FOCK_LEVELS))
         assert (code, out) == (2, "")
@@ -863,7 +861,7 @@ class TestSuperpotentialParsing:
         assert parse_polynomial("0.5*x^2 + 3") == [(0.5, 2), (3.0, 0)]
 
     def test_bad_expressions(self):
-        for expr in ("", "y", "x**3", "x^"):
+        for expr in ("", "y", "x**3", "x^", "\u0663x", "x^\u0663"):
             with pytest.raises(ValueError):
                 parse_polynomial(expr)
 
@@ -896,9 +894,15 @@ class TestSuperpotentialParsing:
             make_grid_realization(51, 0.1, str(path))
 
 
-    @pytest.mark.parametrize("w", ["x" * 300, "x^"], ids=["name-too-long", "dangling-power"])
+    @pytest.mark.parametrize(
+        "w",
+        ["x" * 300, "x^", "\u0663x", "x^\u0663"],
+        ids=["name-too-long", "dangling-power", "non-ascii-coefficient", "non-ascii-power"],
+    )
     def test_unparseable_w_reports_the_parse_error(self, capsys, w):
-        # a W too long to be a file name is no file, not an OS error
+        # a W too long to be a file name is no file, not an OS error; float()
+        # and int() read the Arabic-Indic digit three as 3, but a W polynomial,
+        # like a selector's rank, takes ASCII digits only
         grid = ("spectrum", "--model", "minimal:n=2", "--grid", "--points", "5")
         code, out, err = run(capsys, *grid, "--W", w)
         assert (code, out) == (2, "")
@@ -1272,7 +1276,9 @@ class TestInputSweep:
         "minimal:n=1", "minimal:n=9", "next:n=0", "maximal:n=9", "minimal:n=-2",
     ]
     SUPERPOTENTIALS = ["x", "-x", "x^3", "2*x^3 - x", "0.5*x^2 + x", "3", "x^2", "x^40", "-2*x^5"]
-    BAD_SUPERPOTENTIALS = ["y", "x**3", "x^", "", "+", "x -", "1e3*x", "@no-such-table.txt"]
+    BAD_SUPERPOTENTIALS = [
+        "y", "x**3", "x^", "", "+", "x -", "1e3*x", "@no-such-table.txt", "\u0663x", "x^\u0663",
+    ]
 
     @classmethod
     def value(cls, rng: random.Random, key: str) -> str:
@@ -1339,7 +1345,8 @@ class TestInputSweep:
             flags = self.as_flags(command, settings)
             code, out, _ = run(capsys, command, *flags)
             assert code in (0, 1, 2), (case, flags)
-            cfg.write_text("# seeded case\n" + "".join(f"{k} = {v}\n" for k, v in settings))
+            body = "".join(f"{k} = {v}\n" for k, v in settings)
+            cfg.write_text("# seeded case\n" + body, encoding="utf-8")
             assert run(capsys, command, "--config", str(cfg))[:2] == (code, out), (case, settings)
             statuses.append(code)
         assert {0, 1, 2} <= set(statuses)

@@ -1,5 +1,6 @@
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -90,26 +91,40 @@ def svd_kernel(mat):
     return [vh[i].conj() for i in range(vh.shape[0]) if (s[i] if i < len(s) else 0.0) <= tol]
 
 
+def assert_fock_clusters(model, r, diagonals):
+    """The spectrum's clusters, the truncation-excluded ones included, count
+    each level of both partners' dense diagonals clifford-dim times."""
+    counts = Counter(v for d in diagonals for v in d.real.tolist())
+    rep = spectrum(model, r)
+    got = [(c.value, c.multiplicity) for c in (*rep.clusters, *rep.excluded)]
+    assert got == [(v, model.clifford_dim * counts[v]) for v in sorted(counts)]
+
+
 class TestFockRealization:
-    def test_hamiltonian_diagonal_exact(self):
+    def test_hamiltonian_diagonal_exact(self, models):
         q, h, s = canonical_blocks()
         r = FockRealization(4)
         got = realize(h, r)
         want = np.diag([0, 1, 2, 3, 4, 1, 2, 3, 4, 5]).astype(complex)
         assert np.array_equal(got, want)
         assert np.array_equal(realize(h.entries[1][1], r), want[5:, 5:])
-        assert [list(levels) for levels in r.partner_levels()] == [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]
+        assert_fock_clusters(models("minimal:n=2"), r, [np.diag(got)[:5], np.diag(got)[5:]])
 
     @pytest.mark.parametrize("cutoff", [1, 2, 6, 17])
-    def test_exact_diagonal_against_dense_entry(self, cutoff):
-        # the closed-form levels are the diagonals of the dense partner
-        # entries and of the padded oracle's products
+    def test_exact_diagonal_against_dense_entry(self, models, cutoff):
+        # the closed-form levels 0..c and 1..c+1 are the diagonals of the
+        # dense partner entries and of the padded oracle's products, and the
+        # spectrum counts them
         _, h, _ = canonical_blocks()
         r = FockRealization(cutoff)
-        for i, (levels, word) in enumerate(zip(r.partner_levels(), [(RAISE, LOWER), (LOWER, RAISE)])):
-            dense = r.realize_entry(h.entries[i][i])
-            assert np.array_equal(dense, np.diag(list(levels)))
-            assert fock_dense_oracle(cutoff, word) == pytest.approx(np.diag(list(levels)), abs=1e-12)
+        levels = [range(cutoff + 1), range(1, cutoff + 2)]
+        diagonals = []
+        for i, (want, word) in enumerate(zip(levels, [(RAISE, LOWER), (LOWER, RAISE)])):
+            dense = realize(h.entries[i][i], r)
+            assert np.array_equal(dense, np.diag(list(want)))
+            assert fock_dense_oracle(cutoff, word) == pytest.approx(np.diag(list(want)), abs=1e-12)
+            diagonals.append(np.diag(dense))
+        assert_fock_clusters(models("minimal:n=2"), r, diagonals)
 
     @pytest.mark.parametrize(
         "terms",
@@ -164,8 +179,9 @@ class TestFockRealization:
     def test_entry_against_padded_dense_oracle(self):
         r = FockRealization(5)
         for word in [(RAISE, LOWER), (LOWER, RAISE), (LOWER,), (RAISE, RAISE, LOWER)]:
-            got = r.realize_entry(WordSum({word: 1}))
-            assert got == pytest.approx(fock_dense_oracle(5, word), abs=1e-12)
+            want = fock_dense_oracle(5, word)
+            assert r.word_matrix(word) == pytest.approx(want, abs=1e-12)
+            assert realize(WordSum({word: 1}), r) == pytest.approx(want, abs=1e-12)
 
     def test_involution_realization(self):
         _, _, s = canonical_blocks()
@@ -318,13 +334,16 @@ class TestGridRealization:
             d[j + 1, j] = -1.0 / (2.0 * r.spacing)
         w = np.diag(r.w_values)
         assert np.array_equal(r.lowering_matrix(), (d + w) / math.sqrt(2))
-        assert np.array_equal(r.raising_matrix(), (-d + w) / math.sqrt(2))
+        assert np.array_equal(r.word_matrix((LOWER,)), (d + w) / math.sqrt(2))
+        assert np.array_equal(r.word_matrix((RAISE,)), (-d + w) / math.sqrt(2))
         assert not r.lowering_matrix().flags.writeable
-        assert not r.raising_matrix().flags.writeable
+        # the raising matrix is a fresh copy: writing to one changes no later one
+        r.word_matrix((RAISE,))[:] = 0.0
+        assert np.array_equal(r.word_matrix((RAISE,)), (-d + w) / math.sqrt(2))
 
     def test_entry_against_identity_started_products(self):
         r = make_grid(41, 0.25, lambda x: x**3)
-        mats = {LOWER: r.lowering_matrix(), RAISE: r.raising_matrix()}
+        mats = {letter: r.word_matrix((letter,)) for letter in (LOWER, RAISE)}
         _, h, _ = canonical_blocks()
         extra = WordSum({(): 2, (LOWER, LOWER, RAISE): 1j, (RAISE,): -3})
         for ws in (h.entries[0][0], h.entries[1][1], extra):
@@ -333,8 +352,9 @@ class TestGridRealization:
                 m = np.eye(41)
                 for letter in word:
                     m = m @ mats[letter]
+                assert np.array_equal(r.word_matrix(word), m)
                 want += coeff * m
-            assert np.array_equal(r.realize_entry(ws), want)
+            assert np.array_equal(realize(ws, r), want)
 
     def test_charge_hermitian(self):
         q, _, _ = canonical_blocks()

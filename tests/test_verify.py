@@ -1470,24 +1470,36 @@ def tanh_well(x: np.ndarray) -> np.ndarray:
     return 3.0 * np.tanh(x)
 
 
+def morse_well(x: np.ndarray) -> np.ndarray:
+    # W = 3 - e^-y at y = x + 3: the grid's [-6, 6] is the well's [-3, 9]
+    return 3.0 - np.exp(-(x + 3.0))
+
+
 class TestGridAgainstExactLevels:
-    """Central differences are second order: on [-5, 5] each level's error
-    falls fourfold per halving of the spacing, and Richardson extrapolation
+    """Central differences are second order: each level's error falls
+    fourfold per halving of the spacing, and Richardson extrapolation
     removes that leading term."""
 
-    # W, and exact excited levels of Ad A: the oscillator's 1 and 2, and
-    # lambda^2/2 - (lambda - n)^2/2 of the Poschl-Teller well W = 3 tanh x
-    CASES = [("x", lambda x: x, (1.0, 2.0)), ("3 tanh x", tanh_well, (2.5, 4.0))]
-    GRIDS = ((201, 0.05), (401, 0.025), (801, 0.0125))
+    GRIDS = ((201, 0.05), (401, 0.025), (801, 0.0125))  # [-5, 5]
+    MORSE_GRIDS = ((241, 0.05), (481, 0.025), (961, 0.0125))  # [-6, 6]
+    # W, exact excited levels of Ad A and the grids: the oscillator's 1 and
+    # 2, and k(2 lambda - k)/2 of two shape-invariant wells with lambda = 3,
+    # Poschl-Teller W = 3 tanh x and Morse W = 3 - e^-x, whose continuum
+    # starts at 9/2 and needs a box reaching further right
+    CASES = [
+        ("x", lambda x: x, (1.0, 2.0), GRIDS),
+        ("3 tanh x", tanh_well, (2.5, 4.0), GRIDS),
+        ("3 - e^-x", morse_well, (2.5, 4.0), MORSE_GRIDS),
+    ]
 
     @staticmethod
     def level_near(grid: GridRealization, exact: float) -> float:
         levels = grid.decompose()[0]
         return float(levels[np.argmin(np.abs(levels - exact))])
 
-    @pytest.mark.parametrize("w,exact", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-    def test_errors_fall_fourfold_per_halving(self, w, exact):
-        grids = [GridRealization.from_function(points, spacing, w) for points, spacing in self.GRIDS]
+    @pytest.mark.parametrize("w,exact,sizes", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_errors_fall_fourfold_per_halving(self, w, exact, sizes):
+        grids = [GridRealization.from_function(points, spacing, w) for points, spacing in sizes]
         for level in exact:
             got = [self.level_near(g, level) for g in grids]
             for coarse, fine in zip(got, got[1:]):
@@ -1658,6 +1670,20 @@ print(spent - peak_bytes("-c", "import numpy, graded_sqm.realizations"))
         assert (rep.zero_modes, rep.expected_zero) == (2, 2)
         assert rep.problems == ("expected a zero cluster but found none",)
 
+    @pytest.mark.parametrize("points", [41.0, 41.5])
+    def test_grid_point_count_must_be_an_integer(self, points):
+        # refused where the grid is checked, before W is evaluated on it
+        def refuse(x):
+            pytest.fail("W was evaluated on a grid of a non-integer point count")
+
+        with pytest.raises(TypeError):
+            check_grid(points, 0.25)
+        with pytest.raises(TypeError):
+            GridRealization(points, 0.25, np.zeros(41))
+        with pytest.raises(TypeError):
+            GridRealization.from_function(points, 0.25, refuse)
+        assert type(GridRealization(np.int64(41), 0.25, np.zeros(41)).points) is int
+
     @pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
     def test_grid_spacing_must_be_finite_and_positive(self, spacing):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -1727,13 +1753,13 @@ print(spent - peak_bytes("-c", "import numpy, graded_sqm.realizations"))
             with_hamiltonian_block(m, block)
         real = GridRealization.from_function(41, 0.25, lambda x: x) if grid else FockRealization(6)
         monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
-        monkeypatch.setattr(FockRealization, "realize_entry", refuse)
-        monkeypatch.setattr(GridRealization, "realize_entry", refuse)
+        monkeypatch.setattr(FockRealization, "word_matrix", refuse)
+        monkeypatch.setattr(GridRealization, "word_matrix", refuse)
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(GridRealization, "lowering_matrix", refuse)
-        monkeypatch.setattr(GridRealization, "raising_matrix", refuse)
-        monkeypatch.setattr(FockRealization, "partner_levels", refuse)
+        monkeypatch.setattr(GridRealization, "decompose", refuse)
+        monkeypatch.setattr(FockRealization, "kernel_levels", refuse)
         for broken in monomial_non_canonical_hamiltonians(m):
             with pytest.raises(ValueError, match=r"not diag\(Ad A, A Ad\)"):
                 spectrum(broken, real)
@@ -1766,7 +1792,7 @@ print(spent - peak_bytes("-c", "import numpy, graded_sqm.realizations"))
 
         for name in ("svd", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        monkeypatch.setattr(GridRealization, "realize_entry", refuse)
+        monkeypatch.setattr(GridRealization, "word_matrix", refuse)
         grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
         rep = spectrum(models("minimal:n=2"), grid)
         assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
