@@ -24,7 +24,7 @@ import stat
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,7 +110,7 @@ def make_grid_realization(points: int, spacing: float, w_expr: str) -> GridReali
     """
     from .realizations import GridRealization, check_grid
 
-    check_grid(points, spacing)
+    points, spacing = check_grid(points, spacing)
     if w_expr.startswith("@"):
         path = w_expr[1:]
     else:
@@ -285,14 +285,14 @@ def cmd_census(args: argparse.Namespace) -> int:
 def _realization_from(args: argparse.Namespace) -> NumericRealization | None:
     if not args.grid and (args.points, args.spacing, args.w) != (None, None, None):
         raise ValueError("--points, --spacing and --W apply only with --grid")
-    if args.fock is not None:
-        from .realizations import FockRealization
-
-        return FockRealization(args.fock)
     if args.grid:
         points = 201 if args.points is None else args.points
         spacing = 0.05 if args.spacing is None else args.spacing
         return make_grid_realization(points, spacing, "x" if args.w is None else args.w)
+    if args.fock is not None:
+        from .realizations import FockRealization
+
+        return FockRealization(args.fock)
     return None
 
 
@@ -302,14 +302,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .models import build_from_selector
 
     model = build_from_selector(args.model)
-    # the spectrum runs first, so a realization it refuses costs no exact check,
-    # but its section is reported last
     realization = _realization_from(args)
-    spectral = None
-    if realization is not None:
-        from .realizations import spectrum
-
-        spectral = spectrum(model, realization)
     from . import verify
 
     sections: dict[str, object] = {}
@@ -321,13 +314,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sections["orbits"] = verify.orbit_decomposition(model)
     if args.counts:
         sections["generated_operators"] = verify.count_generated_operators(model)
-    if spectral is not None:
-        sections["spectrum"] = spectral
+    spectral = None
+    if realization is not None:
+        from .realizations import spectrum
+
+        spectral = sections["spectrum"] = spectrum(model, realization)
 
     passed = (
         sections["defining_relations"].overall
         and sections["centrality"].overall
-        and (("spectrum" not in sections) or sections["spectrum"].ok)
+        and (spectral is None or spectral.ok)
     )
 
     if args.format == "json":
@@ -363,8 +359,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     from .models import build_from_selector
 
     model = build_from_selector(args.model)
-    if args.fock is None and not args.grid:
-        args.fock = DEFAULT_CUTOFF
     from .realizations import spectrum
 
     rep = spectrum(model, _realization_from(args))
@@ -392,12 +386,30 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file mirroring the flags")
 
 
-def _add_realization(sub: argparse.ArgumentParser) -> None:
+def _ascii(kind: type) -> Callable[[str], int | float]:
+    """An argparse type that reads a number as ``kind`` does, from ASCII
+    without ``_`` only: int() and float() also read any Unicode digit and a
+    ``_`` between digits."""
+    def number(text: str) -> int | float:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    number.__name__ = kind.__name__  # argparse's refusal says "invalid int value"
+    return number
+
+
+def _add_realization(sub: argparse.ArgumentParser, cutoff: int | None = None) -> None:
     choice = sub.add_mutually_exclusive_group()
-    choice.add_argument("--fock", "--cutoff", type=int, metavar="N", help="truncated Fock cutoff (W=x)")
+    # argparse takes an option whose value is its default for absent, and --fock 8
+    # parses to the very int 8: a text default keeps it in conflict with --grid
+    choice.add_argument(
+        "--fock", "--cutoff", type=_ascii(int), default=None if cutoff is None else str(cutoff),
+        metavar="N", help="truncated Fock cutoff (W=x)",
+    )
     choice.add_argument("--grid", action="store_true", help="finite-difference grid realization")
-    sub.add_argument("--points", "--grid.points", type=int, help="grid points")
-    sub.add_argument("--spacing", "--grid.spacing", type=float, help="grid spacing")
+    sub.add_argument("--points", "--grid.points", type=_ascii(int), help="grid points")
+    sub.add_argument("--spacing", "--grid.spacing", type=_ascii(float), help="grid spacing")
     sub.add_argument("--W", dest="w", help="superpotential: polynomial in x or @table-file")
 
 
@@ -410,8 +422,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_census = subs.add_parser("census", help="algebra counting table")
-    p_census.add_argument("--n-from", type=int, default=2)
-    p_census.add_argument("--n-to", type=int, default=10)
+    p_census.add_argument("--n-from", type=_ascii(int), default=2)
+    p_census.add_argument("--n-to", type=_ascii(int), default=10)
     _add_common(p_census)
     p_census.set_defaults(func=cmd_census)
 
@@ -426,7 +438,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_spec = subs.add_parser("spectrum", help="eigenvalue clusters and degeneracies")
     p_spec.add_argument("--model", required=True)
-    _add_realization(p_spec)
+    _add_realization(p_spec, DEFAULT_CUTOFF)
     _add_common(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 

@@ -128,8 +128,8 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
     return lvl, rad
 
 
-def check_grid(points: int, spacing: float) -> int:
-    """Refuse a grid before any array of it is built; return its point count.
+def check_grid(points: int, spacing: float) -> tuple[int, float]:
+    """Refuse a grid before any array of it is built; return the int and float that passed.
 
     A grid needs an integer count of at least 3 points, the five float64
     points x points arrays of its eigensolve (S = L C, eigh's working copy,
@@ -162,7 +162,7 @@ def check_grid(points: int, spacing: float) -> int:
             f"grid point count {points} is even; the doubler pairing that "
             "the multiplicity check counts on holds only on odd grids, so use an odd count"
         )
-    return points
+    return points, float(spacing)
 
 
 class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
@@ -184,7 +184,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
     __slots__ = ()
 
     def __new__(cls, points: int, spacing: float, w_values: np.ndarray, label: str = "W") -> GridRealization:
-        points = check_grid(points, spacing)
+        points, spacing = check_grid(points, spacing)
         import numpy as np
         w = np.asarray(w_values, dtype=float)
         if w.shape != (points,):
@@ -211,7 +211,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         w: Callable[[np.ndarray], np.ndarray],
         label: str = "W",
     ) -> "GridRealization":
-        check_grid(points, spacing)  # before W is evaluated on the grid
+        points, spacing = check_grid(points, spacing)  # before W is evaluated on the grid
         import numpy as np
         # an overflowing W is refused by the finiteness check, not warned about
         with np.errstate(over="ignore", invalid="ignore"):

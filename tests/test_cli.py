@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import graded_sqm
-from graded_sqm.cli import MAX_CONFIG_BYTES, main, make_grid_realization, parse_polynomial
+from graded_sqm.cli import FORMATS, MAX_CONFIG_BYTES, main, make_grid_realization, parse_polynomial
 from graded_sqm.models import Model, build_from_selector
 from graded_sqm.realizations import MAX_FOCK_LEVELS, FockRealization, GridRealization
 from graded_sqm.sqm_block import canonical_blocks
@@ -402,6 +402,19 @@ class TestSpectrumCommand:
         code, out, _ = run(capsys, "spectrum", "--model", "minimal:n=2")
         assert code == 0
         assert "fock(cutoff=8" in out
+        # the parser's default cutoff is the report of --fock 8, in every format
+        for fmt in FORMATS:
+            assert run(capsys, "spectrum", "--model", "minimal:n=2", "--format", fmt) == run(
+                capsys, "spectrum", "--model", "minimal:n=2", "--fock", "8", "--format", fmt
+            )
+        # --grid wins over that default, and a typed --fock 8 still conflicts with it
+        code, out, _ = run(capsys, "spectrum", "--model", "minimal:n=2", "--grid")
+        assert code == 0 and "on grid(points=201" in out
+        code, out, err = run(capsys, "spectrum", "--model", "minimal:n=2", "--fock", "8", "--grid")
+        assert (code, out) == (2, "") and "not allowed with argument --fock/--cutoff" in err
+        # verify has no default realization: no spectrum section
+        code, out, _ = run(capsys, "verify", "--model", "minimal:n=2")
+        assert code == 0 and "spectrum" not in out
 
     def test_maximal_rank5_diagonalizes_the_block_only(self, capsys):
         # total dimension 589824: the dense Kronecker product would need
@@ -908,6 +921,38 @@ class TestSuperpotentialParsing:
         assert (code, out) == (2, "")
         assert err == f"error: cannot parse superpotential term {'+' + w!r} in {w!r}\n"
 
+    @pytest.mark.parametrize(
+        "command,settings,flag,kind",
+        [
+            ("spectrum", [("fock", "\u0668")], "--fock/--cutoff", "int"),
+            ("spectrum", [("grid", "true"), ("points", "\u0664\u0661")], "--points/--grid.points", "int"),
+            ("spectrum", [("grid", "true"), ("spacing", "\u0660.\u0662\u0665")], "--spacing/--grid.spacing", "float"),
+            ("census", [("n-from", "\u0663")], "--n-from", "int"),
+            ("spectrum", [("fock", "1_0")], "--fock/--cutoff", "int"),
+            ("spectrum", [("grid", "true"), ("spacing", "1_0")], "--spacing/--grid.spacing", "float"),
+            ("census", [("n-from", "1_0")], "--n-from", "int"),
+        ],
+        ids=["fock-arabic", "points-arabic", "spacing-arabic", "n-from-arabic",
+             "fock-underscore", "spacing-underscore", "n-from-underscore"],
+    )
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_numbers_are_ascii_without_underscores(self, capsys, tmp_path, command, settings, flag, kind, via):
+        # int() and float() read any Unicode digit and a _ between digits; a
+        # number flag, like a selector's rank and a W polynomial, does not
+        if command == "spectrum":
+            settings = [("model", "minimal:n=2"), *settings]
+        if via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings), encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        else:
+            argv = [a for k, v in settings for a in ([f"--{k}"] if v == "true" else [f"--{k}", v])]
+        code, out, err = run(capsys, command, *argv)
+        value = settings[-1][1]
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+        assert "Traceback" not in err
+
     def test_table_over_the_byte_guard_is_refused(self, capsys, monkeypatch, tmp_path):
         # the table is read up to its own byte bound and no further
         guard = 1000
@@ -1290,16 +1335,17 @@ class TestInputSweep:
         if key == "format":
             return rng.choice(["markdown", "json", "csv"] if good else ["yaml", "JSON", ""])
         if key == "fock":
-            return str(rng.randint(1, 64)) if good else rng.choice(["0", "-3", "2.5", "abc"])
+            return str(rng.randint(1, 64)) if good else rng.choice(["0", "-3", "2.5", "abc", "\u0668", "1_0"])
         if key == "points":
-            return str(rng.randint(3, 64)) if good else rng.choice(["0", "2", "-5", "x"])
+            return str(rng.randint(3, 64)) if good else rng.choice(["0", "2", "-5", "x", "\u0668", "1_0"])
         if key == "spacing":
             good_spacing = f"{rng.uniform(0.05, 0.5):.3f}"
-            return good_spacing if good else rng.choice(["0", "-0.1", "inf", "nan", "abc"])
+            bad_spacing = ["0", "-0.1", "inf", "nan", "abc", "\u0660.\u0662\u0665"]
+            return good_spacing if good else rng.choice(bad_spacing)
         if key == "w":
             return rng.choice(cls.SUPERPOTENTIALS if good else cls.BAD_SUPERPOTENTIALS)
         if key in ("n-from", "n-to"):
-            return str(rng.randint(2, 10)) if good else rng.choice(["1", "11", "x"])
+            return str(rng.randint(2, 10)) if good else rng.choice(["1", "11", "x", "\u0668", "1_0"])
         if key == "realization":
             return rng.choice(["fock", "grid"] if good else ["dense"])
         booleans = ["true", "false", "yes", "no", "on", "off", "1", "0", "True", "OFF"]

@@ -51,6 +51,15 @@ class TestMonomialArithmetic:
         assert g @ ident == g
         assert ident.scalar_of_identity() == 1
 
+    def test_negative_qubit_count_is_refused(self):
+        with pytest.raises(ValueError, match="^qubit count must be >= 0, got -1$"):
+            PauliOperator(-1, 0, 0)
+
+    @pytest.mark.parametrize("dim", [3, 0])
+    def test_identity_needs_a_power_of_two(self, dim):
+        with pytest.raises(ValueError, match=f"^dimension {dim} is not a power of two$"):
+            PauliOperator.identity(dim)
+
     def test_product_against_dense(self):
         g1, gt1 = gamma(1, 1), gamma_tilde(1, 1)
         got = (g1 @ gt1).to_dense()

@@ -12,6 +12,7 @@ from graded_sqm.grading import (
     census,
     dot,
     enumerate_odd_degrees,
+    odd_masks,
 )
 
 
@@ -103,6 +104,10 @@ class TestEnumerateOddDegrees:
 
     def test_rank2(self):
         assert [str(a) for a in enumerate_odd_degrees(2)] == ["01", "10"]
+
+    def test_rank1_is_refused(self):
+        with pytest.raises(ValueError, match="^rank must be >= 2, got 1$"):
+            odd_masks(1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_count_parity_distinct(self, n):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import graded_sqm
+from graded_sqm import models
 from graded_sqm.clifford import PauliOperator, anticommutes, commutes, gamma, proportional
 from graded_sqm.grading import DegreeVector, dot, enumerate_odd_degrees
 from graded_sqm.models import (
@@ -451,6 +452,19 @@ class TestGeneratorCheck:
         )
         assert proc.returncode != 0
         assert "not hermitian" in proc.stderr
+
+    def test_a_mistyped_table_row_fails_the_build(self, monkeypatch):
+        # the last row of the n4cl10 table off by a phase i: the build names
+        # that row's degree before it assembles a record
+        family = models._FAMILIES["n4cl10"]
+
+        def mistyped(masks, m):
+            gens, bits = family.generators(masks, m)
+            return [*gens[:-1], models._scale(gens[-1], 1)], bits
+
+        monkeypatch.setitem(models._FAMILIES, "n4cl10", family._replace(generators=mistyped))
+        with pytest.raises(ValueError, match="^generator for degree 1110 is not hermitian$"):
+            build(ModelSpec.parse("n4cl10"))
 
 
 class TestQubitCountBound:

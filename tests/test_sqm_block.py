@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from graded_sqm.realizations import FockRealization, GridRealization, _walk, spectrum
+from graded_sqm.cli import make_grid_realization
+from graded_sqm.realizations import FockRealization, GridRealization, _walk, check_grid, spectrum
 from graded_sqm.sqm_block import (
     LOWER,
     RAISE,
@@ -37,6 +38,15 @@ class TestWordSum:
         w = (a * a * ad) * 1j
         assert w.adjoint() == (a * ad * ad) * (-1j)
         assert w.adjoint().adjoint() == w
+
+    def test_unknown_letter_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown letter 'B'$"):
+            WordSum.letter("B")
+
+    def test_block_must_be_2x2(self):
+        z = WordSum.zero()
+        with pytest.raises(ValueError, match="^block must be 2x2$"):
+            SqmBlock([[z, z], [z, z], [z, z]])
 
 
 class TestCanonicalBlocks:
@@ -264,6 +274,26 @@ class TestGridRealization:
             GridRealization(5, 0.1, np.array([0.0, 1.0, np.inf, 1.0, 0.0]))
         with pytest.raises(ValueError):
             GridRealization(5, -0.1, np.zeros(5))
+
+    def test_a_grid_stores_the_numbers_its_guard_passed(self):
+        # the int and float that check_grid returns, whatever number types
+        # the caller gave, so a grid's repr, equality, hash and pickle are
+        # those of a grid given them
+        checked = check_grid(41, 1)
+        assert checked == (41, 1.0) and type(checked[1]) is float
+        w = np.zeros(5)
+        unit = GridRealization(5, True, w)
+        assert unit.spacing == 1.0 and type(unit.spacing) is float
+        assert repr(unit) == "GridRealization(points=5, spacing=1.0, label='W')"
+        assert unit.describe() == "grid(points=5, spacing=1, W=W)"
+        half, plain = GridRealization(5, np.float64(0.5), w), GridRealization(5, 0.5, w)
+        assert type(half.spacing) is float
+        assert half == plain and hash(half) == hash(plain)
+        assert pickle.dumps(half) == pickle.dumps(plain)
+        for grid in (GridRealization.from_function(5, True, np.sin), make_grid_realization(5, True, "x")):
+            assert type(grid.spacing) is float and grid.spacing == 1.0
+        with pytest.raises(TypeError):
+            GridRealization(5, "0.5", w)
 
     @pytest.mark.parametrize("count", [4, 6])
     def test_one_w_value_per_point(self, count):
