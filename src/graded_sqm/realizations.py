@@ -8,8 +8,11 @@ finite-difference grid with a user superpotential.
 This is the numeric layer of the package, and :func:`spectrum` is its one
 entry point: it reads the levels of both partner Hamiltonians Ad A and
 A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
-them in closed form as exact integers without numpy, the grid from one
-symmetric eigensolve of its lowering matrix times the checkerboard sign.
+them in closed form as exact integers without numpy.  The grid takes its
+levels from the eigenvalues alone of its lowering matrix times the
+checkerboard sign, a symmetric tridiagonal matrix, and its kernels from
+that matrix's diagonals by inverse iteration, so no eigenvector matrix is
+built.
 Each realization states the dense matrix of one word, ``word_matrix``,
 and :func:`graded_sqm.sqm_block.realize` sums them into the tests' oracle.
 The module is imported where a realization is built and loads only what a
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .grading import CheckedTuple
@@ -38,11 +42,14 @@ if TYPE_CHECKING:
 
 # relative singular-value threshold for numeric kernel detection
 KERNEL_REL_TOL = 1e-8
-# bytes of the five points x points float64 arrays of a grid's eigensolve, S = L C,
-# eigh's working copy, its workspace of about two and the eigenvectors, that bound a grid
-MAX_SPECTRUM_BYTES = 80 << 20
+# bytes of the two points x points float64 arrays of a grid's levels, S = L C and
+# eigvalsh's working copy of it, that bound a grid
+MAX_SPECTRUM_BYTES = 32 << 20
 # Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
 MAX_FOCK_LEVELS = 1 << 16
+# solves of inverse iteration per grid null vector, each from a shift within a few
+# eps x max|l| of its level: one converges, the other two are dstein's extra two
+NULL_ITERATIONS = 3
 
 FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
@@ -131,23 +138,22 @@ def _walk(word: Word, k: int) -> tuple[int, int]:
 def check_grid(points: int, spacing: float) -> tuple[int, float]:
     """Refuse a grid before any array of it is built; return the int and float that passed.
 
-    A grid needs an integer count of at least 3 points, the five float64
-    points x points arrays of its eigensolve (S = L C, eigh's working copy,
-    its workspace of about two and the eigenvectors, see
-    :meth:`GridRealization.decompose`) within ``MAX_SPECTRUM_BYTES``, a
-    finite positive spacing, a finite extent (points - 1)/2 x spacing, so
-    that every coordinate is finite, and an odd point count: the doubler
-    pairing that the spectrum's multiplicity check counts on holds only on
-    odd grids.
+    A grid needs an integer count of at least 3 points, the two float64
+    points x points arrays of its levels (S = L C and eigvalsh's working
+    copy of it, see :meth:`GridRealization.decompose`) within
+    ``MAX_SPECTRUM_BYTES``, a finite positive spacing, a finite extent
+    (points - 1)/2 x spacing, so that every coordinate is finite, and an
+    odd point count: the doubler pairing that the spectrum's multiplicity
+    check counts on holds only on odd grids.
     """
     points = operator.index(points)
     if points < 3:
         raise ValueError(f"need at least 3 grid points, got {points}")
-    nbytes = 40 * points * points  # five float64 arrays
+    nbytes = 16 * points * points  # two float64 arrays
     if nbytes > MAX_SPECTRUM_BYTES:
         raise ValueError(
-            f"the float64 S = L C, its working copy, the eigensolver's workspace of two "
-            f"and the eigenvectors of S, for {points} points, "
+            f"the float64 S = L C and the eigenvalue solver's working copy of it, "
+            f"for {points} points, "
             f"need {nbytes} bytes, over the guard of {MAX_SPECTRUM_BYTES}; reduce the grid size"
         )
     # an infinite spacing zeroes the derivative; a nan one poisons every entry
@@ -253,18 +259,33 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
 
     def decompose(self) -> tuple[np.ndarray, Kernels, Kernels]:
         """The levels, the ladder kernels and the raw ones, from one
-        symmetric eigensolve per call.  The derivative is antisymmetric with
-        only two off-diagonals, so the checkerboard C = diag((-1)^j) gives
-        C L C = L^T exactly and S = L C is symmetric.  Its eigenvalues l
-        carry the singular values |l| of L: Ad A = L^T L and A Ad = L L^T
-        share the levels l^2, in descending order.  The eigenvectors v of S
-        whose |l| is at or below the kernel threshold span ker L^T = ker S,
-        and their images C v span ker L."""
+        symmetric eigenvalue solve per call.  The derivative is antisymmetric
+        with only two off-diagonals, so the checkerboard C = diag((-1)^j)
+        gives C L C = L^T exactly and S = L C is symmetric and tridiagonal:
+        W_j (-1)^j / sqrt(2) on the diagonal, (-1)^(j+1) / (2 h sqrt(2))
+        beside it.  Its eigenvalues l carry the singular values |l| of L:
+        Ad A = L^T L and A Ad = L L^T share the levels l^2, in descending
+        order.  The eigenvectors v of S whose |l| is at or below the kernel
+        threshold span ker L^T = ker S, and their images C v span ker L.
+        Only S and the solver's copy of it are points x points: each null
+        vector comes from S's two diagonals by inverse iteration
+        (:func:`_null_vectors`)."""
         import numpy as np
-        sign = np.resize((1.0, -1.0), self.points)
-        lam, q = np.linalg.eigh(self.lowering_matrix() * sign)
+        n = self.points
+        sign = np.resize((1.0, -1.0), n)
+        diag = np.asarray(self.w_values) / math.sqrt(2) * sign
+        off = 1.0 / (2.0 * self.spacing) / math.sqrt(2) * sign[1:]
+        s = np.diag(diag)
+        s.flat[1::n + 1] = off
+        s.flat[n::n + 1] = off
+        lam = np.linalg.eigvalsh(s)
+        del s
         size = np.abs(lam)
-        null = q.T[size <= KERNEL_REL_TOL * size.max()]
+        top = size.max()
+        if top:
+            null = _null_vectors(diag / top, off / top, lam[size <= KERNEL_REL_TOL * top] / top)
+        else:  # S = 0, where W = 0 and the derivative underflows: every unit vector is null
+            null = np.eye(n)
         raw = list(sign * null), list(null)
         smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
         return np.sort(lam * lam)[::-1], smooth, raw
@@ -292,6 +313,78 @@ def _is_smooth(v: np.ndarray) -> bool:
     # smooth one and near -1 for a checkerboard; a vector on one sublattice,
     # as when W vanishes on every even site, has overlap 0 up to rounding.
     return float(v[1:] @ v[:-1]) > KERNEL_REL_TOL
+
+
+def _null_vectors(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors, one per shift, of the symmetric tridiagonal T with
+    diagonal ``diag`` and off-diagonal ``off``, whose largest eigenvalue is
+    1 in size; ``shifts`` are its eigenvalues as ``eigvalsh`` found them.
+
+    Inverse iteration in the style of LAPACK's dstein: T - shift is factored
+    once by Gaussian elimination with partial pivoting (:func:`_factor`),
+    and ``NULL_ITERATIONS`` solves (:func:`_solve`) run from a fixed start,
+    the fractional parts of j (i + 1) / phi for vector i and the golden
+    ratio phi, each solve followed by Gram-Schmidt against the earlier
+    vectors and a normalization.  The shifts are kernel levels, within
+    2 x KERNEL_REL_TOL of each other, so every vector is orthogonalized
+    against all the earlier ones, as dstein does inside a cluster.
+    """
+    import numpy as np
+    d, e = diag.tolist(), off.tolist()
+    out: list[np.ndarray] = []
+    for i, shift in enumerate(shifts.tolist()):
+        factors = _factor(d, e, shift)
+        step = (i + 1) * (math.sqrt(5.0) - 1.0) / 2.0
+        x = [j * step % 1.0 - 0.5 for j in range(1, len(d) + 1)]
+        for _ in range(NULL_ITERATIONS):
+            v = np.array(_solve(factors, x))
+            for u in out:
+                v -= (u @ v) * u
+            v /= np.linalg.norm(v)
+            x = v.tolist()
+        out.append(v)
+    return np.array(out).reshape(len(out), len(d))
+
+
+def _factor(d: list[float], e: list[float], shift: float) -> tuple[list[float], ...]:
+    """P (T - shift) = L U for the symmetric tridiagonal T of diagonal d and
+    off-diagonal e, by Gaussian elimination with partial pivoting, as
+    LAPACK's dlagtf: the diagonal ``a`` of U, its two superdiagonals ``b``
+    and ``c``, each step's multiplier ``m``, and ``swap``, true where the
+    step exchanged two rows.  T is scaled to norm 1, so a pivot below eps
+    in size becomes eps with its sign: W = 0 makes T exactly singular,
+    and with a shift of 0 the last pivot is 0."""
+    n = len(d)
+    a = [x - shift for x in d]
+    b, c, m, swap = e + [0.0], [0.0] * n, [0.0] * n, [False] * n
+    for k in range(n - 1):
+        if abs(a[k]) >= abs(e[k]):
+            if a[k]:
+                m[k] = e[k] / a[k]
+                a[k + 1] -= m[k] * b[k]
+        else:
+            # row k + 1 leads: its first entry e[k] is the pivot
+            m[k], swap[k] = a[k] / e[k], True
+            a[k], a[k + 1], b[k] = e[k], b[k] - m[k] * a[k + 1], a[k + 1]
+            c[k], b[k + 1] = b[k + 1], -m[k] * b[k + 1]
+    eps = sys.float_info.epsilon
+    return [x if abs(x) >= eps else math.copysign(eps, x) for x in a], b, c, m, swap
+
+
+def _solve(factors: tuple[list[float], ...], y: list[float]) -> list[float]:
+    """Solve (T - shift) x = y from :func:`_factor`'s L U; y is overwritten."""
+    a, b, c, m, swap = factors
+    n = len(a)
+    for k in range(n - 1):
+        if swap[k]:
+            y[k], y[k + 1] = y[k + 1], y[k] - m[k] * y[k + 1]
+        else:
+            y[k + 1] -= m[k] * y[k]
+    y[n - 1] /= a[n - 1]
+    y[n - 2] = (y[n - 2] - b[n - 2] * y[n - 1]) / a[n - 2]
+    for k in range(n - 3, -1, -1):
+        y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / a[k]
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +479,10 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     ladder pair alone: on Fock in closed form, Ad A's levels 0..cutoff and
     A Ad's 1..cutoff + 1 counted from the cutoff and the kernels from
     ``FockRealization.kernel_levels``, so the clusters are exact counts
-    with no numpy; on the grid from one eigensolve of the symmetric
+    with no numpy; on the grid from the eigenvalues of the symmetric
     S = L C, with L the lowering matrix and C the checkerboard sign, since
     Ad A = L^T L and A Ad = L L^T share the levels l^2 of the eigenvalues
-    l of S (``GridRealization.decompose``).
+    l of S, and from its null vectors (``GridRealization.decompose``).
     Every realization is refused where it is made: a Fock cutoff of more
     than ``MAX_FOCK_LEVELS`` levels, and a grid by :func:`check_grid`.
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -35,7 +36,9 @@ from graded_sqm.realizations import (
     FockRealization,
     GridRealization,
     _cluster,
+    _factor,
     _is_smooth,
+    _null_vectors,
     check_grid,
     spectrum,
 )
@@ -1381,17 +1384,26 @@ def assert_spectrum_matches_dense(model, realization):
         start += c.multiplicity
 
 
-def capture_eigh(monkeypatch) -> list[np.ndarray]:
-    """The matrices that np.linalg.eigh is called on from now on, each
+def capture_eigvalsh(monkeypatch) -> list[np.ndarray]:
+    """The matrices that np.linalg.eigvalsh is called on from now on, each
     solved as before."""
-    solved, eigh = [], np.linalg.eigh
+    solved, eigvalsh = [], np.linalg.eigvalsh
 
     def counted(mat, *args, **kwargs):
         solved.append(np.array(mat))
-        return eigh(mat, *args, **kwargs)
+        return eigvalsh(mat, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return solved
+
+
+def refuse_eigensolvers(monkeypatch, why: str) -> None:
+    """Fail the test if any numpy eigensolver or SVD but eigvalsh runs."""
+    def refuse(*args, **kwargs):
+        pytest.fail(why)
+
+    for name in ("svd", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
 
 
 def svd_decompose(grid: GridRealization) -> tuple:
@@ -1404,6 +1416,20 @@ def svd_decompose(grid: GridRealization) -> tuple:
     raw = list(vt[null]), list(u.T[null])
     smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
     return s * s, smooth, raw
+
+
+def eigh_decompose(grid: GridRealization) -> tuple:
+    """Oracle: the levels l^2, the ladder kernels and the raw ones of a grid
+    from one dense eigh of S = L C, C the checkerboard diag((-1)^j): the
+    eigenvectors v of S whose |l| is at or below the kernel threshold span
+    ker L^T = ker S, and C v span ker L."""
+    sign = np.resize((1.0, -1.0), grid.points)
+    lam, q = np.linalg.eigh(grid.lowering_matrix() * sign)
+    size = np.abs(lam)
+    null = q.T[size <= KERNEL_REL_TOL * size.max()]
+    raw = list(sign * null), list(null)
+    smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
+    return np.sort(lam * lam)[::-1], smooth, raw
 
 
 # the superpotentials of the grid verdicts (ROADMAP item 7), and x^3 as a
@@ -1423,16 +1449,47 @@ def oracle_grid(w: str, points: int = 201, spacing: float = 0.05) -> GridRealiza
     return GridRealization(points, spacing, values, label="table")
 
 
+def assert_decompose_agrees(grid: GridRealization) -> None:
+    """The grid's levels and kernels agree with both oracles': the same
+    kernel counts, raw kernels with the same projectors and of unit
+    vectors, and the levels above the kernel threshold; and every null
+    vector v of S, the second raw kernel, has |S v| within the threshold."""
+    levels, kernels, raw = grid.decompose()
+    assert np.array_equal(levels, np.sort(levels)[::-1])
+    for oracle in (svd_decompose, eigh_decompose):
+        want, want_kernels, want_raw = oracle(grid)
+        assert [len(k) for k in (*kernels, *raw)] == [len(k) for k in (*want_kernels, *want_raw)], oracle
+        for got, expected in zip(raw, want_raw):
+            if got:
+                assert np.allclose(np.transpose(got) @ got, np.transpose(expected) @ expected, atol=1e-9)
+                assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
+        # levels above the kernel threshold agree to 1e-12 of sqrt(level x top):
+        # a backward-stable solver moves each singular value s by a few
+        # eps x s_max, so the level s^2 by a few eps x s x s_max
+        top = want[0]
+        above = want > KERNEL_REL_TOL**2 * top
+        assert np.all(np.abs(levels[above] - want[above]) <= 1e-12 * np.sqrt(want[above] * top))
+    s = grid.lowering_matrix() * np.resize([1.0, -1.0], grid.points)
+    for v in raw[1]:
+        assert np.linalg.norm(s @ v) <= KERNEL_REL_TOL * np.sqrt(levels[0])
+
+
+# the grids of the spectrum workload: 401 points of x^3 and 101 of x
+BENCH_GRIDS = [("x^3", 401, 0.025), ("x", 101, 0.1)]
+
+
 class TestGridEigensolve:
-    """The grid decomposes S = L C, with C the checkerboard diag((-1)^j),
-    and agrees with the dense SVD of L that it replaces."""
+    """The grid takes its levels from the eigenvalues of S = L C, with C the
+    checkerboard diag((-1)^j), and its kernels by inverse iteration on S,
+    and agrees with the dense SVD of L and the dense eigh of S."""
 
     @pytest.mark.parametrize("w", ["x^3", "x^2-4", "x^3 odd sites", "x^3 even sites"])
     def test_the_checkerboard_makes_the_lowering_matrix_symmetric(self, monkeypatch, w):
         grid = oracle_grid(w)
         low, sign = grid.lowering_matrix(), np.resize([1.0, -1.0], grid.points)
         assert np.array_equal(sign[:, None] * low * sign, low.T)
-        solved = capture_eigh(monkeypatch)
+        solved = capture_eigvalsh(monkeypatch)
+        refuse_eigensolvers(monkeypatch, "the grid ran an eigensolver other than eigvalsh")
         grid.decompose()
         (s,) = solved
         assert np.array_equal(s, low * sign) and np.array_equal(s, s.T)
@@ -1440,20 +1497,7 @@ class TestGridEigensolve:
     @pytest.mark.parametrize("w", ORACLE_W)
     def test_decompose_and_spectrum_agree_with_the_svd(self, models, monkeypatch, w):
         grid = oracle_grid(w)
-        (levels, kernels, raw), (want, want_kernels, want_raw) = grid.decompose(), svd_decompose(grid)
-        assert [len(k) for k in (*kernels, *raw)] == [len(k) for k in (*want_kernels, *want_raw)]
-        # each raw kernel spans the oracle's, and holds unit vectors
-        for got, oracle in zip(raw, want_raw):
-            if got:
-                assert np.allclose(np.transpose(got) @ got, np.transpose(oracle) @ oracle, atol=1e-9)
-                assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
-        # levels above the kernel threshold agree to 1e-12 of sqrt(level x top):
-        # a backward-stable solver moves each singular value s by a few
-        # eps x s_max, so the level s^2 by a few eps x s x s_max
-        assert np.array_equal(levels, np.sort(levels)[::-1])
-        top = want[0]
-        above = want > KERNEL_REL_TOL**2 * top
-        assert np.all(np.abs(levels[above] - want[above]) <= 1e-12 * np.sqrt(want[above] * top))
+        assert_decompose_agrees(grid)
         for sel in ("minimal:n=2", "next:n=3"):
             rep = spectrum(models(sel), grid)
             with monkeypatch.context() as m:
@@ -1464,6 +1508,43 @@ class TestGridEigensolve:
                 for r in (rep, oracle)
             ]
             assert verdict[0] == verdict[1], sel
+
+    @pytest.mark.parametrize("w,points,spacing", BENCH_GRIDS)
+    def test_bench_grids_agree_with_the_svd_and_eigh(self, w, points, spacing):
+        assert_decompose_agrees(oracle_grid(w, points, spacing))
+
+    @pytest.mark.parametrize("w,points,spacing", [
+        ("0", 3, 0.25), ("0", 41, 0.25), ("0", 1447, 0.01), ("0", 3, 1e308),
+        ("x^3 odd sites", 41, 0.25), ("x^3 even sites", 41, 0.25), ("x^3 odd sites", 1447, 0.01),
+    ])
+    def test_exactly_singular_and_sublattice_grids(self, w, points, spacing):
+        # W = 0 makes S exactly singular, with a zero pivot on the elimination's
+        # path, and S = 0 where the derivative 1/(2 h) underflows too; W on one
+        # sublattice leaves the other's sites decoupled from W.  None warns,
+        # and each gives finite unit null vectors, as many as eigh
+        grid = oracle_grid(w, points, spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, kernels, raw = grid.decompose()
+        _, want_kernels, want_raw = eigh_decompose(grid)
+        assert [len(k) for k in (*kernels, *raw)] == [len(k) for k in (*want_kernels, *want_raw)]
+        for got in raw:
+            assert got and np.all(np.isfinite(got)) and np.allclose(np.linalg.norm(got, axis=1), 1.0)
+
+    @pytest.mark.parametrize("points", [3, 41, 1447])
+    def test_a_zero_pivot_becomes_eps(self, points):
+        # S of W = 0, scaled to norm about 1, shifted by exactly 0: the
+        # elimination's last pivot is 0, and inverse iteration still gives
+        # S's null vector, equal on every even site and 0 on the odd ones
+        off = np.resize([-0.5, 0.5], points - 1)
+        assert _factor([0.0] * points, off.tolist(), 0.0)[0][-1] == sys.float_info.epsilon
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (v,) = _null_vectors(np.zeros(points), off, np.zeros(1))
+        want = np.zeros(points)
+        want[::2] = 1.0
+        want /= np.linalg.norm(want)
+        assert np.all(np.isfinite(v)) and np.allclose(np.outer(v, v), np.outer(want, want), atol=1e-12)
 
 
 def tanh_well(x: np.ndarray) -> np.ndarray:
@@ -1582,17 +1663,17 @@ class TestSpectrum:
         assert FockRealization(MAX_FOCK_LEVELS - 1).dim == MAX_FOCK_LEVELS
 
     def test_grid_guard_counts_the_matrices_a_grid_builds(self):
-        # S = L C, eigh's working copy, a workspace of two and the
-        # eigenvectors, points x points float64 each: 1447 is the largest odd
-        # point count within the guard, 1448 is even, and 1449 is refused by name
-        assert 40 * 1448**2 <= MAX_SPECTRUM_BYTES == 80 << 20 < 40 * 1449**2
+        # S = L C and eigvalsh's working copy of it, points x points float64
+        # each: 1447 is the largest odd point count within the guard, 1448 is
+        # even, and 1449 is refused by name
+        assert 16 * 1447**2 == 33_500_944 and 16 * 1448**2 == 33_547_264
+        assert 16 * 1448**2 <= MAX_SPECTRUM_BYTES == 32 << 20 < 16 * 1449**2 == 33_593_616
         check_grid(1447, 0.05)
         with pytest.raises(ValueError, match="^grid point count 1448 is even"):
             check_grid(1448, 0.05)
         refusal = (
-            r"^the float64 S = L C, its working copy, the eigensolver's workspace of two "
-            r"and the eigenvectors of S, for 1449 points, "
-            r"need 83984040 bytes, over the guard of 83886080; reduce the grid size$"
+            r"^the float64 S = L C and the eigenvalue solver's working copy of it, for 1449 points, "
+            r"need 33593616 bytes, over the guard of 33554432; reduce the grid size$"
         )
         with pytest.raises(ValueError, match=refusal):
             check_grid(1449, 0.05)
@@ -1755,7 +1836,7 @@ print(spent - peak_bytes("-c", "import numpy, graded_sqm.realizations"))
         monkeypatch.setattr("graded_sqm.sqm_block.realize", refuse)
         monkeypatch.setattr(FockRealization, "word_matrix", refuse)
         monkeypatch.setattr(GridRealization, "word_matrix", refuse)
-        for name in ("svd", "eigh"):
+        for name in ("svd", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(GridRealization, "lowering_matrix", refuse)
         monkeypatch.setattr(GridRealization, "decompose", refuse)
@@ -1782,24 +1863,25 @@ print(spent - peak_bytes("-c", "import numpy, graded_sqm.realizations"))
                 spectrum(broken, FockRealization(4))
 
     def test_grid_spectrum_decomposes_each_ladder_matrix_once(self, models, monkeypatch):
-        # one symmetric eigensolve of S = L C per spectrum call gives both
-        # partner spectra and both kernels: no SVD, no other eigensolver and
-        # no realized entry
-        solved = capture_eigh(monkeypatch)
+        # one eigvalsh of S = L C per spectrum call gives both partner
+        # spectra, and inverse iteration on S both kernels: no SVD, no other
+        # eigensolver and no realized entry
+        solved = capture_eigvalsh(monkeypatch)
+        refuse_eigensolvers(monkeypatch, "the grid spectrum ran an SVD or another eigensolver")
 
         def refuse(*args, **kwargs):
-            pytest.fail("the grid spectrum ran an SVD or another eigensolver, or realized an entry")
+            pytest.fail("the grid spectrum realized an entry")
 
-        for name in ("svd", "eigvalsh", "eig", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(GridRealization, "word_matrix", refuse)
         grid = GridRealization.from_function(41, 0.25, lambda x: x**3)
+        sign = np.resize([1.0, -1.0], 41)
         rep = spectrum(models("minimal:n=2"), grid)
         assert rep.ok and rep.zero_modes == 2 and rep.artifact_modes == 2
-        assert [s.shape for s in solved] == [(41, 41)] and np.array_equal(solved[0], solved[0].T)
+        assert [s.shape for s in solved] == [(41, 41)]
+        assert np.array_equal(solved[0], grid.lowering_matrix() * sign) and np.array_equal(solved[0], solved[0].T)
         # nothing is cached: a second spectrum decomposes again
         assert spectrum(models("next:n=2"), grid).ok
-        assert [s.shape for s in solved] == [(41, 41)] * 2 and np.array_equal(solved[1], solved[1].T)
+        assert [s.shape for s in solved] == [(41, 41)] * 2 and np.array_equal(solved[1], solved[0])
         _, kernels, raw = grid.decompose()
         assert [len(k) for k in raw] == [1, 1]
         assert [len(k) for k in kernels] == [1, 0]
