@@ -8,11 +8,11 @@ finite-difference grid with a user superpotential.
 This is the numeric layer of the package, and :func:`spectrum` is its one
 entry point: it reads the levels of both partner Hamiltonians Ad A and
 A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
-them in closed form as exact integers without numpy.  The grid takes its
-levels from the eigenvalues alone of its lowering matrix times the
-checkerboard sign, a symmetric tridiagonal matrix, and its kernels from
-that matrix's diagonals by inverse iteration, so no eigenvector matrix is
-built.
+them in closed form as exact integers without numpy.  The grid's one
+matrix, written in one place, is its lowering matrix times the
+checkerboard sign, symmetric and tridiagonal: its eigenvalues alone give
+the levels, a kernel level as exactly 0, and its diagonals the kernels
+by inverse iteration, so no eigenvector matrix is built.
 Each realization states the dense matrix of one word, ``word_matrix``,
 and :func:`graded_sqm.sqm_block.realize` sums them into the tests' oracle.
 The module is imported where a realization is built and loads only what a
@@ -232,15 +232,26 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
     def x(self) -> np.ndarray:
         return _coordinates(self.points, self.spacing)
 
-    def lowering_matrix(self) -> np.ndarray:
-        # tridiagonal: W/sqrt(2) on the diagonal, +-1/(2 h sqrt(2)) beside it
+    def _symmetric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """S = L C, the grid's one matrix, with its diagonal (-1)^j W_j / sqrt(2),
+        its off-diagonal (-1)^(j+1) / (2 h sqrt(2)) and the signs (-1)^j of
+        the checkerboard C: the one place the stencil is written."""
         import numpy as np
-        n, step = self.points, 1.0 / (2.0 * self.spacing) / math.sqrt(2)
-        out = np.diag(np.asarray(self.w_values) / math.sqrt(2))
-        out.flat[1::n + 1] = step
-        out.flat[n::n + 1] = -step
-        out.setflags(write=False)
-        return out
+        n = self.points
+        sign = np.resize((1.0, -1.0), n)
+        diag = np.asarray(self.w_values) / math.sqrt(2) * sign
+        off = 1.0 / (2.0 * self.spacing) / math.sqrt(2) * sign[1:]
+        s = np.diag(diag)
+        s.flat[1::n + 1] = off
+        s.flat[n::n + 1] = off
+        return s, diag, off, sign
+
+    def lowering_matrix(self) -> np.ndarray:
+        """L = S C, read-only, the tests' oracle: W/sqrt(2) on the diagonal, +-1/(2 h sqrt(2)) beside it."""
+        s, _, _, sign = self._symmetric()
+        s *= sign
+        s.setflags(write=False)
+        return s
 
     def word_matrix(self, word: Word) -> np.ndarray:
         # L^T as a C-contiguous copy: products with a transposed view round differently
@@ -261,31 +272,27 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         """The levels, the ladder kernels and the raw ones, from one
         symmetric eigenvalue solve per call.  The derivative is antisymmetric
         with only two off-diagonals, so the checkerboard C = diag((-1)^j)
-        gives C L C = L^T exactly and S = L C is symmetric and tridiagonal:
-        W_j (-1)^j / sqrt(2) on the diagonal, (-1)^(j+1) / (2 h sqrt(2))
-        beside it.  Its eigenvalues l carry the singular values |l| of L:
-        Ad A = L^T L and A Ad = L L^T share the levels l^2, in descending
-        order.  The eigenvectors v of S whose |l| is at or below the kernel
-        threshold span ker L^T = ker S, and their images C v span ker L.
-        Only S and the solver's copy of it are points x points: each null
-        vector comes from S's two diagonals by inverse iteration
-        (:func:`_null_vectors`)."""
+        gives C L C = L^T exactly and S = L C (:meth:`_symmetric`) is
+        symmetric and tridiagonal.  Its eigenvalues l carry the singular
+        values |l| of L: Ad A = L^T L and A Ad = L L^T share the levels l^2,
+        in descending order.  The eigenvectors v of S whose |l| is at or
+        below the kernel threshold span ker L^T = ker S, and their images
+        C v span ker L; their levels are set to exactly 0, the zero that the
+        threshold counts, not the solver's rounding of it.  Only S and the
+        solver's copy of it are points x points: each null vector comes from
+        S's two diagonals by inverse iteration (:func:`_null_vectors`)."""
         import numpy as np
-        n = self.points
-        sign = np.resize((1.0, -1.0), n)
-        diag = np.asarray(self.w_values) / math.sqrt(2) * sign
-        off = 1.0 / (2.0 * self.spacing) / math.sqrt(2) * sign[1:]
-        s = np.diag(diag)
-        s.flat[1::n + 1] = off
-        s.flat[n::n + 1] = off
+        s, diag, off, sign = self._symmetric()
         lam = np.linalg.eigvalsh(s)
         del s
         size = np.abs(lam)
         top = size.max()
+        kernel = size <= KERNEL_REL_TOL * top
         if top:
-            null = _null_vectors(diag / top, off / top, lam[size <= KERNEL_REL_TOL * top] / top)
+            null = _null_vectors(diag / top, off / top, lam[kernel] / top)
         else:  # S = 0, where W = 0 and the derivative underflows: every unit vector is null
-            null = np.eye(n)
+            null = np.eye(self.points)
+        lam[kernel] = 0.0
         raw = list(sign * null), list(null)
         smooth = tuple([v for v in k if _is_smooth(v)] for k in raw)
         return np.sort(lam * lam)[::-1], smooth, raw
@@ -417,6 +424,16 @@ class SpectrumReport(NamedTuple):
     def ok(self) -> bool:
         return not self.problems
 
+    @property
+    def zero_multiplicity(self) -> int:
+        """The multiplicity the check wants of a zero cluster."""
+        return self.expected_zero + self.artifact_modes
+
+    @property
+    def excited_multiplicity(self) -> int:
+        """The multiplicity the check wants of every excited cluster."""
+        return self.expected_excited * self.lattice_copies
+
     def to_dict(self) -> dict:
         d = self._asdict()
         del d["lattice_copies"]
@@ -427,10 +444,10 @@ class SpectrumReport(NamedTuple):
 
     def to_markdown(self) -> str:
         # each count is the one the check compares a cluster with
-        zero = f"zero multiplicity {self.expected_zero + self.artifact_modes}"
+        zero = f"zero multiplicity {self.zero_multiplicity}"
         if self.artifact_modes:
             zero += f" ({self.expected_zero} + {self.artifact_modes} discretization artifacts)"
-        excited = f"excited multiplicity {self.expected_excited * self.lattice_copies}"
+        excited = f"excited multiplicity {self.excited_multiplicity}"
         if self.lattice_copies != 1:
             excited += f" ({self.expected_excited} x {self.lattice_copies} lattice copies)"
         lines = [
@@ -454,16 +471,11 @@ class SpectrumReport(NamedTuple):
 
 
 def _cluster(values: np.ndarray, tol: float, copies: int) -> list[EigenCluster]:
-    """Clusters of sorted values, each multiplicity counted ``copies`` times."""
+    """Clusters of sorted values, split wherever the gap below a value v
+    exceeds tol x max(1, |v|), each multiplicity counted ``copies`` times."""
     import numpy as np
-    clusters: list[EigenCluster] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol * max(1.0, abs(values[i])):
-            chunk = values[start:i]
-            clusters.append(EigenCluster(float(np.mean(chunk)), copies * len(chunk)))
-            start = i
-    return clusters
+    gaps = np.flatnonzero(np.diff(values) > tol * np.maximum(1.0, np.abs(values[1:])))
+    return [EigenCluster(float(np.mean(c)), copies * len(c)) for c in np.split(values, gaps + 1)]
 
 
 def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
@@ -482,18 +494,21 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     with no numpy; on the grid from the eigenvalues of the symmetric
     S = L C, with L the lowering matrix and C the checkerboard sign, since
     Ad A = L^T L and A Ad = L L^T share the levels l^2 of the eigenvalues
-    l of S, and from its null vectors (``GridRealization.decompose``).
+    l of S, and from its null vectors (``GridRealization.decompose``),
+    each kernel level exactly 0; they split where a gap exceeds the
+    tolerance (:func:`_cluster`).
     Every realization is refused where it is made: a Fock cutoff of more
     than ``MAX_FOCK_LEVELS`` levels, and a grid by :func:`check_grid`.
 
     The expected pattern for every family is the one its ground-state and
     degeneracy statements specialize to on these realizations: the zero
     cluster is absent or clifford-dim fold, every reported excited cluster
-    is (2 x clifford dim) fold.  Fock levels are integers; levels at or
-    above the cutoff are truncation-affected and excluded.
+    is (2 x clifford dim) fold, with the grid's artifacts and lattice copies
+    added as ``SpectrumReport.zero_multiplicity`` and ``excited_multiplicity``
+    state them.  Fock levels are integers; levels at or above the cutoff
+    are truncation-affected and excluded.
     """
     cliffdim = model.clifford_dim
-    side = 2 * realization.dim
     if split(model.h)[:2] != (0, 0):
         raise ValueError(
             f"{model.spec.selector}: the Hamiltonian's Clifford factor is not the identity"
@@ -503,9 +518,8 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
     is_fock = isinstance(realization, FockRealization)
     tol = FOCK_CLUSTER_TOL if is_fock else GRID_CLUSTER_TOL
 
-    artifact_modes = 0
-    if is_fock:
-        kernel_a, kernel_ad = realization.kernel_levels()
+    if is_fock:  # exact kernels, so the raw ones are the same
+        kernel_a, kernel_ad = raw = realization.kernel_levels()
         # Ad A has levels 0..cutoff and A Ad 1..top: the ones between are in both
         top = realization.cutoff + 1
         all_clusters = [EigenCluster(float(v), cliffdim * (1 if v in (0, top) else 2)) for v in range(top + 1)]
@@ -513,26 +527,29 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
         edge = realization.cutoff - 0.5
     else:
         import numpy as np
-        levels, (kernel_a, kernel_ad), (raw_a, raw_ad) = realization.decompose()
-        artifact_modes = cliffdim * (len(raw_a) + len(raw_ad) - len(kernel_a) - len(kernel_ad))
+        levels, (kernel_a, kernel_ad), raw = realization.decompose()
         evals = np.sort(np.concatenate((levels, levels)))
         all_clusters = _cluster(evals, tol, cliffdim)
         # the upper part of the lattice band is not discretization-faithful
         edge = 0.25 * float(evals[-1])
     physical = len(kernel_a) + len(kernel_ad)
-    zero_modes = cliffdim * physical
+    artifact_modes = cliffdim * (len(raw[0]) + len(raw[1]) - physical)
 
     clusters, excluded = [], []
     for c in all_clusters:
         (excluded if c.value > edge else clusters).append(c)
 
-    expected_zero = cliffdim if physical else 0
-    expected_excited = 2 * cliffdim
     # On an odd grid, central differences pair every nonzero eigenvalue of
     # one diagonal block with an exactly equal doubler eigenvalue of the
     # other (checkerboard symmetry composed with the singular-value pairing),
     # so raw grid multiplicities carry an exact factor 2 of artifacts.
-    lattice_copies = 1 if is_fock else 2
+    report = SpectrumReport(
+        model=model.spec.selector, realization=realization.describe(), tolerance=tol,
+        total_dim=cliffdim * 2 * realization.dim, clusters=tuple(clusters), excluded=tuple(excluded),
+        zero_modes=cliffdim * physical, artifact_modes=artifact_modes,
+        expected_zero=cliffdim if physical else 0, expected_excited=2 * cliffdim,
+        problems=(), lattice_copies=1 if is_fock else 2,
+    )
     problems: list[str] = []
     if physical > 1:
         problems.append(
@@ -540,32 +557,13 @@ def spectrum(model: Model, realization: NumericRealization) -> SpectrumReport:
             "zero modes should come from one chirality only"
         )
     for c in clusters:
-        if abs(c.value) <= tol:
-            want = expected_zero + artifact_modes
-            if c.multiplicity != want:
-                problems.append(
-                    f"zero cluster multiplicity {c.multiplicity}, expected {want}"
-                )
-        else:
-            if c.multiplicity != expected_excited * lattice_copies:
-                problems.append(
-                    f"cluster at {c.value:.6g} has multiplicity {c.multiplicity}, "
-                    f"expected {expected_excited * lattice_copies}"
-                )
-    if expected_zero and not any(abs(c.value) <= tol for c in clusters):
+        zero = abs(c.value) <= tol
+        want = report.zero_multiplicity if zero else report.excited_multiplicity
+        if c.multiplicity != want:
+            problems.append(
+                f"zero cluster multiplicity {c.multiplicity}, expected {want}" if zero
+                else f"cluster at {c.value:.6g} has multiplicity {c.multiplicity}, expected {want}"
+            )
+    if report.expected_zero and not any(abs(c.value) <= tol for c in clusters):
         problems.append("expected a zero cluster but found none")
-
-    return SpectrumReport(
-        model.spec.selector,
-        realization.describe(),
-        tol,
-        cliffdim * side,
-        tuple(clusters),
-        tuple(excluded),
-        zero_modes,
-        artifact_modes,
-        expected_zero,
-        expected_excited,
-        tuple(problems),
-        lattice_copies,
-    )
+    return report._replace(problems=tuple(problems))

@@ -51,6 +51,10 @@ class TestMonomialArithmetic:
         assert g @ ident == g
         assert ident.scalar_of_identity() == 1
 
+    def test_product_with_a_number_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            PauliOperator(1, 1, 0) @ 2
+
     def test_negative_qubit_count_is_refused(self):
         with pytest.raises(ValueError, match="^qubit count must be >= 0, got -1$"):
             PauliOperator(-1, 0, 0)

@@ -26,6 +26,9 @@ class TestDegreeVector:
         assert str(dv(1, 0, 0)) == "100"
         assert DegreeVector.from_string("0110").bits == (0, 1, 1, 0)
 
+    def test_repr_is_the_rendering(self):
+        assert repr(DegreeVector(3, 5)) == "DegreeVector('101')"
+
     def test_addition_mod2(self):
         assert dv(1, 1, 0) + dv(0, 1, 1) == dv(1, 0, 1)
         a = dv(1, 0, 1, 1)

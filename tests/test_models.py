@@ -406,6 +406,13 @@ class TestModelStructure:
         ops = m.operators()
         assert len(ops) == 1 + 2 + 1
 
+    def test_views_of_two_builds_collapse_into_one_set(self):
+        # the views are frozen values: two builds of one model give equal,
+        # equally hashed operators
+        one, two = build(ModelSpec.parse("next:n=3")), build(ModelSpec.parse("next:n=3"))
+        assert one.operators() == two.operators()
+        assert len({*one.operators(), *two.operators()}) == len(one.operators()) == 1 + 4 + 6
+
     def test_reversed_ordering_builds(self):
         m = build(ModelSpec("maximal", 3, ordering="reversed"))
         assert m.odd_degrees[0] == DegreeVector.ones(3)

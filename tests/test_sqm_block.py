@@ -39,6 +39,12 @@ class TestWordSum:
         assert w.adjoint() == (a * ad * ad) * (-1j)
         assert w.adjoint().adjoint() == w
 
+    def test_equal_sums_hash_equal_and_equal_no_other_type(self):
+        a, ad = WordSum.letter(LOWER), WordSum.letter(RAISE)
+        assert hash(a * ad + a) == hash(WordSum({(LOWER,): 1, (LOWER, RAISE): 1}))
+        assert len({a * 2, a + a, 2 * a}) == 1
+        assert (WordSum.unit() == 1) is False and WordSum.unit() != 1
+
     def test_unknown_letter_is_refused(self):
         with pytest.raises(ValueError, match="^unknown letter 'B'$"):
             WordSum.letter("B")
@@ -59,6 +65,11 @@ class TestCanonicalBlocks:
         assert (q @ s + s @ q).is_zero()
         assert (h @ s - s @ h).is_zero()
         assert s @ s == SqmBlock.identity()
+
+    def test_equal_blocks_hash_equal_and_equal_no_other_type(self):
+        q, h, s = canonical_blocks()
+        assert hash(q @ q) == hash(h) and len({q @ q, h, s @ s @ h}) == 1
+        assert (SqmBlock.identity() == 1) is False and SqmBlock.identity() != 1
 
     def test_formal_hermiticity(self):
         q, h, s = canonical_blocks()

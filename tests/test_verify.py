@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graded_sqm import operators
+from graded_sqm import build_from_selector, operators
 from graded_sqm.cli import main, make_grid_realization
 from graded_sqm.clifford import PHASES, PauliOperator, gamma, proportional
 from graded_sqm.grading import (
@@ -29,6 +30,7 @@ from graded_sqm.grading import (
 from graded_sqm.models import CENTRAL, HAMILTONIAN, SUPERCHARGE, Model, fold, product, split
 from graded_sqm.operators import TensorSum, TensorTerm, graded_bracket_terms, read_records
 from graded_sqm.realizations import (
+    FOCK_CLUSTER_TOL,
     GRID_CLUSTER_TOL,
     KERNEL_REL_TOL,
     MAX_FOCK_LEVELS,
@@ -439,6 +441,26 @@ class TestPackedRecords:
         for broken, relations, centrality in cases:
             assert_residuals_match(check_defining_relations(broken).pair_results, relations)
             assert_residuals_match(check_centrality(broken).centrality_results, centrality)
+
+    def test_canonical_blocks_that_break_their_identities_are_refused(self, monkeypatch):
+        # every view's block is a monomial in the canonical Q and S, read once
+        # they pass Q Q = H, Q S = -S Q and S S = 1.  S = 1 keeps the first
+        # and the last but breaks Q S = -S Q, and no view of a model is made
+        q, h, _ = canonical_blocks()
+        refusal = r"^the canonical blocks break Q Q = H, Q S = -S Q or S S = 1$"
+        operators._canonical_q_s.cache_clear()
+        operators._monomial.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(operators, "canonical_blocks", lambda: (q, h, SqmBlock.identity()))
+                model = build_from_selector("minimal:n=2")
+                for view in ("hamiltonian", "supercharges", "centrals", "odd_degrees"):
+                    with pytest.raises(RuntimeError, match=refusal):
+                        getattr(model, view)
+        finally:
+            operators._canonical_q_s.cache_clear()
+            operators._monomial.cache_clear()
+        assert build_from_selector("minimal:n=2").hamiltonian.block == h
 
     def test_non_monomial_block_refused(self, models):
         q, h, _ = canonical_blocks()
@@ -1478,6 +1500,40 @@ def assert_decompose_agrees(grid: GridRealization) -> None:
 BENCH_GRIDS = [("x^3", 401, 0.025), ("x", 101, 0.1)]
 
 
+def cluster_loop(values: np.ndarray, tol: float, copies: int) -> list[tuple[float, int]]:
+    """Reference: the hand-indexed loop over sorted values that ``_cluster``
+    replaced, closing a cluster before a value v whose gap below it exceeds
+    tol x max(1, |v|)."""
+    clusters = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol * max(1.0, abs(values[i])):
+            chunk = values[start:i]
+            clusters.append((float(np.mean(chunk)), copies * len(chunk)))
+            start = i
+    return clusters
+
+
+def threshold_values(rng: np.random.Generator, tol: float, size: int) -> np.ndarray:
+    """Sorted values built from the top down, from a top of either sign and
+    of size 1e-12 to 3: the gap below each value v is a tie, tol x
+    max(1, |v|) as rounding leaves it, one ulp more, or a random gap of a
+    few times that.  Rounding keeps a decimal tol exact only near 0."""
+    values = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.5)]
+    for kind in rng.integers(4, size=size - 1):
+        v = values[-1]
+        step = tol * max(1.0, abs(v))
+        values.append([v, v - step, np.nextafter(v - step, -np.inf), v - rng.exponential(3.0 * step)][kind])
+    return np.array(values[::-1])
+
+
+def hand_written_lowering(grid: GridRealization) -> np.ndarray:
+    """L by hand: W/sqrt(2) on the diagonal, +-1/(2 h sqrt(2)) beside it,
+    that quotient rounded as 1/(2 h), then divided by sqrt(2)."""
+    step = np.full(grid.points - 1, 1.0 / (2.0 * grid.spacing) / math.sqrt(2))
+    return np.diag(np.asarray(grid.w_values) / math.sqrt(2)) + np.diag(step, 1) - np.diag(step, -1)
+
+
 class TestGridEigensolve:
     """The grid takes its levels from the eigenvalues of S = L C, with C the
     checkerboard diag((-1)^j), and its kernels by inverse iteration on S,
@@ -1531,6 +1587,55 @@ class TestGridEigensolve:
         for got in raw:
             assert got and np.all(np.isfinite(got)) and np.allclose(np.linalg.norm(got, axis=1), 1.0)
 
+    @pytest.mark.parametrize("w", [*ORACLE_W, "0"])
+    def test_the_lowering_matrix_is_the_hand_written_stencil_times_c(self, w):
+        # the stencil is written once, as S; L = S C gives back the hand-written L
+        grid = oracle_grid(w)
+        assert np.array_equal(grid.lowering_matrix(), hand_written_lowering(grid))
+
+    @pytest.mark.parametrize("w", [*ORACLE_W, "0"])
+    def test_kernel_levels_are_zero_and_the_others_eigvalsh_bit_for_bit(self, w):
+        grid = oracle_grid(w)
+        lam = np.linalg.eigvalsh(hand_written_lowering(grid) * np.resize([1.0, -1.0], grid.points))
+        kernel = np.abs(lam) <= KERNEL_REL_TOL * np.abs(lam).max()
+        levels, _, raw = grid.decompose()
+        want = np.where(kernel, 0.0, lam)
+        assert np.array_equal(levels, np.sort(want * want)[::-1])
+        zero = levels[levels == 0.0]
+        assert len(zero) == np.count_nonzero(kernel) == len(raw[1])
+        assert not np.any(np.signbit(zero))
+
+    @pytest.mark.parametrize("w,points,spacing", [*BENCH_GRIDS, ("x^3", 1447, 0.01), ("0", 41, 0.01)])
+    def test_reports_do_not_read_the_solver_rounding_of_kernel_levels(self, capsys, monkeypatch, w, points, spacing):
+        # another LAPACK build rounds the kernel levels of S differently: here
+        # each comes back moved by +-1e-20 x max|l|, still within the kernel
+        # threshold.  The markdown and JSON reports keep every byte.
+        argv = ["spectrum", "--model", "minimal:n=2", "--grid", "--points", str(points),
+                "--spacing", str(spacing), "--W", w]
+
+        def reports() -> list[str]:
+            out = []
+            for fmt in ("markdown", "json"):
+                assert main([*argv, "--format", fmt]) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        want = reports()
+        eigvalsh, moved = np.linalg.eigvalsh, []
+
+        def rounded_elsewhere(mat, *args, **kwargs):
+            lam = eigvalsh(mat, *args, **kwargs)
+            top = np.abs(lam).max()
+            kernel = np.flatnonzero(np.abs(lam) <= KERNEL_REL_TOL * top)
+            lam[kernel] += 1e-20 * top * np.resize([1.0, -1.0], len(kernel))
+            moved.append(len(kernel))
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", rounded_elsewhere)
+        assert reports() == want
+        assert len(moved) == 2 and min(moved) >= 1
+        assert '"value": 0.0\n' in want[1] and "| 0 | 4 |" in want[0]
+
     @pytest.mark.parametrize("points", [3, 41, 1447])
     def test_a_zero_pivot_becomes_eps(self, points):
         # S of W = 0, scaled to norm about 1, shifted by exactly 0: the
@@ -1545,6 +1650,46 @@ class TestGridEigensolve:
         want[::2] = 1.0
         want /= np.linalg.norm(want)
         assert np.all(np.isfinite(v)) and np.allclose(np.outer(v, v), np.outer(want, want), atol=1e-12)
+
+
+class TestClusterSplit:
+    """``_cluster`` splits the sorted levels at once where a gap exceeds the
+    tolerance, and gives the clusters of the loop it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_split_is_the_loop(values: np.ndarray, tol: float, copies: int) -> None:
+        got = _cluster(values, tol, copies)
+        assert got == cluster_loop(values, tol, copies)
+        assert all(type(c.value) is float and type(c.multiplicity) is int for c in got)
+
+    @pytest.mark.parametrize("w,points,spacing", [
+        *[(w, 201, 0.05) for w in ORACLE_W], *BENCH_GRIDS, ("x^3", 1447, 0.01), ("0", 41, 0.01),
+    ])
+    def test_grid_levels(self, w, points, spacing):
+        # as spectrum() clusters them: both partners' levels, sorted together
+        levels = oracle_grid(w, points, spacing).decompose()[0]
+        for copies in (1, 4):
+            self.assert_split_is_the_loop(np.sort(np.concatenate((levels, levels))), GRID_CLUSTER_TOL, copies)
+
+    @pytest.mark.parametrize("tol", [GRID_CLUSTER_TOL, FOCK_CLUSTER_TOL, 2.0**-10, 0.5])
+    def test_ties_and_gaps_at_the_tolerance(self, tol):
+        rng = np.random.default_rng(35)
+        at_tolerance = 0
+        for size in [1, 2, 3, *rng.integers(4, 400, size=200)]:
+            values = threshold_values(rng, tol, size)
+            gaps = np.diff(values)
+            at_tolerance += np.count_nonzero(gaps == tol * np.maximum(1.0, np.abs(values[1:])))
+            self.assert_split_is_the_loop(values, tol, 2)
+        assert at_tolerance >= 50
+        # a gap of exactly tol x max(1, |v|) keeps its two values together
+        below = 3.0 - 3.0 * 2.0**-10
+        assert _cluster(np.array([0.0, 2.0**-10, 3.0 * 2.0**-10, below, 3.0]), 2.0**-10, 1) == [
+            (2.0**-11, 2), (3.0 * 2.0**-10, 1), ((below + 3.0) / 2, 2),
+        ]
+
+    def test_fock_levels(self):
+        values = np.repeat(np.arange(50.0), 3)
+        self.assert_split_is_the_loop(values, FOCK_CLUSTER_TOL, 2)
 
 
 def tanh_well(x: np.ndarray) -> np.ndarray:
