@@ -217,7 +217,6 @@ def _table_markdown(header: tuple[str, ...], rows: list[tuple]) -> str:
 def _table_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     """RFC 4180 rows: a field holding a comma or a quote is quoted."""
     import csv
-    import io
 
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])

@@ -11,8 +11,8 @@ A Ad, and both ladder kernels, off the pair alone.  The Fock space gives
 them in closed form as exact integers without numpy.  The grid's one
 matrix, written in one place, is its lowering matrix times the
 checkerboard sign, symmetric and tridiagonal: its eigenvalues alone give
-the levels, a kernel level as exactly 0, and its diagonals the kernels
-by inverse iteration, so no eigenvector matrix is built.
+the levels, a kernel level as exactly 0, and its diagonals the kernels,
+one pivoted elimination per null vector, so no eigenvector matrix is built.
 Each realization states the dense matrix of one word, ``word_matrix``,
 and :func:`graded_sqm.sqm_block.realize` sums them into the tests' oracle.
 The module is imported where a realization is built and loads only what a
@@ -47,9 +47,6 @@ KERNEL_REL_TOL = 1e-8
 MAX_SPECTRUM_BYTES = 32 << 20
 # Fock levels 0..cutoff that a spectrum reports: cutoff 65535, about 1 s with its report
 MAX_FOCK_LEVELS = 1 << 16
-# solves of inverse iteration per grid null vector, each from a shift within a few
-# eps x max|l| of its level: one converges, the other two are dstein's extra two
-NULL_ITERATIONS = 3
 
 FOCK_CLUSTER_TOL = 1e-9
 GRID_CLUSTER_TOL = 1e-6
@@ -280,7 +277,8 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         C v span ker L; their levels are set to exactly 0, the zero that the
         threshold counts, not the solver's rounding of it.  Only S and the
         solver's copy of it are points x points: each null vector comes from
-        S's two diagonals by inverse iteration (:func:`_null_vectors`)."""
+        S's two diagonals by one solve of inverse iteration
+        (:func:`_null_vectors`)."""
         import numpy as np
         s, diag, off, sign = self._symmetric()
         lam = np.linalg.eigvalsh(s)
@@ -290,7 +288,7 @@ class GridRealization(CheckedTuple, NamedTuple("GridRealization", [
         kernel = size <= KERNEL_REL_TOL * top
         if top:
             null = _null_vectors(diag / top, off / top, lam[kernel] / top)
-        else:  # S = 0, where W = 0 and the derivative underflows: every unit vector is null
+        else:  # S = 0, where W = 0 and 2 h overflows, so 1/(2 h) is 0: every unit vector is null
             null = np.eye(self.points)
         lam[kernel] = 0.0
         raw = list(sign * null), list(null)
@@ -327,71 +325,48 @@ def _null_vectors(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.n
     diagonal ``diag`` and off-diagonal ``off``, whose largest eigenvalue is
     1 in size; ``shifts`` are its eigenvalues as ``eigvalsh`` found them.
 
-    Inverse iteration in the style of LAPACK's dstein: T - shift is factored
-    once by Gaussian elimination with partial pivoting (:func:`_factor`),
-    and ``NULL_ITERATIONS`` solves (:func:`_solve`) run from a fixed start,
-    the fractional parts of j (i + 1) / phi for vector i and the golden
-    ratio phi, each solve followed by Gram-Schmidt against the earlier
-    vectors and a normalization.  The shifts are kernel levels, within
-    2 x KERNEL_REL_TOL of each other, so every vector is orthogonalized
-    against all the earlier ones, as dstein does inside a cluster.
+    One step of inverse iteration per vector, from a fixed start: the
+    fractional parts of j (i + 1) / phi for vector i and the golden ratio
+    phi.  Gaussian elimination with partial pivoting reduces T - shift to
+    upper triangular U, as LAPACK's dlagtf, and applies each multiplier and
+    row swap to the start where it is made; one back substitution,
+    Gram-Schmidt against the earlier vectors and a normalization follow.
+    T is scaled to norm 1, so a pivot below eps in size becomes eps with
+    its sign: W = 0 makes T exactly singular, and with a shift of 0 the
+    last pivot is 0.  Each shift is an eigenvalue to working precision, so
+    one solve gives its eigenvector (Peters & Wilkinson, SIAM Rev. 21,
+    1979).  The shifts are kernel levels, within 2 x KERNEL_REL_TOL of each
+    other, so every vector is orthogonalized against all the earlier ones,
+    as LAPACK's dstein does inside a cluster.
     """
     import numpy as np
-    d, e = diag.tolist(), off.tolist()
+    e, n, eps = off.tolist(), len(diag), sys.float_info.epsilon
     out: list[np.ndarray] = []
     for i, shift in enumerate(shifts.tolist()):
-        factors = _factor(d, e, shift)
         step = (i + 1) * (math.sqrt(5.0) - 1.0) / 2.0
-        x = [j * step % 1.0 - 0.5 for j in range(1, len(d) + 1)]
-        for _ in range(NULL_ITERATIONS):
-            v = np.array(_solve(factors, x))
-            for u in out:
-                v -= (u @ v) * u
-            v /= np.linalg.norm(v)
-            x = v.tolist()
-        out.append(v)
-    return np.array(out).reshape(len(out), len(d))
-
-
-def _factor(d: list[float], e: list[float], shift: float) -> tuple[list[float], ...]:
-    """P (T - shift) = L U for the symmetric tridiagonal T of diagonal d and
-    off-diagonal e, by Gaussian elimination with partial pivoting, as
-    LAPACK's dlagtf: the diagonal ``a`` of U, its two superdiagonals ``b``
-    and ``c``, each step's multiplier ``m``, and ``swap``, true where the
-    step exchanged two rows.  T is scaled to norm 1, so a pivot below eps
-    in size becomes eps with its sign: W = 0 makes T exactly singular,
-    and with a shift of 0 the last pivot is 0."""
-    n = len(d)
-    a = [x - shift for x in d]
-    b, c, m, swap = e + [0.0], [0.0] * n, [0.0] * n, [False] * n
-    for k in range(n - 1):
-        if abs(a[k]) >= abs(e[k]):
-            if a[k]:
-                m[k] = e[k] / a[k]
-                a[k + 1] -= m[k] * b[k]
-        else:
-            # row k + 1 leads: its first entry e[k] is the pivot
-            m[k], swap[k] = a[k] / e[k], True
-            a[k], a[k + 1], b[k] = e[k], b[k] - m[k] * a[k + 1], a[k + 1]
-            c[k], b[k + 1] = b[k + 1], -m[k] * b[k + 1]
-    eps = sys.float_info.epsilon
-    return [x if abs(x) >= eps else math.copysign(eps, x) for x in a], b, c, m, swap
-
-
-def _solve(factors: tuple[list[float], ...], y: list[float]) -> list[float]:
-    """Solve (T - shift) x = y from :func:`_factor`'s L U; y is overwritten."""
-    a, b, c, m, swap = factors
-    n = len(a)
-    for k in range(n - 1):
-        if swap[k]:
-            y[k], y[k + 1] = y[k + 1], y[k] - m[k] * y[k + 1]
-        else:
-            y[k + 1] -= m[k] * y[k]
-    y[n - 1] /= a[n - 1]
-    y[n - 2] = (y[n - 2] - b[n - 2] * y[n - 1]) / a[n - 2]
-    for k in range(n - 3, -1, -1):
-        y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / a[k]
-    return y
+        # the start, with two zeros past its end for the back substitution,
+        # and U's diagonal a and its two superdiagonals b and c
+        y = [j * step % 1.0 - 0.5 for j in range(1, n + 1)] + [0.0, 0.0]
+        a, b, c = (diag - shift).tolist(), e + [0.0], [0.0] * n
+        for k in range(n - 1):
+            if abs(a[k]) >= abs(e[k]):
+                if a[k]:
+                    m = e[k] / a[k]
+                    a[k + 1] -= m * b[k]
+                    y[k + 1] -= m * y[k]
+            else:
+                # row k + 1 leads: its first entry e[k] is the pivot
+                m = a[k] / e[k]
+                a[k], a[k + 1], b[k] = e[k], b[k] - m * a[k + 1], a[k + 1]
+                c[k], b[k + 1] = b[k + 1], -m * b[k + 1]
+                y[k], y[k + 1] = y[k + 1], y[k] - m * y[k + 1]
+        for k in range(n - 1, -1, -1):
+            y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / math.copysign(max(abs(a[k]), eps), a[k])
+        v = np.array(y[:n])
+        for u in out:
+            v -= (u @ v) * u
+        out.append(v / np.linalg.norm(v))
+    return np.array(out).reshape(len(out), n)
 
 
 # ---------------------------------------------------------------------------

@@ -421,12 +421,7 @@ def central_rank(model: Model) -> RankReport:
     # by degree, in order of first appearance: the labels by key
     classes: dict[int, dict[tuple[int, int, int], list[str]]] = {}
     for degree, label, key in zip(degrees, _labels(model, centrals=True)[len(model.q):], keys):
-        group = classes.setdefault(degree, {})
-        same = group.get(key)
-        if same is None:
-            group[key] = [label]
-        else:
-            same.append(label)
+        classes.setdefault(degree, {}).setdefault(key, []).append(label)
     entries = tuple(
         DegreeRankEntry(
             degree_text(model.spec.n, degree), sum(map(len, group.values())), len(group),

@@ -38,7 +38,6 @@ from graded_sqm.realizations import (
     FockRealization,
     GridRealization,
     _cluster,
-    _factor,
     _is_smooth,
     _null_vectors,
     check_grid,
@@ -1514,6 +1513,65 @@ def cluster_loop(values: np.ndarray, tol: float, copies: int) -> list[tuple[floa
     return clusters
 
 
+def factor_reference(d: list[float], e: list[float], shift: float) -> tuple[list[float], ...]:
+    """Reference: the stored factorization that ``_null_vectors`` used to
+    keep, P (T - shift) = L U by Gaussian elimination with partial pivoting:
+    U's diagonal ``a`` and two superdiagonals ``b`` and ``c``, each step's
+    multiplier ``m`` and ``swap``, true where the step exchanged two rows;
+    a pivot below eps in size becomes eps with its sign."""
+    n = len(d)
+    a = [x - shift for x in d]
+    b, c, m, swap = e + [0.0], [0.0] * n, [0.0] * n, [False] * n
+    for k in range(n - 1):
+        if abs(a[k]) >= abs(e[k]):
+            if a[k]:
+                m[k] = e[k] / a[k]
+                a[k + 1] -= m[k] * b[k]
+        else:
+            m[k], swap[k] = a[k] / e[k], True
+            a[k], a[k + 1], b[k] = e[k], b[k] - m[k] * a[k + 1], a[k + 1]
+            c[k], b[k + 1] = b[k + 1], -m[k] * b[k + 1]
+    eps = sys.float_info.epsilon
+    return [x if abs(x) >= eps else math.copysign(eps, x) for x in a], b, c, m, swap
+
+
+def solve_reference(factors: tuple[list[float], ...], y: list[float]) -> list[float]:
+    """Reference: solve (T - shift) x = y from ``factor_reference``'s L U; y is overwritten."""
+    a, b, c, m, swap = factors
+    n = len(a)
+    for k in range(n - 1):
+        if swap[k]:
+            y[k], y[k + 1] = y[k + 1], y[k] - m[k] * y[k + 1]
+        else:
+            y[k + 1] -= m[k] * y[k]
+    y[n - 1] /= a[n - 1]
+    y[n - 2] = (y[n - 2] - b[n - 2] * y[n - 1]) / a[n - 2]
+    for k in range(n - 3, -1, -1):
+        y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / a[k]
+    return y
+
+
+def null_vectors_reference(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, solves: int = 3) -> np.ndarray:
+    """Reference: the inverse iteration that ``_null_vectors`` replaced, one
+    factorization per shift and ``solves`` solves from the same golden-ratio
+    start, each followed by Gram-Schmidt and a normalization, as LAPACK's
+    dstein."""
+    d, e = diag.tolist(), off.tolist()
+    out: list[np.ndarray] = []
+    for i, shift in enumerate(shifts.tolist()):
+        factors = factor_reference(d, e, shift)
+        step = (i + 1) * (math.sqrt(5.0) - 1.0) / 2.0
+        x = [j * step % 1.0 - 0.5 for j in range(1, len(d) + 1)]
+        for _ in range(solves):
+            v = np.array(solve_reference(factors, x))
+            for u in out:
+                v -= (u @ v) * u
+            v /= np.linalg.norm(v)
+            x = v.tolist()
+        out.append(v)
+    return np.array(out).reshape(len(out), len(d))
+
+
 def threshold_values(rng: np.random.Generator, tol: float, size: int) -> np.ndarray:
     """Sorted values built from the top down, from a top of either sign and
     of size 1e-12 to 3: the gap below each value v is a tie, tol x
@@ -1575,9 +1633,9 @@ class TestGridEigensolve:
     ])
     def test_exactly_singular_and_sublattice_grids(self, w, points, spacing):
         # W = 0 makes S exactly singular, with a zero pivot on the elimination's
-        # path, and S = 0 where the derivative 1/(2 h) underflows too; W on one
-        # sublattice leaves the other's sites decoupled from W.  None warns,
-        # and each gives finite unit null vectors, as many as eigh
+        # path, and S = 0 where 2 h overflows, so the off-diagonal 1/(2 h) is 0
+        # too; W on one sublattice leaves the other's sites decoupled from W.
+        # None warns, and each gives finite unit null vectors, as many as eigh
         grid = oracle_grid(w, points, spacing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1642,7 +1700,6 @@ class TestGridEigensolve:
         # elimination's last pivot is 0, and inverse iteration still gives
         # S's null vector, equal on every even site and 0 on the odd ones
         off = np.resize([-0.5, 0.5], points - 1)
-        assert _factor([0.0] * points, off.tolist(), 0.0)[0][-1] == sys.float_info.epsilon
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (v,) = _null_vectors(np.zeros(points), off, np.zeros(1))
@@ -1650,6 +1707,47 @@ class TestGridEigensolve:
         want[::2] = 1.0
         want /= np.linalg.norm(want)
         assert np.all(np.isfinite(v)) and np.allclose(np.outer(v, v), np.outer(want, want), atol=1e-12)
+
+
+class TestOnePassNullVectors:
+    """``_null_vectors`` runs one elimination and one back substitution per
+    shift.  It gives the first solve of the three-solve inverse iteration it
+    replaced bit for bit, and the same kernels as all three: the same count
+    and smoothness, vectors and projectors within rounding, and unit,
+    orthogonal null vectors of S."""
+
+    @staticmethod
+    def scaled_kernel_problem(grid: GridRealization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # decompose's call: S's diagonals and its kernel levels, scaled to norm 1
+        s, diag, off, _ = grid._symmetric()
+        lam = np.linalg.eigvalsh(s)
+        top = np.abs(lam).max()
+        return diag / top, off / top, lam[np.abs(lam) <= KERNEL_REL_TOL * top] / top
+
+    @pytest.mark.parametrize("w,points,spacing", [
+        *[(w, 201, 0.05) for w in ORACLE_W], *BENCH_GRIDS, ("x^3", 1447, 0.01),
+        ("0", 3, 0.01), ("0", 41, 0.01), ("0", 1447, 0.01),
+        ("x^5 odd sites", 1447, 0.01), ("x^5 even sites", 1447, 0.01),
+    ])
+    def test_one_solve_gives_the_kernels_of_three(self, w, points, spacing):
+        diag, off, shifts = self.scaled_kernel_problem(oracle_grid(w, points, spacing))
+        got = _null_vectors(diag, off, shifts)
+        want = null_vectors_reference(diag, off, shifts)
+        assert np.array_equal(got, null_vectors_reference(diag, off, shifts, solves=1))
+        assert got.shape == want.shape
+        sign = np.resize([1.0, -1.0], points)
+        assert [(_is_smooth(v), _is_smooth(sign * v)) for v in got] == [
+            (_is_smooth(v), _is_smooth(sign * v)) for v in want
+        ]
+        if len(got) == 1:
+            assert min(np.abs(got[0] - want[0]).max(), np.abs(got[0] + want[0]).max()) <= 1e-10
+        assert np.abs(got.T @ got - want.T @ want).max() <= 1e-8
+        for v, shift in zip(got, shifts):
+            residual = (diag - shift) * v
+            residual[:-1] += off * v[1:]
+            residual[1:] += off * v[:-1]
+            assert np.linalg.norm(residual) <= 1e-10
+        assert np.all(np.abs(got @ got.T - np.eye(len(got))) <= 1e-13)
 
 
 class TestClusterSplit:
